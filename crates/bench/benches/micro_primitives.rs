@@ -138,14 +138,17 @@ fn bench_sparse_memory(c: &mut Criterion) {
     let mut g = c.benchmark_group("sparse_mr");
     let table = MemTable::new(0);
     let pd = table.alloc_pd();
-    let mr = table.reg_mr(
-        &pd,
-        4 * 1024 * 1024,
-        AccessFlags::FULL,
-        PageKind::Anonymous,
-        true,
-        false,
-    );
+    let arena = || {
+        table.reg_mr(
+            &pd,
+            4 * 1024 * 1024,
+            AccessFlags::FULL,
+            PageKind::Anonymous,
+            true,
+            false,
+        )
+    };
+    let mr = arena();
     let data = vec![0xAAu8; 64];
     let mut off = 0u64;
     g.bench_function("write_64B_rotating", |b| {
@@ -154,8 +157,30 @@ fn bench_sparse_memory(c: &mut Criterion) {
             mr.write(mr.addr + off, black_box(&data)).unwrap();
         })
     });
+    // What the memcache bump allocator produces: every write adjacent to
+    // the last (`write_64B_rotating`'s 4096-byte stride never touches its
+    // predecessor extent, so it cannot see the cost of growing one). A
+    // full arena is followed by a freshly registered one, as in memcache.
+    g.bench_function("write_64B_adjacent_bump", |b| {
+        let (mut bump_mr, mut at) = (arena(), 0u64);
+        b.iter(|| {
+            if at + 64 > bump_mr.len {
+                table.dereg_mr(&bump_mr);
+                (bump_mr, at) = (arena(), 0);
+            }
+            bump_mr.write(bump_mr.addr + at, black_box(&data)).unwrap();
+            at += 64;
+        })
+    });
     g.bench_function("read_64B", |b| {
         b.iter(|| black_box(mr.read(mr.addr + 8192, 64).unwrap()))
+    });
+    g.bench_function("read_into_64B", |b| {
+        let mut out = [0u8; 64];
+        b.iter(|| {
+            mr.read_into(mr.addr + 8192, black_box(&mut out)).unwrap();
+            out[0]
+        })
     });
     g.finish();
 }

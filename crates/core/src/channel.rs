@@ -870,15 +870,10 @@ impl XrdmaChannel {
             }
         };
         // Parse the X-RDMA header out of the landed bytes.
-        let head_bytes = ctx
-            .memcache()
-            .read(
-                &slot.buf,
-                0,
-                byte_len.min(128).max(crate::proto::BASE_LEN as u64),
-            )
-            .unwrap_or_default();
-        let Some((hdr, hdr_len)) = Header::decode(&head_bytes) else {
+        let mut head = [0u8; 128];
+        let head = &mut head[..byte_len.clamp(crate::proto::BASE_LEN as u64, 128) as usize];
+        let landed = ctx.memcache().read_into(&slot.buf, 0, head).ok();
+        let Some((hdr, hdr_len)) = landed.and_then(|()| Header::decode(head)) else {
             // Corrupt / foreign message: drop and repost.
             self.repost_slot(slot_id, &slot);
             return;
@@ -933,33 +928,23 @@ impl XrdmaChannel {
                 // out of the slot now (the slot is reposted immediately);
                 // sparse backing makes this cheap for size-only payloads.
                 let body_len = hdr.body_len;
-                self.stats.borrow_mut().small_msgs += 0; // counted at sender
-                let small_loc = if body_len > 0 {
+                let buf = if body_len > 0 {
                     // Stage into a private buffer so reposting can't race.
-                    let staged = ctx.memcache().alloc(body_len.max(1)).ok();
+                    let staged = ctx.memcache().alloc(body_len).ok();
                     ctx.thread().charge(ctx.memcache().take_reg_cost());
                     if let Some(staged) = &staged {
-                        if let Ok(data) = ctx.memcache().read(&slot.buf, hdr_len, body_len) {
-                            let _ = ctx.memcache().write(staged, 0, &data);
-                        }
+                        let _ = ctx.memcache().copy(&slot.buf, hdr_len, staged, body_len);
                     }
-                    staged.map(|b| (b, ()))
+                    staged
                 } else {
                     None
-                };
-                let (buf, small) = match small_loc {
-                    Some((b, ())) => {
-                        let loc = (b.lkey, b.addr);
-                        (Some(b), Some(loc))
-                    }
-                    None => (None, None),
                 };
                 self.inbox.borrow_mut().insert(
                     seq,
                     InMsg {
                         hdr,
                         buf,
-                        small_loc: small,
+                        small_loc: buf.map(|b| (b.lkey, b.addr)),
                         t2: now,
                         span,
                     },

@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use xrdma_rnic::mem::Pd;
-use xrdma_rnic::{AccessFlags, Mr, Rnic};
+use xrdma_rnic::{AccessFlags, Mr, Rnic, VerbsError};
 
 use crate::config::MemCacheConfig;
 use crate::error::XrdmaError;
@@ -59,6 +59,8 @@ pub struct MemCache {
     shrinks: std::cell::Cell<u64>,
     /// Host CPU cost incurred by registrations (charged by the caller).
     pending_reg_cost: std::cell::Cell<u64>,
+    /// Bounce buffer of [`MemCache::copy`], grown to the largest eager body.
+    scratch: RefCell<Vec<u8>>,
 }
 
 impl MemCache {
@@ -78,6 +80,7 @@ impl MemCache {
             grows: std::cell::Cell::new(0),
             shrinks: std::cell::Cell::new(0),
             pending_reg_cost: std::cell::Cell::new(0),
+            scratch: RefCell::new(Vec::new()),
         };
         // Warm pool: register the first arena at context startup so the
         // first connection's buffers don't pay registration on the data
@@ -218,26 +221,44 @@ impl MemCache {
         xrdma_sim::Dur::nanos(self.pending_reg_cost.replace(0))
     }
 
+    /// The arena MR a cache buffer lives in.
+    fn mr_of(&self, buf: &McBuf) -> Result<Rc<Mr>, XrdmaError> {
+        let arenas = self.arenas.borrow();
+        let a = arenas.iter().find(|a| a.mr.lkey == buf.lkey);
+        a.map(|a| a.mr.clone()).ok_or(XrdmaError::OutOfMemory)
+    }
+
     /// Write real bytes into a cache buffer (backed mode only; bounds are
     /// enforced by the MR).
     pub fn write(&self, buf: &McBuf, off: u64, data: &[u8]) -> Result<(), XrdmaError> {
-        let arenas = self.arenas.borrow();
-        let a = arenas
-            .iter()
-            .find(|a| a.mr.lkey == buf.lkey)
-            .ok_or(XrdmaError::OutOfMemory)?;
         debug_assert!(off + data.len() as u64 <= buf.len, "write past buffer");
-        a.mr.write(buf.addr + off, data).map_err(XrdmaError::Verbs)
+        Ok(self.mr_of(buf)?.write(buf.addr + off, data)?)
     }
 
-    /// Read bytes back out of a cache buffer.
+    /// Read `out.len()` bytes of a cache buffer into the caller's buffer
+    /// (the per-message path: no allocation).
+    pub fn read_into(&self, buf: &McBuf, off: u64, out: &mut [u8]) -> Result<(), XrdmaError> {
+        Ok(self.mr_of(buf)?.read_into(buf.addr + off, out)?)
+    }
+
+    /// Read bytes back out of a cache buffer into a fresh one.
     pub fn read(&self, buf: &McBuf, off: u64, len: u64) -> Result<Vec<u8>, XrdmaError> {
-        let arenas = self.arenas.borrow();
-        let a = arenas
-            .iter()
-            .find(|a| a.mr.lkey == buf.lkey)
-            .ok_or(XrdmaError::OutOfMemory)?;
-        a.mr.read(buf.addr + off, len).map_err(XrdmaError::Verbs)
+        Ok(self.mr_of(buf)?.read(buf.addr + off, len)?)
+    }
+
+    /// Copy `len` bytes from `src[src_off..]` to the start of `dst` through
+    /// the cache's one reused scratch buffer (eager receive: slot → staged
+    /// body; the two may share an MR, so there is no borrowing one into
+    /// the other). `len` comes off the wire: it is held to both buffers
+    /// before the scratch grows to it.
+    pub fn copy(&self, src: &McBuf, src_off: u64, dst: &McBuf, len: u64) -> Result<(), XrdmaError> {
+        if src_off.saturating_add(len) > src.len || len > dst.len {
+            return Err(VerbsError::AccessError("copy past cache buffer").into());
+        }
+        let mut scratch = self.scratch.borrow_mut();
+        scratch.resize(len as usize, 0);
+        self.read_into(src, src_off, &mut scratch)?;
+        self.write(dst, 0, &scratch)
     }
 }
 
@@ -363,6 +384,19 @@ mod tests {
         mc.write(&b, 8, b"cached-bytes").unwrap();
         assert_eq!(mc.read(&b, 8, 12).unwrap(), b"cached-bytes");
         mc.release(&b);
+    }
+
+    #[test]
+    fn copy_between_buffers_of_one_arena() {
+        let mc = cache(small_cfg());
+        let (slot, staged) = (mc.alloc(64).unwrap(), mc.alloc(12).unwrap());
+        mc.write(&slot, 24, b"eager-body..").unwrap();
+        mc.copy(&slot, 24, &staged, 12).unwrap();
+        assert_eq!(mc.read(&staged, 0, 12).unwrap(), b"eager-body..");
+        // A wire length that overruns either buffer is refused, not staged.
+        assert!(mc.copy(&slot, 60, &staged, 12).is_err());
+        assert!(mc.copy(&slot, 0, &staged, 13).is_err());
+        assert!(mc.copy(&slot, 24, &staged, u64::MAX).is_err());
     }
 
     #[test]

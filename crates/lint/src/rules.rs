@@ -20,7 +20,10 @@ use crate::{Rule, Violation};
 /// registration, stats aggregation) allocates at setup or teardown time
 /// and is exempt. `cq.rs` is the shared-CQ drain and `channel.rs` the
 /// send/completion path of the middleware; `qpcache.rs` sits on the
-/// connect path and `mux.rs` on the per-frame logical-channel path.
+/// connect path and `mux.rs` on the per-frame logical-channel path;
+/// `mem.rs` and `memcache.rs` are the MR byte path every eager message is
+/// staged through (the first touch of a fresh extent and the owning
+/// `read` carry reviewed allows).
 pub const HOT_PATH_FILES: &[&str] = &[
     "port.rs",
     "switch.rs",
@@ -31,6 +34,8 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "channel.rs",
     "qpcache.rs",
     "mux.rs",
+    "mem.rs",
+    "memcache.rs",
 ];
 
 /// Identifiers that name payload byte buffers; `.clone()` on one of these

@@ -63,9 +63,14 @@ pub struct Pd {
 /// Sparse byte store: only written ranges occupy memory, so a 4 MiB
 /// arena that ever sees nothing but 56-byte headers costs 56 bytes. Reads
 /// of unwritten ranges return zeroes (fresh registered memory).
+///
+/// Extents (`start → bytes`) never overlap, and every operation costs
+/// O(bytes touched): a write lands in the extent that reaches its start —
+/// overwriting in place, growing it in place past its end — and only
+/// otherwise opens a new extent (DESIGN.md design note 13).
 #[derive(Default)]
 struct SparseBytes {
-    chunks: BTreeMap<u64, Vec<u8>>,
+    extents: BTreeMap<u64, Vec<u8>>,
 }
 
 impl SparseBytes {
@@ -74,76 +79,70 @@ impl SparseBytes {
             return;
         }
         let end = off + data.len() as u64;
-        // Fast path: the range lies entirely inside one existing chunk —
-        // overwrite in place, no rebuild.
-        if let Some((&k, v)) = self.chunks.range_mut(..=off).next_back() {
-            if k + v.len() as u64 >= end {
+        let start = match self.extents.range_mut(..=off).next_back() {
+            Some((&k, v)) if k + v.len() as u64 >= off => {
                 let o = (off - k) as usize;
-                v[o..o + data.len()].copy_from_slice(data);
-                return;
+                let n = data.len().min(v.len() - o);
+                v[o..o + n].copy_from_slice(&data[..n]);
+                if n == data.len() {
+                    return; // entirely inside the extent
+                }
+                v.extend_from_slice(&data[n..]); // amortised growth, no rebuild
+                k
+            }
+            _ => {
+                // xrdma-lint: allow(hot-path-alloc) -- first touch of a fresh range (one per recv slot / arena), later writes extend or overwrite it
+                self.extents.insert(off, data.to_vec());
+                off
+            }
+        };
+        // Extents that began inside the written range are shadowed up to
+        // `end`: move what each holds beyond it onto the grown extent, once,
+        // and drop them. One that merely starts at `end` is left alone, so
+        // descending writes stay O(len) too.
+        while let Some((&k, _)) = self.extents.range(start + 1..end).next() {
+            let shadowed = self.extents.remove(&k).unwrap_or_default();
+            let tail = shadowed.get((end - k) as usize..).unwrap_or_default();
+            if let Some(grown) = self.extents.get_mut(&start) {
+                grown.extend_from_slice(tail);
             }
         }
-        // Collect chunks overlapping or adjacent to [off, end). Chunks
-        // never overlap each other, so the only candidates are the
-        // predecessor of `off` plus everything starting inside the range —
-        // O(overlaps), not O(all chunks).
-        let mut start = off;
-        let mut stop = end;
-        let mut keys: Vec<u64> = Vec::new();
-        if let Some((&k, v)) = self.chunks.range(..off).next_back() {
-            if k + v.len() as u64 >= off {
-                keys.push(k);
-                start = start.min(k);
-                stop = stop.max(k + v.len() as u64);
-            }
-        }
-        for (&k, v) in self.chunks.range(off..end) {
-            let k_end = k + v.len() as u64;
-            keys.push(k);
-            stop = stop.max(k_end);
-        }
-        let mut merged = vec![0u8; (stop - start) as usize];
-        for k in keys {
-            if let Some(v) = self.chunks.remove(&k) {
-                let o = (k - start) as usize;
-                merged[o..o + v.len()].copy_from_slice(&v);
-            }
-        }
-        let o = (off - start) as usize;
-        merged[o..o + data.len()].copy_from_slice(data);
-        self.chunks.insert(start, merged);
     }
 
-    fn read(&self, off: u64, len: u64) -> Vec<u8> {
-        let mut out = vec![0u8; len as usize];
-        let end = off + len;
-        let mut copy = |k: u64, v: &Vec<u8>| {
-            let k_end = k + v.len() as u64;
-            if k_end <= off || k >= end {
-                return;
+    /// Fill `out` with the bytes at `[off, off + out.len())`, zeroes where
+    /// nothing was written; every byte of `out` is stored exactly once.
+    fn read_into(&self, off: u64, out: &mut [u8]) {
+        let end = off + out.len() as u64;
+        let mut pos = off;
+        let reaching = self.extents.range(..off).next_back();
+        for (&k, v) in reaching.into_iter().chain(self.extents.range(off..end)) {
+            let (lo, hi) = (k.max(pos), end.min(k + v.len() as u64));
+            if lo >= hi {
+                continue;
             }
-            let lo = off.max(k);
-            let hi = end.min(k_end);
+            out[(pos - off) as usize..(lo - off) as usize].fill(0);
             out[(lo - off) as usize..(hi - off) as usize]
                 .copy_from_slice(&v[(lo - k) as usize..(hi - k) as usize]);
-        };
-        if let Some((&k, v)) = self.chunks.range(..off).next_back() {
-            copy(k, v);
+            pos = hi;
         }
-        for (&k, v) in self.chunks.range(off..end) {
-            copy(k, v);
-        }
-        out
+        out[(pos - off) as usize..].fill(0);
+    }
+
+    /// The little-endian u64 at `off` (the atomics' operand).
+    fn word(&self, off: u64) -> u64 {
+        let mut w = [0u8; 8];
+        self.read_into(off, &mut w);
+        u64::from_le_bytes(w)
     }
 
     fn stored_bytes(&self) -> u64 {
-        self.chunks.values().map(|v| v.len() as u64).sum()
+        self.extents.values().map(|v| v.len() as u64).sum()
     }
 
     /// Any real bytes materialized in [off, off+len)?
     fn overlaps(&self, off: u64, len: u64) -> bool {
         let end = off + len;
-        self.chunks
+        self.extents
             .range(..end)
             .next_back()
             .is_some_and(|(&k, v)| k + v.len() as u64 > off)
@@ -186,13 +185,25 @@ impl Mr {
         Ok(())
     }
 
-    /// Read bytes out of the region (zeroes if unbacked or unwritten).
+    /// Read `out.len()` bytes of the region into the caller's buffer
+    /// (zeroes if unbacked or unwritten) — the per-message path, no
+    /// allocation.
+    pub fn read_into(&self, addr: u64, out: &mut [u8]) -> Result<(), VerbsError> {
+        let off = self.offset_of(addr, out.len() as u64)?;
+        match self.backing.borrow().as_ref() {
+            Some(buf) => buf.read_into(off as u64, out),
+            None => out.fill(0),
+        }
+        Ok(())
+    }
+
+    /// Read bytes out of the region into a fresh buffer.
     pub fn read(&self, addr: u64, len: u64) -> Result<Vec<u8>, VerbsError> {
-        let off = self.offset_of(addr, len)?;
-        Ok(match self.backing.borrow().as_ref() {
-            Some(buf) => buf.read(off as u64, len),
-            None => vec![0; len as usize],
-        })
+        // Bounds first: `len` is the caller's and the next line allocates it.
+        self.check(addr, len)?;
+        // xrdma-lint: allow(hot-path-alloc) -- the owning-read API (tests, setup, the one-per-message gather of `read_bytes`); per-message callers use `read_into`
+        let mut out = vec![0; len as usize];
+        self.read_into(addr, &mut out).map(|()| out)
     }
 
     /// Read bytes out as a shared, refcounted buffer: one gather copy for
@@ -222,8 +233,7 @@ impl Mr {
         let mut b = self.backing.borrow_mut();
         match b.as_mut() {
             Some(buf) => {
-                // xrdma-lint: allow(unwrap-in-api) -- read(off, 8) returns exactly 8 bytes (validated by offset_of)
-                let old = u64::from_le_bytes(buf.read(off, 8).try_into().unwrap());
+                let old = buf.word(off);
                 buf.write(off, &old.wrapping_add(operand).to_le_bytes());
                 Ok(old)
             }
@@ -237,8 +247,7 @@ impl Mr {
         let mut b = self.backing.borrow_mut();
         match b.as_mut() {
             Some(buf) => {
-                // xrdma-lint: allow(unwrap-in-api) -- read(off, 8) returns exactly 8 bytes (validated by offset_of)
-                let old = u64::from_le_bytes(buf.read(off, 8).try_into().unwrap());
+                let old = buf.word(off);
                 if old == expect {
                     buf.write(off, &swap.to_le_bytes());
                 }
@@ -602,6 +611,82 @@ mod tests {
             "CAS failed, old returned"
         );
         assert_eq!(mr.fetch_add(mr.addr, 0).unwrap(), 100);
+    }
+
+    fn backed(len: u64) -> Rc<Mr> {
+        let (t, pd) = table();
+        t.reg_mr(
+            &pd,
+            len,
+            AccessFlags::FULL,
+            PageKind::Anonymous,
+            true,
+            false,
+        )
+    }
+
+    /// `(start, len)` of every extent of a backed MR, ascending.
+    fn extents(mr: &Mr) -> Vec<(u64, usize)> {
+        let backing = mr.backing.borrow();
+        let store = backing.as_ref().expect("backed MR");
+        store.extents.iter().map(|(&k, v)| (k, v.len())).collect()
+    }
+
+    /// Every shape of write against a flat reference, with the extent
+    /// layout each one must leave (the complexity contract is structural:
+    /// a write lands in the extent that reaches it, never in a rebuilt one).
+    #[test]
+    fn writes_grow_extents_in_place() {
+        let mr = backed(1024);
+        let mut flat = vec![0u8; 1024];
+        let mut stamp = 0u8;
+        let mut put = |off: usize, len: usize, want: &[(u64, usize)]| {
+            stamp += 1;
+            let data = vec![stamp; len];
+            mr.write(mr.addr + off as u64, &data).unwrap();
+            flat[off..off + len].copy_from_slice(&data);
+            assert_eq!(extents(&mr), want, "after write [{off}, {})", off + len);
+            assert_eq!(mr.read(mr.addr, 1024).unwrap(), flat);
+            let stored: usize = want.iter().map(|&(_, n)| n).sum();
+            assert_eq!(mr.stored_bytes(), stored as u64);
+        };
+        put(100, 10, &[(100, 10)]); // fresh range
+        put(110, 10, &[(100, 20)]); // adjacent, ascending: grows
+        put(115, 15, &[(100, 30)]); // overlaps the tail: grows
+        put(105, 3, &[(100, 30)]); // contained: overwritten in place
+        put(500, 0, &[(100, 30)]); // zero-length: nothing
+        put(90, 10, &[(90, 10), (100, 30)]); // adjacent, descending: touches, stays apart
+        put(95, 10, &[(90, 40)]); // overlaps both: successor's tail moves over
+        put(200, 10, &[(90, 40), (200, 10)]);
+        put(220, 10, &[(90, 40), (200, 10), (220, 10)]);
+        put(240, 10, &[(90, 40), (200, 10), (220, 10), (240, 10)]);
+        put(205, 40, &[(90, 40), (200, 50)]); // bridges two holes, spans three extents
+        put(260, 10, &[(90, 40), (200, 50), (260, 10)]);
+        put(250, 10, &[(90, 40), (200, 60), (260, 10)]); // fills the hole exactly
+        put(255, 10, &[(90, 40), (200, 70)]);
+        put(398, 4, &[(90, 40), (200, 70), (398, 4)]);
+        put(396, 12, &[(90, 40), (200, 70), (396, 12)]); // swallows a successor whole
+        assert!(mr.has_data_in(mr.addr + 129, 71) && !mr.has_data_in(mr.addr + 130, 70));
+    }
+
+    /// The memcache pattern at full size: 65 536 adjacent 64 B writes fill
+    /// a 4 MiB arena as one extent, moving 4 MiB in all. Rebuilding the
+    /// extent per write (what this store replaced) moves ~137 GB here, so
+    /// the wall bound only has to tell seconds from minutes.
+    #[test]
+    fn adjacent_writes_are_linear() {
+        const ARENA: usize = 4 << 20;
+        let mr = backed(ARENA as u64);
+        let flat: Vec<u8> = (0..ARENA).map(|i| (i / 64 * 31 + i % 64) as u8).collect();
+        let t = std::time::Instant::now();
+        for (i, slot) in flat.chunks(64).enumerate() {
+            mr.write(mr.addr + 64 * i as u64, slot).unwrap();
+        }
+        let wall = t.elapsed();
+        assert_eq!(extents(&mr), [(0, ARENA)]);
+        assert_eq!(mr.stored_bytes(), ARENA as u64);
+        assert_eq!(mr.read(mr.addr, ARENA as u64).unwrap(), flat);
+        assert!(wall.as_secs() < 5, "65 536 adjacent writes took {wall:?}");
     }
 
     #[test]

@@ -117,26 +117,75 @@ proptest! {
         }
     }
 
-    /// Sparse MR backing behaves exactly like a flat byte array under any
-    /// sequence of overlapping writes and reads.
+    /// Sparse MR backing behaves exactly like a flat byte array plus a
+    /// written-bitmap under any sequence of writes (anywhere, or placed
+    /// right after / right before / into the tail of the previous one — the
+    /// adjacency the memcache bump allocator produces), reads, presence
+    /// queries and atomics; zero-length writes and reads included.
     #[test]
     fn sparse_memory_matches_reference(
         ops in proptest::collection::vec(
-            (0u64..900, proptest::collection::vec(any::<u8>(), 1..64)),
-            1..60
+            (0u8..10, 0u8..4, 0u64..1024, proptest::collection::vec(any::<u8>(), 0..96), any::<u64>()),
+            1..80
         ),
     ) {
+        const LEN: u64 = 1024;
         let table = MemTable::new(0);
         let pd = table.alloc_pd();
-        let mr = table.reg_mr(&pd, 1024, AccessFlags::FULL, PageKind::Anonymous, true, false);
-        let mut reference = vec![0u8; 1024];
-        for (off, data) in &ops {
-            let off = (*off).min(1024 - data.len() as u64);
-            mr.write(mr.addr + off, data).unwrap();
-            reference[off as usize..off as usize + data.len()].copy_from_slice(data);
+        let mr = table.reg_mr(&pd, LEN, AccessFlags::FULL, PageKind::Anonymous, true, false);
+        let mut flat = vec![0u8; LEN as usize];
+        let mut written = vec![false; LEN as usize];
+        let mut last = (0u64, 0u64); // [start, end) of the previous write
+        for (kind, place, off, data, word) in &ops {
+            let n = data.len() as u64;
+            let cell = (*off).min(LEN - 8) as usize;
+            let current = u64::from_le_bytes(flat[cell..cell + 8].try_into().unwrap());
+            match kind {
+                0..=4 => {
+                    let at = match place {
+                        0 => *off,
+                        1 => last.1,
+                        2 => last.0.saturating_sub(n),
+                        _ => last.0 + off % (last.1 - last.0).max(1),
+                    }
+                    .min(LEN - n);
+                    mr.write(mr.addr + at, data).unwrap();
+                    flat[at as usize..(at + n) as usize].copy_from_slice(data);
+                    written[at as usize..(at + n) as usize].fill(true);
+                    last = (at, at + n);
+                }
+                5 | 6 => {
+                    let len = (word % 200).min(LEN - off);
+                    let got = mr.read(mr.addr + off, len).unwrap();
+                    prop_assert_eq!(&got[..], &flat[*off as usize..(off + len) as usize]);
+                    let mut into = vec![0xEEu8; len as usize];
+                    mr.read_into(mr.addr + off, &mut into).unwrap();
+                    prop_assert_eq!(into, got);
+                }
+                7 => {
+                    let len = (1 + word % 64).min(LEN - off);
+                    let any = written[*off as usize..(off + len) as usize].contains(&true);
+                    prop_assert_eq!(mr.has_data_in(mr.addr + off, len), any);
+                }
+                8 => {
+                    prop_assert_eq!(mr.fetch_add(mr.addr + cell as u64, *word).unwrap(), current);
+                    flat[cell..cell + 8].copy_from_slice(&current.wrapping_add(*word).to_le_bytes());
+                    written[cell..cell + 8].fill(true);
+                }
+                _ => {
+                    // Half the swaps expect the current value and land.
+                    let expect = if word & 1 == 0 { current } else { !current };
+                    prop_assert_eq!(mr.compare_swap(mr.addr + cell as u64, expect, *word).unwrap(), current);
+                    if expect == current {
+                        flat[cell..cell + 8].copy_from_slice(&word.to_le_bytes());
+                        written[cell..cell + 8].fill(true);
+                    }
+                }
+            }
+            let stored = written.iter().filter(|&&w| w).count() as u64;
+            prop_assert_eq!(mr.stored_bytes(), stored, "only written bytes are stored");
         }
-        let got = mr.read(mr.addr, 1024).unwrap();
-        prop_assert_eq!(got, reference);
+        prop_assert_eq!(mr.read(mr.addr, LEN).unwrap(), flat);
     }
 
     /// Segmentation covers the message exactly with no gap or overlap.
