@@ -11,7 +11,18 @@ use xrdma_fabric::ecmp_hash;
 use xrdma_rnic::mem::MemTable;
 use xrdma_rnic::{AccessFlags, PageKind};
 use xrdma_sim::stats::Histogram;
-use xrdma_sim::{Dur, SimRng, World};
+use xrdma_sim::{Dur, ShardConfig, ShardWorld, SimRng, Time, World};
+
+/// A one-shot that re-schedules itself `gap_ns` later, `left` times.
+fn rearm_chain(w: &std::rc::Rc<World>, gap_ns: u64, left: u32) {
+    if left == 0 {
+        return;
+    }
+    let w2 = w.clone();
+    w.schedule_in(Dur::nanos(gap_ns), move || {
+        rearm_chain(&w2, gap_ns, left - 1)
+    });
+}
 
 fn bench_event_loop(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim");
@@ -29,14 +40,7 @@ fn bench_event_loop(c: &mut Criterion) {
     g.bench_function("self_rescheduling_timer_1000_ticks", |b| {
         b.iter(|| {
             let w = World::new();
-            fn arm(w: &std::rc::Rc<World>, left: u32) {
-                if left == 0 {
-                    return;
-                }
-                let w2 = w.clone();
-                w.schedule_in(Dur::nanos(50), move || arm(&w2.clone(), left - 1));
-            }
-            arm(&w, 1000);
+            rearm_chain(&w, 50, 1000);
             w.run();
             black_box(w.now())
         })
@@ -68,6 +72,35 @@ fn bench_event_loop(c: &mut Criterion) {
             w.run_for(Dur::nanos(50 * 1000));
             drop(t);
             black_box(fired.get())
+        })
+    });
+    // The `lane_incast` calendar shape: a handful of pending keys that
+    // keep crossing bucket edges, so the wheel cursor, a near-future
+    // bucket and `current` are all touched on every cycle.
+    g.bench_function("wheel_small_population", |b| {
+        b.iter(|| {
+            let w = World::new();
+            // 4096 ns buckets: every gap lands one to three buckets ahead.
+            for gap in [4_500u64, 5_700, 7_900, 9_100, 11_300] {
+                rearm_chain(&w, gap, 200);
+            }
+            w.run();
+            black_box(w.events_executed())
+        })
+    });
+    // The `lane_incast` round shape: 256 lanes of which 8 carry a
+    // self-re-arming 700 ns event, so nearly every 1 µs lookahead round
+    // finds work on a few lanes and nothing on the other 248.
+    g.throughput(Throughput::Elements(8 * 1_000_000 / 700));
+    g.bench_function("lane_round_sparse_256x8", |b| {
+        b.iter(|| {
+            let mut w = ShardWorld::new(ShardConfig::default(), 42, vec![0u64; 256]);
+            for i in 0..8 {
+                w.lane_mut(i * 32 + 5)
+                    .start_periodic(Dur::nanos(700), |l| l.state += 1);
+            }
+            w.run_until(Time(1_000_000));
+            black_box(w.total_executed())
         })
     });
     g.finish();

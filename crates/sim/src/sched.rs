@@ -19,9 +19,14 @@
 //!
 //! * **current** — a small binary heap of every key whose bucket the wheel
 //!   cursor has reached. Pops come only from here.
-//! * **near wheel** — `WHEEL_SLOTS` unsorted `Vec` buckets, each covering
-//!   `BUCKET_NS` nanoseconds (horizon ≈ 1 ms: where keepalive, DCQCN and
-//!   retransmit timers live). Scheduling into the horizon is a `Vec::push`.
+//! * **near wheel** — `WHEEL_SLOTS` buckets, each covering `BUCKET_NS`
+//!   nanoseconds (horizon ≈ 1 ms: where keepalive, DCQCN and retransmit
+//!   timers live). A bucket is an unordered linked list: `heads` holds one
+//!   `u32` per bucket and all nodes share one `pool` recycled through a
+//!   free list, so scheduling into the horizon is a pool-slot write plus a
+//!   head write and a near-empty calendar costs about a kilobyte. Order
+//!   inside a bucket is irrelevant: a reached bucket moves wholesale into
+//!   `current`, which orders by `(at, seq)`.
 //! * **overflow** — a binary min-heap for keys beyond the horizon; they
 //!   migrate into the wheel as the cursor advances.
 //!
@@ -148,6 +153,9 @@ fn tick_of(at: Time) -> u64 {
     at.0 / BUCKET_NS
 }
 
+/// End of a bucket list or of the free list in [`WheelCal::pool`].
+const NIL: u32 = u32::MAX;
+
 /// Timer-wheel calendar state.
 pub(crate) struct WheelCal {
     /// The bucket tick the cursor last drained; `current` holds every key
@@ -155,10 +163,16 @@ pub(crate) struct WheelCal {
     cursor: u64,
     /// Keys the cursor has reached, popped in `(at, seq)` order.
     current: BinaryHeap<Reverse<Key>>,
-    /// Near future: bucket `t % WHEEL_SLOTS` holds exactly the keys of the
-    /// single tick `t` that is the bucket's next cursor visit.
-    buckets: Vec<Vec<Key>>,
-    /// Number of keys across all `buckets` (not counting `current`).
+    /// Near future: the list starting at `heads[t % WHEEL_SLOTS]` holds
+    /// exactly the keys of the single tick `t` that is the bucket's next
+    /// cursor visit (`NIL` = empty bucket).
+    heads: [u32; WHEEL_SLOTS],
+    /// Bucket nodes `(key, next)`, shared by all buckets. A node is on
+    /// exactly one bucket list or on the free list.
+    pool: Vec<(Key, u32)>,
+    /// Head of the free list threaded through `pool`.
+    free: u32,
+    /// Number of keys across all buckets (not counting `current`).
     in_buckets: usize,
     /// Keys at least one full rotation ahead of the cursor.
     overflow: BinaryHeap<Reverse<Key>>,
@@ -169,7 +183,9 @@ impl WheelCal {
         WheelCal {
             cursor: 0,
             current: BinaryHeap::with_capacity(64),
-            buckets: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            heads: [NIL; WHEEL_SLOTS],
+            pool: Vec::new(),
+            free: NIL,
             in_buckets: 0,
             overflow: BinaryHeap::new(),
         }
@@ -180,11 +196,57 @@ impl WheelCal {
         if t <= self.cursor {
             self.current.push(Reverse(key));
         } else if t - self.cursor < WHEEL_SLOTS as u64 {
-            self.buckets[(t % WHEEL_SLOTS as u64) as usize].push(key);
-            self.in_buckets += 1;
+            self.push_bucket(t, key);
         } else {
             self.overflow.push(Reverse(key));
         }
+    }
+
+    /// Link `key` at the head of tick `t`'s bucket, reusing a freed node
+    /// when there is one.
+    fn push_bucket(&mut self, t: u64, key: Key) {
+        let head = &mut self.heads[(t % WHEEL_SLOTS as u64) as usize];
+        let node = (key, *head);
+        if self.free == NIL {
+            assert!(self.pool.len() < NIL as usize, "wheel node space exhausted");
+            *head = self.pool.len() as u32;
+            self.pool.push(node);
+        } else {
+            *head = self.free;
+            let slot = &mut self.pool[self.free as usize];
+            self.free = slot.1;
+            *slot = node;
+        }
+        self.in_buckets += 1;
+    }
+
+    /// Move the cursor's bucket into `current`, returning its nodes to
+    /// the free list.
+    fn drain_bucket(&mut self) {
+        let b = (self.cursor % WHEEL_SLOTS as u64) as usize;
+        let mut n = std::mem::replace(&mut self.heads[b], NIL);
+        while n != NIL {
+            let node = &mut self.pool[n as usize];
+            let (key, next) = *node;
+            node.1 = self.free;
+            self.free = n;
+            self.current.push(Reverse(key));
+            self.in_buckets -= 1;
+            n = next;
+        }
+    }
+
+    /// Nodes reachable from `heads`, and nodes on the free list.
+    fn count_nodes(&self) -> (usize, usize) {
+        let walk = |mut n: u32| {
+            let mut len = 0;
+            while n != NIL {
+                len += 1;
+                n = self.pool[n as usize].1;
+            }
+            len
+        };
+        (self.heads.iter().map(|&h| walk(h)).sum(), walk(self.free))
     }
 
     /// Advance the cursor until `current` is non-empty. Returns false when
@@ -211,18 +273,22 @@ impl WheelCal {
                     self.current.push(Reverse(k));
                 } else if t - self.cursor < WHEEL_SLOTS as u64 {
                     let Reverse(k) = self.overflow.pop().expect("peeked");
-                    self.buckets[(t % WHEEL_SLOTS as u64) as usize].push(k);
-                    self.in_buckets += 1;
+                    self.push_bucket(t, k);
                 } else {
                     break;
                 }
             }
-            let b = (self.cursor % WHEEL_SLOTS as u64) as usize;
-            if !self.buckets[b].is_empty() {
-                self.in_buckets -= self.buckets[b].len();
-                self.current.extend(self.buckets[b].drain(..).map(Reverse));
-            }
+            self.drain_bucket();
             if !self.current.is_empty() {
+                // Pool accounting (DESIGN.md §7.2): every node is on exactly
+                // one bucket list or on the free list.
+                crate::invariant!(
+                    self.count_nodes() == (self.in_buckets, self.pool.len() - self.in_buckets),
+                    "wheel pool leak: {:?} nodes (bucketed, free), in_buckets {} of {}",
+                    self.count_nodes(),
+                    self.in_buckets,
+                    self.pool.len()
+                );
                 return true;
             }
         }
@@ -344,6 +410,9 @@ impl ShardedCal {
     }
 }
 
+// One calendar per scheduler, built once and never moved: boxing the
+// production variant would put a pointer chase on every push.
+#[allow(clippy::large_enum_variant)]
 enum Calendar {
     Wheel(WheelCal),
     Legacy(LegacyCal),
@@ -410,12 +479,7 @@ struct TimerSlot<M> {
 /// What a popped live key resolved to.
 pub(crate) enum Fired<O, M> {
     OneShot(O),
-    Timer {
-        idx: u32,
-        gen: u32,
-        auto: Option<Dur>,
-        f: M,
-    },
+    Timer { idx: u32, gen: u32, f: M },
 }
 
 /// Calendar plus slab arena: the whole scheduler state behind one `&mut`.
@@ -585,12 +649,10 @@ impl<O, M> Sched<O, M> {
             }
             t.armed = false;
             let f = t.f.take().expect("armed timer holds its closure");
-            let auto = t.auto;
             self.live -= 1;
             Some(Fired::Timer {
                 idx,
                 gen: key.gen,
-                auto,
                 f,
             })
         } else {
@@ -610,6 +672,22 @@ impl<O, M> Sched<O, M> {
     pub(crate) fn pop_fired(&mut self) -> Option<(Time, Fired<O, M>)> {
         loop {
             let key = self.calendar.pop_min()?;
+            if let Some(fired) = self.take_fired(key) {
+                return Some((key.at, fired));
+            }
+        }
+    }
+
+    /// Pop the next live firing strictly before `bound`, discarding stale
+    /// keys below it on the way — the lane engine's fused
+    /// `next_live_at` + [`Self::pop_fired`], one calendar peek per event.
+    pub(crate) fn pop_fired_before(&mut self, bound: Time) -> Option<(Time, Fired<O, M>)> {
+        loop {
+            let key = self.calendar.peek_min()?;
+            if key.at >= bound {
+                return None;
+            }
+            let _ = self.calendar.pop_min();
             if let Some(fired) = self.take_fired(key) {
                 return Some((key.at, fired));
             }
@@ -651,5 +729,82 @@ impl<O, M> Sched<O, M> {
             // beyond the caller's deadline.
             let _ = self.calendar.pop_min();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key(at: u64, seq: u64) -> Key {
+        Key {
+            at: Time(at),
+            seq,
+            slot: 0,
+            gen: 0,
+        }
+    }
+
+    #[test]
+    fn pool_is_bounded_by_concurrently_bucketed_keys() {
+        let mut cal = WheelCal::new();
+        let mut seq = 0;
+        for round in 0..100u64 {
+            // Ten keys spread over ten future buckets, then drained.
+            let base = (round + 1) * 16 * BUCKET_NS;
+            for i in 0..10 {
+                cal.push(key(base + i * BUCKET_NS + 7, seq));
+                seq += 1;
+            }
+            assert_eq!(cal.in_buckets, 10);
+            for _ in 0..10 {
+                cal.pop_min().expect("pushed");
+            }
+        }
+        assert!(cal.pool.len() <= 16, "pool grew to {}", cal.pool.len());
+        assert!(cal.pop_min().is_none());
+    }
+
+    #[test]
+    fn drained_wheel_has_every_node_on_the_free_list() {
+        let mut cal = WheelCal::new();
+        let horizon = WHEEL_SLOTS as u64 * BUCKET_NS;
+        for seq in 0..300u64 {
+            // Near wheel, same-bucket collisions and overflow alike.
+            cal.push(key(BUCKET_NS + (seq * 7_919) % (3 * horizon), seq));
+        }
+        let mut popped = Vec::new();
+        while let Some(k) = cal.pop_min() {
+            popped.push((k.at, k.seq));
+        }
+        assert_eq!(popped.len(), 300);
+        assert!(popped.is_sorted(), "pop order is (at, seq)");
+        assert_eq!(cal.in_buckets, 0);
+        assert!(cal.heads.iter().all(|&h| h == NIL));
+        assert_eq!(cal.count_nodes(), (0, cal.pool.len()));
+        assert!(!cal.pool.is_empty(), "the wheel was used");
+    }
+
+    #[test]
+    fn overflow_key_migrates_through_a_bucket_in_order() {
+        let mut cal = WheelCal::new();
+        let horizon = WHEEL_SLOTS as u64 * BUCKET_NS;
+        let far = horizon + 40 * BUCKET_NS + 5;
+        cal.push(key(far, 0)); // overflow: a rotation ahead of the cursor
+        cal.push(key(50 * BUCKET_NS, 1)); // near wheel
+        assert_eq!((cal.in_buckets, cal.overflow.len()), (1, 1));
+        assert_eq!(cal.pop_min().map(|k| k.seq), Some(1));
+        // The cursor is at tick 50; the far key is now within a rotation
+        // but only moves on the next refill. A same-bucket key scheduled
+        // directly, with a later seq, must not overtake it.
+        cal.push(key(far, 2));
+        cal.push(key(far - 1, 3));
+        assert_eq!(cal.peek_min().map(|k| k.seq), Some(3));
+        assert_eq!((cal.in_buckets, cal.overflow.len()), (0, 0));
+        let order: Vec<u64> = std::iter::from_fn(|| cal.pop_min())
+            .map(|k| k.seq)
+            .collect();
+        assert_eq!(order, [3, 0, 2]);
+        assert_eq!(cal.count_nodes(), (0, cal.pool.len()));
     }
 }

@@ -41,10 +41,12 @@
 //! `shards == 1` (the serial degenerate case: zero threads, zero locks
 //! taken under contention) and on `std::thread::scope` workers — one
 //! per shard, over disjoint `&mut` lane slices — otherwise. Workers
-//! synchronize twice per round on a [`Barrier`]; the reduction of
-//! per-shard minima into the round bound is computed by whichever
-//! worker the barrier elects leader, from the same atomics, so the
-//! result does not depend on the election.
+//! synchronize on a [`RoundBarrier`]; the reduction of per-shard minima
+//! into the round bound is computed by whichever worker the barrier
+//! elects leader, from the same atomics, so the result does not depend
+//! on the election. A worker caches each lane's next live instant, so a
+//! round costs O(lanes with work below the bound): idle lanes are
+//! neither peeked nor visited (see [`worker`]).
 //!
 //! # Send-state contract
 //!
@@ -272,16 +274,15 @@ impl<S: 'static> Lane<S> {
         seq
     }
 
+    /// Instant of the lane's next live firing in nanoseconds
+    /// (`u64::MAX` = idle): the value the round loop caches per lane.
+    fn next_ns(&mut self) -> u64 {
+        self.sched.next_live_at().map_or(u64::MAX, Time::nanos)
+    }
+
     /// Execute every pending event strictly before `bound`.
     fn exec_until(&mut self, bound: Time) {
-        loop {
-            match self.sched.next_live_at() {
-                Some(at) if at < bound => {}
-                _ => return,
-            }
-            let Some((at, fired)) = self.sched.pop_fired() else {
-                return;
-            };
+        while let Some((at, fired)) = self.sched.pop_fired_before(bound) {
             crate::invariant!(
                 at >= self.now,
                 "lane {} clock went backwards: {at:?} < {:?}",
@@ -292,12 +293,7 @@ impl<S: 'static> Lane<S> {
             self.executed += 1;
             match fired {
                 Fired::OneShot(f) => f(self),
-                Fired::Timer {
-                    idx,
-                    gen,
-                    auto: _,
-                    mut f,
-                } => {
+                Fired::Timer { idx, gen, mut f } => {
                     f(self);
                     if let Some(period) = self.sched.finish_timer_fire(idx, gen, f) {
                         let at = self.now.saturating_add(period);
@@ -309,23 +305,24 @@ impl<S: 'static> Lane<S> {
         }
     }
 
-    /// Fold a round's inbound cross events (pre-sorted by
-    /// `(at, src, src_seq)`) into the calendar, allocating local sequence
-    /// numbers in exactly that order — the seq-allocation obligation.
-    fn merge_inbound(&mut self, events: impl Iterator<Item = CrossEvent<S>>) {
-        for ev in events {
-            crate::invariant!(
-                ev.at >= self.now,
-                "cross event below the lookahead horizon: {:?} < lane {} now {:?}",
-                ev.at,
-                self.id,
-                self.now
-            );
-            let at = ev.at.max(self.now);
-            let seq = self.next_seq();
-            self.cross_recv += 1;
-            self.sched.schedule(at, seq, ev.f);
-        }
+    /// Fold one inbound cross event into the calendar and return the
+    /// instant it was scheduled at. The round loop feeds a lane its
+    /// events pre-sorted by `(at, src, src_seq)`, so local sequence
+    /// numbers are allocated in exactly that order — the seq-allocation
+    /// obligation.
+    fn merge_inbound(&mut self, ev: CrossEvent<S>) -> Time {
+        crate::invariant!(
+            ev.at >= self.now,
+            "cross event below the lookahead horizon: {:?} < lane {} now {:?}",
+            ev.at,
+            self.id,
+            self.now
+        );
+        let at = ev.at.max(self.now);
+        let seq = self.next_seq();
+        self.cross_recv += 1;
+        self.sched.schedule(at, seq, ev.f);
+        at
     }
 }
 
@@ -399,6 +396,16 @@ struct RoundShared {
 /// The round loop, identical for the inline (`shards == 1`) and threaded
 /// paths. `lanes` is this worker's contiguous slice, `base` the global
 /// index of its first lane.
+///
+/// A round costs O(lanes with work), not O(lanes) (DESIGN.md §3.15):
+/// `next[i]` caches lane `i`'s `next_live_at()`. A lane's live head moves
+/// in only three ways — its owner touched it between `run_until` calls
+/// (the cache is rebuilt per call), a merge scheduled an earlier cross
+/// event (lowered), or the lane executed (refreshed once afterwards) — so
+/// the shard minimum is a min over the array, and a lane with
+/// `next[i] >= bound` is skipped: `exec_until` would pop nothing. It must
+/// be the *live* head, not the head key: the global minimum fixes the
+/// round bounds, and those fix when merges allocate sequence numbers.
 #[allow(clippy::too_many_arguments)]
 fn worker<S: Send + 'static>(
     shard: usize,
@@ -406,7 +413,6 @@ fn worker<S: Send + 'static>(
     lanes: &mut [Lane<S>],
     base: usize,
     shard_of: &[u32],
-    lane_base: &[u32],
     mailboxes: &[Mutex<Vec<CrossEvent<S>>>],
     shared: &RoundShared,
     deadline: Time,
@@ -415,6 +421,8 @@ fn worker<S: Send + 'static>(
     let _poison = PoisonOnPanic(&shared.barrier);
     let mut inbound: Vec<CrossEvent<S>> = Vec::new();
     let mut outbound: Vec<Vec<CrossEvent<S>>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut next: Vec<u64> = lanes.iter_mut().map(Lane::next_ns).collect();
+    let mut rounds = 0u64;
     loop {
         // Phase A — merge: drain this shard's mailboxes (fixed src-shard
         // order; ordering is irrelevant because the sort key is unique),
@@ -423,23 +431,12 @@ fn worker<S: Send + 'static>(
             let mut mb = mailboxes[shard * shards + src].lock().expect("mailbox");
             inbound.append(&mut mb);
         }
-        if !inbound.is_empty() {
-            inbound.sort_unstable_by_key(|e| (e.dst, e.at, e.src, e.src_seq));
-            let mut rest = std::mem::take(&mut inbound);
-            while !rest.is_empty() {
-                let dst = rest[0].dst;
-                let cut = rest.partition_point(|e| e.dst == dst);
-                let tail = rest.split_off(cut);
-                lanes[dst as usize - base].merge_inbound(rest.into_iter());
-                rest = tail;
-            }
+        inbound.sort_unstable_by_key(|e| (e.dst, e.at, e.src, e.src_seq));
+        for ev in inbound.drain(..) {
+            let i = ev.dst as usize - base;
+            next[i] = next[i].min(lanes[i].merge_inbound(ev).nanos());
         }
-        let mut min = u64::MAX;
-        for lane in lanes.iter_mut() {
-            if let Some(at) = lane.sched.next_live_at() {
-                min = min.min(at.nanos());
-            }
-        }
+        let min = next.iter().copied().min().unwrap_or(u64::MAX);
         shared.mins[shard].store(min, Ordering::Relaxed);
 
         // Phase B — bound: one worker (whichever the barrier elects)
@@ -463,25 +460,41 @@ fn worker<S: Send + 'static>(
         }
         shared.barrier.wait();
         if shared.done.load(Ordering::Relaxed) {
+            // Every lane sat in every round, executed or skipped.
+            for lane in lanes.iter_mut() {
+                lane.rounds += rounds;
+            }
             return;
         }
         let bound = Time(shared.bound.load(Ordering::Relaxed));
 
-        // Phase C — execute: every lane runs serially below the bound;
-        // cross sends stage in lane outboxes and flush to the pair
-        // mailboxes for the next round's merge.
-        for lane in lanes.iter_mut() {
-            lane.rounds += 1;
+        // Phase C — execute: every lane with work below the bound runs
+        // serially; cross sends stage in lane outboxes and flush to the
+        // pair mailboxes for the next round's merge. The first round
+        // visits every lane, flushing sends staged through `lane_mut`.
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            if next[i] >= bound.nanos() && rounds > 0 {
+                continue;
+            }
             lane.exec_until(bound);
+            next[i] = lane.next_ns();
             for ev in lane.outbox.drain(..) {
                 outbound[shard_of[ev.dst as usize] as usize].push(ev);
             }
+        }
+        rounds += 1;
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            crate::invariant!(
+                next[i] == lane.next_ns(),
+                "lane {} head cache is stale after round {rounds}: {}",
+                lane.id,
+                next[i]
+            );
         }
         for (dst_shard, evs) in outbound.iter_mut().enumerate() {
             if evs.is_empty() {
                 continue;
             }
-            let _ = lane_base; // kept for symmetry with dst-local indexing
             let mut mb = mailboxes[dst_shard * shards + shard]
                 .lock()
                 .expect("mailbox");
@@ -598,7 +611,6 @@ impl<S: Send + 'static> ShardWorld<S> {
                 *lane = s as u32;
             }
         }
-        let lane_base: Vec<u32> = bounds[..shards].iter().map(|&b| b as u32).collect();
         let mailboxes: Vec<Mutex<Vec<CrossEvent<S>>>> = (0..shards * shards)
             .map(|_| Mutex::new(Vec::new()))
             .collect();
@@ -616,7 +628,6 @@ impl<S: Send + 'static> ShardWorld<S> {
                 &mut self.lanes,
                 0,
                 &shard_of,
-                &lane_base,
                 &mailboxes,
                 &shared,
                 deadline,
@@ -635,15 +646,14 @@ impl<S: Send + 'static> ShardWorld<S> {
                 off += take;
             }
             let shard_of = &shard_of;
-            let lane_base = &lane_base;
             let mailboxes = &mailboxes;
             let shared = &shared;
             std::thread::scope(|scope| {
                 for (s, base, chunk) in slices {
                     scope.spawn(move || {
                         worker(
-                            s, shards, chunk, base, shard_of, lane_base, mailboxes, shared,
-                            deadline, lookahead,
+                            s, shards, chunk, base, shard_of, mailboxes, shared, deadline,
+                            lookahead,
                         );
                     });
                 }
@@ -860,5 +870,154 @@ mod tests {
         w.run_until(Time(1_000));
         assert_eq!(w.lanes()[0].state, 10);
         assert_eq!(w.total_executed(), 1);
+    }
+
+    /// 64 lanes, two of them ping-ponging: the round loop skips the idle
+    /// 62, which must be unobservable apart from their `executed == 0`.
+    #[test]
+    fn sparse_activity_skips_idle_lanes_unobservably() {
+        fn ping(l: &mut Lane<u64>) {
+            l.state += 1;
+            l.emit("ping", l.state, 0);
+            let peer = if l.id() == 7 { 40 } else { 7 };
+            l.send_to(peer, Dur::nanos(1_300), ping);
+        }
+        let run = |shards: usize| {
+            let cfg = ShardConfig {
+                shards,
+                ..Default::default()
+            };
+            let mut w = ShardWorld::new(cfg, 5, vec![0u64; 64]);
+            w.lane_mut(7).schedule_at(Time(10), ping);
+            w.lane_mut(40)
+                .start_periodic(Dur::nanos(700), |l| l.state += 1_000);
+            w.run_until(Time(50_000));
+            w
+        };
+        let base = run(1);
+        let stats = base.lane_stats();
+        assert!(stats[0].rounds > 30, "rounds ran: {}", stats[0].rounds);
+        for s in &stats {
+            assert_eq!(s.rounds, stats[0].rounds, "lane {} rounds", s.lane);
+            let active = s.lane == 7 || s.lane == 40;
+            assert_eq!(s.executed > 0, active, "lane {} executed", s.lane);
+        }
+        for l in base.lanes() {
+            assert_eq!(l.now(), Time(50_000), "lane {} starved", l.id());
+        }
+        for shards in [2usize, 4, 8] {
+            let w = run(shards);
+            assert_eq!(base.digest(), w.digest(), "shards={shards} digest");
+            assert_eq!(stats, w.lane_stats(), "shards={shards} lane_stats");
+        }
+    }
+
+    /// The cached head must be the *live* head. A cross event landing
+    /// exactly on a round bound (t=1100) cancels its lane's head (t=2500,
+    /// beyond that round's bound, so the stale key stays in the calendar).
+    /// Were the stale key to count as the lane's minimum, the next round
+    /// would be cut at 3500 instead of 4000, `z` would run a round later
+    /// and the second cross event would take its `seq` before `w`.
+    #[test]
+    fn cancelled_head_does_not_move_round_bounds() {
+        let run = |shards: usize| {
+            let cfg = ShardConfig {
+                shards,
+                ..Default::default()
+            };
+            let mut w = ShardWorld::new(cfg, 1, vec![(); 8]);
+            let lane = w.lane_mut(5);
+            let head = lane.schedule_at(Time(2_500), |l| l.emit("head", 0, 0));
+            lane.schedule_at(Time(4_000), |l| l.emit("y", 0, 0));
+            lane.schedule_at(Time(3_700), |l| {
+                l.emit("z", 0, 0);
+                l.schedule_in(Dur::nanos(300), |l| l.emit("w", 0, 0));
+            });
+            let lane = w.lane_mut(0);
+            lane.schedule_at(Time(100), move |l| {
+                l.send_to(5, Dur::nanos(1_000), move |l| {
+                    l.cancel(head);
+                    l.emit("c1", 0, 0);
+                });
+            });
+            lane.schedule_at(Time(3_000), |l| {
+                l.send_to(5, Dur::nanos(1_000), |l| l.emit("c2", 0, 0));
+            });
+            w.run_until(Time(10_000));
+            w
+        };
+        let base = run(1);
+        let order: Vec<(u64, &str)> = base
+            .merged_records()
+            .iter()
+            .map(|r| (r.t.nanos(), r.tag))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (1_100, "c1"),
+                (3_700, "z"),
+                (4_000, "y"),
+                (4_000, "w"),
+                (4_000, "c2")
+            ]
+        );
+        assert_eq!(base.lane_stats()[5].rounds, 4);
+        for shards in [2usize, 4, 8] {
+            let w = run(shards);
+            assert_eq!(base.digest(), w.digest(), "shards={shards} digest");
+            assert_eq!(base.lane_stats(), w.lane_stats(), "shards={shards}");
+        }
+    }
+
+    /// The head cache lives for one `run_until`: whatever the owner does
+    /// to an idle lane through `lane_mut` between two calls takes effect.
+    #[test]
+    fn lane_mut_between_runs_reaches_idle_lanes() {
+        for shards in [1usize, 2, 4] {
+            let cfg = ShardConfig {
+                shards,
+                ..Default::default()
+            };
+            let mut w = ShardWorld::new(cfg, 9, vec![0u64; 4]);
+            w.lane_mut(0)
+                .start_periodic(Dur::nanos(900), |l| l.state += 1);
+            w.run_until(Time(10_000));
+            assert_eq!(w.lanes()[3].executed(), 0, "lane 3 idle so far");
+            w.lane_mut(3).schedule_at(Time(12_000), |l| l.state += 1);
+            w.lane_mut(2)
+                .send_to(3, Dur::nanos(2_000), |l| l.state += 10);
+            w.run_until(Time(20_000));
+            assert_eq!(w.lanes()[3].state, 11, "shards={shards}");
+            assert_eq!(w.lanes()[2].cross_sent(), 1);
+            assert_eq!(w.lanes()[3].cross_recv(), 1);
+        }
+    }
+
+    /// Residency counters of the reference incast, captured on the commit
+    /// before the active-lane round loop: none of them may drift.
+    #[test]
+    fn incast_lane_stats_are_pinned() {
+        let mut w = incast(9, 1, 42);
+        w.run_until(Time(300_000));
+        let got: Vec<_> = w
+            .lane_stats()
+            .iter()
+            .map(|s| (s.rounds, s.executed, s.cross_sent, s.cross_recv, s.records))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (259, 688, 325, 326, 326),
+                (259, 117, 40, 40, 80),
+                (259, 116, 40, 40, 80),
+                (259, 120, 42, 42, 84),
+                (259, 115, 40, 40, 80),
+                (259, 117, 41, 41, 82),
+                (259, 114, 40, 40, 80),
+                (259, 118, 42, 42, 84),
+                (259, 118, 41, 40, 81),
+            ]
+        );
     }
 }

@@ -164,19 +164,12 @@ impl World {
         self.executed.set(self.executed.get() + 1);
         match fired {
             Fired::OneShot(f) => f(),
-            Fired::Timer {
-                idx,
-                gen,
-                auto,
-                mut f,
-            } => {
+            Fired::Timer { idx, gen, mut f } => {
                 f();
                 // Give the closure back to its slot — unless the handle
                 // was dropped (and the slot possibly re-allocated)
                 // during the callback.
                 let rearm = self.sched.borrow_mut().finish_timer_fire(idx, gen, f);
-                debug_assert!(rearm.is_none() || auto.is_some());
-                let _ = auto;
                 if let Some(period) = rearm {
                     self.arm_timer_slot(idx, self.now().saturating_add(period));
                 }
