@@ -44,6 +44,9 @@ impl Fabric {
         cfg.validate();
         let topo = Rc::new(Topology::from_config(&cfg));
         let stats = FabricStats::new();
+        // The fabric's two constant per-packet delays, one line each.
+        let cable = Port::cable(&world, cfg.prop_delay);
+        let pipeline = Switch::pipeline(&world, cfg.switch_delay);
 
         let mk_switch = |tier: Tier, idx: u32, n_down: usize| {
             Switch::new(
@@ -52,7 +55,7 @@ impl Fabric {
                 topo.clone(),
                 cfg.ecn,
                 cfg.pfc,
-                cfg.switch_delay,
+                pipeline.clone(),
                 cfg.prop_delay,
                 n_down,
                 stats.clone(),
@@ -78,7 +81,7 @@ impl Fabric {
                 world.clone(),
                 label,
                 rate,
-                cfg.prop_delay,
+                cable.clone(),
                 cfg.queue_limit_bytes,
                 PortDest::Switch {
                     sw: Rc::downgrade(dst),
@@ -106,7 +109,7 @@ impl Fabric {
                 world.clone(),
                 format!("tor{t}->host{h}"),
                 cfg.link_gbps,
-                cfg.prop_delay,
+                cable.clone(),
                 cfg.queue_limit_bytes,
                 PortDest::Host {
                     sink: std::cell::RefCell::new(None),
@@ -140,7 +143,7 @@ impl Fabric {
         }
         // Reorder leaf down ports: they were pushed per (tor, leaf) loop in
         // tor-major order, which is exactly tors_per_pod entries per leaf in
-        // ToR order — matching Switch::egress_index's expectation.
+        // ToR order — matching the port layout Switch::egress assumes.
 
         // Leaf <-> Spine cables (every leaf to every spine).
         // xrdma-lint: allow(hot-path-alloc) -- one-time topology construction

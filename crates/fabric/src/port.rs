@@ -5,12 +5,17 @@
 //! sending side. Host NICs and switches both own ports; the only difference
 //! is what happens on dequeue (switches decrement PFC ingress accounting)
 //! and where arrivals go (the next switch or a host's `NicSink`).
+//!
+//! Per packet a port costs two events and no allocation: its re-armed
+//! serialization timer, and one entry on the fabric's shared [`Cable`]
+//! delay line, which carries the packet to [`Port::arrive`] one
+//! propagation delay later.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
-use xrdma_sim::{time::wire_time, Dur, World};
+use xrdma_sim::{time::wire_time, DelayLine, Dur, World};
 use xrdma_telemetry::{span_hop, tele};
 
 use crate::fabric::NicSink;
@@ -30,6 +35,10 @@ pub(crate) enum PortDest {
     },
 }
 
+/// The fabric's cables: one delay line of the per-hop propagation delay,
+/// shared by every port, carrying `(sending port, packet)`.
+pub(crate) type Cable = DelayLine<(Rc<Port>, Packet)>;
+
 /// A queued packet plus the ingress index it entered the owning switch by
 /// (usize::MAX for host-owned ports, which have no ingress accounting).
 struct QEntry {
@@ -44,13 +53,19 @@ pub struct Port {
     /// collected across sweep worker threads).
     pub label: std::sync::Arc<str>,
     rate_gbps: f64,
-    prop_delay: Dur,
+    /// The last `(size, wire_time(size, rate_gbps))`: traffic is runs of
+    /// equal-sized packets, so the f64 divide runs once per size change.
+    ser_memo: Cell<(u64, Dur)>,
+    cable: Cable,
     /// Per-priority byte capacity; enqueue beyond it drops the packet.
     limit_bytes: u64,
     queues: RefCell<[VecDeque<QEntry>; NPRIO]>,
     queued_bytes: [Cell<u64>; NPRIO],
-    /// PFC pause state per priority (set remotely by the downstream device).
-    paused: [Cell<bool>; NPRIO],
+    /// Bit `p` set iff `queues[p]` is non-empty.
+    nonempty: Cell<u8>,
+    /// PFC pause state, bit per priority (set remotely by the downstream
+    /// device).
+    paused: Cell<u8>,
     busy: Cell<bool>,
     /// The switch owning this port, if any (for dequeue accounting).
     owner: RefCell<Weak<Switch>>,
@@ -76,12 +91,22 @@ pub struct Port {
     in_flight: RefCell<Option<QEntry>>,
 }
 
+// The pause and occupancy masks hold one bit per priority.
+const _: () = assert!(NPRIO <= u8::BITS as usize);
+
 impl Port {
+    /// The delay line carrying packets across cables of `prop_delay`.
+    pub(crate) fn cable(world: &Rc<World>, prop_delay: Dur) -> Cable {
+        world.delay_line(prop_delay, |(port, pkt): (Rc<Port>, Packet)| {
+            port.arrive(pkt)
+        })
+    }
+
     pub(crate) fn new(
         world: Rc<World>,
         label: String,
         rate_gbps: f64,
-        prop_delay: Dur,
+        cable: Cable,
         limit_bytes: u64,
         dest: PortDest,
         stats: Rc<FabricStats>,
@@ -91,11 +116,13 @@ impl Port {
             world,
             label: label.into(),
             rate_gbps,
-            prop_delay,
+            ser_memo: Cell::new((0, Dur::ZERO)),
+            cable,
             limit_bytes,
             queues: RefCell::new(std::array::from_fn(|_| VecDeque::new())),
             queued_bytes: std::array::from_fn(|_| Cell::new(0)),
-            paused: std::array::from_fn(|_| Cell::new(false)),
+            nonempty: Cell::new(0),
+            paused: Cell::new(0),
             busy: Cell::new(false),
             owner: RefCell::new(Weak::new()),
             dest,
@@ -137,7 +164,7 @@ impl Port {
 
     /// Whether the given priority is PFC-paused right now.
     pub fn is_paused(&self, prio: u8) -> bool {
-        self.paused[prio as usize].get()
+        self.paused.get() & (1 << prio) != 0
     }
 
     pub fn rate_gbps(&self) -> f64 {
@@ -194,6 +221,7 @@ impl Port {
             queued_bytes: self.queued_bytes[prio].get(),
         });
         self.queues.borrow_mut()[prio].push_back(QEntry { pkt, ingress });
+        self.nonempty.set(self.nonempty.get() | 1 << prio);
         self.kick();
         true
     }
@@ -201,7 +229,10 @@ impl Port {
     /// Set or clear PFC pause for a priority (called by the downstream
     /// device after control-frame flight time).
     pub(crate) fn set_paused(self: &Rc<Self>, prio: u8, paused: bool) {
-        self.paused[prio as usize].set(paused);
+        let bit = 1u8 << prio;
+        let mask = self.paused.get();
+        self.paused
+            .set(if paused { mask | bit } else { mask & !bit });
         if !paused {
             self.kick();
         }
@@ -228,14 +259,19 @@ impl Port {
             return;
         }
         // Strict priority: lowest index served first.
-        let prio = {
-            let queues = self.queues.borrow();
-            (0..NPRIO).find(|&p| !queues[p].is_empty() && !self.paused[p].get())
+        let sendable = self.nonempty.get() & !self.paused.get();
+        if sendable == 0 {
+            return;
+        }
+        let prio = sendable.trailing_zeros() as usize;
+        let entry = {
+            let queue = &mut self.queues.borrow_mut()[prio];
+            let entry = queue.pop_front().expect("nonempty bit set");
+            if queue.is_empty() {
+                self.nonempty.set(self.nonempty.get() & !(1 << prio));
+            }
+            entry
         };
-        let Some(prio) = prio else { return };
-        let entry = self.queues.borrow_mut()[prio]
-            .pop_front()
-            .expect("non-empty checked");
         let size = entry.pkt.size_bytes as u64;
         xrdma_sim::invariant!(
             self.queued_bytes[prio].get() >= size,
@@ -246,7 +282,14 @@ impl Port {
         );
         self.queued_bytes[prio].set(self.queued_bytes[prio].get() - size);
         self.busy.set(true);
-        let ser = wire_time(size, self.rate_gbps);
+        let ser = match self.ser_memo.get() {
+            (memo_size, ser) if memo_size == size => ser,
+            _ => {
+                let ser = wire_time(size, self.rate_gbps);
+                self.ser_memo.set((size, ser));
+                ser
+            }
+        };
         *self.in_flight.borrow_mut() = Some(entry);
         if self.tx_timer.borrow().is_none() {
             // Weak: the timer slot must not pin the port (ports hold the
@@ -290,32 +333,7 @@ impl Port {
             }
         }
         // Flight across the cable.
-        let pkt = entry.pkt;
-        match &self.dest {
-            PortDest::Switch { sw, ingress } => {
-                let sw = sw.clone();
-                let ingress = *ingress;
-                let label = self.label.clone();
-                self.world.schedule_in(self.prop_delay, move || {
-                    record_hop(&label, &pkt);
-                    if let Some(sw) = sw.upgrade() {
-                        sw.receive(pkt, ingress);
-                    }
-                });
-            }
-            PortDest::Host { sink } => {
-                let sink = sink.borrow().clone();
-                let stats = self.stats.clone();
-                let label = self.label.clone();
-                self.world.schedule_in(self.prop_delay, move || {
-                    stats.on_delivered(pkt.size_bytes);
-                    record_hop(&label, &pkt);
-                    if let Some(sink) = sink.as_ref().and_then(Weak::upgrade) {
-                        sink.deliver(pkt);
-                    }
-                });
-            }
-        }
+        self.cable.send((self.clone(), entry.pkt));
         self.busy.set(false);
         self.kick();
         // Fire the drain hook last, after kick() possibly refilled.
@@ -329,13 +347,27 @@ impl Port {
             }
         }
     }
-}
 
-/// Record one per-hop span child at delivery time (end of propagation).
-/// Underscore names keep the no-telemetry build warning-free — the macro
-/// expands to nothing there.
-fn record_hop(_label: &std::sync::Arc<str>, _pkt: &Packet) {
-    span_hop!(_pkt.span, _label, _pkt.hop_started_ns);
+    /// The far end of the cable, one propagation delay after
+    /// [`Port::tx_done`]: close the packet's per-hop span and hand it to
+    /// the next switch or the attached host.
+    fn arrive(&self, pkt: Packet) {
+        span_hop!(pkt.span, &self.label, pkt.hop_started_ns);
+        match &self.dest {
+            PortDest::Switch { sw, ingress } => {
+                if let Some(sw) = sw.upgrade() {
+                    sw.receive(pkt, *ingress);
+                }
+            }
+            PortDest::Host { sink } => {
+                self.stats.on_delivered(pkt.size_bytes);
+                let sink = sink.borrow().as_ref().and_then(Weak::upgrade);
+                if let Some(sink) = sink {
+                    sink.deliver(pkt);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -363,7 +395,7 @@ mod tests {
             world.clone(),
             "test".into(),
             rate,
-            Dur::nanos(100),
+            Port::cable(world, Dur::nanos(100)),
             10_000,
             PortDest::Host {
                 sink: RefCell::new(None),

@@ -7,18 +7,24 @@
 //! upstream sender when a threshold is crossed — exactly the 802.1Qbb
 //! structure that lets pause storms propagate hop by hop (§IX "Eradicate
 //! PFC" discusses why that matters).
+//!
+//! Per packet a switch costs one event and no allocation: the forwarding
+//! delay is an entry on the fabric's shared [`Pipeline`] delay line, from
+//! [`Switch::receive`] (route, ECN sample) to [`Switch::forwarded`]
+//! (enqueue, PFC accounting). Only PFC control frames — a few hundred per
+//! run — are scheduled as boxed one-shots.
 
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
 
-use xrdma_sim::{invariant, Dur, SimRng, World};
+use xrdma_sim::{invariant, DelayLine, Dur, SimRng, World};
 use xrdma_telemetry::tele;
 
 use crate::config::{EcnConfig, PfcConfig};
-use crate::packet::{NodeId, Packet, NPRIO, PRIO_TCP};
+use crate::packet::{ecmp_hash, NodeId, Packet, NPRIO, PRIO_TCP};
 use crate::port::Port;
 use crate::stats::FabricStats;
-use crate::topology::{NextHop, SwitchAddr, Topology};
+use crate::topology::{SwitchAddr, Tier, Topology};
 
 /// Per-(ingress, priority) PFC bookkeeping.
 #[derive(Clone, Copy, Default)]
@@ -27,13 +33,59 @@ struct IngressState {
     xoff_sent: bool,
 }
 
+/// A packet inside a switch's forwarding pipeline, routed and ECN-sampled,
+/// on its way to egress port `egress`.
+pub(crate) struct Forward {
+    sw: Rc<Switch>,
+    egress: usize,
+    ingress: usize,
+    pkt: Packet,
+}
+
+/// The fabric's forwarding pipelines: one delay line of the per-switch
+/// forwarding delay, shared by every switch.
+pub(crate) type Pipeline = DelayLine<Forward>;
+
+/// The constants of one switch's routing decision, so the per-packet
+/// lookup ([`Switch::egress`]) divides only inside `ecmp_hash`, and only
+/// where there is a choice to make. Port layout: ToR → down ports one per
+/// attached host (host index within rack), up ports one per pod leaf.
+/// Leaf → down ports one per pod ToR, up ports one per spine. Spine →
+/// down ports one per leaf (globally indexed).
+#[derive(Clone, Copy)]
+enum Route {
+    /// Hosts `first_host..first_host + n_down` are attached; everything
+    /// else goes up to one of the pod's `leaves`.
+    Tor { first_host: u32, leaves: usize },
+    /// ToRs `first_tor..first_tor + n_down` (pod `pod`) are below;
+    /// everything else goes up to one of `spines`.
+    Leaf {
+        pod: u32,
+        first_tor: u32,
+        spines: usize,
+    },
+    /// Down to one of the destination pod's `leaves_per_pod` leaves.
+    Spine { leaves_per_pod: usize },
+}
+
+/// One of `n` equal-cost next hops for a flow at ECMP stage `stage`.
+#[inline]
+fn ecmp_pick(flow_hash: u64, stage: u64, n: usize) -> usize {
+    if n == 1 {
+        0
+    } else {
+        ecmp_hash(flow_hash, stage, n)
+    }
+}
+
 pub struct Switch {
     world: Rc<World>,
     pub addr: SwitchAddr,
     topo: Rc<Topology>,
+    route: Route,
     ecn: EcnConfig,
     pfc: PfcConfig,
-    forward_delay: Dur,
+    pipeline: Pipeline,
     /// Control-frame flight time back to the upstream device.
     ctrl_delay: Dur,
     /// Egress ports in a fixed layout; `route_port` maps a NextHop to one.
@@ -49,6 +101,14 @@ pub struct Switch {
 }
 
 impl Switch {
+    /// The delay line carrying packets through pipelines of
+    /// `forward_delay`.
+    pub(crate) fn pipeline(world: &Rc<World>, forward_delay: Dur) -> Pipeline {
+        world.delay_line(forward_delay, |f: Forward| {
+            f.sw.forwarded(f.egress, f.pkt, f.ingress)
+        })
+    }
+
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         world: Rc<World>,
@@ -56,19 +116,37 @@ impl Switch {
         topo: Rc<Topology>,
         ecn: EcnConfig,
         pfc: PfcConfig,
-        forward_delay: Dur,
+        pipeline: Pipeline,
         ctrl_delay: Dur,
         n_down: usize,
         stats: Rc<FabricStats>,
         rng: SimRng,
     ) -> Rc<Switch> {
+        let route = match addr.tier {
+            Tier::Tor => Route::Tor {
+                first_host: addr.idx * topo.hosts_per_tor,
+                leaves: topo.leaves_per_pod as usize,
+            },
+            Tier::Leaf => {
+                let pod = topo.pod_of_leaf(addr.idx);
+                Route::Leaf {
+                    pod,
+                    first_tor: pod * topo.tors_per_pod,
+                    spines: topo.spines as usize,
+                }
+            }
+            Tier::Spine => Route::Spine {
+                leaves_per_pod: topo.leaves_per_pod as usize,
+            },
+        };
         Rc::new(Switch {
             world,
             addr,
             topo,
+            route,
             ecn,
             pfc,
-            forward_delay,
+            pipeline,
             ctrl_delay,
             ports: RefCell::new(Vec::new()),
             n_down,
@@ -110,41 +188,49 @@ impl Switch {
         self.ports.borrow()[idx].clone()
     }
 
-    /// Map a routing decision to an egress port index.
-    ///
-    /// Port layout: ToR → down ports are one per attached host (host index
-    /// within rack), up ports one per pod leaf. Leaf → down ports one per
-    /// pod ToR, up ports one per spine. Spine → down ports one per leaf
-    /// (globally indexed).
-    fn egress_index(&self, hop: NextHop) -> usize {
-        use crate::topology::Tier::*;
-        match (self.addr.tier, hop) {
-            (Tor, NextHop::Host(h)) => (h.0 % self.topo.hosts_per_tor) as usize,
-            (Tor, NextHop::Switch(s)) => {
-                debug_assert_eq!(s.tier, Leaf);
-                self.n_down + (s.idx % self.topo.leaves_per_pod) as usize
+    /// Egress port index toward host `dst` for a flow: `Topology::next_hop`
+    /// composed with the port layout, on precomputed constants. ECMP stage
+    /// constants differ per tier so a flow's choices decorrelate.
+    fn egress(&self, dst: NodeId, flow_hash: u64) -> usize {
+        debug_assert!(dst.0 < self.topo.n_hosts(), "unknown destination {dst}");
+        match self.route {
+            Route::Tor { first_host, leaves } => {
+                // Hosts below `first_host` wrap far past `n_down`.
+                let down = dst.0.wrapping_sub(first_host) as usize;
+                if down < self.n_down {
+                    down
+                } else {
+                    self.n_down + ecmp_pick(flow_hash, 0xA1, leaves)
+                }
             }
-            (Leaf, NextHop::Switch(s)) => match s.tier {
-                Tor => (s.idx % self.topo.tors_per_pod) as usize,
-                Spine => self.n_down + s.idx as usize,
-                Leaf => unreachable!("leaf->leaf"),
-            },
-            (Spine, NextHop::Switch(s)) => {
-                debug_assert_eq!(s.tier, Leaf);
-                s.idx as usize
+            Route::Leaf {
+                pod,
+                first_tor,
+                spines,
+            } => {
+                let (tor, dst_pod) = self.topo.locate(dst);
+                if dst_pod == pod {
+                    (tor - first_tor) as usize
+                } else {
+                    self.n_down + ecmp_pick(flow_hash, 0xB2, spines)
+                }
             }
-            _ => unreachable!("invalid hop {hop:?} at {:?}", self.addr),
+            Route::Spine { leaves_per_pod } => {
+                let (_, dst_pod) = self.topo.locate(dst);
+                dst_pod as usize * leaves_per_pod + ecmp_pick(flow_hash, 0xC3, leaves_per_pod)
+            }
         }
     }
 
-    /// A packet arrives from cable `ingress`.
+    /// A packet arrives from cable `ingress`: route it, sample the egress
+    /// queue for ECN now, and enqueue one forwarding delay later.
     pub(crate) fn receive(self: &Rc<Self>, mut pkt: Packet, ingress: usize) {
-        let hop = self.topo.next_hop(self.addr, pkt.dst, pkt.flow_hash);
-        let eidx = self.egress_index(hop);
-        let port = self.ports.borrow()[eidx].clone();
+        let egress = self.egress(pkt.dst, pkt.flow_hash);
 
         // ECN marking against the chosen egress queue depth (RED).
         if pkt.ecn_capable && self.ecn.enabled {
+            let ports = self.ports.borrow();
+            let port = &ports[egress];
             let p = self.ecn.mark_probability(port.queue_bytes(pkt.prio));
             if p > 0.0 && self.rng.borrow_mut().chance(p) && !pkt.ecn_marked {
                 pkt.ecn_marked = true;
@@ -156,42 +242,37 @@ impl Switch {
             }
         }
 
-        let prio = pkt.prio as usize;
+        self.pipeline.send(Forward {
+            sw: self.clone(),
+            egress,
+            ingress,
+            pkt,
+        });
+    }
+
+    /// The end of the forwarding pipeline: enqueue at egress and charge
+    /// the packet to its ingress for PFC.
+    fn forwarded(&self, egress: usize, pkt: Packet, ingress: usize) {
+        let prio = pkt.prio;
         let size = pkt.size_bytes as u64;
-        // Lossy fast path: with PFC off the pipeline event only needs the
-        // egress port, not the switch — skip the per-packet `Rc<Switch>`
-        // clone/drop pair (and the dead accounting branch) entirely.
-        if !self.pfc.enabled {
-            self.world.schedule_in(self.forward_delay, move || {
-                port.enqueue(pkt, ingress);
-            });
+        if !self.ports.borrow()[egress].enqueue(pkt, ingress) {
+            // Dropped at full queue: no ingress accounting was added.
             return;
         }
-        let me = self.clone();
-        // Forwarding pipeline delay, then enqueue at egress.
-        self.world.schedule_in(self.forward_delay, move || {
-            if !port.enqueue(pkt, ingress) {
-                // Dropped at full queue: no ingress accounting was added.
-                return;
-            }
-            // PFC ingress accounting for lossless classes.
-            if me.pfc.enabled && prio != PRIO_TCP as usize {
-                let send_xoff = {
-                    let mut ing = me.ingress.borrow_mut();
-                    let st = &mut ing[ingress][prio];
-                    st.bytes += size;
-                    if st.bytes > me.pfc.xoff_bytes && !st.xoff_sent {
-                        st.xoff_sent = true;
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if send_xoff {
-                    me.send_pfc(ingress, prio as u8, true);
-                }
-            }
-        });
+        // PFC ingress accounting for lossless classes.
+        if !self.pfc.enabled || prio == PRIO_TCP {
+            return;
+        }
+        let send_xoff = {
+            let st = &mut self.ingress.borrow_mut()[ingress][prio as usize];
+            st.bytes += size;
+            let crossed = st.bytes > self.pfc.xoff_bytes && !st.xoff_sent;
+            st.xoff_sent |= crossed;
+            crossed
+        };
+        if send_xoff {
+            self.send_pfc(ingress, prio, true);
+        }
     }
 
     /// Egress accounting hook: `size` bytes that entered via `ingress`
@@ -272,11 +353,91 @@ impl Switch {
 
     /// Host this switch serves at down-port `i` (ToR only; diagnostics).
     pub fn down_host(&self, i: usize) -> Option<NodeId> {
-        use crate::topology::Tier::*;
-        if self.addr.tier == Tor && i < self.n_down {
+        if self.addr.tier == Tier::Tor && i < self.n_down {
             Some(NodeId(self.addr.idx * self.topo.hosts_per_tor + i as u32))
         } else {
             None
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::FabricConfig;
+    use crate::topology::NextHop;
+
+    impl Switch {
+        /// The routing decision spelled out — `Topology::next_hop` mapped
+        /// through the port layout — as the reference for
+        /// [`Switch::egress`].
+        fn egress_index(&self, hop: NextHop) -> usize {
+            use Tier::*;
+            match (self.addr.tier, hop) {
+                (Tor, NextHop::Host(h)) => (h.0 % self.topo.hosts_per_tor) as usize,
+                (Tor, NextHop::Switch(s)) => {
+                    assert_eq!(s.tier, Leaf);
+                    self.n_down + (s.idx % self.topo.leaves_per_pod) as usize
+                }
+                (Leaf, NextHop::Switch(s)) => match s.tier {
+                    Tor => (s.idx % self.topo.tors_per_pod) as usize,
+                    Spine => self.n_down + s.idx as usize,
+                    Leaf => unreachable!("leaf->leaf"),
+                },
+                (Spine, NextHop::Switch(s)) => {
+                    assert_eq!(s.tier, Leaf);
+                    s.idx as usize
+                }
+                _ => unreachable!("invalid hop {hop:?} at {:?}", self.addr),
+            }
+        }
+    }
+
+    #[test]
+    fn egress_equals_next_hop_through_the_port_layout() {
+        for cfg in [FabricConfig::cluster(2, 4, 8), FabricConfig::pod(4, 8, 2)] {
+            let world = World::new();
+            let topo = Rc::new(Topology::from_config(&cfg));
+            let pipeline = Switch::pipeline(&world, cfg.switch_delay);
+            let tiers = [
+                (Tier::Tor, topo.n_tors(), cfg.hosts_per_tor),
+                (Tier::Leaf, topo.n_leaves(), cfg.tors_per_pod),
+                (Tier::Spine, cfg.spines, topo.n_leaves()),
+            ];
+            let mut checked = 0;
+            for (tier, count, n_down) in tiers {
+                for idx in 0..count {
+                    let addr = SwitchAddr { tier, idx };
+                    let sw = Switch::new(
+                        world.clone(),
+                        addr,
+                        topo.clone(),
+                        cfg.ecn,
+                        cfg.pfc,
+                        pipeline.clone(),
+                        cfg.prop_delay,
+                        n_down as usize,
+                        FabricStats::new(),
+                        SimRng::new(1),
+                    );
+                    for dst in (0..topo.n_hosts()).map(NodeId) {
+                        for flow in 0..64u64 {
+                            let flow = flow.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ dst.0 as u64;
+                            // A spine never sees its own pod's traffic, a
+                            // leaf never another pod's local hop: next_hop
+                            // answers for every destination all the same.
+                            let hop = topo.next_hop(addr, dst, flow);
+                            assert_eq!(
+                                sw.egress(dst, flow),
+                                sw.egress_index(hop),
+                                "{addr:?} -> {dst} flow {flow:#x}"
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+            assert!(checked >= 64 * 32 * 6, "{checked} lookups");
         }
     }
 }

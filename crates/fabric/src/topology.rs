@@ -3,8 +3,10 @@
 //! Devices are numbered densely per tier. Hosts map to ToRs by division,
 //! ToRs to pods by division; every ToR uplinks to all leaves of its pod and
 //! every leaf uplinks to all spines. Next hops are pure functions of
-//! (device, destination host, flow hash), so routing tables never need to
-//! be materialized.
+//! (device, destination host, flow hash), so per-switch routing tables
+//! never need to be materialized; the one table kept is `host → (ToR,
+//! pod)`, one entry per host and shared by every switch, which takes the
+//! divisions off the per-packet path ([`Topology::locate`]).
 
 use crate::config::FabricConfig;
 use crate::packet::{ecmp_hash, NodeId};
@@ -41,18 +43,32 @@ pub struct Topology {
     pub leaves_per_pod: u32,
     pub pods: u32,
     pub spines: u32,
+    /// `(tor_of(h), pod_of_host(h))` for every host `h`.
+    locs: Vec<(u32, u32)>,
 }
 
 impl Topology {
     pub fn from_config(cfg: &FabricConfig) -> Topology {
         cfg.validate();
-        Topology {
+        let mut topo = Topology {
             hosts_per_tor: cfg.hosts_per_tor,
             tors_per_pod: cfg.tors_per_pod,
             leaves_per_pod: cfg.leaves_per_pod,
             pods: cfg.pods,
             spines: cfg.spines,
-        }
+            locs: Vec::new(),
+        };
+        topo.locs = (0..topo.n_hosts())
+            .map(|h| (topo.tor_of(NodeId(h)), topo.pod_of_host(NodeId(h))))
+            .collect();
+        topo
+    }
+
+    /// `(ToR, pod)` serving a host, by table lookup — what the switches
+    /// route on.
+    #[inline]
+    pub fn locate(&self, h: NodeId) -> (u32, u32) {
+        self.locs[h.index()]
     }
 
     pub fn n_hosts(&self) -> u32 {
@@ -184,6 +200,9 @@ mod tests {
         assert_eq!(t.tor_of(NodeId(8)), 1);
         assert_eq!(t.pod_of_host(NodeId(31)), 0);
         assert_eq!(t.pod_of_host(NodeId(32)), 1);
+        for h in (0..t.n_hosts()).map(NodeId) {
+            assert_eq!(t.locate(h), (t.tor_of(h), t.pod_of_host(h)));
+        }
     }
 
     #[test]

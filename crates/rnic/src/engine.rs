@@ -25,7 +25,7 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -39,6 +39,7 @@ use xrdma_telemetry::{span_mark, tele, SpanToken};
 use crate::config::{PageKind, RnicConfig};
 use crate::cq::{CompletionQueue, Cqe, CqeOpcode, CqeStatus};
 use crate::dcqcn::DcqcnRp;
+use crate::inthash::{IntMap, IntSet};
 use crate::mem::{AccessFlags, MemTable, Mr, Pd};
 use crate::qp::{PendingAtomic, PendingRead, Qp, QpCaps, RespJob, RxMsg, Srq, TxMsg, UnackedMsg};
 use crate::verbs::{Payload, Qpn, SendOp, SendWr, VerbsError};
@@ -94,7 +95,7 @@ pub struct RnicStats {
 struct TouchCache {
     capacity: usize,
     stamp: u64,
-    map: HashMap<u32, u64>,
+    map: IntMap<u32, u64>,
     order: VecDeque<(u64, u32)>,
 }
 
@@ -103,7 +104,7 @@ impl TouchCache {
         TouchCache {
             capacity,
             stamp: 0,
-            map: HashMap::new(),
+            map: IntMap::default(),
             order: VecDeque::new(),
         }
     }
@@ -150,12 +151,10 @@ struct Injector {
     /// QPs ready to transmit now.
     ready: VecDeque<Qpn>,
     /// Membership for `ready` (avoid duplicates).
-    in_ready: HashSet<Qpn>,
+    in_ready: IntSet<Qpn>,
     /// Rate-throttled / backed-off QPs keyed by wake time.
     throttled: BinaryHeap<Reverse<(Time, u32)>>,
-    in_throttled: HashSet<Qpn>,
-    /// A kick event is scheduled.
-    kick_armed: bool,
+    in_throttled: IntSet<Qpn>,
     /// Waiting on the port drain hook.
     parked_on_port: bool,
 }
@@ -164,10 +163,9 @@ impl Injector {
     fn new() -> Injector {
         Injector {
             ready: VecDeque::new(),
-            in_ready: HashSet::new(),
+            in_ready: IntSet::default(),
             throttled: BinaryHeap::new(),
-            in_throttled: HashSet::new(),
-            kick_armed: false,
+            in_throttled: IntSet::default(),
             parked_on_port: false,
         }
     }
@@ -191,6 +189,10 @@ pub struct Rnic {
     next_cq: Cell<u32>,
     next_srq: Cell<u32>,
     injector: RefCell<Injector>,
+    /// The injector's wake-up: armed iff a pass is scheduled. Lazily
+    /// created on the first kick; the closure is boxed once and re-armed
+    /// in place.
+    kick_timer: RefCell<Option<xrdma_sim::Timer>>,
     /// QPs recovering from a rate cut, ticked by the DCQCN timer.
     congested: RefCell<BTreeSet<Qpn>>,
     /// The shared DCQCN alpha/increase tick. Lazily created on the first
@@ -243,6 +245,7 @@ impl Rnic {
             next_cq: Cell::new(1),
             next_srq: Cell::new(1),
             injector: RefCell::new(Injector::new()),
+            kick_timer: RefCell::new(None),
             congested: RefCell::new(BTreeSet::new()),
             dcqcn_timer: RefCell::new(None),
             stats: RefCell::new(RnicStats::default()),
@@ -540,19 +543,22 @@ impl Rnic {
 
     /// Schedule an injector pass (immediately or at `at`).
     fn arm_kick(self: &Rc<Self>, at: Time) {
-        {
-            let inj = self.injector.borrow();
-            if inj.kick_armed || inj.parked_on_port {
-                return;
-            }
+        if self.injector.borrow().parked_on_port {
+            return;
         }
-        self.injector.borrow_mut().kick_armed = true;
-        let me = self.clone();
-        let at = at.max(self.world.now());
-        self.world.schedule_at(at, move || {
-            me.injector.borrow_mut().kick_armed = false;
-            me.injector_pass();
+        let mut timer = self.kick_timer.borrow_mut();
+        let timer = timer.get_or_insert_with(|| {
+            // Weak: the slab slot must not pin the RNIC in a cycle.
+            let me = self.me.borrow().clone();
+            self.world.timer(move || {
+                if let Some(me) = me.upgrade() {
+                    me.injector_pass();
+                }
+            })
         });
+        if !timer.is_armed() {
+            timer.arm_at(at.max(self.world.now()));
+        }
     }
 
     /// One injector pass: drain ready QPs until the port fills, rate limits
@@ -1430,11 +1436,16 @@ impl Rnic {
         for w in sq {
             complete(w.wr_id, op_to_cqe(&w.op));
         }
-        let reads = std::mem::take(&mut tx.pending_reads);
+        // Flush in issue order, not bucket order.
+        let mut reads: Vec<_> = std::mem::take(&mut tx.pending_reads).into_iter().collect();
+        reads.sort_unstable_by_key(|&(seq, _)| seq);
         for (_, p) in reads {
             complete(p.wr_id, CqeOpcode::Read);
         }
-        let atomics = std::mem::take(&mut tx.pending_atomics);
+        let mut atomics: Vec<_> = std::mem::take(&mut tx.pending_atomics)
+            .into_iter()
+            .collect();
+        atomics.sort_unstable_by_key(|&(seq, _)| seq);
         for (_, p) in atomics {
             complete(p.wr_id, CqeOpcode::Atomic);
         }
@@ -2391,5 +2402,30 @@ impl Rnic {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::TouchCache;
+
+    /// The QP-context cache's hit/miss trace must not depend on the map's
+    /// hasher: capacity 4, 32 touches over 7 keys, pinned to the literal
+    /// the SipHash-keyed parent produced.
+    #[test]
+    fn touch_cache_lru_trace_is_pinned() {
+        let mut cache = TouchCache::new(4);
+        let mut x = 12_345u32;
+        let trace: String = (0..32)
+            .map(|_| {
+                x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                if cache.touch((x >> 16) % 7) {
+                    'h'
+                } else {
+                    'm'
+                }
+            })
+            .collect();
+        assert_eq!(trace, "mhmhmmhmmmmhmhhhhmhmhhhhhhhmmhhh");
     }
 }

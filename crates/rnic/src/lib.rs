@@ -29,6 +29,7 @@ pub mod config;
 pub mod cq;
 pub mod dcqcn;
 pub mod engine;
+mod inthash;
 pub mod lane;
 pub mod mem;
 pub mod qp;

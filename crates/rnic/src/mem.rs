@@ -8,12 +8,13 @@
 //! out-of-bounds access to RDMA-enabled memory.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
 
 use crate::config::PageKind;
+use crate::inthash::IntMap;
 use crate::verbs::VerbsError;
 
 /// Access permissions on a memory region.
@@ -292,8 +293,8 @@ pub struct MemTable {
     next_pd: Cell<u32>,
     heap_brk: Cell<u64>,
     high_brk: Cell<u64>,
-    by_rkey: RefCell<HashMap<u32, Rc<Mr>>>,
-    by_lkey: RefCell<HashMap<u32, Rc<Mr>>>,
+    by_rkey: RefCell<IntMap<u32, Rc<Mr>>>,
+    by_lkey: RefCell<IntMap<u32, Rc<Mr>>>,
     registered_bytes: Cell<u64>,
     mr_count: Cell<usize>,
 }
@@ -311,8 +312,8 @@ impl MemTable {
             next_pd: Cell::new(1),
             heap_brk: Cell::new(HEAP_BASE),
             high_brk: Cell::new(HIGH_BASE),
-            by_rkey: RefCell::new(HashMap::new()),
-            by_lkey: RefCell::new(HashMap::new()),
+            by_rkey: RefCell::default(),
+            by_lkey: RefCell::default(),
             registered_bytes: Cell::new(0),
             mr_count: Cell::new(0),
         }

@@ -3,7 +3,7 @@
 //! DCQCN instances, pacing).
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use xrdma_fabric::NodeId;
@@ -12,6 +12,7 @@ use xrdma_telemetry::tele;
 
 use crate::cq::CompletionQueue;
 use crate::dcqcn::{DcqcnNp, DcqcnRp};
+use crate::inthash::IntMap;
 use crate::verbs::{Qpn, RecvWr, SendWr, VerbsError};
 
 /// QP state machine, mirroring `ibv_qp_state`.
@@ -184,8 +185,8 @@ pub(crate) struct TxState {
     /// the closure is boxed once per QP life and re-armed in place. A
     /// reset wipes this state, which drops (and so cancels) the timer.
     pub retx_timer: Option<xrdma_sim::Timer>,
-    pub pending_reads: HashMap<u64, PendingRead>,
-    pub pending_atomics: HashMap<u64, PendingAtomic>,
+    pub pending_reads: IntMap<u64, PendingRead>,
+    pub pending_atomics: IntMap<u64, PendingAtomic>,
 }
 
 /// A message being reassembled on the receive side.

@@ -49,9 +49,19 @@
 //! Cancellation never searches the calendar: each slab slot carries a
 //! generation counter, a key is live iff its generation matches, and stale
 //! keys are discarded when popped.
+//!
+//! # Delay lines (DESIGN.md §3.17)
+//!
+//! Beside the calendar a scheduler holds any number of *delay lines*: a
+//! FIFO of `(at, seq)` keys per constant delay, sorted by construction.
+//! [`Sched::pop_next`] is the merge — `bound = min(line heads, deadline)`,
+//! pop the calendar while its live head is below `bound`, else fire the
+//! earliest line head — so the pop sequence is still the global
+//! `(at, seq)` order. Only the serial world opens lines; a lane engine's
+//! `Sched` has none and pops through [`Sched::pop_fired_before`] as ever.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 use crate::time::{Dur, Time};
 
@@ -476,6 +486,18 @@ struct TimerSlot<M> {
     f: Option<M>,
 }
 
+/// A delay line (`World::delay_line`): the `(at, seq)` keys of a constant
+/// delay's in-flight entries, oldest first. Sorted by construction — the
+/// owner's clock is monotone, the delay is constant and `seq` increases —
+/// so the front is the line's minimum and a send is a `push_back`: no
+/// slab slot, no calendar key, no boxed closure. The fire closure sits in
+/// timer slot `timer` (never armed), so a line entry fires through
+/// [`Fired::Timer`] and is handed back like any timer closure.
+struct Line {
+    keys: VecDeque<(Time, u64)>,
+    timer: u32,
+}
+
 /// What a popped live key resolved to.
 pub(crate) enum Fired<O, M> {
     OneShot(O),
@@ -492,8 +514,13 @@ pub(crate) struct Sched<O, M> {
     free_events: Vec<u32>,
     timers: Vec<TimerSlot<M>>,
     free_timers: Vec<u32>,
-    /// Logically pending firings: scheduled one-shots plus armed timers.
+    /// Delay lines, merged with the calendar by [`Self::pop_next`].
+    lines: Vec<Line>,
+    /// Logically pending firings: scheduled one-shots, armed timers and
+    /// delay-line entries.
     live: usize,
+    /// Key of the last firing [`Self::pop_next`] returned (checker state).
+    last_fired: Option<(Time, u64)>,
 }
 
 impl<O, M> Sched<O, M> {
@@ -508,7 +535,9 @@ impl<O, M> Sched<O, M> {
             free_events: Vec::new(),
             timers: Vec::new(),
             free_timers: Vec::new(),
+            lines: Vec::new(),
             live: 0,
+            last_fired: None,
         }
     }
 
@@ -668,19 +697,26 @@ impl<O, M> Sched<O, M> {
         }
     }
 
-    /// Pop the next live firing (skipping stale keys), with its instant.
-    pub(crate) fn pop_fired(&mut self) -> Option<(Time, Fired<O, M>)> {
+    /// Pop the next live calendar firing whose `(at, seq)` is strictly
+    /// below `bound`, discarding stale keys below it on the way: one
+    /// calendar peek per event.
+    fn pop_fired_below(&mut self, bound: (Time, u64)) -> Option<(Key, Fired<O, M>)> {
         loop {
-            let key = self.calendar.pop_min()?;
+            let key = self.calendar.peek_min()?;
+            if (key.at, key.seq) >= bound {
+                return None;
+            }
+            let _ = self.calendar.pop_min();
             if let Some(fired) = self.take_fired(key) {
-                return Some((key.at, fired));
+                return Some((key, fired));
             }
         }
     }
 
     /// Pop the next live firing strictly before `bound`, discarding stale
     /// keys below it on the way — the lane engine's fused
-    /// `next_live_at` + [`Self::pop_fired`], one calendar peek per event.
+    /// `next_live_at` + pop, one calendar peek per event. Not expressed as
+    /// `pop_fired_below((bound, 0))`: that read +5 % on `lane_incast`.
     pub(crate) fn pop_fired_before(&mut self, bound: Time) -> Option<(Time, Fired<O, M>)> {
         loop {
             let key = self.calendar.peek_min()?;
@@ -692,6 +728,80 @@ impl<O, M> Sched<O, M> {
                 return Some((key.at, fired));
             }
         }
+    }
+
+    /// Open a delay line whose entries fire the closure `f` builds from
+    /// the new line's index, which is returned. Lines are never freed:
+    /// make one per component, not per packet — [`Self::pop_next`] scans
+    /// every line's head on every event.
+    pub(crate) fn make_line(&mut self, f: impl FnOnce(u32) -> M) -> u32 {
+        let idx = self.lines.len() as u32;
+        let timer = self.make_timer(None, f(idx));
+        self.lines.push(Line {
+            keys: VecDeque::new(),
+            timer,
+        });
+        idx
+    }
+
+    /// Append an entry to `line`. The caller stamps `(at, seq)` exactly as
+    /// it would for [`Self::schedule`], with the line's constant delay.
+    pub(crate) fn line_send(&mut self, line: u32, at: Time, seq: u64) {
+        self.live += 1;
+        self.lines[line as usize].keys.push_back((at, seq));
+    }
+
+    /// Entries in flight on `line`.
+    pub(crate) fn line_len(&self, line: u32) -> usize {
+        self.lines[line as usize].keys.len()
+    }
+
+    /// Pop the next firing at or before `deadline`: the global `(at, seq)`
+    /// minimum over the calendar's live keys and every delay line's head.
+    /// A line entry resolves to its line's fire closure as
+    /// [`Fired::Timer`]; give it back with [`Self::finish_timer_fire`].
+    pub(crate) fn pop_next(&mut self, deadline: Time) -> Option<(Time, Fired<O, M>)> {
+        let mut bound = (deadline, u64::MAX);
+        let mut first = None;
+        for (i, line) in self.lines.iter().enumerate() {
+            match line.keys.front() {
+                Some(&head) if head < bound => {
+                    bound = head;
+                    first = Some(i);
+                }
+                _ => {}
+            }
+        }
+        let (key, fired) = match self.pop_fired_below(bound) {
+            Some((k, fired)) => ((k.at, k.seq), fired),
+            None => {
+                let line = &mut self.lines[first?];
+                let key = line.keys.pop_front().expect("head was read above");
+                // Merge obligations (DESIGN.md §7.2): a line is sorted, and
+                // its head fires only when no calendar key precedes it.
+                crate::invariant!(
+                    line.keys.front().is_none_or(|&next| key < next),
+                    "delay line out of order: fired {key:?}, new head {:?}",
+                    line.keys.front()
+                );
+                let idx = line.timer;
+                crate::invariant!(
+                    self.calendar.peek_min().is_none_or(|k| key < (k.at, k.seq)),
+                    "delay line entry {key:?} fired past the calendar head"
+                );
+                let t = &mut self.timers[idx as usize];
+                let f = t.f.take().expect("a line handler does not run the world");
+                self.live -= 1;
+                (key, Fired::Timer { idx, gen: t.gen, f })
+            }
+        };
+        crate::invariant!(
+            self.last_fired.is_none_or(|last| last < key),
+            "event order went backwards: {key:?} after {:?}",
+            self.last_fired
+        );
+        self.last_fired = Some(key);
+        Some((key.0, fired))
     }
 
     /// Give a timer closure back to its slot after a firing; returns
@@ -743,6 +853,53 @@ mod tests {
             slot: 0,
             gen: 0,
         }
+    }
+
+    type TestSched = Sched<Box<dyn FnOnce()>, Box<dyn FnMut()>>;
+
+    #[test]
+    fn pop_next_merges_lines_and_calendar_by_at_then_seq() {
+        let mut s = TestSched::new(Kernel::Wheel);
+        let a = s.make_line(|_| Box::new(|| {}));
+        let b = s.make_line(|_| Box::new(|| {}));
+        // seq order at t=100: calendar 0, line a 1, calendar 2, line b 3.
+        s.schedule(Time(100), 0, Box::new(|| {}));
+        s.line_send(a, Time(100), 1);
+        s.schedule(Time(100), 2, Box::new(|| {}));
+        s.line_send(b, Time(100), 3);
+        s.line_send(a, Time(101), 4); // past the deadline below
+        assert_eq!(s.pending(), 5);
+        let mut order = Vec::new();
+        for _ in 0..4 {
+            let (at, fired) = s.pop_next(Time(100)).expect("four due");
+            order.push(match fired {
+                Fired::OneShot(_) => (at, 'c'),
+                Fired::Timer { idx, gen, f } => {
+                    assert!(s.finish_timer_fire(idx, gen, f).is_none());
+                    (
+                        at,
+                        if idx == s.lines[a as usize].timer {
+                            'a'
+                        } else {
+                            'b'
+                        },
+                    )
+                }
+            });
+        }
+        let t = Time(100);
+        assert_eq!(order, [(t, 'c'), (t, 'a'), (t, 'c'), (t, 'b')]);
+        assert_eq!((s.pending(), s.line_len(a)), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "delay line out of order")]
+    fn unsorted_line_trips_the_checker() {
+        let mut s = TestSched::new(Kernel::Wheel);
+        let line = s.make_line(|_| Box::new(|| {}));
+        s.line_send(line, Time(300), 0);
+        s.line_send(line, Time(250), 1); // a delay that shrank between sends
+        s.pop_next(Time(1_000));
     }
 
     #[test]
