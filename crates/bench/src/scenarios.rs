@@ -7,7 +7,7 @@ use std::rc::Rc;
 use xrdma_core::{XrdmaChannel, XrdmaConfig, XrdmaContext};
 use xrdma_fabric::{Fabric, FabricConfig, NodeId};
 use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
-use xrdma_sim::{Dur, Kernel, SimRng, World};
+use xrdma_sim::{Dur, SimRng, World};
 
 /// A constructed simulation network.
 pub struct Net {
@@ -18,13 +18,7 @@ pub struct Net {
 }
 
 pub fn net(fcfg: FabricConfig, seed: u64) -> Net {
-    net_on(Kernel::default(), fcfg, seed)
-}
-
-/// Like [`net`] but on an explicit calendar kernel — `simperf` uses this to
-/// race the timer wheel against the legacy heap on identical workloads.
-pub fn net_on(kernel: Kernel, fcfg: FabricConfig, seed: u64) -> Net {
-    let world = World::with_kernel(kernel);
+    let world = World::new();
     let rng = SimRng::new(seed);
     let fabric = Fabric::new(world.clone(), fcfg, &rng);
     let cm = ConnManager::new(world.clone(), CmConfig::default(), rng.fork("cm"));
@@ -79,9 +73,6 @@ pub struct IncastOutcome {
     /// feature (`None` otherwise): every protocol-level event the stack
     /// emitted, ready for the exporters in `xrdma_telemetry::export`.
     pub events: Option<Vec<xrdma_telemetry::Event>>,
-    /// Total simulator events executed over the whole run (setup included)
-    /// — the numerator of `simperf`'s events-per-second metric.
-    pub events_executed: u64,
 }
 
 impl IncastOutcome {
@@ -100,41 +91,7 @@ pub fn run_incast(
     span: Dur,
     seed: u64,
 ) -> IncastOutcome {
-    run_incast_on(
-        Kernel::default(),
-        cfg,
-        senders,
-        msg_bytes,
-        depth,
-        span,
-        seed,
-    )
-}
-
-/// [`run_incast`] on an explicit calendar kernel.
-pub fn run_incast_on(
-    kernel: Kernel,
-    cfg: XrdmaConfig,
-    senders: u32,
-    msg_bytes: u64,
-    depth: u32,
-    span: Dur,
-    seed: u64,
-) -> IncastOutcome {
-    let net = net_on(kernel, FabricConfig::rack(senders + 1), seed);
-    run_incast_in(&net, cfg, senders, msg_bytes, depth, span)
-}
-
-/// Drive the incast on an already-built network, so callers can install
-/// extra machinery (e.g. a fault injector) on the world first.
-pub fn run_incast_in(
-    net: &Net,
-    cfg: XrdmaConfig,
-    senders: u32,
-    msg_bytes: u64,
-    depth: u32,
-    span: Dur,
-) -> IncastOutcome {
+    let net = &net(FabricConfig::rack(senders + 1), seed);
     #[cfg(feature = "telemetry")]
     let hub =
         xrdma_telemetry::TelemetryHub::install(&net.world, xrdma_telemetry::HubConfig::default());
@@ -201,6 +158,5 @@ pub fn run_incast_in(
         ecn_marks: c.ecn_marked,
         bw_series,
         events,
-        events_executed: net.world.events_executed(),
     }
 }

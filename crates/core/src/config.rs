@@ -115,8 +115,6 @@ pub struct XrdmaConfig {
     pub cq_size: usize,
     /// SRQ depth when `use_srq`.
     pub srq_size: usize,
-    /// Support fork (adds a small per-registration cost; modelled only).
-    pub fork_safe: bool,
     /// Page mode for QP buffers and the memory cache.
     pub ibqp_alloc_type: PageKind,
     /// Below this, a message travels eagerly inside one Send.
@@ -195,7 +193,6 @@ impl Default for XrdmaConfig {
             use_srq: false,
             cq_size: 8192,
             srq_size: 4096,
-            fork_safe: false,
             ibqp_alloc_type: PageKind::Anonymous,
             small_msg_size: 4096,
             inflight_depth: 64,
@@ -306,8 +303,8 @@ impl XrdmaConfig {
                 Ok(())
             }
             // Offline parameters cannot change at runtime.
-            "use_srq" | "cq_size" | "srq_size" | "fork_safe" | "ibqp_alloc_type"
-            | "small_msg_size" | "cq_poll_batch" | "mux_pool" | "mux_lanes" => {
+            "use_srq" | "cq_size" | "srq_size" | "ibqp_alloc_type" | "small_msg_size"
+            | "cq_poll_batch" | "mux_pool" | "mux_lanes" => {
                 Err(XrdmaError::BadConfig("offline parameter"))
             }
             _ => Err(XrdmaError::BadConfig("unknown key")),

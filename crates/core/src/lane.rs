@@ -24,11 +24,11 @@
 //!   digests, telemetry JSONL and derived span JSONL are therefore
 //!   byte-identical across `shards ∈ {1, 2, 4, 8}`.
 //!
-//! The reference workload, [`grouped_incast`], is the scaling scenario
-//! `simperf` measures: an N-node cluster partitioned into racks of
-//! `group` hosts, each rack running a many-to-one incast into its sink
-//! (deep enough that receiver-side ECN and DCQCN engage), plus a
-//! cross-rack heartbeat mesh so mailbox traffic crosses shard
+//! The reference workload, [`grouped_incast`], is the scenario
+//! tests/sharding.rs's lane battery runs: an N-node cluster partitioned
+//! into racks of `group` hosts, each rack running a many-to-one incast
+//! into its sink (deep enough that receiver-side ECN and DCQCN engage),
+//! plus a cross-rack heartbeat mesh so mailbox traffic crosses shard
 //! boundaries at every shard count.
 
 use std::collections::VecDeque;
@@ -755,8 +755,8 @@ pub struct IncastSpec {
 }
 
 impl IncastSpec {
-    /// The committed simperf scenario: racks of 16, 48 KiB requests,
-    /// a 200 µs cross-rack heartbeat mesh, lossless NICs.
+    /// The reference shape: racks of 16, 48 KiB requests, a 200 µs
+    /// cross-rack heartbeat mesh, lossless NICs.
     pub fn full(nodes: usize, shards: usize, seed: u64) -> IncastSpec {
         IncastSpec {
             nodes,

@@ -32,7 +32,7 @@ use crate::engine::Rnic;
 pub struct TcpConfig {
     /// Connect handshake latency (client-observed; §III: ~100 µs).
     pub connect_latency: Dur,
-    /// Kernel stack traversal per message, each way.
+    /// OS kernel stack traversal per message, each way.
     pub stack_delay: Dur,
     /// Per-chunk CPU cost (copies, interrupts) at each end.
     pub per_chunk_cpu: Dur,

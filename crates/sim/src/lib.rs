@@ -33,7 +33,7 @@ pub use cpu::CpuThread;
 pub use rng::SimRng;
 pub use shard::{Lane, LaneRecord, ShardConfig, ShardWorld};
 pub use time::{Dur, Time};
-pub use world::{DelayLine, EventId, Kernel, Timer, World};
+pub use world::{DelayLine, EventId, Timer, World};
 
 /// Runtime protocol-invariant check (DESIGN.md "Determinism contract").
 ///

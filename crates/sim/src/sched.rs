@@ -3,14 +3,14 @@
 //! `Send` parallel lane engine).
 //!
 //! Everything here is generic over the stored closure types `O`
-//! (one-shot) and `M` (re-armable timer), so the same calendar code —
-//! timer wheel, legacy heap, and the per-lane sharded merge — executes
-//! identically whether the callbacks capture `Rc`s on one thread or are
-//! `Send` closures running inside a shard lane. The structure is a plain
-//! `&mut self` state machine: virtual-clock and sequence-number policy
-//! stay with the owner (`World` keeps them in `Cell`s, a lane keeps them
-//! as plain fields), which is what lets lane state satisfy the S1
-//! `non-send-shard-state` lint with no interior mutability at all.
+//! (one-shot) and `M` (re-armable timer), so the same timer-wheel
+//! calendar executes identically whether the callbacks capture `Rc`s on
+//! one thread or are `Send` closures running inside a shard lane. The
+//! structure is a plain `&mut self` state machine: virtual-clock and
+//! sequence-number policy stay with the owner (`World` keeps them in
+//! `Cell`s, a lane keeps them as plain fields), which is what lets lane
+//! state satisfy the S1 `non-send-shard-state` lint with no interior
+//! mutability at all.
 //!
 //! # Calendar layout (DESIGN.md §3)
 //!
@@ -38,13 +38,8 @@
 //! the cursor, (b) every bucket holds keys of exactly one future cursor
 //! tick, and (c) the overflow heap only holds keys at least one full
 //! rotation ahead of the cursor (re-established by the migration loop each
-//! time the cursor moves). Callbacks therefore fire in exactly the order
-//! the old single-heap calendar produced, byte-for-byte.
-//!
-//! [`Kernel::Sharded`] splits the key stream across `lanes` independent
-//! wheels (assignment by `seq % lanes`) and pops the argmin by
-//! `(at, seq)` — provably the same global order, exercising the
-//! cross-lane merge rule on the full `Rc` stack so goldens validate it.
+//! time the cursor moves). `world::tests::wheel_matches_reference` checks
+//! the pop order against a plain `BinaryHeap` oracle.
 //!
 //! Cancellation never searches the calendar: each slab slot carries a
 //! generation counter, a key is live iff its generation matches, and stale
@@ -61,7 +56,7 @@
 //! `Sched` has none and pops through [`Sched::pop_fired_before`] as ever.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{Dur, Time};
 
@@ -90,40 +85,6 @@ impl EventId {
 
     pub(crate) fn unpack(self) -> (u32, u32) {
         ((self.0 >> 32) as u32, self.0 as u32)
-    }
-}
-
-/// Which calendar implementation a scheduler runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Kernel {
-    /// Timer-wheel calendar (the production kernel).
-    #[default]
-    Wheel,
-    /// The pre-wheel reference calendar: one global binary heap plus a
-    /// `HashSet` tombstone probed on every pop. Kept only so differential
-    /// tests can prove both kernels produce identical event orders and so
-    /// `simperf` can measure the speedup against a live baseline.
-    Legacy,
-    /// `lanes` independent timer wheels (assignment by `seq % lanes`)
-    /// popped in global `(at, seq)` order — the serial validation mode for
-    /// the sharded lane engine's merge rule. Same event order as `Wheel`,
-    /// byte for byte, on any workload; `lanes == 1` is exactly `Wheel`.
-    Sharded { lanes: usize },
-}
-
-impl Kernel {
-    /// The kernel [`crate::World::new`] boots: `Wheel`, unless the
-    /// `XRDMA_SHARDS` environment variable names a lane count > 1 — the
-    /// hook `scripts/ci.sh` uses to run the whole tier-1 suite on the
-    /// sharded calendar (`XRDMA_SHARDS=4 cargo test`).
-    pub fn from_env() -> Kernel {
-        match std::env::var("XRDMA_SHARDS") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n > 1 => Kernel::Sharded { lanes: n },
-                _ => Kernel::Wheel,
-            },
-            Err(_) => Kernel::Wheel,
-        }
     }
 }
 
@@ -319,156 +280,9 @@ impl WheelCal {
     }
 }
 
-/// The pre-wheel reference calendar (see [`Kernel::Legacy`]): a single
-/// binary heap plus the tombstone set the old kernel probed on every pop.
-struct LegacyCal {
-    heap: BinaryHeap<Reverse<Key>>,
-    tombstones: HashSet<u64>,
-}
-
-impl LegacyCal {
-    fn new() -> LegacyCal {
-        LegacyCal {
-            heap: BinaryHeap::with_capacity(1024),
-            tombstones: HashSet::new(),
-        }
-    }
-
-    fn pop_min(&mut self) -> Option<Key> {
-        let Reverse(k) = self.heap.pop()?;
-        // Faithful to the old kernel's cost model: a hash probe per pop.
-        self.tombstones.remove(&k.seq);
-        Some(k)
-    }
-}
-
-/// Per-lane wheels merged in global `(at, seq)` order (see
-/// [`Kernel::Sharded`]). Each key lives in exactly one lane wheel, the
-/// lane minima are each correct by the wheel invariant, and `(at, seq)`
-/// is a total order — so the argmin over lanes is the global minimum and
-/// the pop sequence is identical to a single wheel's. This is the merge
-/// obligation of DESIGN.md §3.15 running serially under the full stack.
-///
-/// Each lane's head key is cached with lazy invalidation: a pop dirties
-/// only the popped lane, so the argmin compares `lanes` plain 24-byte
-/// keys instead of running `lanes` wheel peeks (each a potential
-/// cursor-advance/refill) per pop. Cancellation never invalidates a
-/// cached head — cancelled keys stay in the calendar and are discarded
-/// as stale by [`Sched`] when popped, so the cache always mirrors what
-/// `peek_min` on the lane would return.
-struct ShardedCal {
-    lanes: Vec<WheelCal>,
-    /// Cached `lanes[i].peek_min()`, valid iff `!dirty[i]`.
-    heads: Vec<Option<Key>>,
-    /// True when `heads[i]` must be re-peeked before use.
-    dirty: Vec<bool>,
-}
-
-impl ShardedCal {
-    fn new(lanes: usize) -> ShardedCal {
-        let n = lanes.max(1);
-        ShardedCal {
-            lanes: (0..n).map(|_| WheelCal::new()).collect(),
-            heads: vec![None; n],
-            dirty: vec![false; n],
-        }
-    }
-
-    fn push(&mut self, key: Key) {
-        let n = self.lanes.len() as u64;
-        let i = (key.seq % n) as usize;
-        self.lanes[i].push(key);
-        // A clean cache stays clean: pushing can only lower the lane
-        // minimum, and `(at, seq)` has no duplicates.
-        if !self.dirty[i] {
-            match self.heads[i] {
-                Some(h) if h < key => {}
-                _ => self.heads[i] = Some(key),
-            }
-        }
-    }
-
-    /// Lane index holding the globally minimal `(at, seq)` key, if any.
-    /// Refreshes dirty heads on the way; clean lanes cost one key compare.
-    fn min_lane(&mut self) -> Option<usize> {
-        let mut best: Option<(Key, usize)> = None;
-        for i in 0..self.lanes.len() {
-            if self.dirty[i] {
-                self.heads[i] = self.lanes[i].peek_min();
-                self.dirty[i] = false;
-            }
-            if let Some(k) = self.heads[i] {
-                // Strict `<` keeps the scan order irrelevant: (at, seq) is
-                // a total order with no duplicates across lanes.
-                if best.is_none_or(|(b, _)| k < b) {
-                    best = Some((k, i));
-                }
-            }
-        }
-        best.map(|(_, i)| i)
-    }
-
-    fn pop_min(&mut self) -> Option<Key> {
-        let i = self.min_lane()?;
-        self.dirty[i] = true;
-        self.lanes[i].pop_min()
-    }
-
-    fn peek_min(&mut self) -> Option<Key> {
-        let i = self.min_lane()?;
-        self.heads[i]
-    }
-}
-
-// One calendar per scheduler, built once and never moved: boxing the
-// production variant would put a pointer chase on every push.
-#[allow(clippy::large_enum_variant)]
-enum Calendar {
-    Wheel(WheelCal),
-    Legacy(LegacyCal),
-    Sharded(ShardedCal),
-}
-
-impl Calendar {
-    fn push(&mut self, key: Key) {
-        match self {
-            Calendar::Wheel(w) => w.push(key),
-            Calendar::Legacy(l) => l.heap.push(Reverse(key)),
-            Calendar::Sharded(s) => s.push(key),
-        }
-    }
-
-    fn pop_min(&mut self) -> Option<Key> {
-        match self {
-            Calendar::Wheel(w) => w.pop_min(),
-            Calendar::Legacy(l) => l.pop_min(),
-            Calendar::Sharded(s) => s.pop_min(),
-        }
-    }
-
-    fn peek_min(&mut self) -> Option<Key> {
-        match self {
-            Calendar::Wheel(w) => w.peek_min(),
-            Calendar::Legacy(l) => l.heap.peek().map(|Reverse(k)| *k),
-            Calendar::Sharded(s) => s.peek_min(),
-        }
-    }
-
-    /// Record a cancellation the way the legacy kernel did (tombstone
-    /// insert); the wheel needs nothing — generations already invalidate
-    /// the key.
-    fn note_cancel(&mut self, seq: u64) {
-        if let Calendar::Legacy(l) = self {
-            l.tombstones.insert(seq);
-        }
-    }
-}
-
 /// One-shot event slot: recycled through a free list, validated by `gen`.
 struct EventSlot<O> {
     gen: u32,
-    /// Sequence number of the occupying event (legacy tombstones key on it).
-    seq: u64,
     f: Option<O>,
 }
 
@@ -479,8 +293,6 @@ struct TimerSlot<M> {
     /// False once the owning timer handle is dropped.
     alive: bool,
     armed: bool,
-    /// Sequence number of the currently armed firing, for legacy tombstones.
-    armed_seq: u64,
     /// Auto re-arm period for periodic timers.
     auto: Option<Dur>,
     f: Option<M>,
@@ -509,7 +321,7 @@ pub(crate) enum Fired<O, M> {
 /// The owner supplies the monotone sequence numbers (`seq` arguments) and
 /// keeps the clock; this struct only orders, stores, and recycles.
 pub(crate) struct Sched<O, M> {
-    calendar: Calendar,
+    calendar: WheelCal,
     events: Vec<EventSlot<O>>,
     free_events: Vec<u32>,
     timers: Vec<TimerSlot<M>>,
@@ -524,13 +336,9 @@ pub(crate) struct Sched<O, M> {
 }
 
 impl<O, M> Sched<O, M> {
-    pub(crate) fn new(kernel: Kernel) -> Sched<O, M> {
+    pub(crate) fn new() -> Sched<O, M> {
         Sched {
-            calendar: match kernel {
-                Kernel::Wheel => Calendar::Wheel(WheelCal::new()),
-                Kernel::Legacy => Calendar::Legacy(LegacyCal::new()),
-                Kernel::Sharded { lanes } => Calendar::Sharded(ShardedCal::new(lanes)),
-            },
+            calendar: WheelCal::new(),
             events: Vec::new(),
             free_events: Vec::new(),
             timers: Vec::new(),
@@ -559,16 +367,11 @@ impl<O, M> Sched<O, M> {
             let s = &mut self.events[idx as usize];
             debug_assert!(s.f.is_none(), "free-listed slot must be vacant");
             s.f = Some(f);
-            s.seq = seq;
             (idx, s.gen)
         } else {
             let idx = self.events.len() as u32;
             assert!(idx < TIMER_BIT, "event slot space exhausted");
-            self.events.push(EventSlot {
-                gen: 0,
-                seq,
-                f: Some(f),
-            });
+            self.events.push(EventSlot { gen: 0, f: Some(f) });
             (idx, 0)
         };
         self.calendar.push(Key { at, seq, slot, gen });
@@ -590,10 +393,8 @@ impl<O, M> Sched<O, M> {
         }
         s.f = None;
         s.gen = s.gen.wrapping_add(1);
-        let seq = s.seq;
         self.free_events.push(slot);
         self.live -= 1;
-        self.calendar.note_cancel(seq);
     }
 
     /// Allocate a timer slot around `f`; returns the slot index.
@@ -613,7 +414,6 @@ impl<O, M> Sched<O, M> {
                 gen: 0,
                 alive: true,
                 armed: false,
-                armed_seq: 0,
                 auto,
                 f: Some(f),
             });
@@ -627,7 +427,6 @@ impl<O, M> Sched<O, M> {
         let t = &mut self.timers[idx as usize];
         debug_assert!(t.alive && !t.armed);
         t.armed = true;
-        t.armed_seq = seq;
         let gen = t.gen;
         self.live += 1;
         self.calendar.push(Key {
@@ -650,9 +449,7 @@ impl<O, M> Sched<O, M> {
         }
         t.armed = false;
         t.gen = t.gen.wrapping_add(1);
-        let seq = t.armed_seq;
         self.live -= 1;
-        self.calendar.note_cancel(seq);
     }
 
     /// Release a timer slot on handle drop (after [`Self::cancel_timer`]).
@@ -859,7 +656,7 @@ mod tests {
 
     #[test]
     fn pop_next_merges_lines_and_calendar_by_at_then_seq() {
-        let mut s = TestSched::new(Kernel::Wheel);
+        let mut s = TestSched::new();
         let a = s.make_line(|_| Box::new(|| {}));
         let b = s.make_line(|_| Box::new(|| {}));
         // seq order at t=100: calendar 0, line a 1, calendar 2, line b 3.
@@ -895,7 +692,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "delay line out of order")]
     fn unsorted_line_trips_the_checker() {
-        let mut s = TestSched::new(Kernel::Wheel);
+        let mut s = TestSched::new();
         let line = s.make_line(|_| Box::new(|| {}));
         s.line_send(line, Time(300), 0);
         s.line_send(line, Time(250), 1); // a delay that shrank between sends

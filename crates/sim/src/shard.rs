@@ -61,7 +61,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::rng::SimRng;
-use crate::sched::{EventId, Fired, Kernel, Sched};
+use crate::sched::{EventId, Fired, Sched};
 use crate::time::{Dur, Time};
 
 /// One-shot lane callback.
@@ -534,7 +534,7 @@ impl<S: Send + 'static> ShardWorld<S> {
                 cross_sent: 0,
                 cross_recv: 0,
                 lookahead: cfg.lookahead,
-                sched: Sched::new(Kernel::Wheel),
+                sched: Sched::new(),
                 outbox: Vec::new(),
                 records: Vec::new(),
                 rng: root.fork_idx(i as u64),
@@ -576,8 +576,8 @@ impl<S: Send + 'static> ShardWorld<S> {
     }
 
     /// Per-lane residency counters (one row per lane, in id order) — the
-    /// imbalance evidence behind the xr-stat lane panel and the simperf
-    /// lane-utilization row. Deterministic across shard counts.
+    /// imbalance evidence behind the xr-stat lane panel and the sharding
+    /// battery's lane-utilization bound. Deterministic across shard counts.
     pub fn lane_stats(&self) -> Vec<LaneStats> {
         self.lanes
             .iter()
@@ -722,8 +722,8 @@ impl<S: Send + std::fmt::Debug + 'static> ShardWorld<S> {
 }
 
 // ---------------------------------------------------------------------------
-// Reference workload: a keepalive-laden incast, the scaling scenario for
-// `simperf` and the differential battery in tests/sharding.rs.
+// Reference workload: a keepalive-laden incast, the model the
+// differential battery in tests/sharding.rs runs at every shard count.
 // ---------------------------------------------------------------------------
 
 /// Per-host counters of the [`incast`] model.

@@ -4,9 +4,9 @@
 //! boxes its closure exactly once, and typed [`DelayLine`]s for constant
 //! delays.
 //!
-//! The calendar mechanics (timer wheel, legacy heap, sharded lane merge)
-//! and the calendar/delay-line merge live in `sched.rs`, which the
-//! parallel [`crate::shard::ShardWorld`] lane engine shares; this module
+//! The calendar mechanics (the timer wheel and its merge with the delay
+//! lines) live in `sched.rs`, which the parallel
+//! [`crate::shard::ShardWorld`] lane engine shares; this module
 //! owns only the serial-world policy: the virtual clock, the global
 //! sequence counter, and the `Rc<World>` callback idiom. A `World` is
 //! deliberately `!Send`/`!Sync` — parallelism happens across worlds (or
@@ -30,7 +30,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-pub use crate::sched::{EventId, Kernel};
+pub use crate::sched::EventId;
 use crate::sched::{Fired, Sched};
 use crate::time::{Dur, Time};
 
@@ -66,20 +66,12 @@ pub struct World {
 }
 
 impl World {
-    /// Create a fresh world at `t = 0` on the default kernel: the timer
-    /// wheel, or the sharded calendar when `XRDMA_SHARDS` (> 1) is set —
-    /// see [`Kernel::from_env`].
+    /// Create a fresh world at `t = 0`.
     pub fn new() -> Rc<World> {
-        Self::with_kernel(Kernel::from_env())
-    }
-
-    /// Create a fresh world on an explicit [`Kernel`] (benchmarks and
-    /// differential determinism tests; everything else wants [`World::new`]).
-    pub fn with_kernel(kernel: Kernel) -> Rc<World> {
         Rc::new(World {
             now: Cell::new(Time::ZERO),
             seq: Cell::new(0),
-            sched: RefCell::new(Sched::new(kernel)),
+            sched: RefCell::new(Sched::new()),
             executed: Cell::new(0),
         })
     }
@@ -367,6 +359,8 @@ mod tests {
     use crate::rng::SimRng;
     use crate::sched::{BUCKET_NS, WHEEL_SLOTS};
     use std::cell::RefCell;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn fifo_at_same_instant() {
@@ -639,68 +633,114 @@ mod tests {
         assert_eq!(count.get(), 1, "dropping the handle stops the timer");
     }
 
-    /// Differential determinism: a randomized schedule/cancel/timer storm
-    /// must produce an identical execution trace on all kernels, the
-    /// sharded lane calendar at several widths included. This is the
-    /// executable form of the FIFO-at-equal-instant proof obligation and
-    /// of the sharded merge rule (DESIGN.md §3.15).
+    /// The FIFO-at-equal-instant proof obligation, executable: a seeded
+    /// storm of one-shots (dense ties, exact bucket edges, overflow, and
+    /// keys a rotation or more apart so the cursor jumps), a quarter of
+    /// them cancelled, plus periodic timers, must fire exactly as an
+    /// oracle computed here: every live key `(at, seq, id)` in one
+    /// `BinaryHeap`, each timer firing re-armed `period` later under the
+    /// next `seq`. Timers are dropped halfway, leaving only the sparse
+    /// far keys for the wheel to jump between.
     #[test]
-    fn all_kernels_agree() {
-        fn storm(kernel: Kernel, seed: u64) -> (Vec<(u64, u32)>, u64, u64) {
-            let w = World::with_kernel(kernel);
+    fn wheel_matches_reference() {
+        const TIMER: u32 = 1 << 20;
+        let horizon = WHEEL_SLOTS as u64 * BUCKET_NS;
+        let (half, deadline) = (8 * horizon, 512 * horizon);
+        for seed in [1u64, 7, 42] {
             let mut rng = SimRng::new(seed);
+            let shots: Vec<(u64, bool)> = (0..2_000)
+                .map(|_| {
+                    let at = match rng.range(0, 6) {
+                        0 => rng.range(0, 200),                     // dense same-instant ties
+                        1 => rng.range(0, horizon),                 // near wheel
+                        2 => rng.range(0, 64) * BUCKET_NS,          // exact bucket edges
+                        3 => rng.range(horizon, 8 * horizon),       // overflow
+                        4 => rng.range(8 * horizon, 512 * horizon), // sparse: jumps
+                        _ => rng.range(0, 4 * horizon),
+                    };
+                    (at, rng.range(0, 4) == 0)
+                })
+                .collect();
+            let periods: Vec<u64> = (0..8).map(|_| 1 + rng.range(0, horizon / 4)).collect();
+
+            let w = World::new();
             let trace: Rc<RefCell<Vec<(u64, u32)>>> = Rc::new(RefCell::new(Vec::new()));
-            let mut cancellable = Vec::new();
-            let horizon = WHEEL_SLOTS as u64 * BUCKET_NS;
-            for i in 0..2_000u32 {
-                // Mix of near, same-instant, bucket-boundary and far times.
-                let at = match rng.range(0, 5) {
-                    0 => rng.range(0, 200),               // dense same-instant ties
-                    1 => rng.range(0, horizon),           // near wheel
-                    2 => rng.range(0, 64) * BUCKET_NS,    // exact bucket edges
-                    3 => rng.range(horizon, 8 * horizon), // overflow
-                    _ => rng.range(0, 4 * horizon),
-                };
-                let tr = trace.clone();
-                let id = w.schedule_at(Time(at), move || tr.borrow_mut().push((at, i)));
-                if rng.range(0, 4) == 0 {
-                    cancellable.push(id);
+            let weak = Rc::downgrade(&w);
+            let tr = trace.clone();
+            let record = move |id: u32| {
+                let now = weak.upgrade().expect("world alive").now().nanos();
+                tr.borrow_mut().push((now, id));
+            };
+            for (i, &(at, cancelled)) in shots.iter().enumerate() {
+                let r = record.clone();
+                let id = w.schedule_at(Time(at), move || r(i as u32));
+                if cancelled {
+                    w.cancel(id);
                 }
             }
-            for id in cancellable {
-                w.cancel(id);
-            }
-            // A few timers riding along, one cancelled mid-flight.
-            let mut timers = Vec::new();
-            for t in 0..8u32 {
-                let tr = trace.clone();
-                let period = Dur::nanos(1 + rng.range(0, horizon / 4));
-                let timer = w.periodic(period, move || tr.borrow_mut().push((u64::MAX, t)));
-                timer.arm_in(period);
-                timers.push(timer);
-            }
+            let timers: Vec<Timer> = (0..8u32)
+                .map(|t| {
+                    let r = record.clone();
+                    let period = Dur::nanos(periods[t as usize]);
+                    let timer = w.periodic(period, move || r(TIMER + t));
+                    timer.arm_in(period);
+                    timer
+                })
+                .collect();
             timers[3].cancel();
-            w.run_until(Time(6 * horizon));
-            let trace = trace.borrow().clone();
-            (trace, w.events_executed(), w.now().nanos())
-        }
-        for seed in [1u64, 7, 42] {
-            let a = storm(Kernel::Wheel, seed);
-            let b = storm(Kernel::Legacy, seed);
-            assert_eq!(a, b, "wheel vs legacy diverged for seed {seed}");
-            for lanes in [1usize, 2, 4, 8] {
-                let c = storm(Kernel::Sharded { lanes }, seed);
-                assert_eq!(a, c, "sharded({lanes}) diverged for seed {seed}");
+            w.run_until(Time(half));
+            drop(timers);
+            w.run_until(Time(deadline));
+
+            // The oracle: one-shot `i` holds seq `i`, timer `t` seq 2000 + t.
+            let mut heap = BinaryHeap::new();
+            let mut seq = 0u64;
+            for (i, &(at, cancelled)) in shots.iter().enumerate() {
+                if !cancelled {
+                    heap.push(Reverse((at, seq, i as u32)));
+                }
+                seq += 1;
             }
-            assert!(a.1 > 1_000, "storm did real work: {} events", a.1);
+            for (t, &p) in periods.iter().enumerate() {
+                if t != 3 {
+                    heap.push(Reverse((p, seq, TIMER + t as u32)));
+                }
+                seq += 1;
+            }
+            let mut want = Vec::new();
+            for until in [half, deadline] {
+                while let Some(&Reverse((at, _, id))) = heap.peek() {
+                    if at > until {
+                        break;
+                    }
+                    heap.pop();
+                    want.push((at, id));
+                    if id >= TIMER {
+                        heap.push(Reverse((at + periods[(id - TIMER) as usize], seq, id)));
+                        seq += 1;
+                    }
+                }
+                heap.retain(|Reverse((_, _, id))| *id < TIMER);
+            }
+
+            let got = trace.borrow();
+            if let Some(i) = got.iter().zip(&want).position(|(g, o)| g != o) {
+                panic!(
+                    "seed {seed}: firing {i} is {:?}, oracle {:?}",
+                    got[i], want[i]
+                );
+            }
+            assert_eq!(got.len(), want.len(), "seed {seed}: event count");
+            assert_eq!(w.events_executed(), want.len() as u64);
+            assert_eq!((w.now(), w.pending()), (Time(deadline), heap.len()));
+            assert!(want.len() > 1_500, "storm did real work: {}", want.len());
         }
     }
 
     /// Differential exactness of [`DelayLine`]: the storm above with a
     /// third of its events each sending one item through one of three
     /// lines (delays 0 / 250 / 500 ns) must trace, count and end exactly
-    /// like a reference world that `schedule_in`s the same sends — on
-    /// every kernel.
+    /// like a reference world that `schedule_in`s the same sends.
     #[test]
     fn delay_lines_match_schedule_in() {
         type Trace = Rc<RefCell<Vec<(u64, u32)>>>;
@@ -728,8 +768,8 @@ mod tests {
                 w.schedule_in(delay, move || second(id + 1));
             })
         }
-        fn storm(kernel: Kernel, seed: u64, lines: bool) -> (Vec<(u64, u32)>, u64, u64) {
-            let w = World::with_kernel(kernel);
+        fn storm(seed: u64, lines: bool) -> (Vec<(u64, u32)>, u64, u64) {
+            let w = World::new();
             let mut rng = SimRng::new(seed);
             let trace: Trace = Rc::new(RefCell::new(Vec::new()));
             let send = sender(&w, &trace, lines);
@@ -771,16 +811,11 @@ mod tests {
             (trace, w.events_executed(), w.now().nanos())
         }
         for seed in [1u64, 7, 42] {
-            let reference = storm(Kernel::Wheel, seed, false);
+            let reference = storm(seed, false);
             let hops = reference.0.iter().filter(|e| e.1 >= 1_000_000).count();
             assert!(reference.1 >= 2_000, "{} events", reference.1);
             assert!(hops >= 2 * 500, "{} sends rode the lines", hops / 2);
-            let mut kernels = vec![Kernel::Wheel, Kernel::Legacy];
-            kernels.extend([1usize, 2, 4, 8].map(|lanes| Kernel::Sharded { lanes }));
-            for kernel in kernels {
-                let got = storm(kernel, seed, true);
-                assert_eq!(got, reference, "{kernel:?} with lines, seed {seed}");
-            }
+            assert_eq!(storm(seed, true), reference, "with lines, seed {seed}");
         }
     }
 
@@ -876,21 +911,5 @@ mod tests {
             "arena grew to {} slots for 10 concurrent events",
             w.sched.borrow().event_arena_len()
         );
-    }
-
-    #[test]
-    fn sharded_kernel_from_env_parses() {
-        assert_eq!(Kernel::default(), Kernel::Wheel);
-        // from_env reads the process environment; exercise the parse paths
-        // through with_kernel instead of mutating global env in tests.
-        let w = World::with_kernel(Kernel::Sharded { lanes: 4 });
-        let hits = Rc::new(Cell::new(0u32));
-        for i in 0..32u64 {
-            let h = hits.clone();
-            w.schedule_at(Time(10 + i % 3), move || h.set(h.get() + 1));
-        }
-        w.run();
-        assert_eq!(hits.get(), 32);
-        assert_eq!(w.events_executed(), 32);
     }
 }

@@ -9,7 +9,7 @@ use std::rc::Rc;
 use xrdma_apps::essd::EssdConfig;
 use xrdma_apps::pangu::{Pangu, PanguConfig};
 use xrdma_apps::{EssdFrontend, LoadSchedule};
-use xrdma_core::{XrdmaConfig, XrdmaContext};
+use xrdma_core::{ChannelMux, XrdmaConfig, XrdmaContext};
 use xrdma_fabric::{Fabric, FabricConfig, NodeId};
 use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
 use xrdma_sim::{Dur, SimRng, World};
@@ -214,6 +214,101 @@ fn incast_different_seed_diverges() {
     let a = incast_digest(7);
     let b = incast_digest(8);
     assert_ne!(a, b, "seed must influence the incast trajectory");
+}
+
+/// The incast again, multiplexed: every one of 8 clients runs 8 logical
+/// channels through a 2-slot `ChannelMux` (constant eviction churn, SRQ
+/// receive sharing on), and the digest carries the mux counters too.
+fn mux_incast_digest(seed: u64) -> String {
+    let world = World::new();
+    let rng = SimRng::new(seed);
+    let fabric = Fabric::new(world.clone(), FabricConfig::rack(9), &rng);
+    let cm = ConnManager::new(world.clone(), CmConfig::default(), rng.fork("cm"));
+    let mut cfg = XrdmaConfig::default();
+    cfg.mux_pool = 2;
+    cfg.mux_lanes = 4;
+    cfg.use_srq = true;
+    let mk = |node: u32| {
+        XrdmaContext::on_new_node(
+            &fabric,
+            &cm,
+            NodeId(node),
+            RnicConfig::default(),
+            cfg.clone(),
+            &rng,
+        )
+    };
+    let server = mk(0);
+    let smux = ChannelMux::new(&server, 7);
+    smux.serve(|_, _, reply| {
+        if let Some(r) = reply {
+            let _ = r.reply_size(128);
+        }
+    });
+    let done = Rc::new(Cell::new(0u64));
+    let mut client_muxes = Vec::new();
+    for i in 1..9u32 {
+        let c = mk(i);
+        let m = ChannelMux::new(&c, 7);
+        let logicals: Vec<_> = (0..8).map(|_| m.open(NodeId(0))).collect();
+        client_muxes.push((c, m, logicals));
+    }
+    world.run_for(Dur::millis(30));
+    for (_, _, logicals) in &client_muxes {
+        for lc in logicals {
+            for _ in 0..4 {
+                let d = done.clone();
+                lc.send_request_size(4096, move |_| d.set(d.get() + 1))
+                    .expect("send accepted");
+            }
+        }
+    }
+    world.run_for(Dur::millis(500));
+    assert_eq!(done.get(), 8 * 8 * 4, "muxed incast completes");
+
+    let mut out = String::new();
+    out.push_str(&serde_json::to_string(&fabric.stats().snapshot()).expect("json"));
+    out.push('\n');
+    out.push_str(&serde_json::to_string(&smux.stats()).expect("json"));
+    for (ctx, m, _) in &client_muxes {
+        out.push('\n');
+        out.push_str(&serde_json::to_string(&ctx.stats()).expect("json"));
+        out.push('\n');
+        out.push_str(&serde_json::to_string(&m.stats()).expect("json"));
+        out.push('\n');
+        out.push_str(&serde_json::to_string(&ctx.rnic().stats()).expect("json"));
+    }
+    out.push_str(&format!(
+        "\ntime={} events={}",
+        world.now().nanos(),
+        world.events_executed()
+    ));
+    out
+}
+
+#[test]
+fn mux_incast_same_seed_byte_identical() {
+    let a = mux_incast_digest(2718);
+    let b = mux_incast_digest(2718);
+    assert_eq!(a, b, "same-seed muxed digests must match byte for byte");
+    let evictions: u64 = a
+        .split("\"evictions\":")
+        .skip(1)
+        .map(|t| {
+            t.split(&[',', '}'][..])
+                .next()
+                .and_then(|n| n.trim().parse::<u64>().ok())
+                .expect("mux stats shape")
+        })
+        .sum();
+    assert!(evictions > 0, "the 2-slot pools must churn (evictions = 0)");
+}
+
+#[test]
+fn mux_incast_different_seed_diverges() {
+    let a = mux_incast_digest(2718);
+    let b = mux_incast_digest(2719);
+    assert_ne!(a, b, "seed must influence the muxed trajectory");
 }
 
 /// The determinism contract extends to the telemetry artifacts: a hub

@@ -63,7 +63,7 @@ fn probes_flow_on_idle_channels_without_waking_the_app() {
         "probes: {}",
         r.ca.stats().keepalive_probes
     );
-    // Kernel-bypass property: probes are zero-byte writes — the peer
+    // The kernel-bypass property: probes are zero-byte writes — the peer
     // application never sees them.
     assert_eq!(app_msgs.get(), 0);
     assert_eq!(r.cb.stats().msgs_received, 0);

@@ -1,394 +1,17 @@
-//! Sharded-execution differential suite (DESIGN.md §3.15): the same
+//! Threaded lane-engine differential suite (DESIGN.md §3.15): the same
 //! seed must produce *byte-identical* artifacts — determinism digests,
-//! telemetry JSONL, span JSONL, chaos goldens — at every shard count,
-//! through two independent sharded paths:
-//!
-//! * the serial validation kernel `Kernel::Sharded { lanes }`, which
-//!   runs the whole Rc-world stack over per-lane calendars merged by
-//!   `(Time, seq)` — proving the merge rule preserves the global order
-//!   on the full fabric→RNIC→middleware stack, and
-//! * the threaded `ShardWorld` lane engine, where rounds really execute
-//!   on worker threads under conservative lookahead — proving the
-//!   mailbox protocol is interleaving-invariant.
+//! telemetry record JSONL, span JSONL, per-lane stats — at every shard
+//! count, with rounds really executing on worker threads under
+//! conservative lookahead, proving the mailbox protocol is
+//! interleaving-invariant.
 //!
 //! The proptests at the bottom hammer the lane engine with random
 //! topologies and shard counts: cross-lane delivery keeps per-pair FIFO
 //! order, nothing ever lands below the lookahead horizon, and no lane
 //! starves short of the deadline.
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
-
-use xrdma_core::{XrdmaConfig, XrdmaContext};
-use xrdma_fabric::{Fabric, FabricConfig, NodeId};
-use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
 use xrdma_sim::shard::HOP_NS;
-use xrdma_sim::{Dur, Kernel, Lane, ShardConfig, ShardWorld, SimRng, Time, World};
-
-/// Every kernel the differential battery compares: today's production
-/// wheel against the sharded validation kernel at each target lane count.
-const KERNELS: [Kernel; 5] = [
-    Kernel::Wheel,
-    Kernel::Sharded { lanes: 1 },
-    Kernel::Sharded { lanes: 2 },
-    Kernel::Sharded { lanes: 4 },
-    Kernel::Sharded { lanes: 8 },
-];
-
-fn kernel_name(k: Kernel) -> String {
-    format!("{k:?}")
-}
-
-// ---------------------------------------------------------------------------
-// Full-stack determinism digest, parameterized by kernel
-// ---------------------------------------------------------------------------
-
-/// The determinism suite's deep-incast digest (8 clients blasting one
-/// server with rendezvous requests), built on an explicit kernel.
-fn incast_digest_on(kernel: Kernel, seed: u64) -> String {
-    let world = World::with_kernel(kernel);
-    let rng = SimRng::new(seed);
-    let fabric = Fabric::new(world.clone(), FabricConfig::rack(9), &rng);
-    let cm = ConnManager::new(world.clone(), CmConfig::default(), rng.fork("cm"));
-    let mk = |node: u32| {
-        XrdmaContext::on_new_node(
-            &fabric,
-            &cm,
-            NodeId(node),
-            RnicConfig::default(),
-            XrdmaConfig::default(),
-            &rng,
-        )
-    };
-    let server = mk(0);
-    server.listen(7, |ch| {
-        ch.set_on_request(|ch, _msg, token| {
-            let _ = ch.respond_size(token, 128);
-        });
-    });
-    let mut clients = Vec::new();
-    for i in 1..9u32 {
-        let c = mk(i);
-        let slot: Rc<RefCell<Option<_>>> = Rc::new(RefCell::new(None));
-        let s2 = slot.clone();
-        c.connect(NodeId(0), 7, move |r| {
-            *s2.borrow_mut() = Some(r.expect("connect"));
-        });
-        clients.push((c, slot));
-    }
-    world.run_for(Dur::millis(30));
-    let done = Rc::new(Cell::new(0u64));
-    for (_, slot) in &clients {
-        let ch = slot.borrow().clone().expect("channel");
-        for _ in 0..16 {
-            let d = done.clone();
-            ch.send_request_size(48 * 1024, move |_, _| d.set(d.get() + 1))
-                .expect("send accepted");
-        }
-    }
-    world.run_for(Dur::millis(500));
-    assert_eq!(done.get(), 8 * 16, "incast completes on {kernel:?}");
-
-    let mut out = String::new();
-    out.push_str(&serde_json::to_string(&fabric.stats().snapshot()).expect("json"));
-    for ctx in std::iter::once(&server).chain(clients.iter().map(|(c, _)| c)) {
-        out.push('\n');
-        out.push_str(&serde_json::to_string(&ctx.stats()).expect("json"));
-        out.push('\n');
-        out.push_str(&serde_json::to_string(&ctx.rnic().stats()).expect("json"));
-    }
-    out.push_str(&format!(
-        "\ntime={} events={}",
-        world.now().nanos(),
-        world.events_executed()
-    ));
-    out
-}
-
-#[test]
-fn full_stack_digest_identical_across_shard_counts() {
-    let base = incast_digest_on(KERNELS[0], 4091);
-    for k in &KERNELS[1..] {
-        let got = incast_digest_on(*k, 4091);
-        assert_eq!(
-            base,
-            got,
-            "{} diverged from {} on the same seed",
-            kernel_name(*k),
-            kernel_name(KERNELS[0])
-        );
-    }
-}
-
-/// The incast again, but multiplexed: every client runs 8 logical
-/// channels through a 2-slot `ChannelMux` (constant eviction churn, SRQ
-/// receive sharing on). The digest — mux counters included — must be
-/// byte-identical at every shard count, proving the mux's slot machinery
-/// introduces no kernel-order dependence.
-fn mux_incast_digest_on(kernel: Kernel, seed: u64) -> String {
-    use xrdma_core::ChannelMux;
-    let world = World::with_kernel(kernel);
-    let rng = SimRng::new(seed);
-    let fabric = Fabric::new(world.clone(), FabricConfig::rack(9), &rng);
-    let cm = ConnManager::new(world.clone(), CmConfig::default(), rng.fork("cm"));
-    let mut cfg = XrdmaConfig::default();
-    cfg.mux_pool = 2;
-    cfg.mux_lanes = 4;
-    cfg.use_srq = true;
-    let mk = |node: u32| {
-        XrdmaContext::on_new_node(
-            &fabric,
-            &cm,
-            NodeId(node),
-            RnicConfig::default(),
-            cfg.clone(),
-            &rng,
-        )
-    };
-    let server = mk(0);
-    let smux = ChannelMux::new(&server, 7);
-    smux.serve(|_, _, reply| {
-        if let Some(r) = reply {
-            let _ = r.reply_size(128);
-        }
-    });
-    let done = Rc::new(Cell::new(0u64));
-    let mut client_muxes = Vec::new();
-    for i in 1..9u32 {
-        let c = mk(i);
-        let m = ChannelMux::new(&c, 7);
-        let logicals: Vec<_> = (0..8).map(|_| m.open(NodeId(0))).collect();
-        client_muxes.push((c, m, logicals));
-    }
-    world.run_for(Dur::millis(30));
-    for (_, _, logicals) in &client_muxes {
-        for lc in logicals {
-            for _ in 0..4 {
-                let d = done.clone();
-                lc.send_request_size(4096, move |_| d.set(d.get() + 1))
-                    .expect("send accepted");
-            }
-        }
-    }
-    world.run_for(Dur::millis(500));
-    assert_eq!(
-        done.get(),
-        8 * 8 * 4,
-        "muxed incast completes on {kernel:?}"
-    );
-
-    let mut out = String::new();
-    out.push_str(&serde_json::to_string(&fabric.stats().snapshot()).expect("json"));
-    out.push('\n');
-    out.push_str(&serde_json::to_string(&smux.stats()).expect("json"));
-    for (ctx, m, _) in &client_muxes {
-        out.push('\n');
-        out.push_str(&serde_json::to_string(&ctx.stats()).expect("json"));
-        out.push('\n');
-        out.push_str(&serde_json::to_string(&m.stats()).expect("json"));
-        out.push('\n');
-        out.push_str(&serde_json::to_string(&ctx.rnic().stats()).expect("json"));
-    }
-    out.push_str(&format!(
-        "\ntime={} events={}",
-        world.now().nanos(),
-        world.events_executed()
-    ));
-    out
-}
-
-#[test]
-fn mux_digest_identical_across_shard_counts() {
-    let base = mux_incast_digest_on(KERNELS[0], 2718);
-    assert!(
-        base.contains("\"evictions\""),
-        "mux stats present in digest"
-    );
-    for k in &KERNELS[1..] {
-        let got = mux_incast_digest_on(*k, 2718);
-        assert_eq!(
-            base,
-            got,
-            "muxed {} diverged from {} on the same seed",
-            kernel_name(*k),
-            kernel_name(KERNELS[0])
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Telemetry + span JSONL, parameterized by kernel
-// ---------------------------------------------------------------------------
-
-#[cfg(feature = "telemetry")]
-mod telemetry_equivalence {
-    use super::*;
-    use xrdma_telemetry::{HubConfig, TelemetryHub};
-
-    /// The span-suite rig on an explicit kernel; returns (event JSONL,
-    /// span JSONL).
-    fn jsonl_on(kernel: Kernel, seed: u64) -> (String, String) {
-        let world = World::with_kernel(kernel);
-        let hub = TelemetryHub::install(&world, HubConfig::default());
-        let rng = SimRng::new(seed);
-        let fabric = Fabric::new(world.clone(), FabricConfig::rack(5), &rng);
-        let cm = ConnManager::new(world.clone(), CmConfig::default(), rng.fork("cm"));
-        let mk = |node: u32| {
-            XrdmaContext::on_new_node(
-                &fabric,
-                &cm,
-                NodeId(node),
-                RnicConfig::default(),
-                XrdmaConfig::default(),
-                &rng,
-            )
-        };
-        let server = mk(0);
-        server.listen(7, |ch| {
-            ch.set_on_request(|ch, _msg, token| {
-                let _ = ch.respond_size(token, 128);
-            });
-        });
-        let mut clients = Vec::new();
-        for i in 1..5u32 {
-            let c = mk(i);
-            let slot: Rc<RefCell<Option<_>>> = Rc::new(RefCell::new(None));
-            let s2 = slot.clone();
-            c.connect(NodeId(0), 7, move |r| {
-                *s2.borrow_mut() = Some(r.expect("connect"));
-            });
-            clients.push((c, slot));
-        }
-        world.run_for(Dur::millis(30));
-        let done = Rc::new(Cell::new(0u64));
-        for (_, slot) in &clients {
-            let ch = slot.borrow().clone().expect("channel");
-            for _ in 0..8 {
-                let d = done.clone();
-                ch.send_request_size(4096, move |_, _| d.set(d.get() + 1))
-                    .expect("send accepted");
-            }
-        }
-        world.run_for(Dur::millis(400));
-        assert_eq!(done.get(), 4 * 8, "workload completes on {kernel:?}");
-        (
-            xrdma_telemetry::export::to_jsonl(&hub.events()),
-            xrdma_telemetry::export::spans_to_jsonl(&hub.span_nodes()),
-        )
-    }
-
-    #[test]
-    fn telemetry_and_span_jsonl_identical_across_shard_counts() {
-        let (base_ev, base_sp) = jsonl_on(KERNELS[0], 515);
-        assert!(
-            base_ev.lines().count() > 50,
-            "substantive event log, got {} lines",
-            base_ev.lines().count()
-        );
-        assert!(
-            base_sp.contains("\"name\":\"hop\""),
-            "per-stage spans captured: {base_sp}"
-        );
-        for k in &KERNELS[1..] {
-            let (ev, sp) = jsonl_on(*k, 515);
-            assert_eq!(base_ev, ev, "{}: event JSONL diverged", kernel_name(*k));
-            assert_eq!(base_sp, sp, "{}: span JSONL diverged", kernel_name(*k));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chaos golden at shards=4: the committed artifact, unchanged
-// ---------------------------------------------------------------------------
-
-#[cfg(all(feature = "faults", feature = "telemetry"))]
-mod chaos_golden {
-    use super::*;
-    use xrdma_faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultTarget};
-    use xrdma_telemetry::{HubConfig, TelemetryHub};
-
-    /// tests/chaos.rs `golden_scenario_jsonl`, verbatim except for the
-    /// explicit kernel: a seeded double link flap under an 8-client
-    /// incast.
-    fn golden_scenario_jsonl_on(kernel: Kernel) -> String {
-        let world = World::with_kernel(kernel);
-        let hub_guard = TelemetryHub::install(&world, HubConfig::default());
-        let rng = SimRng::new(4242);
-        let spec = |at_ms: u64, dur_ms: u64| FaultSpec {
-            at_ns: at_ms * 1_000_000,
-            dur_ns: Some(dur_ms * 1_000_000),
-            target: FaultTarget::Edge("tor0->host0".to_string()),
-            kind: FaultKind::LinkDown,
-        };
-        let plan = FaultPlan::new().with(spec(25, 5)).with(spec(36, 3));
-        let _fg = FaultInjector::install(&world, plan, rng.fork("faults"));
-        let fabric = Fabric::new(world.clone(), FabricConfig::rack(9), &rng);
-        let cm = ConnManager::new(world.clone(), CmConfig::default(), rng.fork("cm"));
-        let server = XrdmaContext::on_new_node(
-            &fabric,
-            &cm,
-            NodeId(0),
-            RnicConfig::default(),
-            XrdmaConfig::default(),
-            &rng,
-        );
-        server.listen(7, |ch| {
-            ch.set_on_request(|ch, _msg, token| {
-                let _ = ch.respond_size(token, 128);
-            });
-        });
-        let mut clients = Vec::new();
-        for i in 1..9u32 {
-            let c = XrdmaContext::on_new_node(
-                &fabric,
-                &cm,
-                NodeId(i),
-                RnicConfig::default(),
-                XrdmaConfig::default(),
-                &rng,
-            );
-            let slot: Rc<RefCell<Option<_>>> = Rc::new(RefCell::new(None));
-            let s2 = slot.clone();
-            c.connect(NodeId(0), 7, move |r| {
-                *s2.borrow_mut() = Some(r.expect("connect"));
-            });
-            clients.push((c, slot));
-        }
-        world.run_for(Dur::millis(20));
-        let done = Rc::new(Cell::new(0u64));
-        for (_, slot) in &clients {
-            let ch = slot.borrow().clone().expect("channel");
-            for _ in 0..16 {
-                let d = done.clone();
-                ch.send_request_size(48 * 1024, move |_, _| d.set(d.get() + 1))
-                    .expect("send accepted");
-            }
-        }
-        world.run_for(Dur::millis(500));
-        assert_eq!(done.get(), 8 * 16, "the golden scenario completes");
-        xrdma_telemetry::export::to_jsonl(&hub_guard.events())
-    }
-
-    /// The committed golden was produced on the serial wheel; the
-    /// sharded kernel must reproduce it byte for byte, fault windows and
-    /// all. Read-only on purpose — XRDMA_UPDATE_GOLDEN is the chaos
-    /// suite's job, this test only ever compares.
-    #[test]
-    fn sharded_kernel_reproduces_committed_chaos_golden() {
-        let got = golden_scenario_jsonl_on(Kernel::Sharded { lanes: 4 });
-        let path =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/chaos_link_flap.jsonl");
-        let want = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
-        assert!(
-            got == want,
-            "shards=4 chaos run diverged from the committed golden \
-             ({} vs {} lines) — the sharded kernel is reordering events",
-            got.lines().count(),
-            want.lines().count()
-        );
-    }
-}
+use xrdma_sim::{Dur, Lane, ShardConfig, ShardWorld, Time};
 
 // ---------------------------------------------------------------------------
 // The threaded lane engine: differential + flaky-guard
@@ -512,6 +135,27 @@ mod lane_stack {
             assert!(s.cross_sent > 0, "lane {} sent nothing cross-lane", s.lane);
             assert!(s.cross_recv > 0, "lane {} got nothing cross-lane", s.lane);
         }
+    }
+
+    /// Lane utilization, the machine-independent half of the
+    /// shard-scaling argument (EXPERIMENTS.md): on the 64-host grouped
+    /// incast the busiest lane — a rack sink — executes at most 8× its
+    /// fair share of events, since one lane owning the run caps the
+    /// speedup at 1/share however many cores exist.
+    #[test]
+    fn busiest_lane_within_eight_fair_shares() {
+        let mut w = grouped_incast(IncastSpec::full(64, 4, 42));
+        w.run_until(Time(5_000_000));
+        let stats = w.lane_stats();
+        let total: u64 = stats.iter().map(|s| s.executed).sum();
+        let busiest = stats.iter().max_by_key(|s| s.executed).expect("64 lanes");
+        assert!(
+            busiest.executed * stats.len() as u64 <= 8 * total,
+            "lane {} executed {} of {total} events, over 8x the fair share of {} lanes",
+            busiest.lane,
+            busiest.executed,
+            stats.len()
+        );
     }
 }
 
