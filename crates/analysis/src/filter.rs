@@ -121,8 +121,4 @@ impl Filter {
     pub fn set_enabled(&self, on: bool) {
         self.enabled.set(on);
     }
-
-    pub fn clear_rules(&self) {
-        self.rules.borrow_mut().clear();
-    }
 }

@@ -12,7 +12,6 @@ use std::rc::Rc;
 
 use serde::Serialize;
 use xrdma_core::XrdmaContext;
-use xrdma_fabric::Fabric;
 use xrdma_sim::stats::{SeriesKind, TimeSeries};
 use xrdma_sim::{Dur, World};
 
@@ -33,24 +32,17 @@ pub struct Sample {
     pub poll_gap_warnings: u64,
 }
 
-/// Per-context tracked series (deltas converted to rates downstream).
+/// Per-context tracked transmit series (bytes per bucket; deltas
+/// converted to rates downstream).
 struct Tracked {
     ctx: Rc<XrdmaContext>,
     last_bytes_tx: u64,
-    last_bytes_rx: u64,
-    /// Throughput series (bytes per bucket).
-    pub tx_series: TimeSeries,
-    pub rx_series: TimeSeries,
-    /// Gauges.
-    pub qp_series: TimeSeries,
-    pub occ_series: TimeSeries,
-    pub inuse_series: TimeSeries,
+    tx_series: TimeSeries,
 }
 
 /// The monitor: attach contexts, run the world, read the series.
 pub struct Monitor {
     world: Rc<World>,
-    fabric: Option<Rc<Fabric>>,
     period: Dur,
     tracked: RefCell<Vec<Tracked>>,
     samples: RefCell<Vec<Sample>>,
@@ -63,7 +55,6 @@ impl Monitor {
     pub fn new(world: Rc<World>, period: Dur) -> Rc<Monitor> {
         Rc::new(Monitor {
             world,
-            fabric: None,
             period,
             tracked: RefCell::new(Vec::new()),
             samples: RefCell::new(Vec::new()),
@@ -78,12 +69,7 @@ impl Monitor {
         self.tracked.borrow_mut().push(Tracked {
             ctx: ctx.clone(),
             last_bytes_tx: 0,
-            last_bytes_rx: 0,
             tx_series: TimeSeries::new(bucket, SeriesKind::Sum),
-            rx_series: TimeSeries::new(bucket, SeriesKind::Sum),
-            qp_series: TimeSeries::new(bucket, SeriesKind::Max),
-            occ_series: TimeSeries::new(bucket, SeriesKind::Max),
-            inuse_series: TimeSeries::new(bucket, SeriesKind::Max),
         });
         self.start();
     }
@@ -114,14 +100,8 @@ impl Monitor {
             let rs = t.ctx.rnic().stats();
             let cs = t.ctx.stats();
             let tx_delta = rs.data_bytes_tx - t.last_bytes_tx;
-            let rx_delta = rs.data_bytes_rx - t.last_bytes_rx;
             t.last_bytes_tx = rs.data_bytes_tx;
-            t.last_bytes_rx = rs.data_bytes_rx;
             t.tx_series.record(now, tx_delta as f64);
-            t.rx_series.record(now, rx_delta as f64);
-            t.qp_series.record(now, t.ctx.rnic().qp_count() as f64);
-            t.occ_series.record(now, cs.memcache_occupied as f64);
-            t.inuse_series.record(now, cs.memcache_in_use as f64);
             let node = t.ctx.node().0;
             xrdma_telemetry::hub::with_active(|hub| {
                 let m = hub.metrics();
@@ -185,25 +165,8 @@ impl Monitor {
         self.tracked.borrow()[i].tx_series.rows()
     }
 
-    pub fn rx_rows(&self, i: usize) -> Vec<(f64, f64)> {
-        self.tracked.borrow()[i].rx_series.rows()
-    }
-
-    pub fn qp_rows(&self, i: usize) -> Vec<(f64, f64)> {
-        self.tracked.borrow()[i].qp_series.rows()
-    }
-
-    pub fn memcache_rows(&self, i: usize) -> (Vec<(f64, f64)>, Vec<(f64, f64)>) {
-        let t = self.tracked.borrow();
-        (t[i].occ_series.rows(), t[i].inuse_series.rows())
-    }
-
     /// JSON export of all samples (the production monitor's feed).
     pub fn to_json(&self) -> String {
         serde_json::to_string(&*self.samples.borrow()).expect("samples serialize")
-    }
-
-    pub fn set_fabric(&mut self, fabric: Rc<Fabric>) {
-        self.fabric = Some(fabric);
     }
 }

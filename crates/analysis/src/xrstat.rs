@@ -49,13 +49,6 @@ pub struct HealthRow {
     pub cnps_received: u64,
     pub rnr_naks_sent: u64,
     pub poll_gap_warnings: u64,
-    /// Share of this context's lifetime the adaptive engine spent
-    /// busy-polling (0 when the engine never entered `Adaptive` mode).
-    pub busy_poll_pct: f64,
-    /// Share spent in event-driven (armed notification) mode.
-    pub event_mode_pct: f64,
-    /// Busy↔event transitions of the adaptive engine.
-    pub poll_mode_switches: u64,
 }
 
 /// Collect the per-connection table for a context.
@@ -94,14 +87,6 @@ pub fn connection_table(ctx: &Rc<XrdmaContext>) -> Vec<StatRow> {
 pub fn health(ctx: &Rc<XrdmaContext>) -> HealthRow {
     let rs = ctx.rnic().stats();
     let cs = ctx.stats();
-    let resident = (cs.busy_poll_ns + cs.event_mode_ns) as f64;
-    let pct = |ns: u64| {
-        if resident > 0.0 {
-            100.0 * ns as f64 / resident
-        } else {
-            0.0
-        }
-    };
     HealthRow {
         node: ctx.node().0,
         qp_count: ctx.rnic().qp_count(),
@@ -110,9 +95,6 @@ pub fn health(ctx: &Rc<XrdmaContext>) -> HealthRow {
         cnps_received: rs.cnps_received,
         rnr_naks_sent: rs.rnr_naks_sent,
         poll_gap_warnings: cs.poll_gap_warnings,
-        busy_poll_pct: pct(cs.busy_poll_ns),
-        event_mode_pct: pct(cs.event_mode_ns),
-        poll_mode_switches: cs.poll_mode_switches,
     }
 }
 
@@ -130,20 +112,6 @@ pub fn fabric_health(fabric: &Rc<Fabric>) -> String {
         fabric.stats().max_queue_depth(),
         fabric.buffered_bytes(),
     )
-}
-
-/// Per-port PFC pause table (§VI-B "PFC status"): which links were paused
-/// and how often — the fabric tracks this internally; this surfaces it.
-pub fn pfc_pause_table(fabric: &Rc<Fabric>) -> String {
-    let per_port = fabric.stats().per_port_pauses();
-    if per_port.is_empty() {
-        return String::from("PFC-PAUSES: none\n");
-    }
-    let mut out = String::from("PORT          PFC-XOFF\n");
-    for (port, n) in per_port {
-        out.push_str(&format!("{port:<13} {n}\n"));
-    }
-    out
 }
 
 /// Summarize telemetry-hub events per kind — the quick "what happened on
@@ -347,15 +315,6 @@ pub fn render_qp_cache_panel(p: &QpCachePanel) -> String {
     out
 }
 
-/// Render the health row's progress-engine residency ("where does this
-/// context's poll loop live?").
-pub fn render_engine_residency(h: &HealthRow) -> String {
-    format!(
-        "NODE   BUSY%   EVENT%  MODE-SW\nn{:<5} {:<7.1} {:<7.1} {}\n",
-        h.node, h.busy_poll_pct, h.event_mode_pct, h.poll_mode_switches,
-    )
-}
-
 /// Render the threaded-engine lane panel (DESIGN.md §3.15): one row per
 /// lane with barrier rounds, executed events, mailbox send/recv counts
 /// and telemetry records, plus a residency summary naming the busiest
@@ -480,27 +439,6 @@ mod tests {
         assert!(s.contains("pool=64/64"));
         assert!(s.contains("reest=116"));
         assert!(s.contains("SRQ posted=4000/4096"));
-    }
-
-    #[test]
-    fn engine_residency_renders() {
-        let h = HealthRow {
-            node: 4,
-            qp_count: 2,
-            registered_mb: 8.0,
-            pfc_pauses_seen: 0,
-            cnps_received: 0,
-            rnr_naks_sent: 0,
-            poll_gap_warnings: 0,
-            busy_poll_pct: 62.5,
-            event_mode_pct: 37.5,
-            poll_mode_switches: 9,
-        };
-        let s = render_engine_residency(&h);
-        assert!(s.contains("BUSY%"));
-        assert!(s.contains("62.5"));
-        assert!(s.contains("37.5"));
-        assert!(s.lines().any(|l| l.ends_with('9')));
     }
 
     #[test]

@@ -133,9 +133,4 @@ impl XdbFrontend {
     pub fn p99_us(&self) -> f64 {
         self.latency.borrow().percentile(99.0) as f64 / 1e3
     }
-
-    pub fn mean_tps(&self, from_bucket: usize, to_bucket: usize) -> f64 {
-        let per_bucket = self.tps.borrow().mean_over(from_bucket, to_bucket);
-        per_bucket * 1e9 / self.cfg.bucket.as_nanos() as f64
-    }
 }

@@ -283,8 +283,8 @@ fn bench_shared_cq(c: &mut Criterion) {
         span: xrdma_rnic::SpanToken::NONE,
     };
     let mut g = c.benchmark_group("shared_cq");
-    // The adaptive engine's spin case: polling an empty queue must cost
-    // next to nothing (it happens `poll_spin_limit` times per idle spell).
+    // The empty poll: a pump that finds the CQ already drained pays it
+    // before re-arming the notification, so it must cost next to nothing.
     g.bench_function("poll_cq_empty", |b| {
         let cq = SharedCq::new(0, 256);
         let mut out = Vec::with_capacity(64);

@@ -18,7 +18,7 @@
 //!
 //! Requires `--features telemetry` (the span layer compiles to nothing
 //! without it); prints a note and exits cleanly otherwise.
-//! `XRDMA_LATBREAK_SMOKE=1` shrinks the sweep for CI.
+//! `XRDMA_SMOKE=1` shrinks the sweep for CI.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -29,10 +29,6 @@ use xrdma_core::{XrdmaChannel, XrdmaConfig};
 use xrdma_fabric::FabricConfig;
 use xrdma_sim::Dur;
 use xrdma_telemetry::{HubConfig, StageStat, TelemetryHub};
-
-fn smoke() -> bool {
-    std::env::var("XRDMA_LATBREAK_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// Breakdown rows measured at one `(size, depth)` sweep point.
 struct Point {
@@ -93,7 +89,7 @@ fn main() {
         );
         return;
     }
-    let smoke = smoke();
+    let smoke = xrdma_bench::smoke();
     let (sizes, depths, span): (&[u64], &[u32], Dur) = if smoke {
         (&[64, 16384], &[4], Dur::millis(5))
     } else {

@@ -17,7 +17,7 @@
 //! *or* ≤0.7× cycles/msg, batched over serial. The differential test in
 //! `tests/batching.rs` guarantees the two legs do identical work.
 //!
-//! `XRDMA_MSGRATE_SMOKE=1` shrinks the sweep to {1, 4} connections and
+//! `XRDMA_SMOKE=1` shrinks the sweep to {1, 4} connections and
 //! drops the speedup gate (tiny runs are dominated by setup).
 
 use std::cell::{Cell, RefCell};
@@ -31,10 +31,6 @@ use xrdma_sim::Dur;
 
 const MSG_BYTES: u64 = 64;
 const DEPTH: u32 = 8;
-
-fn smoke() -> bool {
-    std::env::var("XRDMA_MSGRATE_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// One measured leg.
 struct Leg {
@@ -101,7 +97,7 @@ fn run(cfg: &XrdmaConfig, conns: u32, span: Dur, seed: u64) -> Leg {
 }
 
 fn main() {
-    let smoke = smoke();
+    let smoke = xrdma_bench::smoke();
     let (sweep, span): (&[u32], Dur) = if smoke {
         (&[1, 4], Dur::millis(5))
     } else {

@@ -31,7 +31,7 @@
 //! 100 K point, mux miss rate pinned near zero past the cliff, receive
 //! memory per connection ≤¼ of per-channel, and a faster restart ramp.
 //!
-//! `XRDMA_QPSCALE_SMOKE=1` shrinks the sweep to {256, 1024} logical
+//! `XRDMA_SMOKE=1` shrinks the sweep to {256, 1024} logical
 //! connections and drops the ratio gates (tiny runs sit below the cliff).
 
 use std::cell::{Cell, RefCell};
@@ -65,10 +65,6 @@ const LANES: u64 = 8;
 /// the `SERVERS × LANES` pool slots sees traffic.
 fn peer_of(i: usize) -> NodeId {
     NodeId(1 + ((i as u32 / LANES as u32) % SERVERS))
-}
-
-fn smoke() -> bool {
-    std::env::var("XRDMA_QPSCALE_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// PCIe-RTT-scale QP-context fetch: a cold context forces the dependent
@@ -376,7 +372,7 @@ fn sample_ramp(net: &Net, n: usize, live: impl Fn() -> usize) -> Ramp {
 }
 
 fn main() {
-    let smoke = smoke();
+    let smoke = xrdma_bench::smoke();
     let counts: &[usize] = if smoke {
         &[256, 1024]
     } else {

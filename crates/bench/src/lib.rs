@@ -28,3 +28,10 @@ pub mod report;
 pub mod scenarios;
 
 pub use report::Report;
+
+/// Whether `XRDMA_SMOKE` is set (to anything but empty or `0`): the sweep
+/// binaries then run a shrunken sweep for CI, each documenting what it
+/// drops.
+pub fn smoke() -> bool {
+    std::env::var("XRDMA_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
+}

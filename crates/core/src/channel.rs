@@ -15,7 +15,7 @@ use xrdma_sim::stats::{HistSummary, Histogram};
 use xrdma_sim::{Dur, Time};
 use xrdma_telemetry::{span_end, span_mark, span_open, tele, SpanToken};
 
-use crate::config::MsgMode;
+use crate::config::{MsgMode, CPU_TRACE, FRAG_BYTES, MAX_MSG_SIZE};
 use crate::context::XrdmaContext;
 use crate::error::XrdmaError;
 use crate::memcache::McBuf;
@@ -344,8 +344,7 @@ impl XrdmaChannel {
         // Largest eager message: full header + small body. Bounded by the
         // maximum message size so an "everything eager" configuration
         // cannot demand absurd slots.
-        let cfg = ctx.config();
-        cfg.small_msg_size.min(cfg.max_msg_size) + 64
+        ctx.config().small_msg_size.min(MAX_MSG_SIZE) + 64
     }
 
     /// Register the inbound request/one-way handler.
@@ -363,14 +362,6 @@ impl XrdmaChannel {
     /// Per-connection statistics (the XR-Stat row).
     pub fn stats(&self) -> ChannelStats {
         *self.stats.borrow()
-    }
-
-    /// This connection's QP-context cache accounting `(hits, misses)`,
-    /// charged per send/receive touch by the RNIC engine. The per-send
-    /// view of whether this QP is resident in RNIC SRAM or being crowded
-    /// out (the signal behind the mux pool bound).
-    pub fn qp_ctx_cache(&self) -> (u64, u64) {
-        (self.qp.ctx_cache_hits.get(), self.qp.ctx_cache_misses.get())
     }
 
     /// CQE batch sizes this channel's QP contributed per `poll_cq` drain
@@ -548,17 +539,10 @@ impl XrdmaChannel {
         mux: Option<MuxDesc>,
     ) -> Result<(), XrdmaError> {
         if self.closed.get() {
-            if std::env::var_os("XRDMA_DEBUG").is_some() {
-                eprintln!(
-                    "[debug] qp{} send {:?} on closed channel",
-                    self.qp.qpn.0, kind
-                );
-            }
             return Err(XrdmaError::ChannelClosed);
         }
         let ctx = self.ctx()?;
-        let cfg_max = ctx.config().max_msg_size;
-        if body.len() > cfg_max {
+        if body.len() > MAX_MSG_SIZE {
             return Err(XrdmaError::TooLarge(body.len()));
         }
         if ctx.flow_saturated() {
@@ -569,7 +553,7 @@ impl XrdmaChannel {
         // CPU cost of the send call (§VII-A overhead calibration).
         let mut cpu = ctx.config().cpu_send;
         if trace.is_some() {
-            cpu += ctx.config().cpu_trace;
+            cpu += CPU_TRACE;
         }
         ctx.thread().charge(cpu);
 
@@ -999,20 +983,16 @@ impl XrdmaChannel {
         len: u64,
         buf: McBuf,
     ) {
-        let fc = ctx.config().flowctl;
-        let frag = if fc.enabled { fc.frag_bytes } else { u64::MAX };
-        let nfrags = if len == 0 {
-            1u64
-        } else {
-            len.div_ceil(frag.max(1))
-        };
+        let fragmented = ctx.config().flowctl.enabled;
+        let frag = if fragmented { FRAG_BYTES } else { u64::MAX };
+        let nfrags = if len == 0 { 1u64 } else { len.div_ceil(frag) };
         self.fetches.borrow_mut().insert(
             seq,
             LargeFetch {
                 frags_left: nfrags as u32,
             },
         );
-        if fc.enabled && nfrags > 1 {
+        if fragmented && nfrags > 1 {
             self.stats.borrow_mut().fragments += nfrags;
         }
         for i in 0..nfrags {
@@ -1089,7 +1069,7 @@ impl XrdmaChannel {
     fn deliver_one(self: &Rc<Self>, ctx: &Rc<XrdmaContext>, msg: InMsg) {
         let mut cpu = ctx.config().cpu_recv;
         if msg.hdr.trace.is_some() {
-            cpu += ctx.config().cpu_trace;
+            cpu += CPU_TRACE;
         }
         ctx.thread().charge(cpu);
 
@@ -1134,21 +1114,10 @@ impl XrdmaChannel {
                 let cb = self.on_request.borrow();
                 if let Some(cb) = cb.as_ref() {
                     cb(self, app_msg, token);
-                } else if std::env::var_os("XRDMA_DEBUG").is_some() {
-                    eprintln!(
-                        "[debug] qp{} peer={} kind={:?} rpc={} dropped: no on_request handler",
-                        self.qp.qpn.0, self.peer, hdr.kind, hdr.rpc_id
-                    );
                 }
             }
             MsgKind::Response => {
                 let waiter = self.rpc_waiters.borrow_mut().remove(&hdr.rpc_id);
-                if waiter.is_none() && std::env::var_os("XRDMA_DEBUG").is_some() {
-                    eprintln!(
-                        "[debug] qp{} peer={} response rpc={} len={} has no waiter",
-                        self.qp.qpn.0, self.peer, hdr.rpc_id, hdr.body_len
-                    );
-                }
                 if let Some(w) = waiter {
                     {
                         let mut st = self.stats.borrow_mut();

@@ -4,12 +4,45 @@
 //! "Online" parameters may be changed at runtime through
 //! `XrdmaContext::set_flag` (the XR-Adm distribution path); "offline" ones
 //! are fixed once the context is created, exactly as in the paper.
+//!
+//! Values that no experiment varies are `const`s below rather than
+//! fields: the hybrid-polling window and wake-up cost, the per-call CPU
+//! costs of tracing, doorbells and `poll_cq`, the message-size cap and the
+//! flow-control fragment size. They are design constants of this model,
+//! not Table III parameters.
 
 use serde::Serialize;
 use xrdma_rnic::PageKind;
 use xrdma_sim::Dur;
 
 use crate::error::XrdmaError;
+
+/// Busy-poll window for `PollMode::Hybrid`: a wake-up within this long of
+/// the last pump finds the thread still spinning.
+pub const HYBRID_WINDOW: Dur = Dur::micros(100);
+
+/// Wake-up latency paid in Event mode (or Hybrid outside the window).
+pub const WAKEUP_LATENCY: Dur = Dur::micros(2);
+
+/// Extra host CPU cost per side when tracing headers are on (req-rsp mode).
+pub const CPU_TRACE: Dur = Dur::nanos(100);
+
+/// Host CPU cost of one doorbell ring (MMIO write + WQE flush). Paid once
+/// per postlist when coalescing, once per WR otherwise.
+pub const CPU_DOORBELL: Dur = Dur::nanos(800);
+
+/// Host CPU cost of one `poll_cq` call (one CQ cacheline sweep),
+/// independent of how many CQEs it drains — the per-call overhead
+/// batching amortizes.
+pub const CPU_POLL: Dur = Dur::nanos(250);
+
+/// Maximum message size accepted by `send_msg`.
+pub const MAX_MSG_SIZE: u64 = 64 * 1024 * 1024;
+
+/// Fragment size for large transfers under flow control (§V-C). The paper
+/// lands on 64 KiB: moderate fragments unblock the RNIC without saturating
+/// it.
+pub const FRAG_BYTES: u64 = 64 * 1024;
 
 /// Message framing mode (§VI-A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -29,22 +62,15 @@ pub enum PollMode {
     /// Event (epoll) mode: every wake-up pays the block/unblock cost.
     Event,
     /// NAPI-style hybrid: epoll first, then stay in busy polling while
-    /// traffic keeps arriving within `hybrid_window`.
+    /// traffic keeps arriving within [`HYBRID_WINDOW`].
     Hybrid,
-    /// Adaptive engine: busy-poll the shared CQ while completions keep
-    /// arriving, fall back to event-driven wakeup after `poll_spin_limit`
-    /// consecutive empty polls. Unlike `Hybrid` (a fixed time window),
-    /// this reacts to the observed completion stream itself.
-    Adaptive,
 }
 
 /// Flow-control parameters (§V-C).
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct FlowCtlConfig {
+    /// Fragment large transfers at [`FRAG_BYTES`] and gate data WRs.
     pub enabled: bool,
-    /// Fragment size for large transfers. The paper lands on 64 KiB:
-    /// moderate fragments unblock the RNIC without saturating it.
-    pub frag_bytes: u64,
     /// Maximum outstanding data WRs per context; excess queues in
     /// software.
     pub max_outstanding: usize,
@@ -56,7 +82,6 @@ impl Default for FlowCtlConfig {
     fn default() -> Self {
         FlowCtlConfig {
             enabled: true,
-            frag_bytes: 64 * 1024,
             max_outstanding: 16,
             queue_cap: 100_000,
         }
@@ -133,10 +158,6 @@ pub struct XrdmaConfig {
     pub nop_timeout: Dur,
     pub msg_mode: MsgMode,
     pub poll_mode: PollMode,
-    /// Busy-poll window for hybrid mode.
-    pub hybrid_window: Dur,
-    /// Wake-up latency paid in Event mode (or Hybrid outside the window).
-    pub wakeup_latency: Dur,
     /// Maximum CQEs drained per `poll_cq` call (the batch size of the
     /// shared-CQ fast path).
     pub cq_poll_batch: usize,
@@ -144,19 +165,10 @@ pub struct XrdmaConfig {
     /// postlist ringing one doorbell. Off = one doorbell per WR
     /// (the pre-fast-path behaviour, kept for differential testing).
     pub doorbell_coalesce: bool,
-    /// Adaptive engine: consecutive empty polls before busy polling gives
-    /// up and falls back to event-driven wakeup.
-    pub poll_spin_limit: u32,
-    /// Adaptive engine: simulated gap between consecutive busy polls
-    /// (models the spin loop's cycle cost; must be nonzero or an idle
-    /// busy-poller would spin at one instant forever).
-    pub poll_spin_gap: Dur,
     pub flowctl: FlowCtlConfig,
     pub memcache: MemCacheConfig,
     /// QP cache capacity (0 disables recycling).
     pub qp_cache: usize,
-    /// Maximum message size accepted by `send_msg`.
-    pub max_msg_size: u64,
 
     // -------------------------- connection mux ------------------------
     /// Maximum live physical QP slots a `ChannelMux` holds before LRU
@@ -173,14 +185,6 @@ pub struct XrdmaConfig {
     pub cpu_send: Dur,
     /// Host CPU cost charged per delivered message.
     pub cpu_recv: Dur,
-    /// Extra cost per side when tracing headers are on (req-rsp mode).
-    pub cpu_trace: Dur,
-    /// Host CPU cost of one doorbell ring (MMIO write + WQE flush). Paid
-    /// once per postlist when coalescing, once per WR otherwise.
-    pub cpu_doorbell: Dur,
-    /// Host CPU cost of one `poll_cq` call, independent of how many CQEs
-    /// it drains — the per-call overhead batching amortizes.
-    pub cpu_poll: Dur,
 }
 
 impl Default for XrdmaConfig {
@@ -201,16 +205,11 @@ impl Default for XrdmaConfig {
             nop_timeout: Dur::millis(20),
             msg_mode: MsgMode::BareData,
             poll_mode: PollMode::Hybrid,
-            hybrid_window: Dur::micros(100),
-            wakeup_latency: Dur::micros(2),
             cq_poll_batch: 64,
             doorbell_coalesce: true,
-            poll_spin_limit: 4,
-            poll_spin_gap: Dur::nanos(200),
             flowctl: FlowCtlConfig::default(),
             memcache: MemCacheConfig::default(),
             qp_cache: 64,
-            max_msg_size: 64 * 1024 * 1024,
             // Pool well under the modeled QP-context SRAM (1024 entries)
             // so a mux-backed node never thrashes it; 2 lanes per peer
             // keeps fan-in bounded at the default scale.
@@ -220,12 +219,6 @@ impl Default for XrdmaConfig {
             // above the raw-verbs reference loop (the ≤10 % of §VII-A).
             cpu_send: Dur::nanos(1570),
             cpu_recv: Dur::nanos(1570),
-            cpu_trace: Dur::nanos(100),
-            // Doorbell ≈ one MMIO write + WQE build; poll_cq ≈ one CQ
-            // cacheline sweep. Both are per-call, which is exactly what
-            // coalescing and batching amortize.
-            cpu_doorbell: Dur::nanos(800),
-            cpu_poll: Dur::nanos(250),
         }
     }
 }
@@ -281,8 +274,7 @@ impl XrdmaConfig {
                     "busy" => PollMode::Busy,
                     "event" => PollMode::Event,
                     "hybrid" => PollMode::Hybrid,
-                    "adaptive" => PollMode::Adaptive,
-                    _ => return Err(XrdmaError::BadConfig("expected busy|event|hybrid|adaptive")),
+                    _ => return Err(XrdmaError::BadConfig("expected busy|event|hybrid")),
                 };
                 Ok(())
             }
@@ -292,14 +284,6 @@ impl XrdmaConfig {
                     "false" | "0" => false,
                     _ => return Err(XrdmaError::BadConfig("expected bool")),
                 };
-                Ok(())
-            }
-            "poll_spin_limit" => {
-                let n = num(value)?;
-                if n == 0 {
-                    return Err(XrdmaError::BadConfig("poll_spin_limit must be >= 1"));
-                }
-                self.poll_spin_limit = n as u32;
                 Ok(())
             }
             // Offline parameters cannot change at runtime.
@@ -325,13 +309,20 @@ mod tests {
     fn defaults_match_paper() {
         let c = XrdmaConfig::default();
         assert_eq!(c.small_msg_size, 4096, "§IV-C: 4 KB threshold");
-        assert_eq!(c.flowctl.frag_bytes, 64 * 1024, "§V-C: 64 KB fragments");
+        assert_eq!(FRAG_BYTES, 64 * 1024, "§V-C: 64 KB fragments");
         assert_eq!(c.memcache.mr_bytes, 4 * 1024 * 1024, "§IV-E: 4 MB MRs");
         assert!(!c.use_srq, "§VII-F: SRQ supported but disabled by default");
         assert!(
             c.inflight_depth < c.cq_size as u32,
             "§IV-D depth < CQ depth"
         );
+        assert_eq!(c.poll_mode, PollMode::Hybrid, "§IV-B hybrid polling");
+        assert_eq!(HYBRID_WINDOW, Dur::micros(100));
+        assert_eq!(WAKEUP_LATENCY, Dur::micros(2));
+        assert_eq!(CPU_TRACE, Dur::nanos(100));
+        assert_eq!(CPU_DOORBELL, Dur::nanos(800));
+        assert_eq!(CPU_POLL, Dur::nanos(250));
+        assert_eq!(MAX_MSG_SIZE, 64 * 1024 * 1024);
     }
 
     #[test]
@@ -347,13 +338,11 @@ mod tests {
         assert!(!c.flowctl.enabled);
         c.set_flag("msg_mode", "reqrsp").unwrap();
         assert_eq!(c.msg_mode, MsgMode::ReqRsp);
-        c.set_flag("poll_mode", "adaptive").unwrap();
-        assert_eq!(c.poll_mode, PollMode::Adaptive);
+        c.set_flag("poll_mode", "event").unwrap();
+        assert_eq!(c.poll_mode, PollMode::Event);
         c.set_flag("doorbell_coalesce", "0").unwrap();
         assert!(!c.doorbell_coalesce);
-        c.set_flag("poll_spin_limit", "8").unwrap();
-        assert_eq!(c.poll_spin_limit, 8);
-        assert!(c.set_flag("poll_spin_limit", "0").is_err());
+        assert!(c.set_flag("poll_mode", "adaptive").is_err());
         assert!(c.set_flag("poll_mode", "turbo").is_err());
     }
 
@@ -383,6 +372,12 @@ mod tests {
     fn unknown_and_malformed() {
         let mut c = XrdmaConfig::default();
         assert!(c.set_flag("no_such_key", "1").is_err());
+        // The retired adaptive poller's spin limit is no longer a key.
+        let retired = ["poll", "spin", "limit"].join("_");
+        assert_eq!(
+            c.set_flag(&retired, "8"),
+            Err(XrdmaError::BadConfig("unknown key"))
+        );
         assert!(c.set_flag("keepalive_intv_ms", "soon").is_err());
         assert!(c.set_flag("flowctl_enabled", "maybe").is_err());
     }

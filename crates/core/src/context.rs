@@ -19,7 +19,7 @@ use xrdma_sim::{CpuThread, Dur, SimRng, Time, World};
 use xrdma_telemetry::tele;
 
 use crate::channel::{wr_tag, CloseReason, XrdmaChannel, TAG_READ};
-use crate::config::{PollMode, XrdmaConfig};
+use crate::config::{PollMode, XrdmaConfig, CPU_DOORBELL, CPU_POLL, HYBRID_WINDOW, WAKEUP_LATENCY};
 use crate::error::XrdmaError;
 use crate::memcache::{McBuf, MemCache};
 use crate::proto::Header;
@@ -133,13 +133,6 @@ pub struct XrdmaContext {
     granted_doorbell: RefCell<Vec<(Rc<XrdmaChannel>, SendWr)>>,
     /// Whether a granted-WR flush is queued on the thread.
     granted_armed: Cell<bool>,
-    /// Adaptive engine: currently busy-polling (`true`) or event-driven.
-    engine_hot: Cell<bool>,
-    /// Consecutive empty polls while busy (falls back to event mode at
-    /// `poll_spin_limit`).
-    empty_streak: Cell<u32>,
-    /// When the engine last switched modes (residency accounting).
-    mode_entered_at: Cell<Time>,
 }
 
 /// §VI-A method II edge rule: a poll gap is only a violation when it
@@ -230,9 +223,6 @@ impl XrdmaContext {
             doorbell_armed: Cell::new(false),
             granted_doorbell: RefCell::new(Vec::new()),
             granted_armed: Cell::new(false),
-            engine_hot: Cell::new(false),
-            empty_streak: Cell::new(0),
-            mode_entered_at: Cell::new(Time::ZERO),
         });
         // Wire the completion channel into the poll loop.
         {
@@ -381,7 +371,7 @@ impl XrdmaContext {
     pub fn polling(self: &Rc<Self>, max: usize) -> usize {
         // Per-call cost of poll_cq, independent of how many CQEs it
         // drains — the overhead CQ batching amortizes.
-        self.thread.charge(self.config().cpu_poll);
+        self.thread.charge(CPU_POLL);
         let mut buf = self.poll_buf.take();
         let n = self.cq.poll_cq(&mut buf, max);
         // Per-channel batch-size accounting (xr-stat's CQ-BATCH column).
@@ -409,9 +399,7 @@ impl XrdmaContext {
                 st.cq_empty_polls += 1;
             }
         }
-        if self.config().poll_mode == PollMode::Adaptive {
-            self.adaptive_after_poll(n);
-        } else if self.cq.is_empty() {
+        if self.cq.is_empty() {
             self.cq.req_notify();
         } else {
             self.schedule_pump();
@@ -808,7 +796,7 @@ impl XrdmaContext {
     /// Charge one doorbell ring carrying `wrs` WRs: CPU cost plus the
     /// coalescing-factor counters.
     pub(crate) fn charge_doorbell(&self, wrs: u64) {
-        self.thread.charge(self.config().cpu_doorbell);
+        self.thread.charge(CPU_DOORBELL);
         let mut st = self.stats.borrow_mut();
         st.doorbells_rung += 1;
         st.doorbell_wrs += wrs;
@@ -827,27 +815,15 @@ impl XrdmaContext {
         if self.pump_scheduled.replace(true) {
             return;
         }
-        let delay = {
-            let cfg = self.config();
-            match cfg.poll_mode {
-                PollMode::Busy => Dur::ZERO,
-                PollMode::Event => cfg.wakeup_latency,
-                PollMode::Hybrid => {
-                    let since = self.world.now().since(self.last_traffic.get());
-                    if since <= cfg.hybrid_window {
-                        Dur::ZERO
-                    } else {
-                        cfg.wakeup_latency
-                    }
-                }
-                // Hot = already spinning on the CQ, no wake-up to pay;
-                // cold = armed notification, epoll wake-up cost applies.
-                PollMode::Adaptive => {
-                    if self.engine_hot.get() {
-                        Dur::ZERO
-                    } else {
-                        cfg.wakeup_latency
-                    }
+        let delay = match self.config().poll_mode {
+            PollMode::Busy => Dur::ZERO,
+            PollMode::Event => WAKEUP_LATENCY,
+            PollMode::Hybrid => {
+                let since = self.world.now().since(self.last_traffic.get());
+                if since <= HYBRID_WINDOW {
+                    Dur::ZERO
+                } else {
+                    WAKEUP_LATENCY
                 }
             }
         };
@@ -885,80 +861,6 @@ impl XrdmaContext {
         self.polling(batch);
         self.last_pump_end
             .set(self.world.now().max(self.thread.busy_until()));
-    }
-
-    // ------------------------------------------------------------------
-    // Adaptive progress engine (§IV-B): busy-poll while hot, fall back
-    // to event-driven wakeup after `poll_spin_limit` empty polls.
-    // ------------------------------------------------------------------
-
-    fn adaptive_after_poll(self: &Rc<Self>, n: usize) {
-        let (limit, gap) = {
-            let cfg = self.config();
-            (cfg.poll_spin_limit, cfg.poll_spin_gap)
-        };
-        if n > 0 {
-            self.empty_streak.set(0);
-            if !self.engine_hot.get() {
-                self.switch_mode(true);
-            }
-            if self.cq.is_empty() {
-                self.schedule_spin(gap);
-            } else {
-                self.schedule_pump();
-            }
-        } else if self.engine_hot.get() {
-            let streak = self.empty_streak.get() + 1;
-            self.empty_streak.set(streak);
-            if streak >= limit {
-                self.switch_mode(false);
-                self.cq.req_notify();
-            } else {
-                self.schedule_spin(gap);
-            }
-        } else {
-            // Cold and empty: stay event-driven, re-arm the notification.
-            self.cq.req_notify();
-        }
-    }
-
-    /// Busy-poll respin: re-run the pump after the spin-loop gap without
-    /// arming the completion channel and without counting as a poll-gap
-    /// request (an empty spin is not a completion waiting for service).
-    /// The gap must be nonzero: a zero-delay respin on an empty CQ would
-    /// pin the simulation at one instant forever.
-    fn schedule_spin(self: &Rc<Self>, gap: Dur) {
-        if self.pump_scheduled.replace(true) {
-            return;
-        }
-        let me = self.clone();
-        self.thread.exec(gap.max(Dur::nanos(1)), move |_| {
-            me.pump_scheduled.set(false);
-            me.pump();
-        });
-    }
-
-    /// Cross into busy (`hot = true`) or event mode, accumulating the
-    /// residency of the mode being left.
-    fn switch_mode(self: &Rc<Self>, hot: bool) {
-        let now = self.world.now();
-        let span = now.since(self.mode_entered_at.get()).as_nanos();
-        {
-            let mut st = self.stats.borrow_mut();
-            if self.engine_hot.get() {
-                st.busy_poll_ns += span;
-            } else {
-                st.event_mode_ns += span;
-            }
-            st.poll_mode_switches += 1;
-        }
-        self.engine_hot.set(hot);
-        self.mode_entered_at.set(now);
-        tele!(PollModeSwitch {
-            node: self.node().0,
-            to: if hot { "busy" } else { "event" },
-            empty_polls: self.stats.borrow().cq_empty_polls,
-        });
     }
 
     fn dispatch(self: &Rc<Self>, cqe: Cqe) {
@@ -1110,20 +1012,6 @@ impl XrdmaContext {
 
     pub fn stats(&self) -> ContextStats {
         let mut st = self.stats.borrow().clone();
-        // Residency of the mode currently in progress (otherwise a context
-        // that never switched back would report zero).
-        if self.config().poll_mode == PollMode::Adaptive {
-            let span = self
-                .world
-                .now()
-                .since(self.mode_entered_at.get())
-                .as_nanos();
-            if self.engine_hot.get() {
-                st.busy_poll_ns += span;
-            } else {
-                st.event_mode_ns += span;
-            }
-        }
         st.channels_open = self.channels.borrow().len();
         st.memcache_occupied = self.memcache.occupied_bytes();
         st.memcache_in_use = self.memcache.in_use_bytes();
@@ -1136,11 +1024,6 @@ impl XrdmaContext {
             None
         };
         st
-    }
-
-    /// Raw RPC latency histogram (benchmarks read percentiles off it).
-    pub fn rpc_latency_histogram(&self) -> Histogram {
-        self.rpc_latency.borrow().clone()
     }
 
     pub(crate) fn record_rpc_latency(&self, d: Dur) {

@@ -320,19 +320,6 @@ impl ChannelMux {
         &self.ctx
     }
 
-    /// Live physical channels, in slot order (diagnostics: per-QP window
-    /// and seq-ack state behind the pool).
-    pub fn live_channels(&self) -> Vec<Rc<XrdmaChannel>> {
-        self.slots
-            .borrow()
-            .values()
-            .filter_map(|s| match s {
-                Slot::Live { ch, .. } => Some(ch.clone()),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Counters; `pool_live` is filled from the live slot map on read.
     pub fn stats(&self) -> MuxStats {
         let mut s = *self.stats.borrow();

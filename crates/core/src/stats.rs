@@ -55,15 +55,9 @@ pub struct ContextStats {
     /// Poll gaps exceeding `polling_warn_cycle` (§VI-A method II).
     pub poll_gap_warnings: u64,
     /// `poll_cq` calls issued by the progress engine, and the subset that
-    /// drained no CQEs (the empty spins of the adaptive engine).
+    /// drained no CQEs.
     pub cq_polls: u64,
     pub cq_empty_polls: u64,
-    /// Adaptive engine busy↔event transitions.
-    pub poll_mode_switches: u64,
-    /// Virtual nanoseconds the adaptive engine spent in each mode
-    /// (residency; busy + event ≈ context lifetime under `Adaptive`).
-    pub busy_poll_ns: u64,
-    pub event_mode_ns: u64,
     /// Doorbells rung and WRs they carried; `doorbell_wrs / doorbells_rung`
     /// is the postlist coalescing factor actually achieved.
     pub doorbells_rung: u64,

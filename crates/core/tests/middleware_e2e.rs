@@ -6,7 +6,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use xrdma_core::{XrdmaChannel, XrdmaConfig, XrdmaContext, XrdmaError};
+use xrdma_core::{PollMode, XrdmaChannel, XrdmaConfig, XrdmaContext, XrdmaError};
 use xrdma_fabric::{Fabric, FabricConfig, NodeId};
 use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
 use xrdma_sim::{Dur, SimRng, World};
@@ -498,6 +498,64 @@ fn backpressure_error_at_flow_queue_cap() {
     );
 }
 
+/// Round-trip times of two 64 B RPCs under `mode`: the first issued after
+/// 1 ms of idling, the second `gap` after the first one's response landed.
+fn cold_then_gap_rtt(mode: PollMode, gap: Dur) -> (u64, u64) {
+    let mut cfg = XrdmaConfig::default();
+    cfg.poll_mode = mode;
+    let net = net(FabricConfig::pair(), 40);
+    let client = ctx(&net, 0, cfg.clone());
+    let server = ctx(&net, 1, cfg);
+    let (c, s) = connect_pair(&net, &client, &server, 7);
+    s.set_on_request(|ch, _m, tok| ch.respond_size(tok, 64).unwrap());
+    net.world.run_for(Dur::millis(1));
+    let rtts = Rc::new(RefCell::new(Vec::new()));
+    let (w, r) = (net.world.clone(), rtts.clone());
+    let t0 = w.now();
+    c.send_request_size(64, move |ch, _| {
+        r.borrow_mut().push(w.now().since(t0).as_nanos());
+        let (ch, w2) = (ch.clone(), w.clone());
+        w.schedule_in(gap, move || {
+            let t1 = w2.now();
+            ch.send_request_size(64, move |_, _| {
+                r.borrow_mut().push(w2.now().since(t1).as_nanos());
+            })
+            .unwrap();
+        });
+    })
+    .unwrap();
+    net.world.run_for(Dur::millis(1));
+    let rtts = rtts.borrow();
+    assert_eq!(rtts.len(), 2, "both RPCs completed");
+    (rtts[0], rtts[1])
+}
+
+/// §IV-B wake-up rule, pinned in virtual nanoseconds. A wake-up costs
+/// 2 µs. `Busy` never pays one; `Event` pays one on each side of every
+/// RPC. `Hybrid` pays one only when the server's last pump is more than
+/// 100 µs old (the client's own send completion re-warms it before the
+/// response lands): after 1 ms of idle and after a 120 µs gap, but not
+/// straight after traffic or after an 80 µs gap.
+#[test]
+fn hybrid_polling_pays_wakeups_only_after_idle() {
+    // (gap in µs, second RTT under Busy, Hybrid's extra on it). The first
+    // RPC follows 1 ms of idle: 9 648 ns under Busy.
+    for (gap, busy, hybrid_extra) in [(0, 10_968, 0), (80, 9_148, 0), (120, 9_148, 2_000)] {
+        let rtt = |mode| cold_then_gap_rtt(mode, Dur::micros(gap));
+        assert_eq!(rtt(PollMode::Busy), (9_648, busy), "Busy, gap {gap} µs");
+        assert_eq!(
+            rtt(PollMode::Hybrid),
+            (9_648 + 2_000, busy + hybrid_extra),
+            "Hybrid, gap {gap} µs"
+        );
+        assert_eq!(
+            rtt(PollMode::Event),
+            (9_648 + 4_000, busy + 4_000),
+            "Event, gap {gap} µs"
+        );
+    }
+}
+
 #[test]
 fn channel_edge_cases() {
     let net = net(FabricConfig::pair(), 31);
@@ -505,7 +563,7 @@ fn channel_edge_cases() {
     let server = ctx(&net, 1, XrdmaConfig::default());
     let (c, s) = connect_pair(&net, &client, &server, 7);
     // Oversized message refused up front.
-    let huge = client.config().max_msg_size + 1;
+    let huge = xrdma_core::config::MAX_MSG_SIZE + 1;
     assert!(matches!(
         c.send_oneway_size(huge),
         Err(XrdmaError::TooLarge(_))

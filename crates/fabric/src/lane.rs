@@ -201,11 +201,6 @@ impl<B> HostNicLane<B> {
     pub fn backlog_ns(&self, now_ns: u64) -> u64 {
         self.rx_busy_until_ns.saturating_sub(now_ns)
     }
-
-    /// Egress packets waiting behind the one on the wire.
-    pub fn egress_depth(&self) -> usize {
-        self.egress.len()
-    }
 }
 
 impl<B> std::fmt::Debug for HostNicLane<B> {

@@ -341,23 +341,9 @@ impl Switch {
         });
     }
 
-    /// Current PFC ingress occupancy (tests / monitoring).
-    pub fn ingress_bytes(&self, ingress: usize, prio: u8) -> u64 {
-        self.ingress.borrow()[ingress][prio as usize].bytes
-    }
-
     /// Convenience: sum of all egress queue occupancy.
     pub fn buffered_bytes(&self) -> u64 {
         self.ports.borrow().iter().map(|p| p.total_queued()).sum()
-    }
-
-    /// Host this switch serves at down-port `i` (ToR only; diagnostics).
-    pub fn down_host(&self, i: usize) -> Option<NodeId> {
-        if self.addr.tier == Tier::Tor && i < self.n_down {
-            Some(NodeId(self.addr.idx * self.topo.hosts_per_tor + i as u32))
-        } else {
-            None
-        }
     }
 }
 

@@ -1,155 +1,35 @@
-//! Machine-readable output and the committed-baseline mechanism.
+//! Machine-readable output.
 //!
 //! `--format json` renders the full report as a deterministic, stably
 //! sorted JSON document (no timestamps, no map iteration, fixed key
 //! order), so `results/lint.json` is byte-identical across runs on the
 //! same tree and can sit under the CI golden-diff gate.
-//!
-//! The baseline file (`crates/lint/lint.baseline`) is the *debt
-//! register*: warning-severity findings that are real but accepted until
-//! a named refactor lands (today: the S1/S2 single-threaded-kernel state
-//! that ROADMAP item 1 will migrate). CI fails only on diagnostics NOT
-//! in the baseline, so new debt cannot slip in while old debt is being
-//! paid down. Entries match on `(rule, file, trimmed snippet)` — not
-//! line numbers — so unrelated edits above a baselined site don't
-//! invalidate it. The format is tab-separated text rather than JSON
-//! because the crate is std-only and a text format needs no parser:
-//!
-//! ```text
-//! # comment
-//! cross-shard-static<TAB>crates/telemetry/src/hub.rs<TAB>thread_local! {
-//! ```
 
 use std::path::Path;
 
-use crate::{AllowSite, FileReport, Severity, Violation};
+use crate::{AllowSite, FileReport};
 
-/// One committed-baseline entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BaselineEntry {
-    pub rule: String,
-    pub file: String,
-    pub snippet: String,
-}
-
-/// Parse a baseline file's text. Blank lines and `#` comments are
-/// skipped; anything else must be `rule<TAB>file<TAB>snippet`.
-/// Malformed lines are returned as errors (their 1-based line numbers).
-pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, Vec<usize>> {
-    let mut entries = Vec::new();
-    let mut bad = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, '\t');
-        match (parts.next(), parts.next(), parts.next()) {
-            (Some(rule), Some(file), Some(snippet)) if !rule.is_empty() && !file.is_empty() => {
-                entries.push(BaselineEntry {
-                    rule: rule.to_string(),
-                    file: file.to_string(),
-                    snippet: snippet.trim().to_string(),
-                });
-            }
-            _ => bad.push(idx + 1),
-        }
-    }
-    Ok(entries).and_then(|e| if bad.is_empty() { Ok(e) } else { Err(bad) })
-}
-
-/// Render violations back into baseline-file text (the `--write-baseline`
-/// workflow: regenerate, review the diff, commit).
-pub fn render_baseline(violations: &[Violation]) -> String {
-    let mut out = String::from(
-        "# xrdma-lint baseline: accepted diagnostics, one per line as\n\
-         # rule<TAB>file<TAB>snippet. CI fails only on diagnostics not\n\
-         # listed here. Regenerate with `xrdma-lint --write-baseline`\n\
-         # and review the diff before committing.\n",
-    );
-    for v in violations {
-        out.push_str(&format!(
-            "{}\t{}\t{}\n",
-            v.rule.name(),
-            display_path(&v.file),
-            v.snippet.trim()
-        ));
-    }
-    out
-}
-
-/// Baseline comparison: which violations are pre-existing debt, and
-/// which baseline entries no longer match anything (stale).
-pub struct BaselineDiff {
-    /// Parallel to the violations slice: `true` = covered by the baseline.
-    pub baselined: Vec<bool>,
-    /// Baseline entries that matched no violation. Stale entries are
-    /// reported as warnings (paid-down debt should be deleted) but do
-    /// not fail the run.
-    pub stale: Vec<BaselineEntry>,
-}
-
-/// Match violations against the baseline as a multiset on
-/// `(rule, file, trimmed snippet)`: two identical findings need two
-/// entries, and each entry covers exactly one finding.
-pub fn diff_baseline(violations: &[Violation], baseline: &[BaselineEntry]) -> BaselineDiff {
-    let mut remaining: Vec<Option<&BaselineEntry>> = baseline.iter().map(Some).collect();
-    let baselined = violations
-        .iter()
-        .map(|v| {
-            let key = (v.rule.name(), display_path(&v.file), v.snippet.trim());
-            for slot in remaining.iter_mut() {
-                if let Some(e) = slot {
-                    if (e.rule.as_str(), e.file.clone(), e.snippet.as_str()) == key {
-                        *slot = None;
-                        return true;
-                    }
-                }
-            }
-            false
-        })
-        .collect();
-    BaselineDiff {
-        baselined,
-        stale: remaining.into_iter().flatten().cloned().collect(),
-    }
-}
-
-/// Render the report as deterministic JSON. `diff` carries the baseline
-/// comparison; with no baseline in play, pass an all-`false` diff.
-pub fn render_json(report: &FileReport, diff: &BaselineDiff) -> String {
+/// Render the report as deterministic JSON.
+pub fn render_json(report: &FileReport) -> String {
     let mut out = String::with_capacity(4096);
-    let new_count = diff.baselined.iter().filter(|b| !**b).count();
-    let errors = report
-        .violations
-        .iter()
-        .filter(|v| v.rule.severity() == Severity::Error)
-        .count();
     out.push_str("{\n");
     out.push_str("  \"version\": 1,\n");
     out.push_str(&format!(
-        "  \"summary\": {{\"errors\": {}, \"warnings\": {}, \"new\": {}, \"baselined\": {}, \
-         \"unused_allows\": {}, \"malformed_allows\": {}, \"stale_baseline\": {}}},\n",
-        errors,
-        report.violations.len() - errors,
-        new_count,
-        report.violations.len() - new_count,
+        "  \"summary\": {{\"errors\": {}, \"unused_allows\": {}, \"malformed_allows\": {}}},\n",
+        report.violations.len(),
         report.unused_allows.len(),
         report.malformed_allows.len(),
-        diff.stale.len(),
     ));
 
     out.push_str("  \"diagnostics\": [");
     for (i, v) in report.violations.iter().enumerate() {
         push_sep(&mut out, i);
         out.push_str(&format!(
-            "{{\"rule\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-             \"baselined\": {}, \"snippet\": \"{}\", \"message\": \"{}\"}}",
+            "{{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"snippet\": \"{}\", \
+             \"message\": \"{}\"}}",
             v.rule.name(),
-            v.rule.severity(),
             escape(&display_path(&v.file)),
             v.line,
-            diff.baselined.get(i).copied().unwrap_or(false),
             escape(v.snippet.trim()),
             escape(&v.message),
         ));
@@ -162,8 +42,7 @@ pub fn render_json(report: &FileReport, diff: &BaselineDiff) -> String {
     for (i, u) in report.unused_allows.iter().enumerate() {
         push_sep(&mut out, i);
         out.push_str(&format!(
-            "{{\"rule\": \"unused-allow\", \"severity\": \"error\", \"file\": \"{}\", \
-             \"line\": {}, \"stale_rule\": \"{}\"}}",
+            "{{\"rule\": \"unused-allow\", \"file\": \"{}\", \"line\": {}, \"stale_rule\": \"{}\"}}",
             escape(&display_path(&u.file)),
             u.line,
             u.rule.name(),
@@ -195,18 +74,6 @@ pub fn render_json(report: &FileReport, diff: &BaselineDiff) -> String {
             escape(&a.reason),
         ));
     }
-    out.push_str("],\n");
-
-    out.push_str("  \"stale_baseline\": [");
-    for (i, e) in diff.stale.iter().enumerate() {
-        push_sep(&mut out, i);
-        out.push_str(&format!(
-            "{{\"rule\": \"{}\", \"file\": \"{}\", \"snippet\": \"{}\"}}",
-            escape(&e.rule),
-            escape(&e.file),
-            escape(&e.snippet),
-        ));
-    }
     out.push_str("]\n}\n");
     out
 }
@@ -220,7 +87,7 @@ fn push_sep(out: &mut String, i: usize) {
 }
 
 /// Paths rendered with forward slashes regardless of platform, so the
-/// committed JSON and baseline are portable.
+/// committed JSON is portable.
 pub fn display_path(p: &Path) -> String {
     p.components()
         .map(|c| c.as_os_str().to_string_lossy())

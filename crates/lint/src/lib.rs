@@ -42,16 +42,14 @@
 //!   structurally under `#[cfg(feature = "faults")]`.
 //! * **P1 `hot-path-alloc`** — no per-packet heap allocation in the
 //!   fabric/RNIC data-path files; payloads ride `bytes::Bytes` windows.
-//! * **S1 `non-send-shard-state`** *(warning)* — `Rc<_>` / `RefCell<_>` /
-//!   `*mut` fields in types reachable from the shard roots (`World`,
-//!   `*Lane`). ROADMAP item 1 moves this state across rayon shard
-//!   boundaries; every S1 finding is a blocker for that refactor and
-//!   lives in the committed baseline until migrated.
-//! * **S2 `cross-shard-static`** *(warning)* — mutable or
+//! * **S1 `non-send-shard-state`** — `Rc<_>` / `RefCell<_>` / `*mut`
+//!   fields in types reachable from the shard roots (`World`, `*Lane`):
+//!   lane state crosses worker-thread boundaries, so it must be `Send`.
+//! * **S2 `cross-shard-static`** — mutable or
 //!   lazily-initialized `static`s and `thread_local!` singletons in sim
 //!   crates: per-thread or process-global state silently forks or races
 //!   once one world's events execute on many worker threads.
-//! * **S3 `unordered-cross-shard-merge`** *(warning)* — event
+//! * **S3 `unordered-cross-shard-merge`** — event
 //!   containers keyed on bare `Time`, and manual `impl Ord` blocks for
 //!   `Time`-carrying entry types that never consult `seq`: cross-shard
 //!   merges must order on `(Time, seq)` or same-instant events interleave
@@ -60,14 +58,9 @@
 //!   no longer suppresses any diagnostic is itself a diagnostic; stale
 //!   escape hatches rot into silent holes in the contract.
 //!
-//! Severity: S1–S3 are **warnings** — real debt, tracked in the committed
-//! baseline (`crates/lint/lint.baseline`) until the sharded kernel
-//! refactor retires them. Everything else (including A1) is an **error**
-//! and is never baselined. CI fails on any diagnostic not in the
-//! baseline, on any unused allow, and on any malformed annotation.
-//!
-//! The escape hatch, for reviewed exceptions, is a comment annotation —
-//! it must carry a reason:
+//! Every finding fails the run, as do unused allows and malformed
+//! annotations. The only escape hatch, for reviewed exceptions, is a
+//! comment annotation — it must carry a reason:
 //!
 //! ```text
 //! // xrdma-lint: allow(nondeterministic-iter) -- lookup-only map, never iterated for scheduling
@@ -129,26 +122,8 @@ pub enum Rule {
     UnorderedMerge,
     /// A1: an `xrdma-lint: allow(...)` annotation that suppresses
     /// nothing. Reported via `FileReport::unused_allows`; the variant
-    /// exists so the rule has a name, a severity, and fixture coverage.
+    /// exists so the rule has a name and fixture coverage.
     UnusedAllow,
-}
-
-/// Diagnostic severity. Warnings are real findings that may live in the
-/// committed baseline (tracked debt for a named refactor); errors must
-/// be fixed or carry an `allow(...)` with a reason, never baselined.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Severity {
-    Error,
-    Warning,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        })
-    }
 }
 
 impl Rule {
@@ -172,17 +147,6 @@ impl Rule {
 
     pub fn from_name(s: &str) -> Option<Rule> {
         Rule::ALL.into_iter().find(|r| r.name() == s)
-    }
-
-    /// S1–S3 prepare a refactor that has not landed; they are warnings
-    /// recorded in the baseline. Everything else is an error.
-    pub fn severity(self) -> Severity {
-        match self {
-            Rule::NonSendShardState | Rule::CrossShardStatic | Rule::UnorderedMerge => {
-                Severity::Warning
-            }
-            _ => Severity::Error,
-        }
     }
 
     pub const ALL: [Rule; 12] = [
@@ -222,10 +186,9 @@ impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: {} [{}] {}\n    {}",
+            "{}:{}: error [{}] {}\n    {}",
             self.file.display(),
             self.line,
-            self.rule.severity(),
             self.rule,
             self.message,
             self.snippet.trim()
@@ -1142,17 +1105,6 @@ mod tests {
     }
 
     #[test]
-    fn severities_split_shard_family_from_the_rest() {
-        for rule in Rule::ALL {
-            let expect = matches!(
-                rule,
-                Rule::NonSendShardState | Rule::CrossShardStatic | Rule::UnorderedMerge
-            );
-            assert_eq!(rule.severity() == Severity::Warning, expect, "{rule:?}");
-        }
-    }
-
-    #[test]
     fn rule_names_round_trip() {
         for rule in Rule::ALL {
             assert_eq!(Rule::from_name(rule.name()), Some(rule));
@@ -1160,37 +1112,16 @@ mod tests {
         assert_eq!(Rule::from_name("no-such-rule"), None);
     }
 
-    // --- baseline + json ----------------------------------------------
-
-    #[test]
-    fn baseline_round_trip_covers_all_and_flags_stale() {
-        let src = "pub struct World { calendar: RefCell<Calendar> }\n\
-                   struct Calendar { wheel: Vec<u32> }";
-        let report = analyze_source(Path::new("crates/sim/src/world.rs"), src, SIM_RULES);
-        assert_eq!(report.violations.len(), 1);
-        let text = json::render_baseline(&report.violations);
-        let entries = json::parse_baseline(&text).expect("well-formed");
-        let diff = json::diff_baseline(&report.violations, &entries);
-        assert!(diff.baselined.iter().all(|b| *b));
-        assert!(diff.stale.is_empty());
-
-        // A baseline entry for a finding that no longer exists is stale.
-        let extra = format!("{text}wall-clock\tcrates/sim/src/gone.rs\tlet t = Instant::now();\n");
-        let entries = json::parse_baseline(&extra).expect("well-formed");
-        let diff = json::diff_baseline(&report.violations, &entries);
-        assert_eq!(diff.stale.len(), 1);
-        assert_eq!(diff.stale[0].rule, "wall-clock");
-    }
+    // --- json ----------------------------------------------------------
 
     #[test]
     fn json_output_is_deterministic_and_escaped() {
         let src = "fn f() { let t = Instant::now(); } // path \"quote\"\n";
         let report = analyze_source(Path::new("crates/sim/src/a.rs"), src, SIM_RULES);
-        let diff = json::diff_baseline(&report.violations, &[]);
-        let a = json::render_json(&report, &diff);
-        let b = json::render_json(&report, &diff);
+        let a = json::render_json(&report);
+        let b = json::render_json(&report);
         assert_eq!(a, b);
         assert!(a.contains("\\\"quote\\\""), "{a}");
-        assert!(a.contains("\"severity\": \"error\""));
+        assert!(a.contains("\"errors\": 1,"), "{a}");
     }
 }

@@ -8,16 +8,10 @@
 //! * `--out PATH` — write the report to a file (relative to the
 //!   workspace root) instead of stdout; a one-line human summary still
 //!   goes to stdout.
-//! * `--baseline PATH` — committed-baseline file to diff against.
-//!   Defaults to `crates/lint/lint.baseline` under the workspace root
-//!   when that file exists; `--no-baseline` disables the default.
-//! * `--write-baseline` — regenerate the baseline file from the current
-//!   findings (then review the diff and commit). Exits 0.
 //!
-//! Exit status: 0 when the workspace is clean — no diagnostics outside
-//! the baseline, zero unused allows (A1), zero malformed annotations.
-//! 1 otherwise; 2 on usage errors. Stale baseline entries (paid-down
-//! debt) are warnings: they never fail the run, but should be deleted.
+//! Exit status: 0 when the workspace is clean — no diagnostics, zero
+//! unused allows (A1), zero malformed annotations. 1 otherwise; 2 on
+//! usage errors.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -28,9 +22,6 @@ struct Options {
     root: PathBuf,
     json_format: bool,
     out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: bool,
 }
 
 fn default_root() -> PathBuf {
@@ -48,9 +39,6 @@ fn parse_args() -> Result<Options, String> {
         root: default_root(),
         json_format: false,
         out: None,
-        baseline: None,
-        no_baseline: false,
-        write_baseline: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -63,13 +51,6 @@ fn parse_args() -> Result<Options, String> {
             "--out" => {
                 opts.out = Some(PathBuf::from(args.next().ok_or("--out expects a path")?));
             }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(
-                    args.next().ok_or("--baseline expects a path")?,
-                ));
-            }
-            "--no-baseline" => opts.no_baseline = true,
-            "--write-baseline" => opts.write_baseline = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             root => opts.root = PathBuf::from(root),
         }
@@ -104,73 +85,8 @@ fn main() -> ExitCode {
 
     let report = xrdma_lint::analyze_workspace(&opts.root);
 
-    let baseline_path = if opts.no_baseline {
-        None
-    } else {
-        let p = opts
-            .baseline
-            .clone()
-            .map(|p| under_root(&opts.root, &p))
-            .unwrap_or_else(|| opts.root.join("crates/lint/lint.baseline"));
-        // The default baseline is optional; an explicitly passed one is not.
-        if p.exists() || opts.baseline.is_some() {
-            Some(p)
-        } else {
-            None
-        }
-    };
-
-    if opts.write_baseline {
-        let path = baseline_path.unwrap_or_else(|| opts.root.join("crates/lint/lint.baseline"));
-        let text = json::render_baseline(&report.violations);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("xrdma-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "xrdma-lint: wrote {} entr{} to {}",
-            report.violations.len(),
-            if report.violations.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match &baseline_path {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(text) => match json::parse_baseline(&text) {
-                Ok(entries) => entries,
-                Err(lines) => {
-                    eprintln!(
-                        "xrdma-lint: malformed baseline {} (lines {:?})",
-                        p.display(),
-                        lines
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("xrdma-lint: cannot read baseline {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => Vec::new(),
-    };
-    let diff = json::diff_baseline(&report.violations, &baseline);
-    let new_violations: Vec<_> = report
-        .violations
-        .iter()
-        .zip(&diff.baselined)
-        .filter(|(_, b)| !**b)
-        .map(|(v, _)| v)
-        .collect();
-
     if opts.json_format {
-        let doc = json::render_json(&report, &diff);
+        let doc = json::render_json(&report);
         match &opts.out {
             Some(out) => {
                 let path = under_root(&opts.root, out);
@@ -182,7 +98,7 @@ fn main() -> ExitCode {
             None => print!("{doc}"),
         }
     } else {
-        for v in new_violations.iter() {
+        for v in &report.violations {
             println!("{v}");
         }
         for (file, line) in &report.malformed_allows {
@@ -202,28 +118,18 @@ fn main() -> ExitCode {
                 u.rule
             );
         }
-        for e in &diff.stale {
-            println!(
-                "{}: warning [stale-baseline] entry `{}` matches no finding — paid-down \
-                 debt, remove it from the baseline",
-                e.file, e.rule
-            );
-        }
     }
 
     let failures =
-        new_violations.len() + report.malformed_allows.len() + report.unused_allows.len();
+        report.violations.len() + report.malformed_allows.len() + report.unused_allows.len();
     let summary = format!(
-        "xrdma-lint: {} finding{} ({} baselined, {} new), {} unused allow{}, \
-         {} malformed, {} stale baseline entr{}",
+        "xrdma-lint: {} finding{}, {} unused allow{}, {} malformed",
         report.violations.len(),
         if report.violations.len() == 1 {
             ""
         } else {
             "s"
         },
-        report.violations.len() - new_violations.len(),
-        new_violations.len(),
         report.unused_allows.len(),
         if report.unused_allows.len() == 1 {
             ""
@@ -231,8 +137,6 @@ fn main() -> ExitCode {
             "s"
         },
         report.malformed_allows.len(),
-        diff.stale.len(),
-        if diff.stale.len() == 1 { "y" } else { "ies" },
     );
     if !opts.json_format || opts.out.is_some() {
         println!("{summary}");

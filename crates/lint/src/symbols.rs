@@ -188,20 +188,6 @@ impl Symbols {
         }
     }
 
-    /// Does this type-token slice name a hash container, directly or
-    /// through an alias?
-    pub fn is_hash_type(&self, ty: &[Token]) -> bool {
-        ty.iter().any(|t| {
-            t.kind == TokKind::Ident
-                && (t.text == "HashMap"
-                    || t.text == "HashSet"
-                    || self.aliases.get(&t.text).is_some_and(|rhs| {
-                        rhs.iter()
-                            .any(|r| r.is_ident("HashMap") || r.is_ident("HashSet"))
-                    }))
-        })
-    }
-
     /// S1: walk the reachability graph from the shard roots, returning
     /// `(type, field, root, line, file, rendered type)` for every
     /// non-`Send`-safe field on the way.

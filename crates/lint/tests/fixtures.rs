@@ -7,9 +7,8 @@
 //! workspace's own build or lint runs.
 //!
 //! The meta-test at the bottom is the enforcement loop closing on
-//! itself: the live workspace must be diagnostic-clean against the
-//! committed baseline, with zero unused allows — the same check
-//! `scripts/ci.sh` runs through the CLI.
+//! itself: the live workspace must be diagnostic-clean, with zero unused
+//! allows — the same check `scripts/ci.sh` runs through the CLI.
 
 use std::path::{Path, PathBuf};
 
@@ -94,8 +93,8 @@ fn every_rule_is_silent_on_its_negative_fixture() {
 /// deliberately non-Send `EventLane` — Rc/RefCell/raw-pointer fields,
 /// thread-local lane singletons, a bare-`Time` mailbox heap — and must
 /// fire on it (and stay silent on the Send-contract-honoring twin).
-/// The baseline is header-only since this PR, so these fixtures are the
-/// only sanctioned place the S-rules see a violation at all.
+/// These fixtures are the only sanctioned place the S-rules see a
+/// violation at all.
 #[test]
 fn s_family_fires_on_non_send_lane_fixtures() {
     for rule in [
@@ -173,14 +172,16 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// The live workspace is diagnostic-clean: zero diagnostics outside the
-/// committed baseline, zero stale baseline entries, zero unused allows,
+/// The live workspace is clean: zero diagnostics, zero unused allows,
 /// zero malformed annotations.
 #[test]
-fn live_workspace_is_clean_against_committed_baseline() {
-    let root = workspace_root();
-    let report = analyze_workspace(&root);
-
+fn live_workspace_is_clean() {
+    let report = analyze_workspace(&workspace_root());
+    assert!(
+        report.violations.is_empty(),
+        "diagnostics: {:#?}",
+        report.violations
+    );
     assert!(
         report.unused_allows.is_empty(),
         "stale allow annotations (A1): {:?}",
@@ -191,26 +192,6 @@ fn live_workspace_is_clean_against_committed_baseline() {
         "malformed allow annotations: {:?}",
         report.malformed_allows
     );
-
-    let baseline_path = root.join("crates/lint/lint.baseline");
-    let text = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", baseline_path.display()));
-    let entries = json::parse_baseline(&text).expect("well-formed baseline");
-    let diff = json::diff_baseline(&report.violations, &entries);
-
-    let new: Vec<_> = report
-        .violations
-        .iter()
-        .zip(&diff.baselined)
-        .filter(|(_, b)| !**b)
-        .map(|(v, _)| v)
-        .collect();
-    assert!(new.is_empty(), "diagnostics not in the baseline: {new:#?}");
-    assert!(
-        diff.stale.is_empty(),
-        "baseline entries matching no finding (paid-down debt — delete them): {:?}",
-        diff.stale
-    );
 }
 
 /// Two full, independent analysis passes render byte-identical JSON —
@@ -219,20 +200,7 @@ fn live_workspace_is_clean_against_committed_baseline() {
 #[test]
 fn json_report_is_byte_identical_across_runs() {
     let root = workspace_root();
-    let baseline = std::fs::read_to_string(root.join("crates/lint/lint.baseline"))
-        .ok()
-        .map(|t| json::parse_baseline(&t).expect("well-formed baseline"))
-        .unwrap_or_default();
-
-    let a = {
-        let report = analyze_workspace(&root);
-        let diff = json::diff_baseline(&report.violations, &baseline);
-        json::render_json(&report, &diff)
-    };
-    let b = {
-        let report = analyze_workspace(&root);
-        let diff = json::diff_baseline(&report.violations, &baseline);
-        json::render_json(&report, &diff)
-    };
+    let a = json::render_json(&analyze_workspace(&root));
+    let b = json::render_json(&analyze_workspace(&root));
     assert_eq!(a, b);
 }

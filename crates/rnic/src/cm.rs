@@ -153,11 +153,6 @@ impl ConnManager {
         );
     }
 
-    /// Remove a listener.
-    pub fn unlisten(&self, node: NodeId, svc: u16) {
-        self.listeners.borrow_mut().remove(&(node, svc));
-    }
-
     /// Drop all cached address/route resolutions (benchmarks measuring the
     /// isolated-connect latency call this between runs).
     pub fn forget_resolution(&self) {

@@ -307,16 +307,6 @@ impl Rnic {
         *self.filter.borrow_mut() = Some(Box::new(f));
     }
 
-    /// Remove the packet filter.
-    pub fn clear_filter(&self) {
-        *self.filter.borrow_mut() = None;
-    }
-
-    /// Host uplink PFC pause state (observability; XR-Stat exports it).
-    pub fn is_prio_paused(&self, prio: u8) -> bool {
-        self.paused_prios.borrow()[prio as usize]
-    }
-
     pub fn node(&self) -> NodeId {
         self.node
     }

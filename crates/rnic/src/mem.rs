@@ -258,15 +258,6 @@ impl Mr {
         }
     }
 
-    pub fn is_revoked(&self) -> bool {
-        self.revoked.get()
-    }
-
-    /// Whether this region materializes real bytes.
-    pub fn is_backed(&self) -> bool {
-        self.backing.borrow().is_some()
-    }
-
     /// Whether any real bytes were ever written into `[addr, addr+len)`.
     /// Lets the engine stream size-only fragments for untouched ranges —
     /// the zero-copy fast path of large performance experiments.

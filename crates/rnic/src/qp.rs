@@ -297,17 +297,6 @@ impl Qp {
         }
     }
 
-    /// Fraction of this QP's context lookups that missed RNIC SRAM
-    /// (`None` before any traffic).
-    pub fn ctx_cache_miss_rate(&self) -> Option<f64> {
-        let h = self.ctx_cache_hits.get();
-        let m = self.ctx_cache_misses.get();
-        if h + m == 0 {
-            return None;
-        }
-        Some(m as f64 / (h + m) as f64)
-    }
-
     pub fn state(&self) -> QpState {
         self.state.get()
     }
@@ -472,17 +461,6 @@ impl Qp {
         } else {
             self.rx.borrow().rq.len()
         }
-    }
-
-    /// Number of send WRs that have not completed yet (posted + in flight).
-    pub fn send_backlog(&self) -> usize {
-        let tx = self.tx.borrow();
-        tx.sq.len()
-            + tx.retx.len()
-            + tx.unacked.len()
-            + usize::from(tx.cur.is_some())
-            + tx.pending_reads.len()
-            + tx.pending_atomics.len()
     }
 }
 

@@ -86,13 +86,6 @@ pub enum EventKind {
     },
     /// The poll-gap watchdog saw completions wait longer than the warn cycle.
     PollGap { node: u32, gap_ns: u64 },
-    /// The adaptive progress engine crossed between busy-polling and
-    /// event-driven mode (`to` = "busy" | "event").
-    PollModeSwitch {
-        node: u32,
-        to: &'static str,
-        empty_polls: u64,
-    },
     /// An operation exceeded the slow-op threshold.
     SlowOp {
         node: u32,
@@ -164,7 +157,6 @@ impl EventKind {
             EventKind::KeepaliveProbe { .. } => "keepalive-probe",
             EventKind::ChannelClose { .. } => "channel-close",
             EventKind::PollGap { .. } => "poll-gap",
-            EventKind::PollModeSwitch { .. } => "poll-mode",
             EventKind::SlowOp { .. } => "slow-op",
             EventKind::CmEstablished { .. } => "cm-established",
             EventKind::InvariantFired { .. } => "invariant",
@@ -200,9 +192,7 @@ impl EventKind {
             | EventKind::ChannelClose { node, qpn, .. }
             | EventKind::CmEstablished { node, qpn, .. } => (node, qpn),
             EventKind::QpState { qpn, .. } => (0, qpn),
-            EventKind::PollGap { node, .. }
-            | EventKind::PollModeSwitch { node, .. }
-            | EventKind::SlowOp { node, .. } => (node, 0),
+            EventKind::PollGap { node, .. } | EventKind::SlowOp { node, .. } => (node, 0),
             EventKind::MsgDropOom { node, qpn, .. } => (node, qpn),
             EventKind::MuxEstablish { node, qpn, .. } | EventKind::MuxEvict { node, qpn, .. } => {
                 (node, qpn)
@@ -327,15 +317,6 @@ impl EventKind {
             EventKind::PollGap { node, gap_ns } => {
                 kv_u(out, "node", u64::from(*node));
                 kv_u(out, "gap_ns", *gap_ns);
-            }
-            EventKind::PollModeSwitch {
-                node,
-                to,
-                empty_polls,
-            } => {
-                kv_u(out, "node", u64::from(*node));
-                kv_s(out, "to", to);
-                kv_u(out, "empty_polls", *empty_polls);
             }
             EventKind::SlowOp {
                 node,

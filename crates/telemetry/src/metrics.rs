@@ -61,14 +61,6 @@ impl MetricsRegistry {
             .record(v);
     }
 
-    pub fn hist_count(&self, name: &str) -> u64 {
-        self.hists
-            .borrow()
-            .get(name)
-            .map(|h| h.count())
-            .unwrap_or(0)
-    }
-
     /// Declare a series with an explicit bucket width and combination rule.
     /// Re-declaring an existing series is a no-op (first declaration wins,
     /// so a sampler racing a manual declaration stays deterministic).
@@ -96,10 +88,6 @@ impl MetricsRegistry {
             .get(name)
             .map(|s| s.rows())
             .unwrap_or_default()
-    }
-
-    pub fn series_names(&self) -> Vec<String> {
-        self.series.borrow().keys().cloned().collect()
     }
 
     /// Sample every current gauge into a same-named series at `t_ns`. The

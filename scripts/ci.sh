@@ -5,11 +5,11 @@
 #   fmt      rustfmt in check mode
 #   clippy   all targets, warnings are errors
 #   lint     xrdma-lint determinism/shard-safety pass (DESIGN.md §7):
-#            regenerates results/lint.json and fails on any diagnostic
-#            not in the committed baseline (crates/lint/lint.baseline),
-#            on unused allow annotations, and on malformed annotations;
-#            coverage spans the sim crates plus tests/, examples/ and
-#            crates/bench
+#            regenerates results/lint.json and fails on any diagnostic,
+#            on unused allow annotations, and on malformed annotations
+#            (an inline `allow(rule) -- reason` is the only way to accept
+#            a finding); coverage spans the sim crates plus tests/,
+#            examples/ and crates/bench
 #   test     full suite across the feature matrix:
 #              - default (telemetry compiled out)
 #              - telemetry (event bus + exporters live)
@@ -22,8 +22,9 @@
 #                ShardWorld lanes at shards {1,2,4,8}, byte-identical
 #                digests/telemetry/span JSONL, loss-chaos recovery, and
 #                the busiest lane's share of events
-#   msgrate  smoke run of the CQ-batching/doorbell-coalescing message-rate
-#            sweep (batching on vs batch=1) — results land in a temp dir
+#   msgrate  smoke run (XRDMA_SMOKE=1, shared by the three sweep legs) of
+#            the CQ-batching/doorbell-coalescing message-rate sweep
+#            (batching on vs batch=1) — results land in a temp dir
 #            so the committed full-scale results/msgrate.json stays
 #            untouched
 #   qpscale  smoke run of the connection-multiplexing sweep (ChannelMux
@@ -56,11 +57,11 @@ run cargo test -q --workspace --features xrdma-tests/telemetry,xrdma-tests/debug
 run cargo test -q --workspace --features xrdma-tests/faults,xrdma-tests/telemetry,xrdma-tests/debug_invariants
 run cargo test -q -p xrdma-tests --test sharding \
     --features xrdma-tests/faults,xrdma-tests/telemetry,xrdma-tests/debug_invariants
-run env XRDMA_MSGRATE_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
+run env XRDMA_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
     cargo run -q --release -p xrdma-bench --bin msgrate
-run env XRDMA_QPSCALE_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
+run env XRDMA_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
     cargo run -q --release -p xrdma-bench --bin qpscale
-run env XRDMA_LATBREAK_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
+run env XRDMA_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
     cargo run -q --release -p xrdma-bench --features xrdma-bench/telemetry --bin latbreak
 run git diff --exit-code -- tests/golden results/msgrate.json results/qpscale.json results/lint.json results/latbreak.json
 

@@ -5,10 +5,6 @@
 //! produce identical message-level outcomes — payload bytes, per-channel
 //! delivery order, final Seq-Ack state and RPC completion counts. Only
 //! cross-channel interleaving and cycle accounting may differ.
-//!
-//! The same obligation extends to the adaptive progress engine
-//! (`PollMode::Adaptive`): busy-poll/event-mode switching may reorder
-//! *when* the CPU looks at the CQ, never *what* the application observes.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -16,7 +12,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use xrdma_core::proto::MsgKind;
-use xrdma_core::{PollMode, XrdmaChannel, XrdmaConfig, XrdmaContext};
+use xrdma_core::{XrdmaChannel, XrdmaConfig, XrdmaContext};
 use xrdma_fabric::{Fabric, FabricConfig, NodeId};
 use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
 use xrdma_sim::{Dur, SimRng, World};
@@ -69,7 +65,6 @@ struct Evidence {
     doorbells: u64,
     doorbell_wrs: u64,
     max_cqe_batch: u64,
-    poll_mode_switches: u64,
     /// Byte-exact digest for same-seed rerun comparison.
     digest: String,
 }
@@ -175,13 +170,11 @@ fn run(cfg: &XrdmaConfig, seed: u64) -> (Outcome, Evidence) {
     let mut doorbells = 0;
     let mut doorbell_wrs = 0;
     let mut max_cqe_batch = 0;
-    let mut poll_mode_switches = 0;
     let mut digest = String::new();
     for ctx in std::iter::once(&server).chain(clients.iter().map(|(c, _)| c)) {
         let cs = ctx.stats();
         doorbells += cs.doorbells_rung;
         doorbell_wrs += cs.doorbell_wrs;
-        poll_mode_switches += cs.poll_mode_switches;
         digest.push_str(&serde_json::to_string(&cs).expect("json"));
         digest.push('\n');
         for ch in ctx.channels() {
@@ -217,7 +210,6 @@ fn run(cfg: &XrdmaConfig, seed: u64) -> (Outcome, Evidence) {
             doorbells,
             doorbell_wrs,
             max_cqe_batch,
-            poll_mode_switches,
             digest,
         },
     )
@@ -227,13 +219,6 @@ fn batch1_cfg() -> XrdmaConfig {
     XrdmaConfig {
         doorbell_coalesce: false,
         cq_poll_batch: 1,
-        ..Default::default()
-    }
-}
-
-fn adaptive_cfg() -> XrdmaConfig {
-    XrdmaConfig {
-        poll_mode: PollMode::Adaptive,
         ..Default::default()
     }
 }
@@ -265,25 +250,12 @@ fn batching_is_a_pure_performance_transform() {
     );
 }
 
-/// The adaptive engine obeys the same contract versus the serialized
-/// baseline, and it actually switched modes along the way.
-#[test]
-fn adaptive_engine_preserves_outcomes() {
-    let (adaptive, ev) = run(&adaptive_cfg(), 42);
-    let (serial, _) = run(&batch1_cfg(), 42);
-    assert_eq!(adaptive, serial, "adaptive engine must not change outcomes");
-    assert!(
-        ev.poll_mode_switches > 0,
-        "the engine really moved between busy-poll and event mode"
-    );
-}
-
 /// Same seed, same config → byte-identical digest (serialized stats plus
 /// the full outcome debug dump), for every mode. This is what lets the
 /// batched fast path ride under the repo-wide determinism contract.
 #[test]
 fn same_seed_reruns_are_byte_identical() {
-    for cfg in [XrdmaConfig::default(), batch1_cfg(), adaptive_cfg()] {
+    for cfg in [XrdmaConfig::default(), batch1_cfg()] {
         let (_, a) = run(&cfg, 7);
         let (_, b) = run(&cfg, 7);
         assert_eq!(a.digest, b.digest, "rerun digest diverged");
