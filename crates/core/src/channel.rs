@@ -3,7 +3,7 @@
 //! per-connection statistics (XR-Stat, §VI-B).
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use bytes::{Bytes, BytesMut};
@@ -11,6 +11,7 @@ use bytes::{Bytes, BytesMut};
 use xrdma_fabric::NodeId;
 use xrdma_rnic::verbs::Payload;
 use xrdma_rnic::{Qp, Rnic, SendOp, SendWr};
+use xrdma_sim::inthash::IntMap;
 use xrdma_sim::stats::{HistSummary, Histogram};
 use xrdma_sim::{Dur, Time};
 use xrdma_telemetry::{span_end, span_mark, span_open, tele, SpanToken};
@@ -20,7 +21,7 @@ use crate::context::XrdmaContext;
 use crate::error::XrdmaError;
 use crate::memcache::McBuf;
 use crate::proto::{Header, LargeDesc, MsgKind, MuxDesc, TraceHdr};
-use crate::seqack::{RxAccept, RxWindow, TxWindow};
+use crate::seqack::{RxAccept, RxWindow, SeqRing, TxWindow};
 use crate::stats::ChannelStats;
 
 // wr_id tag layout: tag in the top byte, payload bits below.
@@ -178,38 +179,21 @@ impl BodySpec {
     }
 }
 
-/// A sent, unacked message (buffer pinned until the peer acknowledges).
-struct OutMsg {
-    kind: MsgKind,
-    /// Large-path payload buffer, released on ack.
-    buf: Option<McBuf>,
-    sent_at: Time,
-}
-
 /// A received message not yet deliverable (in-order constraint) or being
 /// fetched (large path).
 struct InMsg {
     hdr: Header,
-    /// Large-path landing buffer.
+    /// Body buffer: the small path's staging copy or the large path's
+    /// landing buffer (none for an empty body).
     buf: Option<McBuf>,
-    /// Small-path body location (inside the receive buffer).
-    small_loc: Option<(u32, u64)>, // (lkey, addr)
     /// Receiver-side arrival time (for ReplyToken/t2).
     t2: Time,
     /// Causal span carried over from the sender's CQE; closed after the
     /// application handler runs.
     span: SpanToken,
-}
-
-/// An in-flight large fetch (read-replace-write, §IV-C).
-struct LargeFetch {
+    /// RDMA Read fragments of the large fetch still outstanding
+    /// (read-replace-write, §IV-C); zero on the small path.
     frags_left: u32,
-}
-
-/// One pre-posted receive buffer.
-#[derive(Clone)]
-struct RecvSlot {
-    buf: McBuf,
 }
 
 /// The channel.
@@ -219,17 +203,17 @@ pub struct XrdmaChannel {
     pub peer: NodeId,
     pub(crate) tx: RefCell<TxWindow>,
     pub(crate) rx: RefCell<RxWindow>,
-    /// Sent sequenced messages awaiting the peer's window ack.
-    outgoing: RefCell<BTreeMap<u32, OutMsg>>,
+    /// Large-path payload buffers of sent messages awaiting the peer's
+    /// window ack; the ring's edge is the tx ack edge.
+    outgoing: RefCell<SeqRing<McBuf>>,
     /// Sends blocked on the window.
     pending: RefCell<VecDeque<PendingSend>>,
-    /// Received messages awaiting in-order delivery / large fetch.
-    inbox: RefCell<BTreeMap<u32, InMsg>>,
-    fetches: RefCell<BTreeMap<u32, LargeFetch>>,
-    /// Pre-posted receive slots by wr_id low bits.
-    recv_slots: RefCell<BTreeMap<u32, RecvSlot>>,
-    next_slot: Cell<u32>,
-    rpc_waiters: RefCell<BTreeMap<u32, RpcWaiter>>,
+    /// Received messages awaiting in-order delivery / large fetch; the
+    /// ring's edge is the next seq to deliver.
+    inbox: RefCell<SeqRing<InMsg>>,
+    /// Pre-posted receive slots, indexed by wr_id.
+    recv_slots: RefCell<Vec<McBuf>>,
+    rpc_waiters: RefCell<IntMap<u32, RpcWaiter>>,
     next_rpc: Cell<u32>,
     on_request: RefCell<Option<Box<dyn Fn(&Rc<XrdmaChannel>, XrdmaMsg, ReplyToken)>>>,
     on_close: RefCell<Option<Box<dyn Fn(CloseReason)>>>,
@@ -287,13 +271,11 @@ impl XrdmaChannel {
             peer,
             tx: RefCell::new(TxWindow::new(depth)),
             rx: RefCell::new(RxWindow::new(depth)),
-            outgoing: RefCell::new(BTreeMap::new()),
+            outgoing: RefCell::new(SeqRing::new(depth)),
             pending: RefCell::new(VecDeque::new()),
-            inbox: RefCell::new(BTreeMap::new()),
-            fetches: RefCell::new(BTreeMap::new()),
-            recv_slots: RefCell::new(BTreeMap::new()),
-            next_slot: Cell::new(0),
-            rpc_waiters: RefCell::new(BTreeMap::new()),
+            inbox: RefCell::new(SeqRing::new(depth)),
+            recv_slots: RefCell::new(Vec::new()),
+            rpc_waiters: RefCell::new(IntMap::default()),
             next_rpc: Cell::new(1),
             on_request: RefCell::new(None),
             on_close: RefCell::new(None),
@@ -329,9 +311,9 @@ impl XrdmaChannel {
                 .memcache()
                 .alloc(slot_len)
                 .expect("memcache must cover receive slots");
-            let id = self.next_slot.get();
-            self.next_slot.set(id + 1);
-            self.recv_slots.borrow_mut().insert(id, RecvSlot { buf });
+            let mut slots = self.recv_slots.borrow_mut();
+            let id = slots.len() as u32;
+            slots.push(buf);
             self.qp
                 .post_recv(xrdma_rnic::RecvWr::new(
                     id as u64, buf.addr, buf.len, buf.lkey,
@@ -478,33 +460,21 @@ impl XrdmaChannel {
 
     /// Answer a request.
     pub fn respond(self: &Rc<Self>, token: ReplyToken, body: Bytes) -> Result<(), XrdmaError> {
+        self.respond_with(token, BodySpec::Data(body))
+    }
+
+    /// Answer a request with a size-only payload.
+    pub fn respond_size(self: &Rc<Self>, token: ReplyToken, len: u64) -> Result<(), XrdmaError> {
+        self.respond_with(token, BodySpec::Size(len))
+    }
+
+    fn respond_with(self: &Rc<Self>, token: ReplyToken, body: BodySpec) -> Result<(), XrdmaError> {
         let trace = token.traced.map(|t| TraceHdr {
             // Ship the receiver-side arrival time back for decomposition.
             t1_ns: token.t2_ns,
             trace_id: t.trace_id,
         });
-        self.enqueue_send(
-            MsgKind::Response,
-            BodySpec::Data(body),
-            token.rpc_id,
-            trace,
-            None,
-        )
-    }
-
-    /// Answer a request with a size-only payload.
-    pub fn respond_size(self: &Rc<Self>, token: ReplyToken, len: u64) -> Result<(), XrdmaError> {
-        let trace = token.traced.map(|t| TraceHdr {
-            t1_ns: token.t2_ns,
-            trace_id: t.trace_id,
-        });
-        self.enqueue_send(
-            MsgKind::Response,
-            BodySpec::Size(len),
-            token.rpc_id,
-            trace,
-            None,
-        )
+        self.enqueue_send(MsgKind::Response, body, token.rpc_id, trace, None)
     }
 
     fn maybe_trace(&self, ctx: &Rc<XrdmaContext>) -> Option<TraceHdr> {
@@ -621,27 +591,16 @@ impl XrdmaChannel {
         }
         ctx.thread().charge(ctx.memcache().take_reg_cost());
 
-        let head = if small {
-            match &body {
-                BodySpec::Data(data) => {
-                    let mut b = BytesMut::from(hdr.encode().as_ref());
-                    b.extend_from_slice(data);
-                    b.freeze()
-                }
-                BodySpec::Size(_) => hdr.encode(),
+        // Eager bodies ride behind the header (size-only ones as padding);
+        // a rendezvous message is the header alone.
+        let (head, pad) = match &body {
+            BodySpec::Data(data) if small => {
+                let mut b = BytesMut::from(hdr.encode().as_ref());
+                b.extend_from_slice(data);
+                (b.freeze(), 0)
             }
-        } else {
-            hdr.encode()
-        };
-        let wire_total = if small {
-            head.len() as u64
-                + if matches!(body, BodySpec::Size(n) if n > 0) {
-                    len
-                } else {
-                    0
-                }
-        } else {
-            head.len() as u64
+            BodySpec::Size(n) if small => (hdr.encode(), *n),
+            _ => (hdr.encode(), 0),
         };
 
         {
@@ -654,22 +613,17 @@ impl XrdmaChannel {
                 st.large_msgs += 1;
             }
         }
-        self.outgoing.borrow_mut().insert(
-            seq,
-            OutMsg {
-                kind,
-                buf: pinned,
-                sent_at: now,
-            },
-        );
+        if let Some(buf) = pinned {
+            self.outgoing.borrow_mut().insert(seq, buf);
+        }
         self.last_tx.set(now);
 
         let wr = SendWr {
             wr_id: wr_eager(seq),
             op: SendOp::Send,
             payload: Payload::Padded {
+                total: head.len() as u64 + pad,
                 head,
-                total: wire_total,
             },
             remote: None,
             imm: Some(ack),
@@ -688,33 +642,36 @@ impl XrdmaChannel {
         }
         let me = self.clone();
         ctx.thread().exec(Dur::ZERO, move |_| {
-            let Some(ctx) = me.ctx.upgrade() else { return };
-            let me2 = me.clone();
-            ctx.flow_post(move || {
-                let bail = |me2: &Rc<XrdmaChannel>| {
-                    // Slot consumed but no WR will complete: hand it back.
-                    if let Some(ctx) = me2.ctx.upgrade() {
-                        ctx.flow_release();
-                    }
-                };
-                if me2.closed.get() {
-                    bail(&me2);
-                    return;
-                }
-                let Some(ctx) = me2.ctx.upgrade() else { return };
+            if let Some(ctx) = me.ctx.upgrade() {
                 // One doorbell per WR: the reference (batch=1) cost model.
-                ctx.charge_doorbell(1);
-                match ctx.rnic().post_send(&me2.qp, wr) {
-                    Ok(()) => me2.flow_slots.set(me2.flow_slots.get() + 1),
-                    Err(_) => {
-                        // QP died under us (keepalive race); tear down.
-                        bail(&me2);
-                        me2.fail(CloseReason::PeerDead);
-                    }
-                }
-            });
+                me.flow_post_wr(&ctx, wr, true);
+            }
         });
         Ok(())
+    }
+
+    /// Post one data WR through the context's flow gate (§V-C). A slot
+    /// that no WR will complete — the channel closed while the WR queued,
+    /// or the QP died under us (keepalive race) — goes straight back.
+    fn flow_post_wr(self: &Rc<Self>, ctx: &XrdmaContext, wr: SendWr, doorbell: bool) {
+        let me = self.clone();
+        ctx.flow_post(move || {
+            let Some(ctx) = me.ctx.upgrade() else { return };
+            if me.closed.get() {
+                ctx.flow_release();
+                return;
+            }
+            if doorbell {
+                ctx.charge_doorbell(1);
+            }
+            match ctx.rnic().post_send(&me.qp, wr) {
+                Ok(()) => me.flow_slots.set(me.flow_slots.get() + 1),
+                Err(_) => {
+                    ctx.flow_release();
+                    me.fail(CloseReason::PeerDead);
+                }
+            }
+        });
     }
 
     /// Drain pending sends while the window has room (called on ack).
@@ -843,20 +800,15 @@ impl XrdmaChannel {
         // SRQ mode: the slot lives in the context's shared pool; otherwise
         // it is one of this channel's pre-posted buffers.
         let slot = if ctx.has_srq() {
-            match ctx.srq_slot(slot_id) {
-                Some(buf) => RecvSlot { buf },
-                None => return,
-            }
+            ctx.srq_slot(slot_id)
         } else {
-            match self.recv_slots.borrow().get(&slot_id) {
-                Some(s) => s.clone(),
-                None => return,
-            }
+            self.recv_slots.borrow().get(slot_id as usize).copied()
         };
+        let Some(slot) = slot else { return };
         // Parse the X-RDMA header out of the landed bytes.
         let mut head = [0u8; 128];
         let head = &mut head[..byte_len.clamp(crate::proto::BASE_LEN as u64, 128) as usize];
-        let landed = ctx.memcache().read_into(&slot.buf, 0, head).ok();
+        let landed = ctx.memcache().read_into(&slot, 0, head).ok();
         let Some((hdr, hdr_len)) = landed.and_then(|()| Header::decode(head)) else {
             // Corrupt / foreign message: drop and repost.
             self.repost_slot(slot_id, &slot);
@@ -873,7 +825,7 @@ impl XrdmaChannel {
             }
             MsgKind::Close => {
                 self.repost_slot(slot_id, &slot);
-                self.teardown(CloseReason::Remote);
+                self.fail(CloseReason::Remote);
                 return;
             }
             MsgKind::KeepAlive => {}
@@ -892,7 +844,7 @@ impl XrdmaChannel {
         ctx: &Rc<XrdmaContext>,
         hdr: Header,
         hdr_len: u64,
-        slot: &RecvSlot,
+        slot: &McBuf,
         now: Time,
         span: SpanToken,
     ) {
@@ -906,69 +858,58 @@ impl XrdmaChannel {
             st.msgs_received += 1;
             st.bytes_received += hdr.body_len;
         }
-        match hdr.large {
+        let len = hdr.body_len;
+        let large = hdr.large;
+        let buf = match large {
+            None if len == 0 => None,
+            // Small/eager: body landed right behind the header. Stage it
+            // into a private buffer now (the slot is reposted immediately);
+            // sparse backing makes this cheap for size-only payloads.
             None => {
-                // Small/eager: body landed right behind the header. Copy it
-                // out of the slot now (the slot is reposted immediately);
-                // sparse backing makes this cheap for size-only payloads.
-                let body_len = hdr.body_len;
-                let buf = if body_len > 0 {
-                    // Stage into a private buffer so reposting can't race.
-                    let staged = ctx.memcache().alloc(body_len).ok();
-                    ctx.thread().charge(ctx.memcache().take_reg_cost());
-                    if let Some(staged) = &staged {
-                        let _ = ctx.memcache().copy(&slot.buf, hdr_len, staged, body_len);
-                    }
-                    staged
-                } else {
-                    None
-                };
-                self.inbox.borrow_mut().insert(
-                    seq,
-                    InMsg {
-                        hdr,
-                        buf,
-                        small_loc: buf.map(|b| (b.lkey, b.addr)),
-                        t2: now,
-                        span,
-                    },
-                );
-                let ready = self.rx.borrow_mut().on_complete(seq);
-                self.deliver_ready(ctx, ready);
-            }
-            Some(desc) => {
-                // Rendezvous: fetch via RDMA Read (read-replace-write).
-                let len = hdr.body_len;
-                let buf = match ctx.memcache().alloc(len.max(1)) {
-                    Ok(b) => b,
-                    Err(_) => {
-                        // Out of memory: drop (peer retries via timeout
-                        // semantics above our layer). Never silent — the
-                        // counter and event let operators distinguish a
-                        // memcache-pressure drop from network loss.
-                        self.stats.borrow_mut().oom_drops += 1;
-                        tele!(MsgDropOom {
-                            node: ctx.node().0,
-                            peer: self.peer.0,
-                            qpn: self.qp.qpn.0,
-                            seq,
-                            bytes: len,
-                        });
-                        return;
-                    }
-                };
+                let staged = ctx.memcache().alloc(len).ok();
                 ctx.thread().charge(ctx.memcache().take_reg_cost());
-                self.inbox.borrow_mut().insert(
-                    seq,
-                    InMsg {
-                        hdr,
-                        buf: Some(buf),
-                        small_loc: None,
-                        t2: now,
-                        span,
-                    },
-                );
-                self.issue_fetch(ctx, seq, desc, len, buf);
+                if let Some(staged) = &staged {
+                    let _ = ctx.memcache().copy(slot, hdr_len, staged, len);
+                }
+                staged
+            }
+            // Rendezvous: the landing buffer for the RDMA Read.
+            Some(_) => match ctx.memcache().alloc(len.max(1)) {
+                Ok(b) => {
+                    ctx.thread().charge(ctx.memcache().take_reg_cost());
+                    Some(b)
+                }
+                Err(_) => {
+                    // Out of memory: drop (peer retries via timeout
+                    // semantics above our layer). Never silent — the
+                    // counter and event let operators distinguish a
+                    // memcache-pressure drop from network loss.
+                    self.stats.borrow_mut().oom_drops += 1;
+                    tele!(MsgDropOom {
+                        node: ctx.node().0,
+                        peer: self.peer.0,
+                        qpn: self.qp.qpn.0,
+                        seq,
+                        bytes: len,
+                    });
+                    return;
+                }
+            },
+        };
+        let msg = InMsg {
+            hdr,
+            buf,
+            t2: now,
+            span,
+            frags_left: 0,
+        };
+        self.inbox.borrow_mut().insert(seq, msg);
+        match (large, buf) {
+            // Read-replace-write (§IV-C): fetch the body with RDMA Read.
+            (Some(desc), Some(buf)) => self.issue_fetch(ctx, seq, desc, len, buf),
+            _ => {
+                let ready = self.rx.borrow_mut().on_complete(seq).count();
+                self.deliver_ready(ctx, ready);
             }
         }
     }
@@ -986,12 +927,9 @@ impl XrdmaChannel {
         let fragmented = ctx.config().flowctl.enabled;
         let frag = if fragmented { FRAG_BYTES } else { u64::MAX };
         let nfrags = if len == 0 { 1u64 } else { len.div_ceil(frag) };
-        self.fetches.borrow_mut().insert(
-            seq,
-            LargeFetch {
-                frags_left: nfrags as u32,
-            },
-        );
+        if let Some(msg) = self.inbox.borrow_mut().get_mut(seq) {
+            msg.frags_left = nfrags as u32;
+        }
         if fragmented && nfrags > 1 {
             self.stats.borrow_mut().fragments += nfrags;
         }
@@ -1006,23 +944,7 @@ impl XrdmaChannel {
                 desc.addr + off,
                 desc.rkey,
             );
-            let me = self.clone();
-            ctx.flow_post(move || {
-                if me.closed.get() {
-                    if let Some(ctx) = me.ctx.upgrade() {
-                        ctx.flow_release();
-                    }
-                    return;
-                }
-                let Some(ctx) = me.ctx.upgrade() else { return };
-                match ctx.rnic().post_send(&me.qp, wr) {
-                    Ok(()) => me.flow_slots.set(me.flow_slots.get() + 1),
-                    Err(_) => {
-                        ctx.flow_release();
-                        me.fail(CloseReason::PeerDead);
-                    }
-                }
-            });
+            self.flow_post_wr(ctx, wr, false);
         }
     }
 
@@ -1032,37 +954,30 @@ impl XrdmaChannel {
             return;
         };
         let seq = wr_read_seq(wr_id);
-        let finished = {
-            let mut fetches = self.fetches.borrow_mut();
-            match fetches.get_mut(&seq) {
-                Some(f) => {
-                    f.frags_left -= 1;
-                    if f.frags_left == 0 {
-                        fetches.remove(&seq);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                None => false,
+        let finished = match self.inbox.borrow_mut().get_mut(seq) {
+            Some(msg) if msg.frags_left > 0 => {
+                msg.frags_left -= 1;
+                msg.frags_left == 0
             }
+            _ => false,
         };
         if finished {
             // Algorithm 1: rdma_read_done → msg.recved; rta advances over
             // the contiguous completed prefix.
-            let ready = self.rx.borrow_mut().on_complete(seq);
+            let ready = self.rx.borrow_mut().on_complete(seq).count();
             self.deliver_ready(&ctx, ready);
             self.maybe_standalone_ack(&ctx);
         }
     }
 
-    /// Deliver messages whose sequence became contiguous.
-    fn deliver_ready(self: &Rc<Self>, ctx: &Rc<XrdmaContext>, ready: Vec<u32>) {
-        for seq in ready {
-            let Some(msg) = self.inbox.borrow_mut().remove(&seq) else {
-                continue;
-            };
-            self.deliver_one(ctx, msg);
+    /// Deliver the `ready` messages whose sequence became contiguous: they
+    /// sit at the inbox edge, which follows the receive window's rta.
+    fn deliver_ready(self: &Rc<Self>, ctx: &Rc<XrdmaContext>, ready: usize) {
+        for _ in 0..ready {
+            let msg = self.inbox.borrow_mut().pop_front();
+            if let Some(msg) = msg {
+                self.deliver_one(ctx, msg);
+            }
         }
     }
 
@@ -1074,22 +989,13 @@ impl XrdmaChannel {
         ctx.thread().charge(cpu);
 
         let hdr = msg.hdr;
-        let source = if hdr.body_len == 0 {
-            MsgSource::Empty
-        } else if let Some((lkey, addr)) = msg.small_loc {
-            MsgSource::Region {
-                rnic: ctx.rnic().clone(),
-                lkey,
-                addr,
-            }
-        } else if let Some(buf) = &msg.buf {
-            MsgSource::Region {
+        let source = match &msg.buf {
+            Some(buf) if hdr.body_len > 0 => MsgSource::Region {
                 rnic: ctx.rnic().clone(),
                 lkey: buf.lkey,
                 addr: buf.addr,
-            }
-        } else {
-            MsgSource::Empty
+            },
+            _ => MsgSource::Empty,
         };
         let app_msg = XrdmaMsg {
             kind: hdr.kind,
@@ -1108,9 +1014,6 @@ impl XrdmaChannel {
                     traced: hdr.trace,
                     t2_ns: ctx.local_clock_at(msg.t2),
                 };
-                if hdr.trace.is_some() {
-                    ctx.record_server_trace(&hdr, msg.t2);
-                }
                 let cb = self.on_request.borrow();
                 if let Some(cb) = cb.as_ref() {
                     cb(self, app_msg, token);
@@ -1150,22 +1053,17 @@ impl XrdmaChannel {
 
     /// Process a piggybacked / standalone cumulative ack from the peer.
     fn apply_peer_ack(self: &Rc<Self>, ack: u32) {
-        let newly: Vec<u32> = self.tx.borrow_mut().on_ack(ack).collect();
-        if newly.is_empty() {
+        let newly = self.tx.borrow_mut().on_ack(ack).count();
+        if newly == 0 {
             return;
         }
-        let Some(ctx) = self.ctx.upgrade() else {
-            return;
-        };
-        for seq in newly {
+        let ctx = self.ctx.upgrade();
+        for _ in 0..newly {
             // Algorithm 1: call on_acked(messages[i]) — release pinned
             // buffers; the peer's application has consumed the message.
-            if let Some(out) = self.outgoing.borrow_mut().remove(&seq) {
-                if let Some(buf) = out.buf {
-                    ctx.memcache().release(&buf);
-                }
-                let _ = out.kind;
-                let _ = out.sent_at;
+            let buf = self.outgoing.borrow_mut().pop_front();
+            if let (Some(ctx), Some(buf)) = (&ctx, buf) {
+                ctx.memcache().release(&buf);
             }
         }
         self.drain_pending();
@@ -1180,7 +1078,7 @@ impl XrdmaChannel {
         }
     }
 
-    fn repost_slot(&self, slot_id: u32, slot: &RecvSlot) {
+    fn repost_slot(&self, slot_id: u32, slot: &McBuf) {
         // Shared-pool slots go back through the context (the SRQ outlives
         // this channel); private slots re-arm this QP's receive queue.
         if let Some(ctx) = self.ctx.upgrade() {
@@ -1191,9 +1089,9 @@ impl XrdmaChannel {
         }
         let _ = self.qp.post_recv(xrdma_rnic::RecvWr::new(
             slot_id as u64,
-            slot.buf.addr,
-            slot.buf.len,
-            slot.buf.lkey,
+            slot.addr,
+            slot.len,
+            slot.lkey,
         ));
     }
 
@@ -1227,7 +1125,6 @@ impl XrdmaChannel {
     pub fn is_drained(&self) -> bool {
         self.tx.borrow().in_flight() == 0
             && self.pending.borrow().is_empty()
-            && self.outgoing.borrow().is_empty()
             && self.rpc_waiters.borrow().is_empty()
             && self.ctrl_outstanding.get() == 0
             && !self.probe_outstanding.get()
@@ -1273,10 +1170,10 @@ impl XrdmaChannel {
         if let Some(ctx) = self.ctx.upgrade() {
             let me = self.clone();
             ctx.world().schedule_in(Dur::micros(100), move || {
-                me.teardown(CloseReason::Local);
+                me.fail(CloseReason::Local);
             });
         } else {
-            self.teardown(CloseReason::Local);
+            self.fail(CloseReason::Local);
         }
     }
 
@@ -1289,26 +1186,21 @@ impl XrdmaChannel {
         }
     }
 
-    /// Keepalive or a data error found the peer dead.
+    /// Close and release everything locally: after a graceful close, the
+    /// peer's Close, or when keepalive or a data error found the peer dead.
+    /// Idempotent.
     pub(crate) fn fail(self: &Rc<Self>, reason: CloseReason) {
-        if self.closed.get() {
-            return;
-        }
-        self.teardown(reason);
-    }
-
-    fn teardown(self: &Rc<Self>, reason: CloseReason) {
         if self.closed.replace(true) {
             return;
         }
         // Fail every outstanding RPC: callers get a Close-kind message
-        // (`XrdmaMsg::is_error`) instead of silently hanging forever.
-        let waiters: Vec<RpcWaiter> = {
-            let mut map = self.rpc_waiters.borrow_mut();
-            let keys: Vec<u32> = map.keys().copied().collect();
-            keys.into_iter().filter_map(|k| map.remove(&k)).collect()
-        };
-        for w in waiters {
+        // (`XrdmaMsg::is_error`) instead of silently hanging forever. In
+        // rpc_id order, not bucket order: the callbacks reach the model.
+        let mut waiters: Vec<_> = std::mem::take(&mut *self.rpc_waiters.borrow_mut())
+            .into_iter()
+            .collect();
+        waiters.sort_unstable_by_key(|&(rpc_id, _)| rpc_id);
+        for (_, w) in waiters {
             let err_msg = XrdmaMsg::error_msg();
             {
                 let mut st = self.stats.borrow_mut();
@@ -1324,15 +1216,13 @@ impl XrdmaChannel {
                 ctx.flow_release();
             }
             // Release receive slots and any pinned buffers.
-            for (_, slot) in std::mem::take(&mut *self.recv_slots.borrow_mut()) {
-                ctx.memcache().release(&slot.buf);
+            for buf in std::mem::take(&mut *self.recv_slots.borrow_mut()) {
+                ctx.memcache().release(&buf);
             }
-            for (_, out) in std::mem::take(&mut *self.outgoing.borrow_mut()) {
-                if let Some(buf) = out.buf {
-                    ctx.memcache().release(&buf);
-                }
+            for buf in self.outgoing.borrow_mut().take_all() {
+                ctx.memcache().release(&buf);
             }
-            for (_, msg) in std::mem::take(&mut *self.inbox.borrow_mut()) {
+            for msg in self.inbox.borrow_mut().take_all() {
                 if let Some(buf) = msg.buf {
                     ctx.memcache().release(&buf);
                 }

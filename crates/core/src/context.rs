@@ -22,7 +22,6 @@ use crate::channel::{wr_tag, CloseReason, XrdmaChannel, TAG_READ};
 use crate::config::{PollMode, XrdmaConfig, CPU_DOORBELL, CPU_POLL, HYBRID_WINDOW, WAKEUP_LATENCY};
 use crate::error::XrdmaError;
 use crate::memcache::{McBuf, MemCache};
-use crate::proto::Header;
 use crate::qpcache::QpCache;
 use crate::stats::ContextStats;
 
@@ -92,11 +91,14 @@ pub struct XrdmaContext {
     /// Shared receive slot pool (SRQ mode): one bounded set of buffers
     /// serves every QP in the pool, so receive memory scales with
     /// `srq_size`, not with the channel count (§IV-E at mux scale).
-    srq_slots: RefCell<BTreeMap<u32, McBuf>>,
+    /// Indexed by slot id, which is the receive wr_id.
+    srq_slots: RefCell<Vec<McBuf>>,
     config: RefCell<XrdmaConfig>,
     memcache: MemCache,
     qpcache: QpCache,
-    channels: RefCell<BTreeMap<u32, Rc<XrdmaChannel>>>, // by qpn
+    /// Open channels indexed by qpn, so index order is qpn order: the
+    /// keepalive tick and `channels()` walk them in it.
+    channels: RefCell<Vec<Option<Rc<XrdmaChannel>>>>,
     flow: RefCell<FlowState>,
     stats: RefCell<ContextStats>,
     rpc_latency: RefCell<Histogram>,
@@ -105,9 +107,8 @@ pub struct XrdmaContext {
     /// hosts; tests inject skew here.
     pub clock_skew_ns: Cell<i64>,
     next_trace: Cell<u64>,
+    /// Ordered by trace_id: `all_traces` exports in that order.
     traces: RefCell<BTreeMap<u64, TraceRecord>>,
-    /// Open server-side trace halves (trace_id → server recv local ns).
-    server_traces: RefCell<BTreeMap<u64, u64>>,
     slow_log: RefCell<Vec<SlowOp>>,
     instrument: RefCell<Option<Rc<dyn Instrument>>>,
     last_pump_end: Cell<Time>,
@@ -124,6 +125,9 @@ pub struct XrdmaContext {
     /// Scratch CQE buffer reused by every `polling` call (the shared-CQ
     /// fast path drains into it without allocating).
     poll_buf: RefCell<Vec<Cqe>>,
+    /// Scratch qpn list reused by every `polling` call to tally its CQE
+    /// batch per channel.
+    poll_qpns: RefCell<Vec<u32>>,
     /// Data WRs awaiting the next doorbell flush (doorbell coalescing).
     pending_doorbell: RefCell<Vec<(Rc<XrdmaChannel>, SendWr)>>,
     /// Whether a doorbell flush is queued on the thread.
@@ -193,11 +197,11 @@ impl XrdmaContext {
             pd,
             cq,
             srq,
-            srq_slots: RefCell::new(BTreeMap::new()),
+            srq_slots: RefCell::new(Vec::new()),
             config: RefCell::new(config),
             memcache,
             qpcache,
-            channels: RefCell::new(BTreeMap::new()),
+            channels: RefCell::new(Vec::new()),
             flow: RefCell::new(FlowState {
                 outstanding: 0,
                 queue: VecDeque::new(),
@@ -207,7 +211,6 @@ impl XrdmaContext {
             clock_skew_ns: Cell::new(0),
             next_trace: Cell::new(1),
             traces: RefCell::new(BTreeMap::new()),
-            server_traces: RefCell::new(BTreeMap::new()),
             slow_log: RefCell::new(Vec::new()),
             instrument: RefCell::new(None),
             last_pump_end: Cell::new(Time::ZERO),
@@ -219,6 +222,7 @@ impl XrdmaContext {
             tick_timer: RefCell::new(None),
             tick_count: Cell::new(0),
             poll_buf: RefCell::new(Vec::new()),
+            poll_qpns: RefCell::new(Vec::new()),
             pending_doorbell: RefCell::new(Vec::new()),
             doorbell_armed: Cell::new(false),
             granted_doorbell: RefCell::new(Vec::new()),
@@ -253,7 +257,7 @@ impl XrdmaContext {
                 .memcache
                 .alloc(slot_len)
                 .expect("memcache must cover the shared receive pool");
-            self.srq_slots.borrow_mut().insert(id, buf);
+            self.srq_slots.borrow_mut().push(buf);
             srq.post(xrdma_rnic::RecvWr::new(
                 id as u64, buf.addr, buf.len, buf.lkey,
             ))
@@ -277,7 +281,7 @@ impl XrdmaContext {
 
     /// Resolve a shared receive slot by wr_id (SRQ mode only).
     pub(crate) fn srq_slot(&self, id: u32) -> Option<McBuf> {
-        self.srq_slots.borrow().get(&id).copied()
+        self.srq_slots.borrow().get(id as usize).copied()
     }
 
     /// Return a consumed shared slot to the SRQ rotation.
@@ -376,14 +380,14 @@ impl XrdmaContext {
         let n = self.cq.poll_cq(&mut buf, max);
         // Per-channel batch-size accounting (xr-stat's CQ-BATCH column).
         if n > 0 {
-            let mut per_qp: BTreeMap<u32, u64> = BTreeMap::new();
-            for cqe in buf.iter() {
-                *per_qp.entry(cqe.qpn.0).or_insert(0) += 1;
-            }
+            let mut qpns = self.poll_qpns.borrow_mut();
+            qpns.clear();
+            qpns.extend(buf.iter().map(|cqe| cqe.qpn.0));
+            qpns.sort_unstable();
             let channels = self.channels.borrow();
-            for (qpn, count) in per_qp {
-                if let Some(ch) = channels.get(&qpn) {
-                    ch.cqe_batch.borrow_mut().record(count);
+            for run in qpns.chunk_by(|a, b| a == b) {
+                if let Some(Some(ch)) = channels.get(run[0] as usize) {
+                    ch.cqe_batch.borrow_mut().record(run.len() as u64);
                 }
             }
         }
@@ -548,16 +552,20 @@ impl XrdmaContext {
 
     fn install_channel(self: &Rc<Self>, qp: Rc<Qp>, peer: NodeId) -> Rc<XrdmaChannel> {
         let ch = XrdmaChannel::new(self, qp.clone(), peer);
-        self.channels.borrow_mut().insert(qp.qpn.0, ch.clone());
-        self.stats.borrow_mut().channels_open = self.channels.borrow().len();
+        let mut channels = self.channels.borrow_mut();
+        let i = qp.qpn.0 as usize;
+        let len = channels.len().max(i + 1);
+        channels.resize(len, None);
+        channels[i] = Some(ch.clone());
         ch
     }
 
     pub(crate) fn channel_closed(&self, ch: &Rc<XrdmaChannel>, reason: CloseReason) {
-        self.channels.borrow_mut().remove(&ch.qp.qpn.0);
+        if let Some(slot) = self.channels.borrow_mut().get_mut(ch.qp.qpn.0 as usize) {
+            *slot = None;
+        }
         {
             let mut st = self.stats.borrow_mut();
-            st.channels_open = self.channels.borrow().len();
             st.channels_closed_total += 1;
             if reason == CloseReason::PeerDead {
                 st.keepalive_failures += 1;
@@ -572,12 +580,12 @@ impl XrdmaContext {
 
     /// Open channels right now.
     pub fn channel_count(&self) -> usize {
-        self.channels.borrow().len()
+        self.channels.borrow().iter().flatten().count()
     }
 
-    /// Iterate open channels (monitoring / XR-Stat).
+    /// Open channels in qpn order (monitoring / XR-Stat).
     pub fn channels(&self) -> Vec<Rc<XrdmaChannel>> {
-        self.channels.borrow().values().cloned().collect()
+        self.channels.borrow().iter().flatten().cloned().collect()
     }
 
     // ------------------------------------------------------------------
@@ -598,13 +606,9 @@ impl XrdmaContext {
         }
     }
 
-    /// Release a slot without a completion (bail-out paths, teardown).
+    /// Release a data WR's slot (its completion, or a bail-out path or
+    /// teardown that will see none) and drain the queue.
     pub(crate) fn flow_release(&self) {
-        self.flow_done();
-    }
-
-    /// A data WR completed: release its slot and drain the queue.
-    fn flow_done(&self) {
         let next = {
             let mut flow = self.flow.borrow_mut();
             flow.outstanding = flow.outstanding.saturating_sub(1);
@@ -864,60 +868,50 @@ impl XrdmaContext {
     }
 
     fn dispatch(self: &Rc<Self>, cqe: Cqe) {
-        let ch = self.channels.borrow().get(&cqe.qpn.0).cloned();
+        let recv = matches!(cqe.opcode, CqeOpcode::Recv | CqeOpcode::RecvWriteImm);
+        let ch = self.channels.borrow().get(cqe.qpn.0 as usize).cloned();
+        let Some(Some(ch)) = ch else {
+            if recv && self.has_srq() {
+                // The channel died (eviction / close) before this
+                // completion drained: the shared slot must rejoin the
+                // rotation or the pool would slowly bleed dry.
+                self.repost_srq_slot(cqe.wr_id as u32);
+            }
+            return;
+        };
         let ok = cqe.status.is_ok();
+        // Reads and eager sends went through the flow gate; controls and
+        // probes did not. Release the slot only while the channel still
+        // owns it (teardown releases the rest in bulk; CQEs flushed after
+        // teardown must not double-release).
+        let gated = match cqe.opcode {
+            CqeOpcode::Read => true,
+            CqeOpcode::Send => wr_tag(cqe.wr_id) == crate::channel::TAG_EAGER,
+            _ => false,
+        };
+        if gated && ch.flow_slots.get() > 0 {
+            ch.flow_slots.set(ch.flow_slots.get() - 1);
+            self.flow_release();
+        }
         match cqe.opcode {
-            CqeOpcode::Recv | CqeOpcode::RecvWriteImm => {
-                if let Some(ch) = ch {
-                    if ok {
-                        // CQE delivered to software: the span enters its
-                        // final, application-side stage.
-                        xrdma_telemetry::span_mark!(cqe.span, App);
-                        ch.on_recv(cqe.wr_id as u32, cqe.byte_len, cqe.span);
-                    }
-                    // Flush errors on receive need no action: teardown is
-                    // driven from the send side / keepalive.
-                } else if self.has_srq() {
-                    // The channel died (eviction / close) before this
-                    // completion drained: the shared slot must rejoin the
-                    // rotation or the pool would slowly bleed dry.
-                    self.repost_srq_slot(cqe.wr_id as u32);
-                }
+            _ if recv && ok => {
+                // CQE delivered to software: the span enters its final,
+                // application-side stage.
+                xrdma_telemetry::span_mark!(cqe.span, App);
+                ch.on_recv(cqe.wr_id as u32, cqe.byte_len, cqe.span);
             }
-            CqeOpcode::Read => {
-                // Release the slot only while the channel still owns it
-                // (teardown releases the rest in bulk; CQEs flushed after
-                // teardown must not double-release).
-                if let Some(ch) = ch {
-                    if ch.flow_slots.get() > 0 {
-                        ch.flow_slots.set(ch.flow_slots.get() - 1);
-                        self.flow_done();
-                    }
-                    if ok {
-                        debug_assert_eq!(wr_tag(cqe.wr_id), TAG_READ);
-                        ch.on_read_done(cqe.wr_id);
-                    } else {
-                        ch.on_send_complete(cqe.wr_id, false);
-                    }
-                }
+            CqeOpcode::Read if ok => {
+                debug_assert_eq!(wr_tag(cqe.wr_id), TAG_READ);
+                ch.on_read_done(cqe.wr_id);
             }
-            CqeOpcode::Send => {
-                // Eager sends went through the flow gate; controls did not.
-                if let Some(ch) = ch {
-                    if wr_tag(cqe.wr_id) == crate::channel::TAG_EAGER && ch.flow_slots.get() > 0 {
-                        ch.flow_slots.set(ch.flow_slots.get() - 1);
-                        self.flow_done();
-                    }
-                    ch.on_send_complete(cqe.wr_id, ok);
-                }
+            // Send/read completions and keepalive probes (zero-byte
+            // writes).
+            CqeOpcode::Read | CqeOpcode::Send | CqeOpcode::Write => {
+                ch.on_send_complete(cqe.wr_id, ok)
             }
-            CqeOpcode::Write => {
-                // Keepalive probes (zero-byte writes).
-                if let Some(ch) = ch {
-                    ch.on_send_complete(cqe.wr_id, ok);
-                }
-            }
-            CqeOpcode::Atomic => {}
+            // Flush errors on receive need no action: teardown is driven
+            // from the send side / keepalive.
+            CqeOpcode::Recv | CqeOpcode::RecvWriteImm | CqeOpcode::Atomic => {}
         }
     }
 
@@ -964,8 +958,7 @@ impl XrdmaContext {
             let cfg = self.config();
             (cfg.keepalive_intv, cfg.nop_timeout)
         };
-        let channels: Vec<_> = self.channels.borrow().values().cloned().collect();
-        for ch in channels {
+        for ch in self.channels() {
             if ch.closed.get() {
                 continue;
             }
@@ -1012,7 +1005,7 @@ impl XrdmaContext {
 
     pub fn stats(&self) -> ContextStats {
         let mut st = self.stats.borrow().clone();
-        st.channels_open = self.channels.borrow().len();
+        st.channels_open = self.channel_count();
         st.memcache_occupied = self.memcache.occupied_bytes();
         st.memcache_in_use = self.memcache.in_use_bytes();
         st.qp_cache_hits = self.qpcache.hits();
@@ -1047,15 +1040,6 @@ impl XrdmaContext {
         let mut log = self.slow_log.borrow_mut();
         if log.len() < 10_000 {
             log.push(op);
-        }
-    }
-
-    /// Server side of a traced request: remember our arrival clock.
-    pub(crate) fn record_server_trace(&self, hdr: &Header, t2: Time) {
-        if let Some(t) = hdr.trace {
-            self.server_traces
-                .borrow_mut()
-                .insert(t.trace_id, self.local_clock_at(t2));
         }
     }
 

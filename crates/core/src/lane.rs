@@ -478,7 +478,7 @@ fn deliver_msg(l: &mut L, chan: u32, msg: LaneMsg) {
                 // QP delivery is in-order (go-back-N), so completion is
                 // immediate and releases exactly this sequence.
                 let released = ch.rx.on_complete(msg.ch_seq);
-                debug_assert_eq!(released, vec![msg.ch_seq]);
+                debug_assert!(released.eq([msg.ch_seq]));
                 deliverable = true;
             }
         }

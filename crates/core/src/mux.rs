@@ -26,12 +26,14 @@
 //!   `srq_size`, not with the logical channel count.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::hash::Hash;
 use std::rc::{Rc, Weak};
 
 use bytes::Bytes;
 
 use xrdma_fabric::NodeId;
+use xrdma_sim::inthash::{IntMap, IntSet};
 use xrdma_sim::Dur;
 use xrdma_telemetry::tele;
 
@@ -46,21 +48,23 @@ use crate::stats::MuxStats;
 // ---------------------------------------------------------------------
 
 /// Deterministic LRU over slot keys: recency is a monotone use counter
-/// (never wall clock — the determinism contract), and both directions are
-/// BTree-indexed so `touch`/`insert`/`pop_lru` are all `O(log n)` with a
-/// stable iteration order. Factored out of [`ChannelMux`] so the criterion
-/// micro-bench can drive it directly.
-pub struct LruSlots<K: Ord + Clone> {
+/// (never wall clock — the determinism contract). A key finds its stamp
+/// by hash; stamps find their key through a BTree, so `pop_lru` takes the
+/// least recent in `O(log n)` and no bucket order is ever walked.
+/// Factored out of [`ChannelMux`] so the criterion micro-bench can drive
+/// it directly.
+pub struct LruSlots<K: Clone + Eq + Hash> {
     clock: u64,
-    stamps: BTreeMap<K, u64>,
+    stamps: IntMap<K, u64>,
+    /// Ordered by stamp: `pop_lru` takes the first entry.
     order: BTreeMap<u64, K>,
 }
 
-impl<K: Ord + Clone> LruSlots<K> {
+impl<K: Clone + Eq + Hash> LruSlots<K> {
     pub fn new() -> Self {
         LruSlots {
             clock: 0,
-            stamps: BTreeMap::new(),
+            stamps: IntMap::default(),
             order: BTreeMap::new(),
         }
     }
@@ -123,7 +127,7 @@ impl<K: Ord + Clone> LruSlots<K> {
     }
 }
 
-impl<K: Ord + Clone> Default for LruSlots<K> {
+impl<K: Clone + Eq + Hash> Default for LruSlots<K> {
     fn default() -> Self {
         Self::new()
     }
@@ -183,16 +187,20 @@ pub struct ChannelMux {
     /// Max slots occupied (connecting + live) before LRU eviction.
     pool: usize,
     lanes: u64,
+    /// Ordered by key: `drain_deferred` and `pump` serve slots in it.
     slots: RefCell<BTreeMap<SlotKey, Slot>>,
     /// Recency over Live slots only.
     lru: RefCell<LruSlots<SlotKey>>,
-    /// Logical channels by `(peer, lcid)` — client-opened and
-    /// receiver-discovered alike.
-    logical: RefCell<BTreeMap<(NodeId, u64), Rc<LogicalChannel>>>,
+    /// First lcid this mux allocates; `open` hands out the ones after it
+    /// in order.
+    first_lcid: u64,
+    /// Logical channels this mux opened, indexed by `lcid − first_lcid`.
+    opened: RefCell<Vec<Rc<LogicalChannel>>>,
+    /// Logical channels first named by a peer's frame, by `(peer, lcid)`.
+    discovered: RefCell<IntMap<(NodeId, u64), Rc<LogicalChannel>>>,
     /// Slot keys that were evicted at least once (re-establishment
     /// accounting).
-    evicted_once: RefCell<BTreeSet<SlotKey>>,
-    next_lcid: Cell<u64>,
+    evicted_once: RefCell<IntSet<SlotKey>>,
     /// A backpressure-retry tick is already scheduled (one timer per mux,
     /// not per slot).
     retry_armed: Cell<bool>,
@@ -307,9 +315,10 @@ impl ChannelMux {
             lanes,
             slots: RefCell::new(BTreeMap::new()),
             lru: RefCell::new(LruSlots::new()),
-            logical: RefCell::new(BTreeMap::new()),
-            evicted_once: RefCell::new(BTreeSet::new()),
-            next_lcid: Cell::new(((epoch as u64) << 32) | 1),
+            first_lcid: ((epoch as u64) << 32) | 1,
+            opened: RefCell::new(Vec::new()),
+            discovered: RefCell::new(IntMap::default()),
+            evicted_once: RefCell::new(IntSet::default()),
             retry_armed: Cell::new(false),
             stats: RefCell::new(MuxStats::default()),
             on_msg: RefCell::new(None),
@@ -332,20 +341,31 @@ impl ChannelMux {
         s
     }
 
-    /// Open a logical channel to `peer`. Costs a map entry — the physical
-    /// slot is established lazily on the first send.
+    /// Open a logical channel to `peer`. Costs a table entry — the
+    /// physical slot is established lazily on the first send.
     pub fn open(self: &Rc<Self>, peer: NodeId) -> Rc<LogicalChannel> {
-        let lcid = self.next_lcid.get();
-        self.next_lcid.set(lcid + 1);
-        self.logical_at(peer, lcid)
+        let lcid = self.first_lcid + self.opened.borrow().len() as u64;
+        // A frame from `peer` may have named this lcid first: then both
+        // directions of `(peer, lcid)` share that logical channel.
+        let found = self.discovered.borrow_mut().remove(&(peer, lcid));
+        let lc = found.unwrap_or_else(|| self.new_logical(peer, lcid));
+        self.opened.borrow_mut().push(lc.clone());
+        lc
     }
 
     /// Open (or look up) the logical channel `(peer, lcid)`.
     pub fn logical_at(self: &Rc<Self>, peer: NodeId, lcid: u64) -> Rc<LogicalChannel> {
-        let mut map = self.logical.borrow_mut();
-        if let Some(lc) = map.get(&(peer, lcid)) {
+        // Below `first_lcid` the index wraps past any table length.
+        let i = usize::try_from(lcid.wrapping_sub(self.first_lcid)).unwrap_or(usize::MAX);
+        if let Some(lc) = self.opened.borrow().get(i).filter(|lc| lc.peer == peer) {
             return lc.clone();
         }
+        let mut discovered = self.discovered.borrow_mut();
+        let lc = discovered.entry((peer, lcid));
+        lc.or_insert_with(|| self.new_logical(peer, lcid)).clone()
+    }
+
+    fn new_logical(self: &Rc<Self>, peer: NodeId, lcid: u64) -> Rc<LogicalChannel> {
         let lc = Rc::new(LogicalChannel {
             mux: Rc::downgrade(self),
             lcid,
@@ -355,7 +375,6 @@ impl ChannelMux {
             sent: Cell::new(0),
             received: Cell::new(0),
         });
-        map.insert((peer, lcid), lc.clone());
         self.stats.borrow_mut().logical_open += 1;
         lc
     }

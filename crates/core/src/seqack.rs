@@ -45,10 +45,6 @@ impl TxWindow {
         }
     }
 
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
-
     /// Sequences in flight right now.
     pub fn in_flight(&self) -> u32 {
         self.seq.wrapping_sub(self.acked)
@@ -58,11 +54,6 @@ impl TxWindow {
     /// NOP so the deadlock breaker can always go out.
     pub fn can_send(&self) -> bool {
         self.in_flight() < self.depth - 1
-    }
-
-    /// Window completely stalled (not even one data slot)?
-    pub fn stalled(&self) -> bool {
-        !self.can_send()
     }
 
     /// Assign the next sequence number (paper: `SEND_MESSAGE: tx.seq++`).
@@ -138,8 +129,8 @@ pub struct RxWindow {
     /// Last ACK value actually transmitted to the peer.
     acked_sent: u32,
     /// Completion flags for the out-of-order-completion range
-    /// [rta, wta): ring-indexed by seq % depth (paper: `msgs[i].recved`).
-    recved: Vec<bool>,
+    /// [rta, wta), a ring whose edge is `rta` (paper: `msgs[i].recved`).
+    recved: SeqRing<()>,
 }
 
 impl RxWindow {
@@ -150,7 +141,7 @@ impl RxWindow {
             wta: 0,
             rta: 0,
             acked_sent: 0,
-            recved: vec![false; depth as usize],
+            recved: SeqRing::new(depth),
         }
     }
 
@@ -174,7 +165,7 @@ impl RxWindow {
         let next = self.wta;
         let verdict = if seq == next {
             self.wta = self.wta.wrapping_add(1);
-            self.recved[(seq % self.depth) as usize] = false;
+            self.recved.remove(seq);
             RxAccept::Fresh
         } else if seq.wrapping_sub(self.rta) < next.wrapping_sub(self.rta) {
             tele!(SeqDuplicate { seq });
@@ -213,21 +204,20 @@ impl RxWindow {
     /// Mark a message completed (small message processed, or
     /// `rdma_read_done` for a large one) and advance RTA over every
     /// contiguous completed message (paper: `RDMA_READ_DONE`). Returns the
-    /// sequences that became deliverable *in order*.
-    pub fn on_complete(&mut self, seq: u32) -> Vec<u32> {
-        let off = seq.wrapping_sub(self.rta);
-        if off >= self.depth {
-            return Vec::new(); // stale completion
+    /// sequences that became deliverable, in order.
+    pub fn on_complete(&mut self, seq: u32) -> impl Iterator<Item = u32> + use<> {
+        let start = self.rta;
+        // A stale completion (behind the window) releases nothing.
+        if seq.wrapping_sub(self.rta) < self.depth {
+            self.recved.insert(seq, ());
+            while self.rta != self.wta && self.recved.get_mut(self.rta).is_some() {
+                self.recved.pop_front();
+                self.rta = self.rta.wrapping_add(1);
+            }
+            self.check_edges();
         }
-        self.recved[(seq % self.depth) as usize] = true;
-        let mut out = Vec::new();
-        while self.rta != self.wta && self.recved[(self.rta % self.depth) as usize] {
-            self.recved[(self.rta % self.depth) as usize] = false;
-            out.push(self.rta);
-            self.rta = self.rta.wrapping_add(1);
-        }
-        self.check_edges();
-        out
+        let n = self.rta.wrapping_sub(start);
+        (0..n).map(move |i| start.wrapping_add(i))
     }
 
     /// The ACK number to piggyback on the next outgoing message (paper:
@@ -249,6 +239,85 @@ impl RxWindow {
     }
 }
 
+/// Per-message state for one window, indexed from the window edge
+/// (Algorithm 1's `msgs[i]`): the entry for `seq` lives `seq − edge`
+/// slots past the one holding `edge`. Offsets are wrapping differences,
+/// so live seqs never share a slot across the u32 wrap, whatever the
+/// depth — `seq % depth` aliases there unless the depth divides 2^32.
+/// Slots are allocated as the window first reaches them, so memory
+/// follows the deepest the window has been, capped at `depth`.
+#[derive(Clone, Debug)]
+pub(crate) struct SeqRing<T> {
+    depth: usize,
+    /// Sequence number at the window edge.
+    edge: u32,
+    /// Slot holding `edge`.
+    head: usize,
+    slots: Vec<Option<T>>,
+}
+
+impl<T> SeqRing<T> {
+    pub(crate) fn new(depth: u32) -> SeqRing<T> {
+        SeqRing {
+            depth: depth as usize,
+            edge: 0,
+            head: 0,
+            slots: Vec::new(),
+        }
+    }
+
+    fn index(&self, seq: u32) -> Option<usize> {
+        let off = seq.wrapping_sub(self.edge) as usize;
+        (off < self.slots.len()).then(|| (self.head + off) % self.slots.len())
+    }
+
+    /// Store `v` for `seq`, which lies less than `depth` past the edge.
+    pub(crate) fn insert(&mut self, seq: u32, v: T) {
+        let off = seq.wrapping_sub(self.edge) as usize;
+        invariant!(
+            off < self.depth,
+            "seq {} beyond ring edge {}",
+            seq,
+            self.edge
+        );
+        if off >= self.slots.len() {
+            // Grow with the edge moved to slot 0, so offsets keep their
+            // entries.
+            self.slots.rotate_left(self.head);
+            self.head = 0;
+            let len = (off + 1).next_power_of_two().min(self.depth);
+            self.slots.resize_with(len, || None);
+        }
+        if let Some(i) = self.index(seq) {
+            self.slots[i] = Some(v);
+        }
+    }
+
+    pub(crate) fn get_mut(&mut self, seq: u32) -> Option<&mut T> {
+        let i = self.index(seq)?;
+        self.slots[i].as_mut()
+    }
+
+    pub(crate) fn remove(&mut self, seq: u32) -> Option<T> {
+        let i = self.index(seq)?;
+        self.slots[i].take()
+    }
+
+    /// Take the entry at the edge (if any) and advance the edge by one.
+    pub(crate) fn pop_front(&mut self) -> Option<T> {
+        self.edge = self.edge.wrapping_add(1);
+        let v = self.slots.get_mut(self.head)?.take();
+        self.head = (self.head + 1) % self.slots.len();
+        v
+    }
+
+    /// Take every entry, in seq order from the edge (teardown).
+    pub(crate) fn take_all(&mut self) -> impl Iterator<Item = T> + '_ {
+        let (behind, ahead) = self.slots.split_at_mut(self.head);
+        ahead.iter_mut().chain(behind).filter_map(Option::take)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +331,6 @@ mod tests {
         let s2 = tx.next_seq();
         assert_eq!((s0, s1, s2), (0, 1, 2));
         assert!(!tx.can_send(), "3 in flight = data slots exhausted");
-        assert!(tx.stalled());
         let acked: Vec<u32> = tx.on_ack(2).collect();
         assert_eq!(acked, vec![0, 1]);
         assert!(tx.can_send());
@@ -312,8 +380,8 @@ mod tests {
         assert_eq!(rx.on_arrival(1), RxAccept::Fresh);
         assert_eq!(rx.wta(), 2);
         assert_eq!(rx.rta(), 0, "nothing consumed yet");
-        assert_eq!(rx.on_complete(0), vec![0]);
-        assert_eq!(rx.on_complete(1), vec![1]);
+        assert!(rx.on_complete(0).eq([0]));
+        assert!(rx.on_complete(1).eq([1]));
         assert_eq!(rx.rta(), 2);
     }
 
@@ -325,18 +393,52 @@ mod tests {
         for s in 0..3 {
             rx.on_arrival(s);
         }
-        assert_eq!(rx.on_complete(1), vec![]);
-        assert_eq!(rx.on_complete(2), vec![]);
+        assert_eq!(rx.on_complete(1).count(), 0);
+        assert_eq!(rx.on_complete(2).count(), 0);
         assert_eq!(rx.rta(), 0);
-        assert_eq!(rx.on_complete(0), vec![0, 1, 2], "releases the batch");
+        assert!(rx.on_complete(0).eq([0, 1, 2]), "releases the batch");
         assert_eq!(rx.rta(), 3);
+    }
+
+    #[test]
+    fn rx_ring_survives_the_u32_wrap_at_any_depth() {
+        // Depth 10 does not divide 2^32: indexed by `seq % depth`,
+        // u32::MAX − 3 and 2 would share a slot.
+        let first = u32::MAX - 3;
+        let mut rx = RxWindow::new(10);
+        (rx.wta, rx.rta, rx.acked_sent, rx.recved.edge) = (first, first, first, first);
+        let seqs: Vec<u32> = (0..7).map(|i| first.wrapping_add(i)).collect();
+        for &s in &seqs {
+            assert_eq!(rx.on_arrival(s), RxAccept::Fresh);
+        }
+        // The newest completes first (a late rendezvous read overtaken).
+        assert_eq!(rx.on_complete(2).count(), 0);
+        let mut delivered = Vec::new();
+        for &s in &seqs[..6] {
+            delivered.extend(rx.on_complete(s));
+        }
+        assert_eq!(delivered, seqs, "every seq delivered once, in order");
+        assert_eq!(rx.rta(), 3);
+    }
+
+    #[test]
+    fn seq_ring_grows_keeping_entries_at_their_seqs() {
+        let mut ring: SeqRing<u32> = SeqRing::new(8);
+        ring.insert(0, 0);
+        ring.insert(1, 1);
+        assert_eq!(ring.pop_front(), Some(0));
+        ring.insert(2, 2); // wraps to slot 0 while the edge sits in slot 1
+        ring.insert(4, 4); // grows 2 → 4 slots
+        assert_eq!(ring.slots.len(), 4);
+        assert_eq!(ring.remove(3), None);
+        assert_eq!(ring.take_all().collect::<Vec<_>>(), [1, 2, 4]);
     }
 
     #[test]
     fn rx_duplicate_detection() {
         let mut rx = RxWindow::new(4);
         rx.on_arrival(0);
-        rx.on_complete(0);
+        let _ = rx.on_complete(0);
         assert_eq!(rx.on_arrival(0), RxAccept::Duplicate);
         rx.on_arrival(1);
         assert_eq!(
@@ -351,7 +453,7 @@ mod tests {
         let mut rx = RxWindow::new(8);
         for s in 0..5 {
             rx.on_arrival(s);
-            rx.on_complete(s);
+            let _ = rx.on_complete(s);
         }
         assert_eq!(rx.unsent_acks(), 5);
         assert!(rx.needs_standalone_ack(4));
@@ -411,7 +513,7 @@ mod tests {
             while tx.can_send() {
                 let s = tx.next_seq();
                 assert_eq!(rx.on_arrival(s), RxAccept::Fresh);
-                rx.on_complete(s);
+                let _ = rx.on_complete(s);
             }
             tx.on_ack(rx.take_ack()).count();
         }

@@ -183,11 +183,6 @@ impl Switch {
         self.upstream.borrow_mut()[idx] = upstream;
     }
 
-    #[allow(dead_code)]
-    pub(crate) fn port(&self, idx: usize) -> Rc<Port> {
-        self.ports.borrow()[idx].clone()
-    }
-
     /// Egress port index toward host `dst` for a flow: `Topology::next_hop`
     /// composed with the port layout, on precomputed constants. ECMP stage
     /// constants differ per tier so a flow's choices decorrelate.

@@ -9,10 +9,11 @@
 //! for the busy-poll/event-mode accounting in `xrdma-core::context`.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::verbs::{Qpn, WrId};
+use xrdma_sim::inthash::IntSet;
 use xrdma_telemetry::SpanToken;
 
 /// Completion status, mirroring the interesting subset of `ibv_wc_status`.
@@ -74,7 +75,7 @@ pub struct SharedCq {
     overflowed: Cell<bool>,
     total_pushed: Cell<u64>,
     /// QPs currently registered into this CQ.
-    qps: RefCell<BTreeSet<Qpn>>,
+    qps: RefCell<IntSet<Qpn>>,
     /// `poll_cq` calls, and the subset that drained nothing.
     polls: Cell<u64>,
     empty_polls: Cell<u64>,
@@ -99,7 +100,7 @@ impl SharedCq {
             notify: RefCell::new(None),
             overflowed: Cell::new(false),
             total_pushed: Cell::new(0),
-            qps: RefCell::new(BTreeSet::new()),
+            qps: RefCell::new(IntSet::default()),
             polls: Cell::new(0),
             empty_polls: Cell::new(0),
             notify_fires: Cell::new(0),

@@ -25,7 +25,7 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -33,13 +33,13 @@ use bytes::Bytes;
 use xrdma_fabric::packet::{PRIO_CTRL, PRIO_RDMA};
 use xrdma_fabric::port::Port;
 use xrdma_fabric::{Fabric, NicSink, NodeId, Packet};
+use xrdma_sim::inthash::{IntMap, IntSet};
 use xrdma_sim::{Dur, SimRng, Time, World};
 use xrdma_telemetry::{span_mark, tele, SpanToken};
 
 use crate::config::{PageKind, RnicConfig};
 use crate::cq::{CompletionQueue, Cqe, CqeOpcode, CqeStatus};
 use crate::dcqcn::DcqcnRp;
-use crate::inthash::{IntMap, IntSet};
 use crate::mem::{AccessFlags, MemTable, Mr, Pd};
 use crate::qp::{PendingAtomic, PendingRead, Qp, QpCaps, RespJob, RxMsg, Srq, TxMsg, UnackedMsg};
 use crate::verbs::{Payload, Qpn, SendOp, SendWr, VerbsError};
@@ -184,7 +184,9 @@ pub struct Rnic {
     /// Weak self-reference so trait-object callbacks can recover `Rc<Self>`.
     me: RefCell<std::rc::Weak<Rnic>>,
     mem: MemTable,
-    qps: RefCell<BTreeMap<Qpn, Rc<Qp>>>,
+    /// QPs indexed by qpn, so index order is qpn order: `restart` and the
+    /// `QpError` fault walk them in it.
+    qps: RefCell<Vec<Option<Rc<Qp>>>>,
     next_qpn: Cell<u32>,
     next_cq: Cell<u32>,
     next_srq: Cell<u32>,
@@ -193,7 +195,8 @@ pub struct Rnic {
     /// created on the first kick; the closure is boxed once and re-armed
     /// in place.
     kick_timer: RefCell<Option<xrdma_sim::Timer>>,
-    /// QPs recovering from a rate cut, ticked by the DCQCN timer.
+    /// QPs recovering from a rate cut, ticked by the DCQCN timer in qpn
+    /// order.
     congested: RefCell<BTreeSet<Qpn>>,
     /// The shared DCQCN alpha/increase tick. Lazily created on the first
     /// congestion event; the closure is boxed once and re-armed in place.
@@ -240,7 +243,7 @@ impl Rnic {
             port: RefCell::new(None),
             me: RefCell::new(std::rc::Weak::new()),
             mem: MemTable::new(node.0),
-            qps: RefCell::new(BTreeMap::new()),
+            qps: RefCell::new(Vec::new()),
             next_qpn: Cell::new(1),
             next_cq: Cell::new(1),
             next_srq: Cell::new(1),
@@ -337,7 +340,7 @@ impl Rnic {
     /// RESET; connections must be re-established).
     pub fn restart(&self) {
         self.alive.set(true);
-        for qp in self.qps.borrow().values() {
+        for qp in self.qps.borrow().iter().flatten() {
             qp.modify_to_reset();
         }
     }
@@ -426,7 +429,11 @@ impl Rnic {
             srq,
             DcqcnRp::new(self.cfg.dcqcn),
         );
-        self.qps.borrow_mut().insert(qpn, qp.clone());
+        let mut qps = self.qps.borrow_mut();
+        let i = qpn.0 as usize;
+        let len = qps.len().max(i + 1);
+        qps.resize(len, None);
+        qps[i] = Some(qp.clone());
         qp
     }
 
@@ -434,15 +441,17 @@ impl Rnic {
         qp.modify_to_reset();
         qp.send_cq.deregister_qp(qp.qpn);
         qp.recv_cq.deregister_qp(qp.qpn);
-        self.qps.borrow_mut().remove(&qp.qpn);
+        if let Some(slot) = self.qps.borrow_mut().get_mut(qp.qpn.0 as usize) {
+            *slot = None;
+        }
     }
 
     pub fn qp(&self, qpn: Qpn) -> Option<Rc<Qp>> {
-        self.qps.borrow().get(&qpn).cloned()
+        self.qps.borrow().get(qpn.0 as usize)?.clone()
     }
 
     pub fn qp_count(&self) -> usize {
-        self.qps.borrow().len()
+        self.qps.borrow().iter().flatten().count()
     }
 
     // ------------------------------------------------------------------
@@ -1375,7 +1384,8 @@ impl Rnic {
                 let rts: Vec<Rc<Qp>> = self
                     .qps
                     .borrow()
-                    .values()
+                    .iter()
+                    .flatten()
                     .filter(|qp| qp.state() == crate::qp::QpState::Rts)
                     .cloned()
                     .collect();

@@ -29,7 +29,6 @@ pub mod config;
 pub mod cq;
 pub mod dcqcn;
 pub mod engine;
-mod inthash;
 pub mod lane;
 pub mod mem;
 pub mod qp;

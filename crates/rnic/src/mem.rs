@@ -13,8 +13,9 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
+use xrdma_sim::inthash::IntMap;
+
 use crate::config::PageKind;
-use crate::inthash::IntMap;
 use crate::verbs::VerbsError;
 
 /// Access permissions on a memory region.

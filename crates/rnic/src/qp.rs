@@ -7,12 +7,12 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use xrdma_fabric::NodeId;
+use xrdma_sim::inthash::IntMap;
 use xrdma_sim::{invariant, Time};
 use xrdma_telemetry::tele;
 
 use crate::cq::CompletionQueue;
 use crate::dcqcn::{DcqcnNp, DcqcnRp};
-use crate::inthash::IntMap;
 use crate::verbs::{Qpn, RecvWr, SendWr, VerbsError};
 
 /// QP state machine, mirroring `ibv_qp_state`.

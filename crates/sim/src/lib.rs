@@ -22,6 +22,7 @@
 //! [`stats::TimeSeries`], and monotonic [`stats::Counter`]s.
 
 pub mod cpu;
+pub mod inthash;
 pub mod rng;
 pub(crate) mod sched;
 pub mod shard;

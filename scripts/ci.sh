@@ -34,6 +34,10 @@
 #            spans, DESIGN.md §8) — asserts stage sums telescope to the
 #            end-to-end sum; needs the telemetry feature, temp-dir
 #            discipline as above
+#   bench    builds the separate `benchmark/` workspace (nothing else
+#            compiles it) and smoke-runs every workload at --quick scale
+#            into a temp dir; fails on any output check and on any
+#            model_digest mismatch between a workload's repetitions
 #   golden   the test legs must not have rewritten any committed golden
 #            file (catches an XRDMA_UPDATE_GOLDEN leak or a determinism
 #            break that slipped past the byte-compare tests)
@@ -63,6 +67,7 @@ run env XRDMA_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
     cargo run -q --release -p xrdma-bench --bin qpscale
 run env XRDMA_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
     cargo run -q --release -p xrdma-bench --features xrdma-bench/telemetry --bin latbreak
+run benchmark/run.sh --quick --out "$(mktemp -d)"
 run git diff --exit-code -- tests/golden results/msgrate.json results/qpscale.json results/lint.json results/latbreak.json
 
 echo "==> ci.sh: all gates passed"
