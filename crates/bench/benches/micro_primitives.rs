@@ -3,6 +3,8 @@
 //! window and the sparse memory backing. These guard the simulator's own
 //! performance (wall-clock per virtual event) against regressions.
 
+use std::rc::Rc;
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use xrdma_core::proto::{Header, LargeDesc, MsgKind};
@@ -11,10 +13,10 @@ use xrdma_fabric::ecmp_hash;
 use xrdma_rnic::mem::MemTable;
 use xrdma_rnic::{AccessFlags, PageKind};
 use xrdma_sim::stats::Histogram;
-use xrdma_sim::{DelayLine, Dur, ShardConfig, ShardWorld, SimRng, Time, World};
+use xrdma_sim::{DelayLine, Dur, ShardConfig, ShardWorld, SimRng, Time, Timer, World};
 
 /// A one-shot that re-schedules itself `gap_ns` later, `left` times.
-fn rearm_chain(w: &std::rc::Rc<World>, gap_ns: u64, left: u32) {
+fn rearm_chain(w: &Rc<World>, gap_ns: u64, left: u32) {
     if left == 0 {
         return;
     }
@@ -31,7 +33,6 @@ fn rearm_chain(w: &std::rc::Rc<World>, gap_ns: u64, left: u32) {
 /// boxed `schedule_in` one-shot; the event order is the same either way.
 fn hop_storm(lines: bool) -> u64 {
     use std::cell::RefCell;
-    use std::rc::Rc;
     const HOP: Dur = Dur::nanos(250);
     fn one_shot_hop(w: &Rc<World>, left: u32) {
         if left > 0 {
@@ -67,6 +68,21 @@ fn hop_storm(lines: bool) -> u64 {
     drop(timers);
     *own.borrow_mut() = None; // break the handler -> handle -> world cycle
     w.events_executed()
+}
+
+/// `timers` periodic no-op timers of period `period_ns`, first firings
+/// spread over the first `spread_ns` nanoseconds. The handles keep them
+/// ticking; each `run_for(period)` then fires every timer once.
+fn timer_storm(timers: u64, period_ns: u64, spread_ns: u64) -> (Rc<World>, Vec<Timer>) {
+    let w = World::new();
+    let handles = (0..timers)
+        .map(|i| {
+            let t = w.periodic(Dur::nanos(period_ns), || {});
+            t.arm_in(Dur::nanos(1 + i * spread_ns / timers));
+            t
+        })
+        .collect();
+    (w, handles)
 }
 
 fn bench_event_loop(c: &mut Criterion) {
@@ -132,6 +148,23 @@ fn bench_event_loop(c: &mut Criterion) {
             w.run();
             black_box(w.events_executed())
         })
+    });
+    // Periodic-timer storms, one firing per timer per iteration. The
+    // ladder rung `sim.sched_ns_per_event`: 4096 timers at 1 µs inside one
+    // 4096 ns tick, so a re-arm inside the tick lands deep in the reached
+    // run and goes to the side heap — the worst case for the run
+    // (DESIGN.md §3.19).
+    g.throughput(Throughput::Elements(4096));
+    g.bench_function("wheel_dense_bucket_4096x1us", |b| {
+        let (w, _timers) = timer_storm(4096, 1_000, 1_000);
+        b.iter(|| w.run_for(Dur::micros(1)))
+    });
+    // Re-arms always land in a later bucket: every key arrives through a
+    // refill, so pops come straight off the sorted run.
+    g.throughput(Throughput::Elements(1024));
+    g.bench_function("wheel_sparse_1024x5us", |b| {
+        let (w, _timers) = timer_storm(1024, 5_000, 5_000);
+        b.iter(|| w.run_for(Dur::micros(5)))
     });
     // A constant-delay hop as a delay-line entry against the boxed
     // one-shot it replaces (DESIGN.md §3.17).

@@ -134,13 +134,12 @@ impl TouchCache {
                 break;
             }
         }
-        // Also keep the order deque from growing without bound.
-        while self.order.len() > self.capacity * 4 + 16 {
-            if let Some((s, k)) = self.order.pop_front() {
-                if self.map.get(&k) == Some(&s) && self.map.len() > self.capacity {
-                    self.map.remove(&k);
-                }
-            }
+        // Keep the order deque from growing without bound: drop the stale
+        // entries, keeping every live one in LRU order. The deque is then
+        // at most `capacity` long, so this is amortised O(1) per touch.
+        if self.order.len() > self.capacity * 4 + 16 {
+            let map = &self.map;
+            self.order.retain(|(s, k)| map.get(k) == Some(s));
         }
         hit
     }
@@ -2427,5 +2426,21 @@ mod tests {
             })
             .collect();
         assert_eq!(trace, "mhmhmmhmmmmhmhhhhmhmhhhhhhhmmhhh");
+    }
+
+    /// Compacting the order deque must not drop the least recently used
+    /// key's live entry: after A, then B × 30 (enough to compact), a new
+    /// key C evicts A, and B still hits.
+    #[test]
+    fn compaction_keeps_the_lru_entry_evictable() {
+        let mut cache = TouchCache::new(2);
+        assert!(!cache.touch(0xA));
+        assert!(!cache.touch(0xB));
+        for _ in 1..30 {
+            assert!(cache.touch(0xB));
+        }
+        assert!(!cache.touch(0xC));
+        assert!(cache.touch(0xB), "C must evict A, the LRU key, not B");
+        assert!(!cache.touch(0xA), "A was evicted");
     }
 }

@@ -15,10 +15,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use crate::time::{Dur, Time};
-use crate::world::World;
+use crate::world::{Timer, World};
 
 /// A simulated CPU thread with run-to-complete semantics.
 ///
@@ -26,6 +26,10 @@ use crate::world::World;
 /// never overlapping; each may consume CPU via [`CpuThread::charge`], which
 /// delays subsequent items. Total busy time is tracked for utilization
 /// reporting.
+///
+/// The world holds a thread only weakly: once every owner has dropped its
+/// `Rc<CpuThread>`, the pending pump is cancelled and the rest of the
+/// queue never runs.
 pub struct CpuThread {
     world: Rc<World>,
     name: String,
@@ -40,8 +44,9 @@ pub struct CpuThread {
     observers: RefCell<Vec<Box<dyn Fn(Time, Dur)>>>,
     /// FIFO of submitted work: (earliest start, handler).
     queue: RefCell<VecDeque<(Time, Work)>>,
-    /// Whether a pump event is currently scheduled.
-    pump_armed: Cell<bool>,
+    /// Runs [`CpuThread::pump`]; armed iff a pump is pending. One timer per
+    /// thread, re-armed for every pump, holding the thread by `Weak`.
+    pump: Timer,
     /// Handlers executed so far. One executed handler is one "progress
     /// quantum": work submitted while a handler runs lands in the same
     /// queue behind it, which is what doorbell coalescing keys off.
@@ -52,16 +57,24 @@ type Work = Box<dyn FnOnce(&Rc<CpuThread>)>;
 
 impl CpuThread {
     pub fn new(world: Rc<World>, name: impl Into<String>) -> Rc<CpuThread> {
-        Rc::new(CpuThread {
-            world,
-            name: name.into(),
-            busy_until: Cell::new(Time::ZERO),
-            total_busy: Cell::new(0),
-            running_since: Cell::new(None),
-            observers: RefCell::new(Vec::new()),
-            queue: RefCell::new(VecDeque::new()),
-            pump_armed: Cell::new(false),
-            items_executed: Cell::new(0),
+        Rc::new_cyclic(|me: &Weak<CpuThread>| {
+            let me = me.clone();
+            let pump = world.timer(move || {
+                if let Some(thread) = me.upgrade() {
+                    thread.pump();
+                }
+            });
+            CpuThread {
+                world,
+                name: name.into(),
+                busy_until: Cell::new(Time::ZERO),
+                total_busy: Cell::new(0),
+                running_since: Cell::new(None),
+                observers: RefCell::new(Vec::new()),
+                queue: RefCell::new(VecDeque::new()),
+                pump,
+                items_executed: Cell::new(0),
+            }
         })
     }
 
@@ -104,9 +117,9 @@ impl CpuThread {
         self.arm_pump();
     }
 
-    /// Schedule the pump for the queue head if it is not already armed.
-    fn arm_pump(self: &Rc<Self>) {
-        if self.pump_armed.get() {
+    /// Arm the pump for the queue head if it is not already armed.
+    fn arm_pump(&self) {
+        if self.pump.is_armed() {
             return;
         }
         let head_earliest = match self.queue.borrow().front() {
@@ -116,12 +129,7 @@ impl CpuThread {
         let at = head_earliest
             .max(self.busy_until.get())
             .max(self.world.now());
-        self.pump_armed.set(true);
-        let me = self.clone();
-        self.world.schedule_at(at, move || {
-            me.pump_armed.set(false);
-            me.pump();
-        });
+        self.pump.arm_at(at);
     }
 
     /// Run the queue head if its start conditions hold, then re-arm.
@@ -262,5 +270,19 @@ mod tests {
         });
         w.run();
         assert_eq!(done.get(), 10, "follow-up runs after the charge");
+    }
+
+    #[test]
+    fn dropped_thread_stops_running_its_queue() {
+        let w = World::new();
+        let t = CpuThread::new(w.clone(), "t0");
+        let ran = Rc::new(Cell::new(false));
+        let r = ran.clone();
+        t.exec(Dur::nanos(10), move |_| r.set(true));
+        assert_eq!(w.pending(), 1, "one pump armed");
+        drop(t);
+        assert_eq!(w.pending(), 0, "the pump is cancelled with the thread");
+        w.run();
+        assert!(!ran.get());
     }
 }

@@ -15,10 +15,17 @@
 //! # Calendar layout (DESIGN.md §3)
 //!
 //! Pending events are 24-byte `(at, seq, slot, gen)` keys held in one of
-//! three places:
+//! four places:
 //!
-//! * **current** — a small binary heap of every key whose bucket the wheel
-//!   cursor has reached. Pops come only from here.
+//! * **current** — every key whose bucket the wheel cursor has reached, as
+//!   a *run*: a `Vec` sorted in descending order, so the minimum is the
+//!   tail and a pop is `Vec::pop`. A refill sorts the reached bucket once.
+//!   A key pushed at or behind the cursor walks at most [`RUN_SCAN`] keys
+//!   up from the tail to find its slot (DESIGN.md §3.19).
+//! * **late** — a side binary heap for the reached keys that would have
+//!   landed deeper than that in the run. Pops take the smaller of the
+//!   run's tail and `late`'s top. Only a dense bucket fills it; it is
+//!   usually empty.
 //! * **near wheel** — `WHEEL_SLOTS` buckets, each covering `BUCKET_NS`
 //!   nanoseconds (horizon ≈ 1 ms: where keepalive, DCQCN and retransmit
 //!   timers live). A bucket is an unordered linked list: `heads` holds one
@@ -26,20 +33,21 @@
 //!   free list, so scheduling into the horizon is a pool-slot write plus a
 //!   head write and a near-empty calendar costs about a kilobyte. Order
 //!   inside a bucket is irrelevant: a reached bucket moves wholesale into
-//!   `current`, which orders by `(at, seq)`.
+//!   `current`, which the refill sorts by `(at, seq)`.
 //! * **overflow** — a binary min-heap for keys beyond the horizon; they
 //!   migrate into the wheel as the cursor advances.
 //!
 //! The FIFO-at-equal-instant proof obligation: every key is ordered by
 //! `(at, seq)` and `seq` is globally unique and monotone, so the pop order
-//! is correct iff `min(current) ≤ min(wheel ∪ overflow)` whenever `current`
-//! is non-empty. That invariant holds because (a) `current` only receives
-//! whole buckets the cursor has reached plus direct inserts at or behind
-//! the cursor, (b) every bucket holds keys of exactly one future cursor
-//! tick, and (c) the overflow heap only holds keys at least one full
-//! rotation ahead of the cursor (re-established by the migration loop each
-//! time the cursor moves). `world::tests::wheel_matches_reference` checks
-//! the pop order against a plain `BinaryHeap` oracle.
+//! is correct iff `min(current ∪ late) ≤ min(wheel ∪ overflow)` whenever
+//! `current ∪ late` is non-empty. That invariant holds because (a)
+//! `current` and `late` only receive whole buckets the cursor has reached
+//! plus direct inserts at or behind the cursor, (b) every bucket holds
+//! keys of exactly one future cursor tick, and (c) the overflow heap only
+//! holds keys at least one full rotation ahead of the cursor
+//! (re-established by the migration loop each time the cursor moves).
+//! `world::tests::wheel_matches_reference` checks the pop order against a
+//! plain `BinaryHeap` oracle.
 //!
 //! Cancellation never searches the calendar: each slab slot carries a
 //! generation counter, a key is live iff its generation matches, and stale
@@ -52,8 +60,11 @@
 //! [`Sched::pop_next`] is the merge — `bound = min(line heads, deadline)`,
 //! pop the calendar while its live head is below `bound`, else fire the
 //! earliest line head — so the pop sequence is still the global
-//! `(at, seq)` order. Only the serial world opens lines; a lane engine's
-//! `Sched` has none and pops through [`Sched::pop_fired_before`] as ever.
+//! `(at, seq)` order. A line owns its handler: `pop_next` hands it out as
+//! [`Next::Line`] and [`Sched::finish_line_fire`] puts it back. Only the
+//! serial world opens lines; a lane engine's `Sched` has none and pops
+//! through [`Sched::pop_fired_before`], whose [`Fired`] has no line
+//! variant.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
@@ -68,6 +79,11 @@ pub(crate) const BUCKET_NS: u64 = 1 << BUCKET_BITS;
 pub(crate) const WHEEL_SLOTS: usize = 256;
 /// High bit of `Key::slot`: set for timer slots, clear for one-shot events.
 pub(crate) const TIMER_BIT: u32 = 1 << 31;
+/// Most keys a push at or behind the cursor walks past, and so shifts, to
+/// find its slot in the run; a key that would land deeper goes to
+/// `WheelCal::late`. Without the bound a dense bucket (4096 periodic timers
+/// inside one tick) shifts thousands of keys per insert.
+pub(crate) const RUN_SCAN: usize = 32;
 
 /// Handle to a scheduled one-shot event, usable to cancel it before it
 /// fires.
@@ -129,11 +145,15 @@ const NIL: u32 = u32::MAX;
 
 /// Timer-wheel calendar state.
 pub(crate) struct WheelCal {
-    /// The bucket tick the cursor last drained; `current` holds every key
-    /// at or behind it.
+    /// The bucket tick the cursor last drained; `current` and `late` hold
+    /// every key at or behind it.
     cursor: u64,
-    /// Keys the cursor has reached, popped in `(at, seq)` order.
-    current: BinaryHeap<Reverse<Key>>,
+    /// Keys the cursor has reached, sorted descending: the tail is the
+    /// minimum.
+    current: Vec<Key>,
+    /// Reached keys whose slot in `current` lay more than [`RUN_SCAN`] up
+    /// from the tail when they were pushed.
+    late: BinaryHeap<Reverse<Key>>,
     /// Near future: the list starting at `heads[t % WHEEL_SLOTS]` holds
     /// exactly the keys of the single tick `t` that is the bucket's next
     /// cursor visit (`NIL` = empty bucket).
@@ -153,7 +173,8 @@ impl WheelCal {
     pub(crate) fn new() -> WheelCal {
         WheelCal {
             cursor: 0,
-            current: BinaryHeap::with_capacity(64),
+            current: Vec::with_capacity(64),
+            late: BinaryHeap::new(),
             heads: [NIL; WHEEL_SLOTS],
             pool: Vec::new(),
             free: NIL,
@@ -165,12 +186,30 @@ impl WheelCal {
     pub(crate) fn push(&mut self, key: Key) {
         let t = tick_of(key.at);
         if t <= self.cursor {
-            self.current.push(Reverse(key));
+            self.push_reached(key);
         } else if t - self.cursor < WHEEL_SLOTS as u64 {
             self.push_bucket(t, key);
         } else {
             self.overflow.push(Reverse(key));
         }
+    }
+
+    /// Insert a key at or behind the cursor into the run, walking at most
+    /// [`RUN_SCAN`] keys up from the tail. A key whose slot lies deeper —
+    /// one comparison with the key just above the scan's reach tells —
+    /// goes to `late` without a walk.
+    fn push_reached(&mut self, key: Key) {
+        let run = &mut self.current;
+        let floor = run.len().saturating_sub(RUN_SCAN);
+        if floor > 0 && run[floor - 1] < key {
+            self.late.push(Reverse(key));
+            return;
+        }
+        let mut i = run.len();
+        while i > floor && run[i - 1] < key {
+            i -= 1;
+        }
+        run.insert(i, key);
     }
 
     /// Link `key` at the head of tick `t`'s bucket, reusing a freed node
@@ -201,7 +240,7 @@ impl WheelCal {
             let (key, next) = *node;
             node.1 = self.free;
             self.free = n;
-            self.current.push(Reverse(key));
+            self.current.push(key);
             self.in_buckets -= 1;
             n = next;
         }
@@ -220,10 +259,10 @@ impl WheelCal {
         (self.heads.iter().map(|&h| walk(h)).sum(), walk(self.free))
     }
 
-    /// Advance the cursor until `current` is non-empty. Returns false when
-    /// the calendar holds no keys at all.
+    /// Advance the cursor until `current` is non-empty, then sort it.
+    /// Returns false when the calendar holds no keys at all.
     fn refill(&mut self) -> bool {
-        debug_assert!(self.current.is_empty());
+        debug_assert!(self.current.is_empty() && self.late.is_empty());
         loop {
             if self.in_buckets == 0 {
                 // Everything pending (if anything) is in overflow: jump the
@@ -241,7 +280,7 @@ impl WheelCal {
                 let t = tick_of(k.at);
                 if t <= self.cursor {
                     let Reverse(k) = self.overflow.pop().expect("peeked");
-                    self.current.push(Reverse(k));
+                    self.current.push(k);
                 } else if t - self.cursor < WHEEL_SLOTS as u64 {
                     let Reverse(k) = self.overflow.pop().expect("peeked");
                     self.push_bucket(t, k);
@@ -251,6 +290,7 @@ impl WheelCal {
             }
             self.drain_bucket();
             if !self.current.is_empty() {
+                self.current.sort_unstable_by(|a, b| b.cmp(a));
                 // Pool accounting (DESIGN.md §7.2): every node is on exactly
                 // one bucket list or on the free list.
                 crate::invariant!(
@@ -265,18 +305,41 @@ impl WheelCal {
         }
     }
 
+    /// Make sure a reached key exists, refilling when both the run and
+    /// `late` are empty; false when the calendar holds no keys at all.
+    fn reached(&mut self) -> bool {
+        !(self.current.is_empty() && self.late.is_empty()) || self.refill()
+    }
+
+    /// Whether the reached minimum is `late`'s top rather than the run's
+    /// tail.
+    fn min_is_late(&self) -> bool {
+        match self.late.peek() {
+            None => false,
+            Some(Reverse(l)) => self.current.last().is_none_or(|r| l < r),
+        }
+    }
+
     pub(crate) fn pop_min(&mut self) -> Option<Key> {
-        if self.current.is_empty() && !self.refill() {
+        if !self.reached() {
             return None;
         }
-        self.current.pop().map(|Reverse(k)| k)
+        if self.min_is_late() {
+            self.late.pop().map(|Reverse(k)| k)
+        } else {
+            self.current.pop()
+        }
     }
 
     pub(crate) fn peek_min(&mut self) -> Option<Key> {
-        if self.current.is_empty() && !self.refill() {
+        if !self.reached() {
             return None;
         }
-        self.current.peek().map(|Reverse(k)| *k)
+        if self.min_is_late() {
+            self.late.peek().map(|Reverse(k)| *k)
+        } else {
+            self.current.last().copied()
+        }
     }
 }
 
@@ -302,18 +365,26 @@ struct TimerSlot<M> {
 /// delay's in-flight entries, oldest first. Sorted by construction — the
 /// owner's clock is monotone, the delay is constant and `seq` increases —
 /// so the front is the line's minimum and a send is a `push_back`: no
-/// slab slot, no calendar key, no boxed closure. The fire closure sits in
-/// timer slot `timer` (never armed), so a line entry fires through
-/// [`Fired::Timer`] and is handed back like any timer closure.
-struct Line {
+/// slab slot, no calendar key, no boxed closure. The line owns its fire
+/// closure.
+struct Line<M> {
     keys: VecDeque<(Time, u64)>,
-    timer: u32,
+    /// The line's handler; `None` only while it runs.
+    f: Option<M>,
 }
 
-/// What a popped live key resolved to.
+/// What a popped live calendar key resolved to.
 pub(crate) enum Fired<O, M> {
     OneShot(O),
     Timer { idx: u32, gen: u32, f: M },
+}
+
+/// What [`Sched::pop_next`] resolved to: a calendar firing, or an entry
+/// of line `idx` with the line's handler, to be given back through
+/// [`Sched::finish_line_fire`].
+pub(crate) enum Next<O, M> {
+    Cal(Fired<O, M>),
+    Line { idx: u32, f: M },
 }
 
 /// Calendar plus slab arena: the whole scheduler state behind one `&mut`.
@@ -327,7 +398,7 @@ pub(crate) struct Sched<O, M> {
     timers: Vec<TimerSlot<M>>,
     free_timers: Vec<u32>,
     /// Delay lines, merged with the calendar by [`Self::pop_next`].
-    lines: Vec<Line>,
+    lines: Vec<Line<M>>,
     /// Logically pending firings: scheduled one-shots, armed timers and
     /// delay-line entries.
     live: usize,
@@ -533,10 +604,9 @@ impl<O, M> Sched<O, M> {
     /// every line's head on every event.
     pub(crate) fn make_line(&mut self, f: impl FnOnce(u32) -> M) -> u32 {
         let idx = self.lines.len() as u32;
-        let timer = self.make_timer(None, f(idx));
         self.lines.push(Line {
             keys: VecDeque::new(),
-            timer,
+            f: Some(f(idx)),
         });
         idx
     }
@@ -555,9 +625,9 @@ impl<O, M> Sched<O, M> {
 
     /// Pop the next firing at or before `deadline`: the global `(at, seq)`
     /// minimum over the calendar's live keys and every delay line's head.
-    /// A line entry resolves to its line's fire closure as
-    /// [`Fired::Timer`]; give it back with [`Self::finish_timer_fire`].
-    pub(crate) fn pop_next(&mut self, deadline: Time) -> Option<(Time, Fired<O, M>)> {
+    /// A line entry resolves to its line's handler as [`Next::Line`]; give
+    /// it back with [`Self::finish_line_fire`].
+    pub(crate) fn pop_next(&mut self, deadline: Time) -> Option<(Time, Next<O, M>)> {
         let mut bound = (deadline, u64::MAX);
         let mut first = None;
         for (i, line) in self.lines.iter().enumerate() {
@@ -569,10 +639,11 @@ impl<O, M> Sched<O, M> {
                 _ => {}
             }
         }
-        let (key, fired) = match self.pop_fired_below(bound) {
-            Some((k, fired)) => ((k.at, k.seq), fired),
+        let (key, next) = match self.pop_fired_below(bound) {
+            Some((k, fired)) => ((k.at, k.seq), Next::Cal(fired)),
             None => {
-                let line = &mut self.lines[first?];
+                let idx = first?;
+                let line = &mut self.lines[idx];
                 let key = line.keys.pop_front().expect("head was read above");
                 // Merge obligations (DESIGN.md §7.2): a line is sorted, and
                 // its head fires only when no calendar key precedes it.
@@ -581,15 +652,13 @@ impl<O, M> Sched<O, M> {
                     "delay line out of order: fired {key:?}, new head {:?}",
                     line.keys.front()
                 );
-                let idx = line.timer;
+                let f = line.f.take().expect("handlers do not run the world");
                 crate::invariant!(
                     self.calendar.peek_min().is_none_or(|k| key < (k.at, k.seq)),
                     "delay line entry {key:?} fired past the calendar head"
                 );
-                let t = &mut self.timers[idx as usize];
-                let f = t.f.take().expect("a line handler does not run the world");
                 self.live -= 1;
-                (key, Fired::Timer { idx, gen: t.gen, f })
+                (key, Next::Line { idx: idx as u32, f })
             }
         };
         crate::invariant!(
@@ -598,7 +667,12 @@ impl<O, M> Sched<O, M> {
             self.last_fired
         );
         self.last_fired = Some(key);
-        Some((key.0, fired))
+        Some((key.0, next))
+    }
+
+    /// Give line `idx`'s handler back after it ran.
+    pub(crate) fn finish_line_fire(&mut self, idx: u32, f: M) {
+        self.lines[idx as usize].f = Some(f);
     }
 
     /// Give a timer closure back to its slot after a firing; returns
@@ -668,19 +742,13 @@ mod tests {
         assert_eq!(s.pending(), 5);
         let mut order = Vec::new();
         for _ in 0..4 {
-            let (at, fired) = s.pop_next(Time(100)).expect("four due");
-            order.push(match fired {
-                Fired::OneShot(_) => (at, 'c'),
-                Fired::Timer { idx, gen, f } => {
-                    assert!(s.finish_timer_fire(idx, gen, f).is_none());
-                    (
-                        at,
-                        if idx == s.lines[a as usize].timer {
-                            'a'
-                        } else {
-                            'b'
-                        },
-                    )
+            let (at, next) = s.pop_next(Time(100)).expect("four due");
+            order.push(match next {
+                Next::Cal(Fired::OneShot(_)) => (at, 'c'),
+                Next::Cal(Fired::Timer { .. }) => panic!("no timer was armed"),
+                Next::Line { idx, f } => {
+                    s.finish_line_fire(idx, f);
+                    (at, if idx == a { 'a' } else { 'b' })
                 }
             });
         }
@@ -697,6 +765,46 @@ mod tests {
         s.line_send(line, Time(300), 0);
         s.line_send(line, Time(250), 1); // a delay that shrank between sends
         s.pop_next(Time(1_000));
+    }
+
+    /// The ladder's dense bucket: 4096 keys in one tick, each re-armed
+    /// 1 µs after it pops (4096 periodic 1 µs timers), so a re-arm lands
+    /// about a thousand keys up from the run's tail. Pops follow a
+    /// `BinaryHeap` oracle, and no insert shifts more than `RUN_SCAN` keys.
+    #[test]
+    fn dense_bucket_rearms_respect_the_scan_bound() {
+        let (base, keys) = (4 * BUCKET_NS, 4096u64);
+        let mut cal = WheelCal::new();
+        let mut oracle = BinaryHeap::new();
+        for seq in 0..keys {
+            let k = key(base + seq % 1_000, seq);
+            cal.push(k);
+            oracle.push(Reverse(k));
+        }
+        let (mut seq, mut pops, mut late_peak) = (keys, 0, 0);
+        while let Some(k) = cal.pop_min() {
+            let Reverse(want) = oracle.pop().expect("the oracle holds every key");
+            assert_eq!((k.at, k.seq), (want.at, want.seq), "pop {pops}");
+            pops += 1;
+            let at = k.at.0 + 1_000;
+            if tick_of(Time(at)) > cal.cursor {
+                continue; // the tick is over: stop re-arming
+            }
+            let rearm = key(at, seq);
+            seq += 1;
+            let late = cal.late.len();
+            cal.push(rearm);
+            oracle.push(Reverse(rearm));
+            if cal.late.len() == late {
+                let slot = cal.current.partition_point(|x| *x > rearm);
+                let shifted = cal.current.len() - 1 - slot;
+                assert!(shifted <= RUN_SCAN, "re-arm {seq} shifted {shifted} keys");
+            }
+            late_peak = late_peak.max(cal.late.len());
+        }
+        assert!(oracle.is_empty(), "{} keys never popped", oracle.len());
+        assert!(pops > 3 * keys, "{pops} pops");
+        assert!(late_peak >= 1_000, "late peaked at {late_peak}");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 pub use crate::sched::EventId;
-use crate::sched::{Fired, Sched};
+use crate::sched::{Fired, Next, Sched};
 use crate::time::{Dur, Time};
 
 /// The scheduler specialization the serial world runs on: plain boxed
@@ -205,15 +205,19 @@ impl World {
     /// Pop and execute the next event at or before `deadline`; `false`
     /// when there is none (cancelled events are skipped transparently).
     fn step_until(&self, deadline: Time) -> bool {
-        let Some((at, fired)) = self.sched.borrow_mut().pop_next(deadline) else {
+        let Some((at, next)) = self.sched.borrow_mut().pop_next(deadline) else {
             return false;
         };
         debug_assert!(at >= self.now());
         self.now.set(at);
         self.executed.set(self.executed.get() + 1);
-        match fired {
-            Fired::OneShot(f) => f(),
-            Fired::Timer { idx, gen, mut f } => {
+        match next {
+            Next::Line { idx, mut f } => {
+                f();
+                self.sched.borrow_mut().finish_line_fire(idx, f);
+            }
+            Next::Cal(Fired::OneShot(f)) => f(),
+            Next::Cal(Fired::Timer { idx, gen, mut f }) => {
                 f();
                 // Give the closure back to its slot — unless the handle
                 // was dropped (and the slot possibly re-allocated)
@@ -640,12 +644,18 @@ mod tests {
     /// oracle computed here: every live key `(at, seq, id)` in one
     /// `BinaryHeap`, each timer firing re-armed `period` later under the
     /// next `seq`. Timers are dropped halfway, leaving only the sparse
-    /// far keys for the wheel to jump between.
+    /// far keys for the wheel to jump between. One more one-shot fires a
+    /// burst of 300 keys into its own, already reached tick (half of them
+    /// same-instant ties): most land too deep in the sorted run and go to
+    /// the side heap, so pops must merge the two.
     #[test]
     fn wheel_matches_reference() {
         const TIMER: u32 = 1 << 20;
+        const BURST: u32 = 1 << 21;
+        let is_timer = |id: u32| (TIMER..BURST).contains(&id);
         let horizon = WHEEL_SLOTS as u64 * BUCKET_NS;
         let (half, deadline) = (8 * horizon, 512 * horizon);
+        let burst_at = 5 * BUCKET_NS + 100;
         for seed in [1u64, 7, 42] {
             let mut rng = SimRng::new(seed);
             let shots: Vec<(u64, bool)> = (0..2_000)
@@ -662,6 +672,9 @@ mod tests {
                 })
                 .collect();
             let periods: Vec<u64> = (0..8).map(|_| 1 + rng.range(0, horizon / 4)).collect();
+            let burst: Vec<u64> = (0..300)
+                .map(|j| burst_at + rng.range(0, if j % 2 == 0 { 64 } else { 3 * BUCKET_NS / 4 }))
+                .collect();
 
             let w = World::new();
             let trace: Rc<RefCell<Vec<(u64, u32)>>> = Rc::new(RefCell::new(Vec::new()));
@@ -688,11 +701,21 @@ mod tests {
                 })
                 .collect();
             timers[3].cancel();
+            let (r, weak, ats) = (record.clone(), Rc::downgrade(&w), burst.clone());
+            w.schedule_at(Time(burst_at), move || {
+                r(BURST);
+                let w = weak.upgrade().expect("world alive");
+                for (j, &at) in ats.iter().enumerate() {
+                    let r = r.clone();
+                    w.schedule_at(Time(at), move || r(BURST + 1 + j as u32));
+                }
+            });
             w.run_until(Time(half));
             drop(timers);
             w.run_until(Time(deadline));
 
-            // The oracle: one-shot `i` holds seq `i`, timer `t` seq 2000 + t.
+            // The oracle: one-shot `i` holds seq `i`, timer `t` seq 2000 + t,
+            // the burst's trigger seq 2008.
             let mut heap = BinaryHeap::new();
             let mut seq = 0u64;
             for (i, &(at, cancelled)) in shots.iter().enumerate() {
@@ -707,6 +730,8 @@ mod tests {
                 }
                 seq += 1;
             }
+            heap.push(Reverse((burst_at, seq, BURST)));
+            seq += 1;
             let mut want = Vec::new();
             for until in [half, deadline] {
                 while let Some(&Reverse((at, _, id))) = heap.peek() {
@@ -715,12 +740,17 @@ mod tests {
                     }
                     heap.pop();
                     want.push((at, id));
-                    if id >= TIMER {
+                    if is_timer(id) {
                         heap.push(Reverse((at + periods[(id - TIMER) as usize], seq, id)));
                         seq += 1;
+                    } else if id == BURST {
+                        for (j, &at) in burst.iter().enumerate() {
+                            heap.push(Reverse((at, seq, BURST + 1 + j as u32)));
+                            seq += 1;
+                        }
                     }
                 }
-                heap.retain(|Reverse((_, _, id))| *id < TIMER);
+                heap.retain(|Reverse((_, _, id))| !is_timer(*id));
             }
 
             let got = trace.borrow();
