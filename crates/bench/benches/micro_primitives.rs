@@ -256,16 +256,17 @@ fn bench_sparse_memory(c: &mut Criterion) {
     let mut g = c.benchmark_group("sparse_mr");
     let table = MemTable::new(0);
     let pd = table.alloc_pd();
-    let arena = || {
+    let reg = |len: u64| {
         table.reg_mr(
             &pd,
-            4 * 1024 * 1024,
+            len,
             AccessFlags::FULL,
             PageKind::Anonymous,
             true,
             false,
         )
     };
+    let arena = || reg(4 * 1024 * 1024);
     let mr = arena();
     let data = vec![0xAAu8; 64];
     let mut off = 0u64;
@@ -298,6 +299,40 @@ fn bench_sparse_memory(c: &mut Criterion) {
         b.iter(|| {
             mr.read_into(mr.addr + 8192, black_box(&mut out)).unwrap();
             out[0]
+        })
+    });
+    // The eager receive path's shape: one 44 B header per receive slot,
+    // slots 4160 B apart so they never merge (1024 extents), then one
+    // slot's header rewritten and parsed at a time.
+    const SLOTS: u64 = 1024;
+    const STRIDE: u64 = 4160;
+    let hdr = [0x5Au8; 44];
+    g.bench_function("rw_slot_headers_1024", |b| {
+        let slots = reg(SLOTS * STRIDE);
+        for i in 0..SLOTS {
+            slots.write(slots.addr + i * STRIDE, &hdr).unwrap();
+        }
+        let (mut i, mut out) = (0u64, [0u8; 44]);
+        b.iter(|| {
+            i = (i + 1) % SLOTS;
+            let at = slots.addr + i * STRIDE;
+            slots.write(at, black_box(&hdr)).unwrap();
+            slots.read_into(at, &mut out).unwrap();
+            out[0]
+        })
+    });
+    // The sorted index's worst case: every write opens an extent in front
+    // of all the others, so each insert shifts every entry.
+    g.throughput(Throughput::Elements(SLOTS));
+    g.bench_function("insert_descending_1024", |b| {
+        b.iter(|| {
+            let fresh = reg(SLOTS * STRIDE);
+            for i in (0..SLOTS).rev() {
+                fresh
+                    .write(fresh.addr + i * STRIDE, black_box(&hdr))
+                    .unwrap();
+            }
+            table.dereg_mr(&fresh);
         })
     });
     g.finish();

@@ -251,14 +251,37 @@ impl MemCache {
     /// body; the two may share an MR, so there is no borrowing one into
     /// the other). `len` comes off the wire: it is held to both buffers
     /// before the scratch grows to it.
+    ///
+    /// Zeroes onto zeroes is a no-op: when neither range holds written
+    /// bytes the destination already reads as what it would receive, so a
+    /// size-only body materialises nothing. Only that case may skip — a
+    /// destination reused after an arena reset can hold stale bytes, and
+    /// those must still be overwritten (DESIGN.md design note 13).
     pub fn copy(&self, src: &McBuf, src_off: u64, dst: &McBuf, len: u64) -> Result<(), XrdmaError> {
         if src_off.saturating_add(len) > src.len || len > dst.len {
             return Err(VerbsError::AccessError("copy past cache buffer").into());
         }
+        let (from, to) = (src.addr + src_off, dst.addr);
+        let src_mr = self.mr_of(src)?;
+        src_mr.check(from, len)?;
+        let dst_mr = self.mr_of(dst)?;
+        dst_mr.check(to, len)?;
+        if !src_mr.has_data_in(from, len) && !dst_mr.has_data_in(to, len) {
+            return Ok(());
+        }
         let mut scratch = self.scratch.borrow_mut();
         scratch.resize(len as usize, 0);
-        self.read_into(src, src_off, &mut scratch)?;
-        self.write(dst, 0, &scratch)
+        src_mr.read_into(from, &mut scratch)?;
+        Ok(dst_mr.write(to, &scratch)?)
+    }
+
+    /// Bytes the arenas' sparse backing actually holds (diagnostics).
+    pub fn stored_bytes(&self) -> u64 {
+        self.arenas
+            .borrow()
+            .iter()
+            .map(|a| a.mr.stored_bytes())
+            .sum()
     }
 }
 
@@ -397,6 +420,87 @@ mod tests {
         assert!(mc.copy(&slot, 60, &staged, 12).is_err());
         assert!(mc.copy(&slot, 0, &staged, 13).is_err());
         assert!(mc.copy(&slot, 24, &staged, u64::MAX).is_err());
+    }
+
+    /// The zero-skip's trap: after an arena reset the destination is the
+    /// old buffer's address and still holds its bytes, so an empty source
+    /// alone must not skip the copy.
+    #[test]
+    fn copy_onto_reused_buffer_clears_stale_bytes() {
+        let mc = cache(small_cfg());
+        let dirty = mc.alloc(64).unwrap();
+        mc.write(&dirty, 0, &[0xAB; 64]).unwrap();
+        mc.release(&dirty);
+        let dst = mc.alloc(64).unwrap();
+        assert_eq!(
+            dst.addr, dirty.addr,
+            "the reset arena hands out the same address"
+        );
+        let never_written = mc.alloc(64).unwrap();
+        mc.copy(&never_written, 0, &dst, 64).unwrap();
+        assert_eq!(mc.read(&dst, 0, 64).unwrap(), vec![0; 64]);
+    }
+
+    /// Size-only eager RPCs materialise only their headers: each receive
+    /// slot stores at most one header, and the staged bodies store nothing.
+    #[test]
+    fn size_only_eager_rpcs_store_only_headers() {
+        use crate::channel::CTRL_SLACK;
+        use crate::proto::{BASE_LEN, LARGE_LEN, MUX_LEN, TRACE_LEN};
+        use crate::{XrdmaChannel, XrdmaConfig, XrdmaContext};
+        use std::cell::Cell;
+        use xrdma_rnic::{CmConfig, ConnManager};
+        use xrdma_sim::Dur;
+
+        const RPCS: u32 = 5_000;
+        const DEPTH: u32 = 8;
+        let w = World::new();
+        let rng = SimRng::new(3);
+        let fabric = Fabric::new(w.clone(), FabricConfig::pair(), &rng);
+        let cm = ConnManager::new(w.clone(), CmConfig::default(), rng.fork("cm"));
+        let cfg = XrdmaConfig::default();
+        let node = |n| {
+            let cfg = cfg.clone();
+            XrdmaContext::on_new_node(&fabric, &cm, NodeId(n), RnicConfig::default(), cfg, &rng)
+        };
+        let (client, server) = (node(0), node(1));
+        server.listen(7, |ch| {
+            ch.set_on_request(|ch, msg, tok| ch.respond_size(tok, msg.len).unwrap())
+        });
+        let chan: Rc<RefCell<Option<Rc<XrdmaChannel>>>> = Rc::default();
+        let c2 = chan.clone();
+        client.connect(NodeId(1), 7, move |r| *c2.borrow_mut() = Some(r.unwrap()));
+        w.run_for(Dur::millis(20));
+        let ch = chan.borrow().clone().expect("connected");
+
+        // Closed loop, DEPTH outstanding: each reply sends the next request.
+        fn call(ch: &Rc<XrdmaChannel>, left: Rc<Cell<u32>>, done: Rc<Cell<u32>>) {
+            if left.get() == 0 {
+                return;
+            }
+            left.set(left.get() - 1);
+            ch.send_request_size(64, move |ch, _| {
+                done.set(done.get() + 1);
+                call(ch, left, done);
+            })
+            .unwrap();
+        }
+        let (left, done) = (Rc::new(Cell::new(RPCS)), Rc::new(Cell::new(0)));
+        for _ in 0..DEPTH {
+            call(&ch, left.clone(), done.clone());
+        }
+        w.run_for(Dur::millis(200));
+        assert_eq!(done.get(), RPCS);
+
+        let slots = (cfg.inflight_depth + CTRL_SLACK) as u64;
+        let max_hdr = (BASE_LEN + LARGE_LEN + TRACE_LEN + MUX_LEN) as u64;
+        for side in [&client, &server] {
+            let stored = side.memcache().stored_bytes();
+            assert!(
+                stored <= slots * max_hdr,
+                "{stored} B stored for {slots} receive slots of ≤ {max_hdr} B headers"
+            );
+        }
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! out-of-bounds access to RDMA-enabled memory.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
 
 use xrdma_sim::inthash::IntMap;
+use xrdma_sim::invariant;
 
 use crate::config::PageKind;
 use crate::verbs::VerbsError;
@@ -66,48 +66,71 @@ pub struct Pd {
 /// arena that ever sees nothing but 56-byte headers costs 56 bytes. Reads
 /// of unwritten ranges return zeroes (fresh registered memory).
 ///
-/// Extents (`start → bytes`) never overlap, and every operation costs
-/// O(bytes touched): a write lands in the extent that reaches its start —
-/// overwriting in place, growing it in place past its end — and only
-/// otherwise opens a new extent (DESIGN.md design note 13).
+/// A sorted extent index: `data[i]` holds the bytes from `starts[i]` on,
+/// starts ascend and extents never overlap. Every operation is one
+/// `partition_point` over `starts` plus O(bytes touched), and opening or
+/// absorbing an extent shifts the entries after it: a write lands in the
+/// extent that reaches its start — overwriting in place, growing it in
+/// place past its end — and only otherwise opens a new extent (DESIGN.md
+/// design note 13).
 #[derive(Default)]
 struct SparseBytes {
-    extents: BTreeMap<u64, Vec<u8>>,
+    starts: Vec<u64>,
+    data: Vec<Vec<u8>>,
 }
 
 impl SparseBytes {
-    fn write(&mut self, off: u64, data: &[u8]) {
-        if data.is_empty() {
+    fn end_of(&self, i: usize) -> u64 {
+        self.starts[i] + self.data[i].len() as u64
+    }
+
+    fn write(&mut self, off: u64, bytes: &[u8]) {
+        if bytes.is_empty() {
             return;
         }
-        let end = off + data.len() as u64;
-        let start = match self.extents.range_mut(..=off).next_back() {
-            Some((&k, v)) if k + v.len() as u64 >= off => {
-                let o = (off - k) as usize;
-                let n = data.len().min(v.len() - o);
-                v[o..o + n].copy_from_slice(&data[..n]);
-                if n == data.len() {
-                    return; // entirely inside the extent
-                }
-                v.extend_from_slice(&data[n..]); // amortised growth, no rebuild
-                k
+        let end = off + bytes.len() as u64;
+        let at = self.starts.partition_point(|&s| s <= off);
+        let i = match at.checked_sub(1) {
+            Some(i) if self.end_of(i) >= off => {
+                let v = &mut self.data[i];
+                let o = (off - self.starts[i]) as usize;
+                let n = bytes.len().min(v.len() - o);
+                v[o..o + n].copy_from_slice(&bytes[..n]);
+                v.extend_from_slice(&bytes[n..]); // amortised growth, no rebuild
+                i
             }
             _ => {
+                self.starts.insert(at, off);
                 // xrdma-lint: allow(hot-path-alloc) -- first touch of a fresh range (one per recv slot / arena), later writes extend or overwrite it
-                self.extents.insert(off, data.to_vec());
-                off
+                self.data.insert(at, bytes.to_vec());
+                at
             }
         };
-        // Extents that began inside the written range are shadowed up to
-        // `end`: move what each holds beyond it onto the grown extent, once,
-        // and drop them. One that merely starts at `end` is left alone, so
-        // descending writes stay O(len) too.
-        while let Some((&k, _)) = self.extents.range(start + 1..end).next() {
-            let shadowed = self.extents.remove(&k).unwrap_or_default();
-            let tail = shadowed.get((end - k) as usize..).unwrap_or_default();
-            if let Some(grown) = self.extents.get_mut(&start) {
-                grown.extend_from_slice(tail);
-            }
+        // Extents that begin inside the written range are shadowed up to
+        // `end`, and only the last of them can reach past it: move that
+        // tail onto the grown extent, once, and drop them all. One that
+        // merely starts at `end` is left alone, so descending writes stay
+        // O(len) too.
+        let mut j = i + 1;
+        while self.starts.get(j).is_some_and(|&s| s < end) {
+            j += 1;
+        }
+        if j > i + 1 {
+            let last = std::mem::take(&mut self.data[j - 1]);
+            let tail = last.get((end - self.starts[j - 1]) as usize..);
+            self.data[i].extend_from_slice(tail.unwrap_or_default());
+            self.starts.drain(i + 1..j);
+            self.data.drain(i + 1..j);
+        }
+        // Local, not a full scan, so the `debug_invariants` legs stay fast.
+        for k in i.saturating_sub(1)..(i + 1).min(self.starts.len() - 1) {
+            invariant!(
+                self.starts[k] < self.starts[k + 1] && self.end_of(k) <= self.starts[k + 1],
+                "MR extent index out of order: [{}, {}) before [{}, ..)",
+                self.starts[k],
+                self.end_of(k),
+                self.starts[k + 1]
+            );
         }
     }
 
@@ -116,8 +139,12 @@ impl SparseBytes {
     fn read_into(&self, off: u64, out: &mut [u8]) {
         let end = off + out.len() as u64;
         let mut pos = off;
-        let reaching = self.extents.range(..off).next_back();
-        for (&k, v) in reaching.into_iter().chain(self.extents.range(off..end)) {
+        // The last extent starting before `off` may reach into the range.
+        let first = self.starts.partition_point(|&s| s < off).saturating_sub(1);
+        for (&k, v) in self.starts[first..].iter().zip(&self.data[first..]) {
+            if k >= end {
+                break;
+            }
             let (lo, hi) = (k.max(pos), end.min(k + v.len() as u64));
             if lo >= hi {
                 continue;
@@ -138,16 +165,14 @@ impl SparseBytes {
     }
 
     fn stored_bytes(&self) -> u64 {
-        self.extents.values().map(|v| v.len() as u64).sum()
+        self.data.iter().map(|v| v.len() as u64).sum()
     }
 
-    /// Any real bytes materialized in [off, off+len)?
+    /// Any real bytes materialized in [off, off+len)? Only the last extent
+    /// starting before `off + len` can hold some; an empty range holds none.
     fn overlaps(&self, off: u64, len: u64) -> bool {
-        let end = off + len;
-        self.extents
-            .range(..end)
-            .next_back()
-            .is_some_and(|(&k, v)| k + v.len() as u64 > off)
+        let n = self.starts.partition_point(|&s| s < off + len);
+        len > 0 && n > 0 && self.end_of(n - 1) > off
     }
 }
 
@@ -622,7 +647,12 @@ mod tests {
     fn extents(mr: &Mr) -> Vec<(u64, usize)> {
         let backing = mr.backing.borrow();
         let store = backing.as_ref().expect("backed MR");
-        store.extents.iter().map(|(&k, v)| (k, v.len())).collect()
+        store
+            .starts
+            .iter()
+            .zip(&store.data)
+            .map(|(&k, v)| (k, v.len()))
+            .collect()
     }
 
     /// Every shape of write against a flat reference, with the extent
@@ -660,6 +690,30 @@ mod tests {
         put(398, 4, &[(90, 40), (200, 70), (398, 4)]);
         put(396, 12, &[(90, 40), (200, 70), (396, 12)]); // swallows a successor whole
         assert!(mr.has_data_in(mr.addr + 129, 71) && !mr.has_data_in(mr.addr + 130, 70));
+    }
+
+    #[test]
+    fn zero_len_range_has_no_data() {
+        let mr = backed(64);
+        mr.write(mr.addr, &[7; 10]).unwrap();
+        assert!(mr.has_data_in(mr.addr + 5, 1));
+        assert!(
+            !mr.has_data_in(mr.addr + 5, 0),
+            "an empty range holds no bytes"
+        );
+        assert!(!mr.has_data_in(mr.addr + 10, 0));
+    }
+
+    /// The post-write check sees a broken neighbourhood (here an extent
+    /// overlapping its successor) even when the write itself is in place.
+    #[test]
+    #[should_panic(expected = "MR extent index out of order")]
+    fn overlapping_neighbour_trips_the_checker() {
+        let mut store = SparseBytes {
+            starts: vec![0, 5],
+            data: vec![vec![1; 10], vec![2; 10]],
+        };
+        store.write(0, &[3]);
     }
 
     /// The memcache pattern at full size: 65 536 adjacent 64 B writes fill
