@@ -1,20 +1,19 @@
-//! Paper-vs-measured reporting: every harness prints a uniform comparison
-//! table and persists machine-readable artifacts under the workspace
-//! `results/` directory for EXPERIMENTS.md.
+//! Paper-vs-measured reporting: every experiment prints a uniform
+//! comparison table and persists machine-readable artifacts for
+//! EXPERIMENTS.md.
 //!
-//! Artifact layout per experiment (all paths deterministic, independent of
-//! the invoking directory — see [`results_dir`]):
+//! Artifact layout per experiment, in the directory given to
+//! [`Report::write`] (the workspace `results/` by default):
 //!
-//! * `results/<experiment>.json` — rows, verdicts, and every attached
-//!   series as a named JSON object;
-//! * `results/<experiment>.<series>.csv` — one two-column CSV per series
-//!   for direct plotting;
+//! * `<experiment>.json` — rows, verdicts, and every attached series as a
+//!   named JSON object;
 //! * any extra files attached via [`Report::attach_file`] (e.g. a Chrome
 //!   `trace_event` dump from the telemetry hub).
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 use serde::{write_json_str, Serialize};
 
@@ -37,41 +36,9 @@ pub struct Report {
     pub rows: Vec<Row>,
     /// Free-form series dumps (plot data) keyed by name.
     pub series: Vec<(String, Vec<(f64, f64)>)>,
-    /// Extra artifacts written verbatim next to the JSON on `finish()`:
-    /// `(file name, contents)`.
+    /// Extra artifacts written verbatim next to the JSON by
+    /// [`Report::write`]: `(file name, contents)`.
     pub extra_files: Vec<(String, String)>,
-}
-
-/// Resolve the workspace `results/` directory regardless of where the
-/// binary was invoked from, so every `fig*`/`exp_*` run lands its
-/// artifacts in the same place:
-///
-/// 1. `XRDMA_RESULTS_DIR` environment override, taken verbatim;
-/// 2. the nearest ancestor of the current directory whose `Cargo.toml`
-///    declares `[workspace]`, plus `results/`;
-/// 3. fallback: `<this crate>/../../results` resolved at compile time.
-pub fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("XRDMA_RESULTS_DIR") {
-        if !dir.is_empty() {
-            return PathBuf::from(dir);
-        }
-    }
-    if let Ok(mut cur) = std::env::current_dir() {
-        loop {
-            let manifest = cur.join("Cargo.toml");
-            if let Ok(text) = fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    return cur.join("results");
-                }
-            }
-            if !cur.pop() {
-                break;
-            }
-        }
-    }
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results")
 }
 
 impl Report {
@@ -107,7 +74,7 @@ impl Report {
     }
 
     /// Attach a verbatim artifact (e.g. `fig10_flowctl.trace.json`) to be
-    /// written into `results/` on `finish()`.
+    /// written next to the JSON by [`Report::write`].
     pub fn attach_file(&mut self, name: &str, contents: String) {
         self.extra_files.push((name.to_string(), contents));
     }
@@ -160,35 +127,24 @@ impl Report {
         self.rows.iter().all(|r| r.holds)
     }
 
-    fn write_artifact(dir: &Path, name: &str, contents: &str) {
-        let path = dir.join(name);
-        match fs::write(&path, contents) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("[report] FAILED to write {}: {e}", path.display()),
-        }
-    }
-
-    /// Print and persist everything under [`results_dir`].
-    pub fn finish(&self) {
+    /// Print the table, then write `<experiment>.json` and every attached
+    /// file into `dir`, creating it if needed.
+    pub fn write(&self, dir: &Path) -> io::Result<()> {
         println!("{}", self.render());
         for (name, rows) in &self.series {
             println!("series {name} ({} points)", rows.len());
         }
-        let dir = results_dir();
-        if let Err(e) = fs::create_dir_all(&dir) {
-            eprintln!("[report] FAILED to create {}: {e}", dir.display());
-        }
-        match serde_json::to_string_pretty(self) {
-            Ok(json) => Self::write_artifact(&dir, &format!("{}.json", self.experiment), &json),
-            Err(e) => eprintln!("[report] FAILED to serialize {}: {e:?}", self.experiment),
-        }
-        for (name, rows) in &self.series {
-            let file = format!("{}.{}.csv", self.experiment, name.replace('/', "-"));
-            let csv = xrdma_telemetry::export::series_csv(name, rows);
-            Self::write_artifact(&dir, &file, &csv);
-        }
+        fs::create_dir_all(dir)?;
+        let json = serde_json::to_string_pretty(self).map_err(io::Error::other)?;
+        let put = |name: &str, contents: &str| -> io::Result<()> {
+            let path = dir.join(name);
+            fs::write(&path, contents)?;
+            println!("wrote {}", path.display());
+            Ok(())
+        };
+        put(&format!("{}.json", self.experiment), &json)?;
         for (name, contents) in &self.extra_files {
-            Self::write_artifact(&dir, name, contents);
+            put(name, contents)?;
         }
         println!(
             "[{}] {}",
@@ -199,6 +155,7 @@ impl Report {
                 "some shapes DIFFER (see rows)"
             }
         );
+        Ok(())
     }
 }
 
@@ -264,16 +221,11 @@ mod tests {
     }
 
     #[test]
-    fn results_dir_env_override_wins() {
-        // Serialized env access: this test owns the var for its duration.
-        std::env::set_var("XRDMA_RESULTS_DIR", "/tmp/xrdma-results-test");
-        assert_eq!(results_dir(), PathBuf::from("/tmp/xrdma-results-test"));
-        std::env::remove_var("XRDMA_RESULTS_DIR");
-        let d = results_dir();
-        assert!(
-            d.ends_with("results"),
-            "fallback resolves a results dir: {}",
-            d.display()
-        );
+    fn write_into_a_regular_file_fails() {
+        let file = std::env::temp_dir().join(format!("xrdma-report-{}", std::process::id()));
+        fs::write(&file, "not a directory").unwrap();
+        let err = Report::new("figX", "demo").write(&file);
+        fs::remove_file(&file).unwrap();
+        assert!(err.is_err(), "writing under a regular file must fail");
     }
 }

@@ -4,6 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use xrdma_apps::pangu::{Pangu, PanguConfig};
 use xrdma_core::{XrdmaChannel, XrdmaConfig, XrdmaContext};
 use xrdma_fabric::{Fabric, FabricConfig, NodeId};
 use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
@@ -38,6 +39,48 @@ pub fn ctx_with(net: &Net, node: u32, rnic: RnicConfig, cfg: XrdmaConfig) -> Rc<
     XrdmaContext::on_new_node(&net.fabric, &net.cm, NodeId(node), rnic, cfg, &net.rng)
 }
 
+/// Deploy a Pangu cluster with default RNICs on `net` and run `settle`,
+/// by which its connection mesh must be complete.
+pub fn pangu(net: &Net, pcfg: PanguConfig, cfg: XrdmaConfig, settle: Dur) -> Pangu {
+    let pangu = Pangu::deploy(
+        &net.fabric,
+        &net.cm,
+        pcfg,
+        RnicConfig::default(),
+        cfg,
+        &net.rng,
+    );
+    net.world.run_for(settle);
+    assert!(pangu.mesh_complete());
+    pangu
+}
+
+/// A channel that appears once its connect completes.
+pub type ChSlot = Rc<RefCell<Option<Rc<XrdmaChannel>>>>;
+
+/// Start connecting `client` to `peer`'s service `svc`; the slot fills
+/// when the channel is established.
+pub fn connect_slot(client: &Rc<XrdmaContext>, peer: NodeId, svc: u16) -> ChSlot {
+    let slot = ChSlot::default();
+    let s2 = slot.clone();
+    client.connect(peer, svc, move |r| {
+        *s2.borrow_mut() = Some(r.expect("connect"));
+    });
+    slot
+}
+
+/// Keep one `size`-byte RPC in flight on `ch`: every response is counted
+/// in `done` and sends the next request.
+pub fn pump(ch: &Rc<XrdmaChannel>, size: u64, done: &Rc<Cell<u64>>) {
+    let c2 = ch.clone();
+    let d2 = done.clone();
+    ch.send_request_size(size, move |_, _| {
+        d2.set(d2.get() + 1);
+        pump(&c2, size, &d2);
+    })
+    .ok();
+}
+
 /// Connect and return both channel ends (runs the world up to 20 ms).
 pub fn connect_pair(
     net: &Net,
@@ -45,14 +88,10 @@ pub fn connect_pair(
     server: &Rc<XrdmaContext>,
     svc: u16,
 ) -> (Rc<XrdmaChannel>, Rc<XrdmaChannel>) {
-    let sch: Rc<RefCell<Option<Rc<XrdmaChannel>>>> = Rc::new(RefCell::new(None));
+    let sch = ChSlot::default();
     let s2 = sch.clone();
     server.listen(svc, move |ch| *s2.borrow_mut() = Some(ch));
-    let cch: Rc<RefCell<Option<Rc<XrdmaChannel>>>> = Rc::new(RefCell::new(None));
-    let c2 = cch.clone();
-    client.connect(NodeId(server.node().0), svc, move |r| {
-        *c2.borrow_mut() = Some(r.expect("connect"));
-    });
+    let cch = connect_slot(client, server.node(), svc);
     net.world.run_for(Dur::millis(20));
     let c = cch.borrow().clone().expect("client side");
     let s = sch.borrow().clone().expect("server side");
@@ -117,23 +156,16 @@ pub fn run_incast(
     let mut all = Vec::new();
     for i in 1..=senders {
         let c = ctx(net, i, cfg.clone());
-        let slot: Rc<RefCell<Option<Rc<XrdmaChannel>>>> = Rc::new(RefCell::new(None));
-        let s2 = slot.clone();
-        c.connect(NodeId(0), 9, move |r| {
-            *s2.borrow_mut() = Some(r.expect("connect"))
-        });
+        let slot = connect_slot(&c, NodeId(0), 9);
         all.push((c, slot));
     }
     net.world.run_for(Dur::millis(100));
 
-    fn pump(ch: &Rc<XrdmaChannel>, size: u64) {
-        let c2 = ch.clone();
-        ch.send_request_size(size, move |_, _| pump(&c2, size)).ok();
-    }
+    let responses = Rc::new(Cell::new(0u64));
     for (_, slot) in &all {
         let ch = slot.borrow().clone().expect("connected");
         for _ in 0..depth {
-            pump(&ch, msg_bytes);
+            pump(&ch, msg_bytes, &responses);
         }
     }
     let start = net.world.now();

@@ -1,5 +1,5 @@
 //! Exporters: JSONL event logs, Chrome `trace_event` JSON, and series
-//! helpers (event-rate bucketing, CSV).
+//! helpers (event-rate bucketing).
 //!
 //! All output is a pure function of the event slice, so two same-seed runs
 //! produce byte-identical files — the determinism contract extends to the
@@ -184,15 +184,6 @@ pub fn event_counts(events: &[Event]) -> Vec<(&'static str, u64)> {
     map.into_iter().collect()
 }
 
-/// `(t, v)` rows as a two-column CSV with header.
-pub fn series_csv(header: &str, rows: &[(f64, f64)]) -> String {
-    let mut out = format!("t_secs,{header}\n");
-    for (t, v) in rows {
-        out.push_str(&format!("{t},{v}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,12 +242,6 @@ mod tests {
     #[test]
     fn counts_by_kind() {
         assert_eq!(event_counts(&evs()), vec![("cnp", 2), ("dcqcn-rate", 1)],);
-    }
-
-    #[test]
-    fn csv_rows() {
-        let s = series_csv("cnps_per_s", &[(0.0, 1.0), (0.5, 2.0)]);
-        assert_eq!(s, "t_secs,cnps_per_s\n0,1\n0.5,2\n");
     }
 
     fn span_nodes() -> Vec<SpanNode> {

@@ -4,7 +4,7 @@
 //! diagnosis ecosystem (xr-stat, xr-ping, tracing, ADM) as from the
 //! protocol. This crate is that ecosystem's backbone in the reproduction:
 //! a structured event bus every layer emits into, a sim-time metrics
-//! registry, exporters (JSONL, Chrome `trace_event`, CSV), and a bounded
+//! registry, exporters (JSONL, Chrome `trace_event`), and a bounded
 //! flight recorder dumped on failure.
 //!
 //! ## Overhead contract

@@ -22,25 +22,18 @@
 #                ShardWorld lanes at shards {1,2,4,8}, byte-identical
 #                digests/telemetry/span JSONL, loss-chaos recovery, and
 #                the busiest lane's share of events
-#   msgrate  smoke run (XRDMA_SMOKE=1, shared by the three sweep legs) of
-#            the CQ-batching/doorbell-coalescing message-rate sweep
-#            (batching on vs batch=1) — results land in a temp dir
-#            so the committed full-scale results/msgrate.json stays
-#            untouched
-#   qpscale  smoke run of the connection-multiplexing sweep (ChannelMux
-#            pool vs 1 QP per channel), same temp-dir discipline; the
-#            committed full-scale results/qpscale.json stays untouched
-#   latbreak smoke run of the per-stage latency breakdown sweep (causal
-#            spans, DESIGN.md §8) — asserts stage sums telescope to the
-#            end-to-end sum; needs the telemetry feature, temp-dir
-#            discipline as above
+#   paper    regenerates every experiment at full scale into a temp dir
+#            (`paper all` from the telemetry build, `paper chaos_recovery`
+#            from the faults build) and byte-compares it with results/:
+#            every committed result file, and with it every paper row and
+#            verdict, must be exactly what the code writes
 #   bench    builds the separate `benchmark/` workspace (nothing else
 #            compiles it) and smoke-runs every workload at --quick scale
 #            into a temp dir; fails on any output check and on any
 #            model_digest mismatch between a workload's repetitions
 #   golden   the test legs must not have rewritten any committed golden
-#            file (catches an XRDMA_UPDATE_GOLDEN leak or a determinism
-#            break that slipped past the byte-compare tests)
+#            or result file (catches an XRDMA_UPDATE_GOLDEN leak or a
+#            determinism break that slipped past the byte-compare tests)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,9 +42,12 @@ run() {
     "$@"
 }
 
+telemetry=xrdma-bench/telemetry,xrdma-tests/telemetry
+faults=xrdma-bench/faults,xrdma-tests/faults
+
 run cargo build --release --workspace
-run cargo build --release --workspace --features xrdma-bench/telemetry,xrdma-tests/telemetry
-run cargo build --release --workspace --features xrdma-bench/faults,xrdma-tests/faults
+run cargo build --release --workspace --features "$telemetry"
+run cargo build --release --workspace --features "$faults"
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo run -q --release -p xrdma-lint -- --format json --out results/lint.json
@@ -61,13 +57,15 @@ run cargo test -q --workspace --features xrdma-tests/telemetry,xrdma-tests/debug
 run cargo test -q --workspace --features xrdma-tests/faults,xrdma-tests/telemetry,xrdma-tests/debug_invariants
 run cargo test -q -p xrdma-tests --test sharding \
     --features xrdma-tests/faults,xrdma-tests/telemetry,xrdma-tests/debug_invariants
-run env XRDMA_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
-    cargo run -q --release -p xrdma-bench --bin msgrate
-run env XRDMA_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
-    cargo run -q --release -p xrdma-bench --bin qpscale
-run env XRDMA_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
-    cargo run -q --release -p xrdma-bench --features xrdma-bench/telemetry --bin latbreak
+# Each build below is already compiled; it only puts that variant's
+# `paper` back in target/release.
+paper_out="$(mktemp -d)"
+run cargo build -q --release --workspace --features "$telemetry"
+run target/release/paper all --out "$paper_out"
+run cargo build -q --release --workspace --features "$faults"
+run target/release/paper chaos_recovery --out "$paper_out"
+run diff -r --exclude='*.trace.json' --exclude=lint.json results "$paper_out"
 run benchmark/run.sh --quick --out "$(mktemp -d)"
-run git diff --exit-code -- tests/golden results/msgrate.json results/qpscale.json results/lint.json results/latbreak.json
+run git diff --exit-code -- tests/golden 'results/*.json'
 
 echo "==> ci.sh: all gates passed"
