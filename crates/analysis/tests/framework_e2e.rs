@@ -11,7 +11,7 @@ use xrdma_analysis::xrperf::{FlowModel, XrPerf};
 use xrdma_analysis::{xrstat, Filter, MockTransport, Tracer, XrAdm, XrPing};
 use xrdma_core::{XrdmaChannel, XrdmaConfig, XrdmaContext};
 use xrdma_fabric::{Fabric, FabricConfig, NodeId};
-use xrdma_rnic::tcp::{TcpConfig, TcpStack};
+use xrdma_rnic::tcp::TcpStack;
 use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
 use xrdma_sim::{Dur, SimRng, World};
 
@@ -355,8 +355,8 @@ fn mock_switches_to_tcp_and_back() {
     let (c, s) = connect(&net, &client, &server, 7);
 
     // TCP path between the same machines.
-    let tcp_a = TcpStack::new(&net.fabric, client.rnic(), TcpConfig::default());
-    let tcp_b = TcpStack::new(&net.fabric, server.rnic(), TcpConfig::default());
+    let tcp_a = TcpStack::new(&net.fabric, client.rnic());
+    let tcp_b = TcpStack::new(&net.fabric, server.rnic());
     let got: Rc<RefCell<Vec<(u64, &'static str)>>> = Rc::new(RefCell::new(Vec::new()));
 
     // Server-side unified sink across both transports.
@@ -517,10 +517,8 @@ fn mock_auto_switch_on_dead_rdma_path() {
     let mock = xrdma_analysis::MockTransport::new();
     mock.attach_rdma(c.clone());
     // TCP fallback path.
-    let ta =
-        xrdma_rnic::tcp::TcpStack::new(&fabric, a.rnic(), xrdma_rnic::tcp::TcpConfig::default());
-    let tb =
-        xrdma_rnic::tcp::TcpStack::new(&fabric, b.rnic(), xrdma_rnic::tcp::TcpConfig::default());
+    let ta = xrdma_rnic::tcp::TcpStack::new(&fabric, a.rnic());
+    let tb = xrdma_rnic::tcp::TcpStack::new(&fabric, b.rnic());
     let g = got.clone();
     let mock_b = xrdma_analysis::MockTransport::new();
     let mb = mock_b.clone();

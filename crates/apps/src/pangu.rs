@@ -1,4 +1,4 @@
-//! Pangu model: block servers fan each front-end write out to `replicas`
+//! Pangu model: block servers fan each front-end write out to [`REPLICAS`]
 //! chunk servers over full-mesh X-RDMA channels and acknowledge when all
 //! replicas persist — the Ceph-like structure of §II-C, and the source of
 //! the full-mesh memory-footprint math of §III Issue 1
@@ -13,23 +13,24 @@ use xrdma_rnic::{ConnManager, RnicConfig};
 use xrdma_sim::stats::{Histogram, SeriesKind, TimeSeries};
 use xrdma_sim::{Dur, SimRng};
 
+/// Copies per write (paper: "two or three copies").
+pub const REPLICAS: usize = 3;
+/// CM service number for the block→chunk mesh.
+pub const SVC: u16 = 100;
+/// IOPS time-series bucket.
+pub const SERIES_BUCKET: Dur = Dur::millis(100);
+
 /// Cluster shape and service parameters.
 #[derive(Clone, Debug)]
 pub struct PanguConfig {
     pub block_servers: u32,
     pub chunk_servers: u32,
-    /// Copies per write (paper: "two or three copies"; default 3).
-    pub replicas: u32,
     /// Chunk-server persistence time per write (media + checksum).
     pub chunk_service: Dur,
-    /// CM service number for the block→chunk mesh.
-    pub svc: u16,
     /// Channels each block server opens to each chunk server (models the
     /// per-thread meshes behind the paper's thousands of connections per
     /// machine: N block threads × M chunk threads).
     pub channels_per_peer: u32,
-    /// IOPS time-series bucket.
-    pub series_bucket: Dur,
 }
 
 impl Default for PanguConfig {
@@ -37,11 +38,8 @@ impl Default for PanguConfig {
         PanguConfig {
             block_servers: 4,
             chunk_servers: 8,
-            replicas: 3,
             chunk_service: Dur::micros(12),
-            svc: 100,
             channels_per_peer: 1,
-            series_bucket: Dur::millis(100),
         }
     }
 }
@@ -61,7 +59,7 @@ pub struct BlockServer {
 }
 
 impl BlockServer {
-    fn new(ctx: Rc<XrdmaContext>, bucket: Dur) -> Rc<BlockServer> {
+    fn new(ctx: Rc<XrdmaContext>) -> Rc<BlockServer> {
         let bs = Rc::new(BlockServer {
             ctx,
             chunks: RefCell::new(Vec::new()),
@@ -69,7 +67,7 @@ impl BlockServer {
             completed: Cell::new(0),
             failed: Cell::new(0),
             latency: RefCell::new(Histogram::new()),
-            iops_series: RefCell::new(TimeSeries::new(bucket.as_nanos(), SeriesKind::Sum)),
+            iops_series: RefCell::new(TimeSeries::new(SERIES_BUCKET.as_nanos(), SeriesKind::Sum)),
             me: RefCell::new(Weak::new()),
         });
         *bs.me.borrow_mut() = Rc::downgrade(&bs);
@@ -96,7 +94,7 @@ impl BlockServer {
             done(false);
             return;
         }
-        // Pick up to 3 channels on distinct peers, round-robin.
+        // Pick up to REPLICAS channels on distinct peers, round-robin.
         let mut picked: Vec<Rc<XrdmaChannel>> = Vec::new();
         let mut seen: Vec<u32> = Vec::new();
         for k in 0..live.len() {
@@ -104,7 +102,7 @@ impl BlockServer {
             if !seen.contains(&ch.peer.0) {
                 seen.push(ch.peer.0);
                 picked.push(ch.clone());
-                if picked.len() == 3 {
+                if picked.len() == REPLICAS {
                     break;
                 }
             }
@@ -252,7 +250,7 @@ impl Pangu {
                 XrdmaContext::on_new_node(fabric, cm, node, rnic_cfg.clone(), xcfg.clone(), rng);
             let writes = chunk_writes.clone();
             let cctx = ctx.clone();
-            ctx.listen(cfg.svc, move |ch| {
+            ctx.listen(SVC, move |ch| {
                 let writes = writes.clone();
                 let cctx = cctx.clone();
                 ch.set_on_request(move |ch2, msg, token| {
@@ -273,8 +271,8 @@ impl Pangu {
             let node = NodeId(b);
             let ctx =
                 XrdmaContext::on_new_node(fabric, cm, node, rnic_cfg.clone(), xcfg.clone(), rng);
-            let bs = BlockServer::new(ctx, cfg.series_bucket);
-            bs.connect_all_dup(chunk_nodes.clone(), cfg.svc, cfg.channels_per_peer, || {});
+            let bs = BlockServer::new(ctx);
+            bs.connect_all_dup(chunk_nodes.clone(), SVC, cfg.channels_per_peer, || {});
             blocks.push(bs);
         }
 
@@ -411,7 +409,7 @@ mod tests {
         assert!(!pangu.mesh_complete());
         let nodes = pangu.chunk_nodes.clone();
         for b in &pangu.blocks {
-            b.connect_all(nodes.clone(), pangu.cfg.svc, || {});
+            b.connect_all(nodes.clone(), SVC, || {});
         }
         // Warm path: QP caches + resolution cache → fast recovery.
         world.run_for(Dur::millis(100));

@@ -12,30 +12,28 @@ use xrdma_sim::{Dur, SimRng, Time, World};
 use crate::pangu::BlockServer;
 use crate::workload::LoadSchedule;
 
+/// Transaction-log append size.
+pub const LOG_SIZE: u64 = 8 * 1024;
+/// Page-flush size.
+pub const FLUSH_SIZE: u64 = 256 * 1024;
+/// Fraction of operations that are flushes.
+pub const FLUSH_FRACTION: f64 = 0.04;
+/// TPS and latency time-series bucket.
+pub const BUCKET: Dur = Dur::millis(100);
+
 /// Generator parameters.
 #[derive(Clone, Debug)]
 pub struct XdbConfig {
-    /// Transaction-log append size.
-    pub log_size: u64,
-    /// Page-flush size.
-    pub flush_size: u64,
-    /// Fraction of operations that are flushes.
-    pub flush_fraction: f64,
     /// Base mean inter-arrival of transactions.
     pub base_interval: Dur,
     pub queue_depth: u32,
-    pub bucket: Dur,
 }
 
 impl Default for XdbConfig {
     fn default() -> Self {
         XdbConfig {
-            log_size: 8 * 1024,
-            flush_size: 256 * 1024,
-            flush_fraction: 0.04,
             base_interval: Dur::micros(120),
             queue_depth: 64,
-            bucket: Dur::millis(100),
         }
     }
 }
@@ -67,8 +65,8 @@ impl XdbFrontend {
         Rc::new(XdbFrontend {
             world,
             block: block.clone(),
-            tps: RefCell::new(TimeSeries::new(cfg.bucket.as_nanos(), SeriesKind::Sum)),
-            lat_series: RefCell::new(TimeSeries::new(cfg.bucket.as_nanos(), SeriesKind::Mean)),
+            tps: RefCell::new(TimeSeries::new(BUCKET.as_nanos(), SeriesKind::Sum)),
+            lat_series: RefCell::new(TimeSeries::new(BUCKET.as_nanos(), SeriesKind::Mean)),
             cfg,
             schedule,
             rng: RefCell::new(rng),
@@ -107,10 +105,10 @@ impl XdbFrontend {
             self.dropped.set(self.dropped.get() + 1);
             return;
         }
-        let size = if self.rng.borrow_mut().chance(self.cfg.flush_fraction) {
-            self.cfg.flush_size
+        let size = if self.rng.borrow_mut().chance(FLUSH_FRACTION) {
+            FLUSH_SIZE
         } else {
-            self.cfg.log_size
+            LOG_SIZE
         };
         self.outstanding.set(self.outstanding.get() + 1);
         let me = self.clone();

@@ -82,7 +82,7 @@ pub fn run() -> Report {
             let b = &pangu.blocks[2 + upgraded];
             b.disconnect_all();
             let nodes = pangu.chunk_nodes.clone();
-            b.connect_all(nodes, pangu.cfg.svc, || {});
+            b.connect_all(nodes, xrdma_apps::pangu::SVC, || {});
             upgraded += 1;
         }
     }

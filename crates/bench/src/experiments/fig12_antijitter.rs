@@ -105,7 +105,6 @@ pub fn run() -> Report {
                 XdbConfig {
                     base_interval: Dur::micros(250),
                     queue_depth: 128,
-                    ..Default::default()
                 },
                 schedule.clone(),
                 n.rng.fork(&format!("xdb{i}")),

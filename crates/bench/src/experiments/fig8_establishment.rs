@@ -46,7 +46,6 @@ fn trial(qp_cache: usize, seed: u64) -> Outcome {
             // Chunk persistence dominates: cluster capacity is what the
             // recovering mesh must climb back to.
             chunk_service: Dur::micros(400),
-            ..Default::default()
         },
         cfg,
         Dur::secs(2),
@@ -89,7 +88,7 @@ fn trial(qp_cache: usize, seed: u64) -> Outcome {
     for b in &pangu.blocks {
         b.connect_all_dup(
             nodes.clone(),
-            pangu.cfg.svc,
+            xrdma_apps::pangu::SVC,
             pangu.cfg.channels_per_peer,
             || {},
         );

@@ -13,7 +13,7 @@ use crate::scenarios::{ctx, net};
 use crate::Report;
 use xrdma_core::XrdmaConfig;
 use xrdma_fabric::{FabricConfig, NodeId};
-use xrdma_rnic::tcp::{TcpConfig, TcpStack};
+use xrdma_rnic::tcp::TcpStack;
 use xrdma_sim::{Dur, Time};
 
 /// Measure one isolated connect, fresh or via warm caches.
@@ -116,8 +116,8 @@ fn tcp_connect_us(seed: u64) -> f64 {
     let n = net(FabricConfig::pair(), seed);
     let a = ctx(&n, 0, XrdmaConfig::default());
     let b = ctx(&n, 1, XrdmaConfig::default());
-    let ta = TcpStack::new(&n.fabric, a.rnic(), TcpConfig::default());
-    let tb = TcpStack::new(&n.fabric, b.rnic(), TcpConfig::default());
+    let ta = TcpStack::new(&n.fabric, a.rnic());
+    let tb = TcpStack::new(&n.fabric, b.rnic());
     tb.listen(9, |_| {});
     let t0 = n.world.now();
     let t_done = Rc::new(Cell::new(Time::ZERO));

@@ -7,9 +7,10 @@
 //!
 //! Values that no experiment varies are `const`s below rather than
 //! fields: the hybrid-polling window and wake-up cost, the per-call CPU
-//! costs of tracing, doorbells and `poll_cq`, the message-size cap and the
-//! flow-control fragment size. They are design constants of this model,
-//! not Table III parameters.
+//! costs of tracing, doorbells and `poll_cq`, the message-size cap, the
+//! flow-control fragment size and the CQ depth. All but the last are
+//! design constants of this model; the CQ depth is a Table III offline
+//! key, so `set_flag("cq_size", …)` still refuses it as one.
 
 use serde::Serialize;
 use xrdma_rnic::PageKind;
@@ -35,6 +36,10 @@ pub const CPU_DOORBELL: Dur = Dur::nanos(800);
 /// independent of how many CQEs it drains — the per-call overhead
 /// batching amortizes.
 pub const CPU_POLL: Dur = Dur::nanos(250);
+
+/// Completion queue depth (Table III `cq_size`, offline). The seq-ack
+/// window must stay below it (§IV-D).
+pub const CQ_SIZE: usize = 8192;
 
 /// Maximum message size accepted by `send_msg`.
 pub const MAX_MSG_SIZE: u64 = 64 * 1024 * 1024;
@@ -67,7 +72,7 @@ pub enum PollMode {
 }
 
 /// Flow-control parameters (§V-C).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FlowCtlConfig {
     /// Fragment large transfers at [`FRAG_BYTES`] and gate data WRs.
     pub enabled: bool,
@@ -89,7 +94,7 @@ impl Default for FlowCtlConfig {
 }
 
 /// Memory-cache parameters (§IV-E).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MemCacheConfig {
     /// Size of each cached MR. The paper uses 4 MiB to avoid the
     /// many-small-MRs slowdown LITE reported.
@@ -120,7 +125,7 @@ impl Default for MemCacheConfig {
 }
 
 /// Full middleware configuration.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct XrdmaConfig {
     // -------------------------- online (Table III) --------------------
     /// KeepAlive probe interval.
@@ -136,8 +141,6 @@ pub struct XrdmaConfig {
     // -------------------------- offline (Table III) -------------------
     /// Share one SRQ across the context's QPs (discouraged; §VII-F).
     pub use_srq: bool,
-    /// Completion queue depth.
-    pub cq_size: usize,
     /// SRQ depth when `use_srq`.
     pub srq_size: usize,
     /// Page mode for QP buffers and the memory cache.
@@ -195,7 +198,6 @@ impl Default for XrdmaConfig {
             polling_warn_cycle: Dur::millis(2),
             trace_sample_mask: u32::MAX,
             use_srq: false,
-            cq_size: 8192,
             srq_size: 4096,
             ibqp_alloc_type: PageKind::Anonymous,
             small_msg_size: 4096,
@@ -312,10 +314,7 @@ mod tests {
         assert_eq!(FRAG_BYTES, 64 * 1024, "§V-C: 64 KB fragments");
         assert_eq!(c.memcache.mr_bytes, 4 * 1024 * 1024, "§IV-E: 4 MB MRs");
         assert!(!c.use_srq, "§VII-F: SRQ supported but disabled by default");
-        assert!(
-            c.inflight_depth < c.cq_size as u32,
-            "§IV-D depth < CQ depth"
-        );
+        assert!(c.inflight_depth < CQ_SIZE as u32, "§IV-D depth < CQ depth");
         assert_eq!(c.poll_mode, PollMode::Hybrid, "§IV-B hybrid polling");
         assert_eq!(HYBRID_WINDOW, Dur::micros(100));
         assert_eq!(WAKEUP_LATENCY, Dur::micros(2));
@@ -349,23 +348,25 @@ mod tests {
     #[test]
     fn offline_flags_rejected() {
         let mut c = XrdmaConfig::default();
-        assert_eq!(
-            c.set_flag("use_srq", "true"),
-            Err(XrdmaError::BadConfig("offline parameter"))
-        );
-        assert_eq!(
-            c.set_flag("small_msg_size", "8192"),
-            Err(XrdmaError::BadConfig("offline parameter"))
-        );
-        // The mux pool geometry pins physical resources: offline only.
-        assert_eq!(
-            c.set_flag("mux_pool", "16"),
-            Err(XrdmaError::BadConfig("offline parameter"))
-        );
-        assert_eq!(
-            c.set_flag("mux_lanes", "4"),
-            Err(XrdmaError::BadConfig("offline parameter"))
-        );
+        // Table III's offline keys — `cq_size` included, though it is a
+        // constant here — plus the mux pool geometry, which pins physical
+        // resources.
+        for (key, value) in [
+            ("use_srq", "true"),
+            ("cq_size", "1024"),
+            ("srq_size", "1024"),
+            ("ibqp_alloc_type", "huge"),
+            ("small_msg_size", "8192"),
+            ("cq_poll_batch", "16"),
+            ("mux_pool", "16"),
+            ("mux_lanes", "4"),
+        ] {
+            assert_eq!(
+                c.set_flag(key, value),
+                Err(XrdmaError::BadConfig("offline parameter")),
+                "{key}"
+            );
+        }
     }
 
     #[test]

@@ -19,7 +19,9 @@ use xrdma_sim::{CpuThread, Dur, SimRng, Time, World};
 use xrdma_telemetry::tele;
 
 use crate::channel::{wr_tag, CloseReason, XrdmaChannel, TAG_READ};
-use crate::config::{PollMode, XrdmaConfig, CPU_DOORBELL, CPU_POLL, HYBRID_WINDOW, WAKEUP_LATENCY};
+use crate::config::{
+    PollMode, XrdmaConfig, CPU_DOORBELL, CPU_POLL, CQ_SIZE, HYBRID_WINDOW, WAKEUP_LATENCY,
+};
 use crate::error::XrdmaError;
 use crate::memcache::{McBuf, MemCache};
 use crate::qpcache::QpCache;
@@ -165,7 +167,7 @@ impl XrdmaContext {
         let world = rnic.world().clone();
         let thread = CpuThread::new(world.clone(), name.to_string());
         let pd = rnic.alloc_pd();
-        let cq = rnic.create_cq(config.cq_size);
+        let cq = rnic.create_cq(CQ_SIZE);
         let srq = if config.use_srq {
             Some(rnic.create_srq(config.srq_size))
         } else {
@@ -178,7 +180,7 @@ impl XrdmaContext {
             config.ibqp_alloc_type,
         );
         let caps = QpCaps {
-            max_send_wr: config.cq_size,
+            max_send_wr: CQ_SIZE,
             max_recv_wr: (config.inflight_depth + crate::channel::CTRL_SLACK) as usize + 4,
         };
         let qpcache = QpCache::new(

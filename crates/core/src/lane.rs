@@ -34,7 +34,8 @@
 use std::collections::VecDeque;
 
 use xrdma_fabric::lane::{HostNicLane, LanePkt, NicLaneConfig};
-use xrdma_rnic::lane::{LaneBth, LaneBthKind, Pump, RnicLane, RnicLaneConfig};
+use xrdma_rnic::dcqcn::ALPHA_TIMER;
+use xrdma_rnic::lane::{LaneBth, LaneBthKind, Pump, RnicLane, RnicLaneConfig, RETX_TIMEOUT_NS};
 use xrdma_sim::shard::{Lane, ShardConfig, ShardWorld};
 use xrdma_sim::{Dur, Time};
 
@@ -151,21 +152,22 @@ pub struct HostHooks {
     pub on_peer_dead: Option<fn(&mut L, u32)>,
 }
 
+/// Seq-ack window depth per channel.
+pub const CHANNEL_WINDOW: u32 = 64;
+/// Unanswered keepalive probes before the peer is declared dead.
+pub const DEAD_AFTER_PROBES: u32 = 3;
+/// Out-of-band CM handshake latency (TCP-based in production).
+pub const CM_DELAY_NS: u64 = 100_000;
+
 /// Host-stack tunables.
 #[derive(Clone, Copy, Debug)]
 pub struct HostConfig {
     pub nic: NicLaneConfig,
     pub rnic: RnicLaneConfig,
-    /// Seq-ack window depth per channel.
-    pub window: u32,
     /// Keepalive probe interval.
     pub probe_interval_ns: u64,
-    /// Unanswered probes before the peer is declared dead.
-    pub dead_after: u32,
     /// Standalone window-ACK threshold (§V-B: ack after N silent rx).
     pub ack_after: u32,
-    /// Out-of-band CM handshake latency (TCP-based in production).
-    pub cm_delay_ns: u64,
 }
 
 impl Default for HostConfig {
@@ -173,11 +175,8 @@ impl Default for HostConfig {
         HostConfig {
             nic: NicLaneConfig::default(),
             rnic: RnicLaneConfig::default(),
-            window: 64,
             probe_interval_ns: 100_000,
-            dead_after: 3,
             ack_after: 8,
-            cm_delay_ns: 100_000,
         }
     }
 }
@@ -235,7 +234,7 @@ impl HostLane {
         let chan = self.chans.len() as u32;
         debug_assert_eq!(qpn, chan, "channel i drives QP i by construction");
         self.chans
-            .push(ChannelLane::new(peer_host, role, self.cfg.window));
+            .push(ChannelLane::new(peer_host, role, CHANNEL_WINDOW));
         chan
     }
 }
@@ -298,7 +297,7 @@ pub fn connect(l: &mut L, server: u32, role: u32) -> u32 {
     // Connection token: unique per (host, channel) incarnation; both QP
     // endpoints adopt it and stale packets are rejected against it.
     let token = (u64::from(me) << 20) | u64::from(chan) | (1 << 62);
-    let delay = Dur::nanos(l.state.cfg.cm_delay_ns);
+    let delay = Dur::nanos(CM_DELAY_NS);
     l.send_to(server, delay, move |srv| {
         cm_accept(srv, me, chan, token, role);
     });
@@ -314,7 +313,7 @@ fn cm_accept(srv: &mut L, client_host: u32, client_chan: u32, token: u64, role: 
     s.chans[chan as usize].state = ChanState::Up;
     s.rnic.qp(chan).connect(client_host, client_chan, token);
     channel_up(srv, chan);
-    let delay = Dur::nanos(srv.state.cfg.cm_delay_ns);
+    let delay = Dur::nanos(CM_DELAY_NS);
     srv.send_to(client_host, delay, move |cl| {
         cm_complete(cl, client_chan, chan, token);
     });
@@ -439,7 +438,7 @@ fn keepalive_tick(l: &mut L, chan: u32) {
     }
     if ch.probe_outstanding {
         ch.probe_misses += 1;
-        if ch.probe_misses >= cfg.dead_after {
+        if ch.probe_misses >= DEAD_AFTER_PROBES {
             ch.state = ChanState::Dead;
             ch.pending.clear();
             let misses = ch.probe_misses;
@@ -575,12 +574,11 @@ fn qp_pump(l: &mut L, qpn: u32) {
     }
     // Arm the (lazy) retransmission timer while anything is unacked.
     let now = l.now().nanos();
-    let timeout = l.state.cfg.rnic.retx_timeout_ns;
     let qp = l.state.rnic.qp(qpn);
     if qp.in_flight() > 0 && !qp.retx_armed {
         qp.retx_armed = true;
-        qp.retx_deadline_ns = now + timeout;
-        l.schedule_at(Time(now + timeout), move |l| retx_fire(l, qpn));
+        qp.retx_deadline_ns = now + RETX_TIMEOUT_NS;
+        l.schedule_at(Time(now + RETX_TIMEOUT_NS), move |l| retx_fire(l, qpn));
     }
 }
 
@@ -588,10 +586,9 @@ fn qp_pump(l: &mut L, qpn: u32) {
 /// deadline, a true expiry rewinds to the oldest unacked PSN.
 fn retx_fire(l: &mut L, qpn: u32) {
     let now = l.now().nanos();
-    let timeout = l.state.cfg.rnic.retx_timeout_ns;
     let qp = l.state.rnic.qp(qpn);
     qp.retx_armed = false;
-    if let Some(deadline) = qp.on_retx_timeout(now, timeout) {
+    if let Some(deadline) = qp.on_retx_timeout(now) {
         qp.retx_armed = true;
         l.schedule_at(Time(deadline), move |l| retx_fire(l, qpn));
         qp_pump(l, qpn);
@@ -603,14 +600,12 @@ fn retx_fire(l: &mut L, qpn: u32) {
 /// congested-set policy).
 fn dcqcn_tick(l: &mut L, qpn: u32) {
     let now = l.now().nanos();
-    let line = l.state.cfg.rnic.dcqcn.line_rate_gbps;
-    let period = l.state.cfg.rnic.dcqcn.alpha_timer;
     let qp = l.state.rnic.qp(qpn);
     qp.rp.on_timer(Time(now));
-    if qp.rp.recovered(line) {
+    if qp.rp.recovered() {
         qp.dcqcn_armed = false;
     } else {
-        l.schedule_in(period, move |l| dcqcn_tick(l, qpn));
+        l.schedule_in(ALPHA_TIMER, move |l| dcqcn_tick(l, qpn));
     }
     qp_pump(l, qpn);
 }
@@ -652,10 +647,9 @@ fn rnic_rx(l: &mut L, pkt: LanePkt<LaneBth<LaneMsg>>) {
     let Some(qpn) = s.rnic.validate(&pkt.body) else {
         return;
     };
-    let dcqcn = s.cfg.rnic.dcqcn;
     match pkt.body.kind {
         LaneBthKind::Data { psn, last, msg, .. } => {
-            let rx = s.rnic.qp(qpn).on_data(now, psn, last, msg, pkt.ecn, &dcqcn);
+            let rx = s.rnic.qp(qpn).on_data(now, psn, last, msg, pkt.ecn);
             if let Some(ack) = rx.ack {
                 send_bth(l, qpn, LaneBthKind::Ack { psn: ack });
             }
@@ -670,11 +664,10 @@ fn rnic_rx(l: &mut L, pkt: LanePkt<LaneBth<LaneMsg>>) {
             }
         }
         LaneBthKind::Ack { psn } => {
-            let timeout = s.cfg.rnic.retx_timeout_ns;
             // Split-borrow the QP table and CQ for completion pushes.
             let rnic = &mut s.rnic;
             let (qps, cq) = (&mut rnic.qps, &mut rnic.cq);
-            qps[qpn as usize].on_ack(now, psn, timeout, cq);
+            qps[qpn as usize].on_ack(now, psn, cq);
             // Drain completions (batch statistics; the scratch buffer is
             // reused so the receive path does not allocate).
             let mut scratch = std::mem::take(&mut s.cqe_scratch);
@@ -692,7 +685,7 @@ fn rnic_rx(l: &mut L, pkt: LanePkt<LaneBth<LaneMsg>>) {
             qp.on_cnp(now);
             if !qp.dcqcn_armed {
                 qp.dcqcn_armed = true;
-                l.schedule_in(dcqcn.alpha_timer, move |l| dcqcn_tick(l, qpn));
+                l.schedule_in(ALPHA_TIMER, move |l| dcqcn_tick(l, qpn));
             }
         }
     }

@@ -1,14 +1,26 @@
-//! Fabric configuration: topology shape, link rates, buffer thresholds.
+//! Fabric configuration: topology shape and buffer thresholds, plus the
+//! link calibration every shape shares (DESIGN.md §1).
 
-use serde::Serialize;
 use xrdma_sim::Dur;
+
+/// Host–ToR link rate in Gb/s (paper: dual-port 25 Gb/s ConnectX-4 Lx;
+/// we model the single 25 Gb/s port). The one line rate: the serial
+/// fabric's access links, the lane stack's host ports and DCQCN's rate
+/// cap all read it.
+pub const LINK_GBPS: f64 = 25.0;
+/// Switch–switch link rate in Gb/s.
+pub const UPLINK_GBPS: f64 = 100.0;
+/// Per-hop propagation delay (cable + PHY).
+pub const PROP_DELAY: Dur = Dur::nanos(250);
+/// Switch forwarding (pipeline) delay per packet.
+pub const SWITCH_DELAY: Dur = Dur::nanos(500);
 
 /// ECN / RED marking parameters, evaluated on egress queue depth.
 ///
 /// Linear marking probability between `kmin` and `kmax`, probability `pmax`
 /// at `kmax`, always mark above `kmax` — the standard DCQCN switch
 /// configuration.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EcnConfig {
     pub enabled: bool,
     pub kmin_bytes: u64,
@@ -42,7 +54,7 @@ impl EcnConfig {
 
 /// PFC (802.1Qbb) parameters, evaluated on per-(ingress port, priority)
 /// buffer occupancy.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PfcConfig {
     pub enabled: bool,
     /// Send XOFF (pause) upstream when ingress occupancy exceeds this.
@@ -65,7 +77,7 @@ impl Default for PfcConfig {
 ///
 /// The default is a small two-tier pod useful for tests; experiments build
 /// the paper-scale shapes via the constructors.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct FabricConfig {
     /// Hosts attached to each ToR switch (paper: 40).
     pub hosts_per_tor: u32,
@@ -79,15 +91,6 @@ pub struct FabricConfig {
     /// Spine switches (each leaf uplinks to all of them). May be 0 when
     /// there is a single pod.
     pub spines: u32,
-    /// Host–ToR link rate in Gb/s (paper: dual-port 25 Gb/s ConnectX-4 Lx;
-    /// we model the single 25 Gb/s port unless stated otherwise).
-    pub link_gbps: f64,
-    /// Switch–switch link rate in Gb/s.
-    pub uplink_gbps: f64,
-    /// Per-hop propagation delay (cable + PHY).
-    pub prop_delay: Dur,
-    /// Switch forwarding (pipeline) delay per packet.
-    pub switch_delay: Dur,
     /// Per-priority egress queue capacity in bytes. Sized like a
     /// shared-buffer switch: it must exceed the sum of PFC XOFF allowances
     /// over the ports that can converge on one egress, or the "lossless"
@@ -105,10 +108,6 @@ impl Default for FabricConfig {
             leaves_per_pod: 2,
             pods: 1,
             spines: 0,
-            link_gbps: 25.0,
-            uplink_gbps: 100.0,
-            prop_delay: Dur::nanos(250),
-            switch_delay: Dur::nanos(500),
             queue_limit_bytes: 32 * 1024 * 1024,
             ecn: EcnConfig::default(),
             pfc: PfcConfig::default(),
@@ -192,7 +191,6 @@ impl FabricConfig {
         if self.pods > 1 {
             assert!(self.spines >= 1, "multi-pod topology requires spines");
         }
-        assert!(self.link_gbps > 0.0 && self.uplink_gbps > 0.0);
         assert!(
             self.pfc.xon_bytes <= self.pfc.xoff_bytes,
             "XON threshold must not exceed XOFF"

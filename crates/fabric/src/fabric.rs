@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use xrdma_sim::{SimRng, World};
 
-use crate::config::FabricConfig;
+use crate::config::{FabricConfig, LINK_GBPS, PROP_DELAY, SWITCH_DELAY, UPLINK_GBPS};
 use crate::packet::{NodeId, Packet};
 use crate::port::{Port, PortDest};
 use crate::stats::FabricStats;
@@ -45,8 +45,8 @@ impl Fabric {
         let topo = Rc::new(Topology::from_config(&cfg));
         let stats = FabricStats::new();
         // The fabric's two constant per-packet delays, one line each.
-        let cable = Port::cable(&world, cfg.prop_delay);
-        let pipeline = Switch::pipeline(&world, cfg.switch_delay);
+        let cable = Port::cable(&world, PROP_DELAY);
+        let pipeline = Switch::pipeline(&world, SWITCH_DELAY);
 
         let mk_switch = |tier: Tier, idx: u32, n_down: usize| {
             Switch::new(
@@ -56,7 +56,7 @@ impl Fabric {
                 cfg.ecn,
                 cfg.pfc,
                 pipeline.clone(),
-                cfg.prop_delay,
+                PROP_DELAY,
                 n_down,
                 stats.clone(),
                 rng.fork(&format!("sw-{tier:?}-{idx}")),
@@ -102,13 +102,13 @@ impl Fabric {
         for h in 0..topo.n_hosts() {
             let t = topo.tor_of(NodeId(h)) as usize;
             // Up direction: host NIC egress into the ToR.
-            let up = mk_port_into_switch(format!("host{h}->tor{t}"), cfg.link_gbps, &tors[t], true);
+            let up = mk_port_into_switch(format!("host{h}->tor{t}"), LINK_GBPS, &tors[t], true);
             host_ports.push(up);
             // Down direction: ToR egress to the host.
             let down = Port::new(
                 world.clone(),
                 format!("tor{t}->host{h}"),
-                cfg.link_gbps,
+                LINK_GBPS,
                 cable.clone(),
                 cfg.queue_limit_bytes,
                 PortDest::Host {
@@ -128,15 +128,10 @@ impl Fabric {
             let pod = topo.pod_of_tor(t as u32);
             for j in 0..cfg.leaves_per_pod {
                 let l = (pod * cfg.leaves_per_pod + j) as usize;
-                let up = mk_port_into_switch(
-                    format!("tor{t}->leaf{l}"),
-                    cfg.uplink_gbps,
-                    &leaves[l],
-                    false,
-                );
+                let up =
+                    mk_port_into_switch(format!("tor{t}->leaf{l}"), UPLINK_GBPS, &leaves[l], false);
                 tor_ports[t].push(up);
-                let down =
-                    mk_port_into_switch(format!("leaf{l}->tor{t}"), cfg.uplink_gbps, tor, false);
+                let down = mk_port_into_switch(format!("leaf{l}->tor{t}"), UPLINK_GBPS, tor, false);
                 // Leaf down-ports are laid out per-ToR-within-pod.
                 leaf_ports[l].push(down);
             }
@@ -150,15 +145,11 @@ impl Fabric {
         let mut spine_ports: Vec<Vec<Rc<Port>>> = vec![Vec::new(); spines.len()];
         for (l, leaf) in leaves.iter().enumerate() {
             for (s, spine) in spines.iter().enumerate() {
-                let up = mk_port_into_switch(
-                    format!("leaf{l}->spine{s}"),
-                    cfg.uplink_gbps,
-                    spine,
-                    false,
-                );
+                let up =
+                    mk_port_into_switch(format!("leaf{l}->spine{s}"), UPLINK_GBPS, spine, false);
                 leaf_ports[l].push(up);
                 let down =
-                    mk_port_into_switch(format!("spine{s}->leaf{l}"), cfg.uplink_gbps, leaf, false);
+                    mk_port_into_switch(format!("spine{s}->leaf{l}"), UPLINK_GBPS, leaf, false);
                 spine_ports[s].push(down);
             }
         }

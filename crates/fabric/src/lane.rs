@@ -27,7 +27,14 @@
 //! itself — methods return what the caller must schedule, keeping the
 //! module unit-testable without a world.
 
-use serde::Serialize;
+use crate::config::LINK_GBPS;
+
+/// Propagation + forwarding delay per hop; host→ToR→host is two.
+pub const HOP_NS: u64 = 500;
+/// Downlink backlog (in ns of drain time) above which an admitted packet
+/// is ECN-marked — the RED-style threshold of the serial switch,
+/// expressed in time units.
+pub const ECN_THRESHOLD_NS: u64 = 20_000;
 
 /// A packet travelling between host NIC lanes. `B` is the opaque upper
 /// -layer body (the RNIC lane's BTH equivalent); it must be `Send`
@@ -44,17 +51,15 @@ pub struct LanePkt<B> {
     pub body: B,
 }
 
-/// Line-rate / delay / ECN tunables of one host port, mirroring the
-/// serial fabric's defaults (25 Gb/s access links, 500 ns hops).
-#[derive(Clone, Copy, Debug, Serialize)]
+/// Tunables of one host port. The port runs at [`LINK_GBPS`] with
+/// [`HOP_NS`] hops and marks at [`ECN_THRESHOLD_NS`].
+#[derive(Clone, Copy, Debug)]
 pub struct NicLaneConfig {
+    /// Always [`LINK_GBPS`]; nothing in the lane stack reads it. Kept only
+    /// because the `benchmark/` harness reads it through
+    /// [`HostNicLane::cfg`] to turn backlog nanoseconds into bytes.
+    // xrdma-lint: allow(unvaried-knob) -- read-only mirror of LINK_GBPS for benchmark/src/lane.rs
     pub line_rate_gbps: f64,
-    /// Propagation + forwarding delay per hop; host→ToR→host is two.
-    pub hop_ns: u64,
-    /// Downlink backlog (in ns of drain time) above which an admitted
-    /// packet is ECN-marked — the RED-style threshold of the serial
-    /// switch, expressed in time units.
-    pub ecn_threshold_ns: u64,
     /// Deterministic fault knob: drop every Nth egress packet (0 = off).
     /// Gives the chaos battery real loss + go-back-N recovery on the
     /// threaded engine without any shared fault injector.
@@ -64,9 +69,7 @@ pub struct NicLaneConfig {
 impl Default for NicLaneConfig {
     fn default() -> NicLaneConfig {
         NicLaneConfig {
-            line_rate_gbps: 25.0,
-            hop_ns: 500,
-            ecn_threshold_ns: 20_000,
+            line_rate_gbps: LINK_GBPS,
             drop_every: 0,
         }
     }
@@ -103,7 +106,6 @@ pub struct HostNicLane<B> {
 
 impl<B> HostNicLane<B> {
     pub fn new(cfg: NicLaneConfig) -> HostNicLane<B> {
-        assert!(cfg.line_rate_gbps > 0.0, "need a positive line rate");
         HostNicLane {
             cfg,
             egress: std::collections::VecDeque::new(),
@@ -127,12 +129,12 @@ impl<B> HostNicLane<B> {
     /// Two-hop propagation delay for a host→ToR→host crossing — exactly
     /// the lane engine's lookahead floor.
     pub fn cross_delay_ns(&self) -> u64 {
-        2 * self.cfg.hop_ns
+        2 * HOP_NS
     }
 
     /// Store-and-forward serialization time of `bytes` at line rate.
     pub fn ser_ns(&self, bytes: u32) -> u64 {
-        let ns = (bytes as f64) * 8.0 / self.cfg.line_rate_gbps;
+        let ns = (bytes as f64) * 8.0 / LINK_GBPS;
         (ns as u64).max(1)
     }
 
@@ -190,7 +192,7 @@ impl<B> HostNicLane<B> {
         self.rx_busy_until_ns = deliver_at_ns;
         self.rx_pkts += 1;
         self.rx_bytes += u64::from(bytes);
-        let ecn = backlog_ns > self.cfg.ecn_threshold_ns;
+        let ecn = backlog_ns > ECN_THRESHOLD_NS;
         if ecn {
             self.ecn_marked += 1;
         }
@@ -274,7 +276,7 @@ mod tests {
             marked |= n.rx_admit(t0, 4096).ecn;
         }
         assert!(marked, "a deep enough backlog must ECN-mark");
-        assert!(n.max_backlog_ns > n.cfg().ecn_threshold_ns);
+        assert!(n.max_backlog_ns > ECN_THRESHOLD_NS);
         // Once drained, marks stop.
         let later = n.rx_busy_until_ns + 1;
         assert!(!n.rx_admit(later, 4096).ecn);

@@ -29,7 +29,9 @@ pub mod stats;
 pub mod switch;
 pub mod topology;
 
-pub use config::{EcnConfig, FabricConfig, PfcConfig};
+pub use config::{
+    EcnConfig, FabricConfig, PfcConfig, LINK_GBPS, PROP_DELAY, SWITCH_DELAY, UPLINK_GBPS,
+};
 pub use fabric::{Fabric, NicSink};
 pub use packet::{ecmp_hash, NodeId, Packet, NPRIO};
 pub use stats::FabricStats;

@@ -345,7 +345,7 @@ impl Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FabricConfig;
+    use crate::config::{FabricConfig, PROP_DELAY, SWITCH_DELAY};
     use crate::topology::NextHop;
 
     impl Switch {
@@ -379,7 +379,7 @@ mod tests {
         for cfg in [FabricConfig::cluster(2, 4, 8), FabricConfig::pod(4, 8, 2)] {
             let world = World::new();
             let topo = Rc::new(Topology::from_config(&cfg));
-            let pipeline = Switch::pipeline(&world, cfg.switch_delay);
+            let pipeline = Switch::pipeline(&world, SWITCH_DELAY);
             let tiers = [
                 (Tier::Tor, topo.n_tors(), cfg.hosts_per_tor),
                 (Tier::Leaf, topo.n_leaves(), cfg.tors_per_pod),
@@ -396,7 +396,7 @@ mod tests {
                         cfg.ecn,
                         cfg.pfc,
                         pipeline.clone(),
-                        cfg.prop_delay,
+                        PROP_DELAY,
                         n_down as usize,
                         FabricStats::new(),
                         SimRng::new(1),

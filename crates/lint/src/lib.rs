@@ -54,6 +54,13 @@
 //!   `Time`-carrying entry types that never consult `seq`: cross-shard
 //!   merges must order on `(Time, seq)` or same-instant events interleave
 //!   nondeterministically.
+//! * **U2 `unvaried-knob`** — a leaf field of a `pub struct *Config`
+//!   that nothing but the struct's own `impl Default` ever sets is a
+//!   constant posing as a knob: make it a named `pub const` in the module
+//!   that reads it, or delete it with the branch it guards. Writers are
+//!   read from every crate's `src/`, `tests/` and `benches/`, from
+//!   `tests/`, `examples/` and from `benchmark/src` (read-only roots: no
+//!   other rule runs there).
 //! * **A1 `unused-allow`** — an `xrdma-lint: allow(...)` annotation that
 //!   no longer suppresses any diagnostic is itself a diagnostic; stale
 //!   escape hatches rot into silent holes in the contract.
@@ -84,7 +91,8 @@ use scope::Flags;
 use symbols::Symbols;
 
 /// The contract rules: determinism (D), telemetry (T), faults (F),
-/// performance (P), shard-safety (S), and annotation hygiene (A).
+/// performance (P), shard-safety (S), surface (U), and annotation
+/// hygiene (A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
     /// D1: wall-clock time sources in simulation crates.
@@ -120,6 +128,10 @@ pub enum Rule {
     /// S3: event insertion keyed on bare `Time` (no `seq` tie-break) —
     /// cross-shard merges become nondeterministic at equal timestamps.
     UnorderedMerge,
+    /// U2: a leaf field of a `pub struct *Config` with no writer outside
+    /// the struct's own `impl Default`. Workspace-level; computed from
+    /// the symbol table's writer sets.
+    UnvariedKnob,
     /// A1: an `xrdma-lint: allow(...)` annotation that suppresses
     /// nothing. Reported via `FileReport::unused_allows`; the variant
     /// exists so the rule has a name and fixture coverage.
@@ -141,6 +153,7 @@ impl Rule {
             Rule::NonSendShardState => "non-send-shard-state",
             Rule::CrossShardStatic => "cross-shard-static",
             Rule::UnorderedMerge => "unordered-cross-shard-merge",
+            Rule::UnvariedKnob => "unvaried-knob",
             Rule::UnusedAllow => "unused-allow",
         }
     }
@@ -149,7 +162,7 @@ impl Rule {
         Rule::ALL.into_iter().find(|r| r.name() == s)
     }
 
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 13] = [
         Rule::WallClock,
         Rule::AmbientRandomness,
         Rule::NondeterministicIter,
@@ -161,6 +174,7 @@ impl Rule {
         Rule::NonSendShardState,
         Rule::CrossShardStatic,
         Rule::UnorderedMerge,
+        Rule::UnvariedKnob,
         Rule::UnusedAllow,
     ];
 }
@@ -228,7 +242,8 @@ impl RuleSet {
 }
 
 /// Simulation crates: everything that runs inside a `World` must be fully
-/// deterministic (D1–D4) and shard-migratable (S1–S3).
+/// deterministic (D1–D4) and shard-migratable (S1–S3), and the configs
+/// they declare carry only knobs something varies (U2).
 pub const SIM_RULES: RuleSet = RuleSet {
     rules: &[
         Rule::WallClock,
@@ -240,6 +255,7 @@ pub const SIM_RULES: RuleSet = RuleSet {
         Rule::NonSendShardState,
         Rule::CrossShardStatic,
         Rule::UnorderedMerge,
+        Rule::UnvariedKnob,
     ],
 };
 
@@ -260,6 +276,7 @@ pub const API_RULES: RuleSet = RuleSet {
         Rule::NonSendShardState,
         Rule::CrossShardStatic,
         Rule::UnorderedMerge,
+        Rule::UnvariedKnob,
     ],
 };
 
@@ -277,6 +294,7 @@ pub const FABRIC_RULES: RuleSet = RuleSet {
         Rule::NonSendShardState,
         Rule::CrossShardStatic,
         Rule::UnorderedMerge,
+        Rule::UnvariedKnob,
     ],
 };
 
@@ -295,6 +313,7 @@ pub const RNIC_RULES: RuleSet = RuleSet {
         Rule::NonSendShardState,
         Rule::CrossShardStatic,
         Rule::UnorderedMerge,
+        Rule::UnvariedKnob,
     ],
 };
 
@@ -310,6 +329,7 @@ pub const TELEMETRY_CRATE_RULES: RuleSet = RuleSet {
         Rule::NonSendShardState,
         Rule::CrossShardStatic,
         Rule::UnorderedMerge,
+        Rule::UnvariedKnob,
     ],
 };
 
@@ -361,6 +381,29 @@ pub fn extra_targets() -> Vec<(&'static str, RuleSet)> {
         ("examples", TEST_RULES),
         ("crates/bench/src", BENCH_RULES),
     ]
+}
+
+/// Read-only roots U2 takes config writers from, beyond the scanned
+/// targets: every crate's `src/` (when not a target), `tests/` and
+/// `benches/`, and the separate `benchmark/` workspace's `src/`. No rule
+/// runs on these files; lint fixtures (`fixtures/` directories) are data
+/// and are never read.
+pub fn writer_roots(root: &Path) -> Vec<PathBuf> {
+    let scanned: Vec<PathBuf> = workspace_targets()
+        .into_iter()
+        .map(|(rel, _)| root.join(rel).join("src"))
+        .chain(extra_targets().into_iter().map(|(rel, _)| root.join(rel)))
+        .collect();
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .map(|it| it.flatten().map(|e| e.path()).collect())
+        .unwrap_or_default();
+    crates.sort();
+    crates
+        .iter()
+        .flat_map(|c| ["src", "tests", "benches"].map(|d| c.join(d)))
+        .chain([root.join("benchmark/src")])
+        .filter(|d| d.is_dir() && !scanned.contains(d))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -475,6 +518,25 @@ fn analyze_tokens(
             });
         }
     }
+    if rules.contains(Rule::UnvariedKnob) {
+        for k in symbols.unvaried_knobs() {
+            if k.file != file {
+                continue;
+            }
+            raw_violations.push(Violation {
+                rule: Rule::UnvariedKnob,
+                file: file.to_path_buf(),
+                line: k.line as usize,
+                snippet: snippet(k.line as usize),
+                message: format!(
+                    "config field `{}.{}` has no writer outside `impl Default for {}`; \
+                     make it a named `pub const` in the module that reads it, or delete \
+                     it with the branch it guards",
+                    k.ty, k.field, k.ty
+                ),
+            });
+        }
+    }
     if rules.contains(Rule::UnorderedMerge) {
         for io in symbols.unordered_event_ords() {
             if io.file != file {
@@ -545,13 +607,14 @@ fn analyze_tokens(
 
 /// Analyze one file's source text under a rule set. The symbol table is
 /// built from this file alone, so workspace-level rules (S1, the
-/// `impl Ord` half of S3) see only local definitions — which is exactly
-/// what the fixture self-tests exercise.
+/// `impl Ord` half of S3, U2) see only local definitions and writers —
+/// which is exactly what the fixture self-tests exercise.
 pub fn analyze_source(file: &Path, source: &str, rules: RuleSet) -> FileReport {
     let lexed = lexer::lex(source);
     let flags = scope::scopes(&lexed.tokens);
     let mut symbols = Symbols::default();
     symbols.absorb(file, &lexed.tokens, &flags);
+    symbols.absorb_writers(&lexed.tokens);
     analyze_tokens(file, &lexed, &flags, rules, &symbols)
 }
 
@@ -579,8 +642,9 @@ pub fn rust_files(dir: &Path) -> Vec<PathBuf> {
 }
 
 /// Walk the workspace at `root` in two passes: absorb every target
-/// file's items into one symbol table, then run all rules per file with
-/// the workspace-wide table. Violations come back stably sorted by
+/// file's items (and the [`writer_roots`]' config writers) into one
+/// symbol table, then run all rules per file with the workspace-wide
+/// table. Violations come back stably sorted by
 /// `(file, line, rule, message)`.
 pub fn analyze_workspace(root: &Path) -> FileReport {
     struct Prepared {
@@ -611,12 +675,24 @@ pub fn analyze_workspace(root: &Path) -> FileReport {
             let lexed = lexer::lex(&text);
             let flags = scope::scopes(&lexed.tokens);
             symbols.absorb(&display, &lexed.tokens, &flags);
+            symbols.absorb_writers(&lexed.tokens);
             prepared.push(Prepared {
                 display,
                 lexed,
                 flags,
                 rules,
             });
+        }
+    }
+
+    for dir in writer_roots(root) {
+        for file in rust_files(&dir) {
+            if file.components().any(|c| c.as_os_str() == "fixtures") {
+                continue;
+            }
+            if let Ok(text) = std::fs::read_to_string(&file) {
+                symbols.absorb_writers(&lexer::lex(&text).tokens);
+            }
         }
     }
 

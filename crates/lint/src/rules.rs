@@ -110,8 +110,8 @@ impl<'a> FileCtx<'a> {
     }
 }
 
-/// Run every token-scan rule in `rules` over the file. (S1 and the
-/// `impl Ord` half of S3 are workspace-level — see [`Symbols`].)
+/// Run every token-scan rule in `rules` over the file. (S1, the
+/// `impl Ord` half of S3 and U2 are workspace-level — see [`Symbols`].)
 pub fn check_file(ctx: &FileCtx, rules: &[Rule], out: &mut Vec<Violation>) {
     for rule in rules {
         match rule {
@@ -126,7 +126,7 @@ pub fn check_file(ctx: &FileCtx, rules: &[Rule], out: &mut Vec<Violation>) {
             Rule::CrossShardStatic => cross_shard_static(ctx, out),
             Rule::UnorderedMerge => unordered_merge_decls(ctx, out),
             // Workspace-level rules, handled by the driver.
-            Rule::NonSendShardState | Rule::UnusedAllow => {}
+            Rule::NonSendShardState | Rule::UnvariedKnob | Rule::UnusedAllow => {}
         }
     }
 }

@@ -17,6 +17,14 @@
 //! * **Alias resolution for D3** — a field typed through an alias of
 //!   `HashMap`/`HashSet` (e.g. `type QpMap = HashMap<…>`) is recognized as
 //!   a hash container wherever the alias is used.
+//! * **U2 `unvaried-knob`** — every leaf field of a `pub struct *Config`
+//!   needs a writer outside that struct's own `impl Default`. Writers are
+//!   collected from every scanned file, test code included, and from the
+//!   read-only writer roots: a field init `f: expr` or shorthand `f` in a
+//!   literal of the type (`Self { … }` resolves through the enclosing
+//!   `impl`), and `.f =` / `.f op=` on any receiver — the last
+//!   over-approximates on purpose, so the rule can miss a knob but never
+//!   flags one that something varies.
 //!
 //! Name resolution is by simple identifier, workspace-wide; the first
 //! definition wins (the walk order is sorted, so collisions resolve
@@ -46,6 +54,7 @@ pub struct TypeInfo {
     pub file: PathBuf,
     pub line: u32,
     pub is_pub: bool,
+    pub is_enum: bool,
     pub fields: Vec<FieldInfo>,
 }
 
@@ -67,6 +76,13 @@ pub struct Symbols {
     /// `type Alias = …;` right-hand sides, as tokens.
     pub aliases: BTreeMap<String, Vec<Token>>,
     pub impl_ords: Vec<ImplOrd>,
+    /// U2: `(type, field)` pairs initialised in a struct literal of `type`
+    /// outside `impl Default for type`.
+    pub literal_writes: BTreeSet<(String, String)>,
+    /// U2: `.field =` assignments, with the type of the `impl Default`
+    /// they sit in (empty outside one): such a write does not vary a knob
+    /// of that type.
+    pub dot_writes: BTreeSet<(String, String)>,
 }
 
 /// Shard-root predicate: `World` plus any per-shard event-lane struct.
@@ -120,6 +136,7 @@ impl Symbols {
                         file: file.to_path_buf(),
                         line,
                         is_pub,
+                        is_enum,
                         fields,
                     });
                     i = j;
@@ -186,6 +203,99 @@ impl Symbols {
             }
             i += 1;
         }
+    }
+
+    /// U2 pass one: record every config-field writer in one file. Unlike
+    /// [`Symbols::absorb`] this reads test code too — a knob a test
+    /// varies is a knob.
+    pub fn absorb_writers(&mut self, tokens: &[Token]) {
+        // Enclosing `impl` blocks: (index of the closing brace, self type,
+        // is `impl Default for …`).
+        let mut impls: Vec<(usize, String, bool)> = Vec::new();
+        for i in 0..tokens.len() {
+            while impls.last().is_some_and(|&(end, ..)| end < i) {
+                impls.pop();
+            }
+            let t = &tokens[i];
+            let prev = |k: usize| i.checked_sub(k).map(|p| &tokens[p]);
+            if t.is_ident("impl") && is_item_start(prev(1)) {
+                if let Some(header) = impl_header(tokens, i) {
+                    impls.push(header);
+                }
+            } else if t.kind == TokKind::Ident
+                && tokens.get(i + 1).is_some_and(|n| n.is_punct('{'))
+                && !prev(1).is_some_and(|p| {
+                    ["struct", "enum", "union", "impl", "for", "trait"]
+                        .iter()
+                        .any(|kw| p.is_ident(kw))
+                        || (p.is_punct('>') && prev(2).is_some_and(|q| q.is_punct('-')))
+                })
+            {
+                let ty = match (t.text.as_str(), impls.last()) {
+                    ("Self", Some((_, ty, _))) => ty.clone(),
+                    ("Self", None) => continue,
+                    (name, _) => name.to_string(),
+                };
+                if !ty.ends_with("Config")
+                    || impls.last().is_some_and(|(_, it, def)| *def && *it == ty)
+                {
+                    continue;
+                }
+                for field in literal_fields(tokens, i + 1) {
+                    self.literal_writes.insert((ty.clone(), field));
+                }
+            } else if t.is_punct('.')
+                && !prev(1).is_some_and(|p| p.is_punct('.'))
+                && tokens.get(i + 1).is_some_and(|n| n.kind == TokKind::Ident)
+                && is_assign_op(&tokens[(i + 2).min(tokens.len())..])
+            {
+                let in_default = impls
+                    .last()
+                    .filter(|(_, _, def)| *def)
+                    .map(|(_, ty, _)| ty.clone())
+                    .unwrap_or_default();
+                self.dot_writes
+                    .insert((tokens[i + 1].text.clone(), in_default));
+            }
+        }
+    }
+
+    /// U2 pass two: leaf fields of `pub struct *Config` types that no
+    /// writer outside the type's own `impl Default` sets. A field whose
+    /// type is itself a `*Config` is not a leaf; its leaves are judged in
+    /// their own struct.
+    pub fn unvaried_knobs(&self) -> Vec<UnvariedKnob> {
+        let is_config = |name: &str| {
+            name.ends_with("Config") && self.types.get(name).is_some_and(|t| !t.is_enum)
+        };
+        let mut out = Vec::new();
+        for info in self.types.values() {
+            if !info.is_pub || !is_config(&info.name) {
+                continue;
+            }
+            for f in &info.fields {
+                let nested =
+                    f.ty.iter()
+                        .any(|t| t.kind == TokKind::Ident && is_config(&t.text));
+                let written = self
+                    .literal_writes
+                    .contains(&(info.name.clone(), f.name.clone()))
+                    || self
+                        .dot_writes
+                        .range((f.name.clone(), String::new())..)
+                        .take_while(|(field, _)| *field == f.name)
+                        .any(|(_, in_default)| *in_default != info.name);
+                if !nested && !written {
+                    out.push(UnvariedKnob {
+                        ty: info.name.clone(),
+                        field: f.name.clone(),
+                        file: info.file.clone(),
+                        line: f.line,
+                    });
+                }
+            }
+        }
+        out
     }
 
     /// S1: walk the reachability graph from the shard roots, returning
@@ -273,6 +383,119 @@ pub struct NonSendField {
     pub file: PathBuf,
     pub line: u32,
     pub rendered: String,
+}
+
+/// One U2 finding.
+pub struct UnvariedKnob {
+    pub ty: String,
+    pub field: String,
+    pub file: PathBuf,
+    pub line: u32,
+}
+
+/// Can an item (`impl` block) start after this token? Rules out
+/// `-> impl Trait`, `x: impl Trait` and `&impl Trait`.
+fn is_item_start(prev: Option<&Token>) -> bool {
+    match prev {
+        None => true,
+        Some(p) => {
+            p.is_punct('}')
+                || p.is_punct(';')
+                || p.is_punct(']')
+                || p.is_punct('{')
+                || p.is_ident("unsafe")
+        }
+    }
+}
+
+/// Parse the `impl` header at `i`: `(closing brace, self type, is
+/// Default)`, or `None` for a brace-less header.
+fn impl_header(tokens: &[Token], i: usize) -> Option<(usize, String, bool)> {
+    let mut j = skip_generics(tokens, i + 1);
+    let mut depth = 0i32;
+    let mut last_ident: Option<&str> = None;
+    let mut self_ty: Option<&str> = None;
+    let mut saw_default = false;
+    while j < tokens.len() && !(depth == 0 && tokens[j].is_punct('{')) {
+        let t = &tokens[j];
+        if t.is_punct(';') {
+            return None;
+        } else if t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct('>') {
+            depth -= 1;
+        } else if depth == 0 && t.is_ident("for") {
+            saw_default = last_ident == Some("Default");
+            self_ty = None;
+            last_ident = None;
+        } else if depth == 0 && t.is_ident("where") {
+            self_ty = self_ty.or(last_ident);
+            break;
+        } else if depth == 0 && t.kind == TokKind::Ident {
+            last_ident = Some(&t.text);
+        }
+        j += 1;
+    }
+    while j < tokens.len() && !tokens[j].is_punct('{') {
+        j += 1;
+    }
+    let ty = self_ty.or(last_ident)?.to_string();
+    Some((crate::scope_match_brace(tokens, j), ty, saw_default))
+}
+
+/// Field names a struct literal whose `{` is at `open` initialises:
+/// `f: expr` and shorthand `f` entries at the literal's own depth, up to
+/// a `..base` tail.
+fn literal_fields(tokens: &[Token], open: usize) -> Vec<String> {
+    let close = crate::scope_match_brace(tokens, open);
+    let mut fields = Vec::new();
+    let mut k = open + 1;
+    while k < close {
+        while tokens.get(k).is_some_and(|t| t.is_punct('#'))
+            && tokens.get(k + 1).is_some_and(|t| t.is_punct('['))
+        {
+            k = crate::scope_match_delim(tokens, k + 1, '[', ']') + 1;
+        }
+        let Some(t) = tokens.get(k).filter(|_| k < close) else {
+            break;
+        };
+        if t.is_punct('.') {
+            break;
+        }
+        let next = tokens.get(k + 1);
+        let init = next.is_some_and(|n| n.is_punct(':'))
+            && !tokens.get(k + 2).is_some_and(|n| n.is_punct(':'));
+        let shorthand = k + 1 == close || next.is_some_and(|n| n.is_punct(','));
+        if t.kind == TokKind::Ident && (init || shorthand) {
+            fields.push(t.text.clone());
+        }
+        // Advance past this entry: the next `,` at the literal's depth.
+        let mut depth = 0i32;
+        while k < close {
+            let t = &tokens[k];
+            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+                depth += 1;
+            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+                depth -= 1;
+            } else if depth == 0 && t.is_punct(',') {
+                break;
+            }
+            k += 1;
+        }
+        k += 1;
+    }
+    fields
+}
+
+/// Does the token run start an assignment (`=`, not `==`/`=>`) or a
+/// compound assignment (`+=`, `-=`, `*=`, `/=`, `%=`, `^=`, `|=`, `&=`)?
+fn is_assign_op(rest: &[Token]) -> bool {
+    let eq = |k: usize| rest.get(k).is_some_and(|t| t.is_punct('='));
+    match rest.first() {
+        Some(t) if t.is_punct('=') => !(eq(1) || rest.get(1).is_some_and(|t| t.is_punct('>'))),
+        Some(t) if t.kind == TokKind::Punct && "+-*/%^|&".contains(t.text.as_str()) => eq(1),
+        _ => false,
+    }
 }
 
 /// Which non-`Send` pattern a type-token slice contains, if any.

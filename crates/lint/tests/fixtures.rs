@@ -143,6 +143,30 @@ fn s1_lane_fixture_flags_all_three_field_shapes() {
     );
 }
 
+/// U2 flags exactly the leaves nothing outside their own `impl Default`
+/// writes: a `Default` literal, a `.f =` inside the `Default` body, and a
+/// nested config's own `Default` are not writers; a constructor literal
+/// and another struct's `Default` are.
+#[test]
+fn u2_flags_exactly_the_default_only_leaves() {
+    let report = run_fixture(Rule::UnvariedKnob, "pos");
+    let mut flagged: Vec<String> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == Rule::UnvariedKnob)
+        .map(|v| v.message.split('`').nth(1).unwrap_or_default().to_string())
+        .collect();
+    flagged.sort();
+    assert_eq!(
+        flagged,
+        [
+            "LinkConfig.jitter",
+            "PortConfig.hdr_bytes",
+            "PortConfig.line_rate"
+        ]
+    );
+}
+
 /// Satellite regression: patterns inside string literals, doc comments,
 /// and (nested) block comments never fire — the PR-1 false-positive
 /// class. Run under the fabric hot-path harness so even the P1 patterns
@@ -173,7 +197,9 @@ fn workspace_root() -> PathBuf {
 }
 
 /// The live workspace is clean: zero diagnostics, zero unused allows,
-/// zero malformed annotations.
+/// zero malformed annotations. For U2 that means every `*Config` leaf in
+/// the workspace has a writer in some crate, test, example or in
+/// `benchmark/src`.
 #[test]
 fn live_workspace_is_clean() {
     let report = analyze_workspace(&workspace_root());

@@ -23,7 +23,6 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
-use serde::Serialize;
 use xrdma_fabric::NodeId;
 use xrdma_sim::{Dur, SimRng, World};
 use xrdma_telemetry::tele;
@@ -31,50 +30,37 @@ use xrdma_telemetry::tele;
 use crate::engine::Rnic;
 use crate::qp::{Qp, QpState};
 
-/// Connection-establishment cost model.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct CmConfig {
-    pub resolve_addr: Dur,
-    pub resolve_route: Dur,
-    pub exchange: Dur,
-    /// Cost of creating + initializing a fresh QP (per side). The QP-cache
-    /// reuse path skips this entirely.
-    pub create_qp: Dur,
-    pub to_rtr: Dur,
-    pub to_rts: Dur,
-    /// Multiplicative jitter (std-dev fraction) applied to each phase.
-    pub jitter: f64,
-    /// Give up waiting for the passive side after this long.
-    pub connect_timeout: Dur,
+// Connection-establishment cost model: the phase table above.
+
+/// Address resolution (ARP/route cache miss).
+pub const RESOLVE_ADDR: Dur = Dur::micros(800);
+/// Route resolution.
+pub const RESOLVE_ROUTE: Dur = Dur::micros(800);
+/// REQ/REP exchange.
+pub const EXCHANGE: Dur = Dur::micros(450);
+/// Cost of creating + initializing a fresh QP (per side). The QP-cache
+/// reuse path skips this entirely.
+pub const CREATE_QP: Dur = Dur::micros(748);
+/// Modify to RTR.
+pub const TO_RTR: Dur = Dur::micros(250);
+/// Modify to RTS.
+pub const TO_RTS: Dur = Dur::micros(150);
+/// Multiplicative jitter (std-dev fraction) applied to each phase.
+pub const JITTER: f64 = 0.05;
+/// Give up waiting for the passive side after this long.
+pub const CONNECT_TIMEOUT: Dur = Dur::secs(1);
+
+/// Expected client-observed latency (no jitter) for a connect where
+/// `fresh_sides` ∈ {0, 1, 2} QPs must be freshly created.
+pub fn expected_latency(fresh_sides: u32) -> Dur {
+    RESOLVE_ADDR + RESOLVE_ROUTE + EXCHANGE + CREATE_QP * fresh_sides as u64 + TO_RTR + TO_RTS
 }
 
-impl Default for CmConfig {
-    fn default() -> Self {
-        CmConfig {
-            resolve_addr: Dur::micros(800),
-            resolve_route: Dur::micros(800),
-            exchange: Dur::micros(450),
-            create_qp: Dur::micros(748),
-            to_rtr: Dur::micros(250),
-            to_rts: Dur::micros(150),
-            jitter: 0.05,
-            connect_timeout: Dur::secs(1),
-        }
-    }
-}
-
-impl CmConfig {
-    /// Expected client-observed latency (no jitter) for a connect where
-    /// `fresh_sides` ∈ {0, 1, 2} QPs must be freshly created.
-    pub fn expected_latency(&self, fresh_sides: u32) -> Dur {
-        self.resolve_addr
-            + self.resolve_route
-            + self.exchange
-            + self.create_qp * fresh_sides as u64
-            + self.to_rtr
-            + self.to_rts
-    }
-}
+/// Connection-manager configuration. It has no fields: every `rdma_cm`
+/// stage cost is a constant above. [`ConnManager::new`] still takes one
+/// so existing callers keep compiling.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CmConfig {}
 
 /// Why a connect failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,7 +88,7 @@ impl std::error::Error for CmError {}
 struct Listener {
     rnic: Rc<Rnic>,
     /// Produce a QP for an incoming request: `(qp, fresh)` — `fresh` means
-    /// it was just created (pays `create_qp`); recycled QPs don't. `None`
+    /// it was just created (pays [`CREATE_QP`]); recycled QPs don't. `None`
     /// declines the connection (e.g. the owning context is shutting down).
     accept: Box<dyn Fn() -> Option<(Rc<Qp>, bool)>>,
     /// Invoked once the connection is fully established.
@@ -113,7 +99,6 @@ struct Listener {
 /// nodes share).
 pub struct ConnManager {
     world: Rc<World>,
-    pub cfg: CmConfig,
     listeners: RefCell<HashMap<(NodeId, u16), Listener>>,
     /// Address/route resolution cache, like rdma_cm's ARP/route caching:
     /// after the first connect from a node to a peer, later connects skip
@@ -125,10 +110,9 @@ pub struct ConnManager {
 }
 
 impl ConnManager {
-    pub fn new(world: Rc<World>, cfg: CmConfig, rng: SimRng) -> Rc<ConnManager> {
+    pub fn new(world: Rc<World>, _cfg: CmConfig, rng: SimRng) -> Rc<ConnManager> {
         Rc::new(ConnManager {
             world,
-            cfg,
             listeners: RefCell::new(HashMap::new()),
             resolved: RefCell::new(HashSet::new()),
             rng: RefCell::new(rng),
@@ -160,18 +144,14 @@ impl ConnManager {
     }
 
     fn jittered(&self, d: Dur) -> Dur {
-        let f = self
-            .rng
-            .borrow_mut()
-            .normal(1.0, self.cfg.jitter)
-            .clamp(0.7, 1.6);
+        let f = self.rng.borrow_mut().normal(1.0, JITTER).clamp(0.7, 1.6);
         Dur::secs_f64(d.as_secs_f64() * f)
     }
 
     /// Actively connect `qp` (must be RESET) on `rnic` to `(server, svc)`.
     ///
     /// `fresh` declares whether the QP was freshly created for this connect
-    /// (pays `create_qp`) or came out of a QP cache (pays nothing extra).
+    /// (pays [`CREATE_QP`]) or came out of a QP cache (pays nothing extra).
     /// `done` fires with the connected QP or an error.
     pub fn connect(
         self: &Rc<Self>,
@@ -192,13 +172,13 @@ impl ConnManager {
         // Resolution results are cached per (src, dst) pair.
         let first_time = self.resolved.borrow_mut().insert((rnic.node(), server));
         let mut lead = if first_time {
-            self.jittered(self.cfg.resolve_addr) + self.jittered(self.cfg.resolve_route)
+            self.jittered(RESOLVE_ADDR) + self.jittered(RESOLVE_ROUTE)
         } else {
             // Cache hit: a light management-plane lookup remains.
-            self.jittered(self.cfg.exchange / 8)
+            self.jittered(EXCHANGE / 8)
         };
         if fresh {
-            lead += self.jittered(self.cfg.create_qp);
+            lead += self.jittered(CREATE_QP);
         }
         self.world.schedule_in(lead, move || {
             me.send_req(rnic, qp, server, svc, done);
@@ -224,14 +204,13 @@ impl ConnManager {
         match xrdma_faults::rnic_connect_fault(rnic.node().0, server.0) {
             None => {}
             Some(xrdma_faults::ConnectFault::Blackhole) => {
-                let timeout = self.cfg.connect_timeout;
-                self.world.schedule_in(timeout, move || {
+                self.world.schedule_in(CONNECT_TIMEOUT, move || {
                     done(Err(CmError::Timeout));
                 });
                 return;
             }
             Some(xrdma_faults::ConnectFault::Refuse) => {
-                let half = self.jittered(self.cfg.exchange / 2);
+                let half = self.jittered(EXCHANGE / 2);
                 self.world.schedule_in(half, move || {
                     done(Err(CmError::ConnectionRefused));
                 });
@@ -248,7 +227,7 @@ impl ConnManager {
         // Refusal is detected after a half-exchange (REJ message).
         let has_listener = self.listeners.borrow().contains_key(&(server, svc));
         if !has_listener {
-            let half = self.jittered(self.cfg.exchange / 2);
+            let half = self.jittered(EXCHANGE / 2);
             self.world.schedule_in(half, move || {
                 done(Err(CmError::ConnectionRefused));
             });
@@ -262,15 +241,14 @@ impl ConnManager {
             .unwrap_or(false);
         if !server_alive {
             // No REP ever comes back; the client times out.
-            let timeout = self.cfg.connect_timeout;
-            self.world.schedule_in(timeout, move || {
+            self.world.schedule_in(CONNECT_TIMEOUT, move || {
                 done(Err(CmError::Timeout));
             });
             return;
         }
 
         let me = self.clone();
-        let exchange = self.jittered(self.cfg.exchange);
+        let exchange = self.jittered(EXCHANGE);
         // Server-side work happens inside the exchange window; a fresh
         // server QP extends it.
         let half = exchange / 2;
@@ -291,7 +269,7 @@ impl ConnManager {
             debug_assert_eq!(server_node, server);
             let mut rest = half;
             if server_fresh {
-                rest += me.jittered(me.cfg.create_qp);
+                rest += me.jittered(CREATE_QP);
             }
             // Server transitions its QP to RTR immediately (so it can
             // receive as soon as the client's first packet lands) and RTS
@@ -314,7 +292,7 @@ impl ConnManager {
             let me2 = me.clone();
             me.world.schedule_in(rest, move || {
                 // Client transitions.
-                let trans = me2.jittered(me2.cfg.to_rtr) + me2.jittered(me2.cfg.to_rts);
+                let trans = me2.jittered(TO_RTR) + me2.jittered(TO_RTS);
                 let me3 = me2.clone();
                 me2.world.schedule_in(trans, move || {
                     let me2 = me3;
@@ -367,10 +345,9 @@ mod tests {
 
     #[test]
     fn expected_latency_matches_paper() {
-        let c = CmConfig::default();
         // Paper §VII-C: 3946 µs fresh, 2451 µs with QP reuse.
-        assert_eq!(c.expected_latency(2).as_nanos() / 1000, 3946);
-        assert_eq!(c.expected_latency(0).as_nanos() / 1000, 2450);
+        assert_eq!(expected_latency(2).as_nanos() / 1000, 3946);
+        assert_eq!(expected_latency(0).as_nanos() / 1000, 2450);
     }
 
     #[test]

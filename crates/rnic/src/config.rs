@@ -3,7 +3,8 @@
 use serde::Serialize;
 use xrdma_sim::Dur;
 
-use crate::dcqcn::DcqcnConfig;
+/// Wire header overhead per data packet (Eth+IP+UDP+BTH+ICRC ≈ 58 B).
+pub const HDR_BYTES: u32 = 58;
 
 /// Page-allocation mode for RDMA-enabled memory (§VII-F "Avoid to use
 /// continuous physical memory"). The modes trade registration cost against
@@ -19,30 +20,20 @@ pub enum PageKind {
     Huge,
 }
 
-/// Full RNIC configuration with defaults calibrated to the paper's
-/// ConnectX-4 Lx / 25 Gb/s testbed (see DESIGN.md §1).
-#[derive(Clone, Debug, Serialize)]
+/// RNIC configuration with defaults calibrated to the paper's
+/// ConnectX-4 Lx / 25 Gb/s testbed (see DESIGN.md §1). The fixed NIC
+/// timings are constants: [`HDR_BYTES`] here, the WQE/RX processing,
+/// MR-cache, in-flight and injector limits in [`crate::engine`], DCQCN's
+/// in [`crate::dcqcn`].
+#[derive(Clone, Debug)]
 pub struct RnicConfig {
     /// Path MTU: data payload per packet.
     pub mtu: u32,
-    /// Wire header overhead per data packet (Eth+IP+UDP+BTH+ICRC ≈ 58 B).
-    pub hdr_bytes: u32,
-    /// Fixed cost to start processing a send WQE (doorbell + fetch + DMA
-    /// setup).
-    pub wqe_process: Dur,
-    /// Receive-side processing before an ACK/CQE is produced.
-    pub rx_process: Dur,
     /// Number of QP contexts the on-NIC SRAM holds; beyond this, touching a
     /// cold QP pays `qp_cache_miss`.
     pub qp_cache_entries: usize,
     /// Extra latency on touching a QP whose context fell out of SRAM.
     pub qp_cache_miss: Dur,
-    /// Number of MR translation entries cached on-NIC (MPT/MTT model).
-    pub mr_cache_entries: usize,
-    /// Extra latency on touching a cold MR.
-    pub mr_cache_miss: Dur,
-    /// Max in-flight (unacknowledged) messages per QP.
-    pub max_inflight_msgs: usize,
     /// ACK timeout before go-back-N retransmission.
     pub retx_timeout: Dur,
     /// RNR NAK retry delay (receiver not ready).
@@ -50,43 +41,22 @@ pub struct RnicConfig {
     /// Retries before the QP transitions to error (7 = effectively the
     /// verbs default behaviour; keepalive tests lower it).
     pub retry_count: u32,
-    /// NIC egress staging limit in bytes: the injector stops handing
-    /// packets to the port above this (bounds sender-side HoL blocking).
-    pub inject_limit_bytes: u64,
-    /// DCQCN parameters.
-    pub dcqcn: DcqcnConfig,
-    /// Whether DCQCN rate control is active at all.
-    pub dcqcn_enabled: bool,
 }
 
 impl Default for RnicConfig {
     fn default() -> Self {
         RnicConfig {
             mtu: 4096,
-            hdr_bytes: 58,
-            // NIC-only costs (doorbell + WQE fetch + DMA setup; CQE
-            // generation on receive). Host software cost lives in the
-            // stacks above (profile per_send/per_recv, XrdmaConfig
-            // cpu_send/cpu_recv), so one-sided operations — which bypass
-            // the remote host CPU — are correspondingly cheap (§II-A).
-            wqe_process: Dur::nanos(450),
-            rx_process: Dur::nanos(550),
             qp_cache_entries: 1024,
             // Calibrated so a fully-cold QP context costs <10% of the
             // end-to-end small-message latency (§VII-F).
             qp_cache_miss: Dur::nanos(250),
-            mr_cache_entries: 2048,
-            mr_cache_miss: Dur::nanos(250),
-            max_inflight_msgs: 128,
             // Real verbs default is ~67 ms (4.096 µs × 2^14); PFC pause
             // rotations under deep incast legitimately stall a QP for
             // milliseconds, so the timeout must sit well above them.
             retx_timeout: Dur::millis(64),
             rnr_timer: Dur::micros(200),
             retry_count: 7,
-            inject_limit_bytes: 256 * 1024,
-            dcqcn: DcqcnConfig::default(),
-            dcqcn_enabled: true,
         }
     }
 }
@@ -94,7 +64,7 @@ impl Default for RnicConfig {
 impl RnicConfig {
     /// Wire size of a data packet carrying `payload` bytes.
     pub fn packet_size(&self, payload: u32) -> u32 {
-        payload + self.hdr_bytes
+        payload + HDR_BYTES
     }
 
     /// Number of MTU segments a message of `len` bytes needs (at least 1 —

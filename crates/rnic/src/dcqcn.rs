@@ -18,56 +18,35 @@
 //! lands, and heavy incast generates CNP storms. The middleware's own flow
 //! control coexists with — and is evaluated against — this implementation.
 
-use serde::Serialize;
+use xrdma_fabric::LINK_GBPS;
 use xrdma_sim::{invariant, Dur, Time};
 use xrdma_telemetry::tele;
 
-/// DCQCN tunables (reaction-point unless noted).
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct DcqcnConfig {
-    /// Line rate = initial rate = rate cap, in Gb/s.
-    pub line_rate_gbps: f64,
-    /// Minimum rate the RP will cut to.
-    pub min_rate_gbps: f64,
-    /// `g`: gain for the alpha EWMA.
-    pub g: f64,
-    /// Alpha-update timer (no-CNP decay interval).
-    pub alpha_timer: Dur,
-    /// Rate-increase timer period.
-    pub increase_timer: Dur,
-    /// Bytes per byte-counter increase stage.
-    pub byte_counter: u64,
-    /// Additive-increase step (Gb/s).
-    pub rai_gbps: f64,
-    /// Hyper-increase step (Gb/s per stage).
-    pub rhai_gbps: f64,
-    /// Stage threshold F separating fast recovery from AI/HI.
-    pub f_threshold: u32,
-    /// NP: minimum spacing between CNPs for one QP.
-    pub cnp_interval: Dur,
-}
+// DCQCN tunables (reaction point unless noted). The line rate — initial
+// rate and rate cap — is the fabric's `LINK_GBPS`.
 
-impl Default for DcqcnConfig {
-    fn default() -> Self {
-        DcqcnConfig {
-            line_rate_gbps: 25.0,
-            min_rate_gbps: 0.1,
-            g: 1.0 / 16.0,
-            alpha_timer: Dur::micros(55),
-            increase_timer: Dur::micros(300),
-            byte_counter: 10 * 1024 * 1024,
-            rai_gbps: 0.5,
-            rhai_gbps: 2.5,
-            f_threshold: 5,
-            cnp_interval: Dur::micros(50),
-        }
-    }
-}
+/// Minimum rate the RP will cut to, in Gb/s.
+pub const MIN_RATE_GBPS: f64 = 0.1;
+/// `g`: gain for the alpha EWMA.
+pub const G: f64 = 1.0 / 16.0;
+/// Alpha-update timer (no-CNP decay interval).
+pub const ALPHA_TIMER: Dur = Dur::micros(55);
+/// Rate-increase timer period.
+pub const INCREASE_TIMER: Dur = Dur::micros(300);
+/// Bytes per byte-counter increase stage.
+pub const BYTE_COUNTER: u64 = 10 * 1024 * 1024;
+/// Additive-increase step (Gb/s).
+pub const RAI_GBPS: f64 = 0.5;
+/// Hyper-increase step (Gb/s per stage).
+pub const RHAI_GBPS: f64 = 2.5;
+/// Stage threshold F separating fast recovery from AI/HI.
+pub const F_THRESHOLD: u32 = 5;
+/// NP: minimum spacing between CNPs for one QP.
+pub const CNP_INTERVAL: Dur = Dur::micros(50);
 
 /// Reaction-point state for one QP.
 #[derive(Clone, Debug)]
 pub struct DcqcnRp {
-    cfg: DcqcnConfig,
     /// Current sending rate (Gb/s).
     rate: f64,
     /// Target rate to recover toward.
@@ -89,11 +68,17 @@ pub struct DcqcnRp {
     pub cut_count: u64,
 }
 
+impl Default for DcqcnRp {
+    fn default() -> DcqcnRp {
+        DcqcnRp::new()
+    }
+}
+
 impl DcqcnRp {
-    pub fn new(cfg: DcqcnConfig) -> DcqcnRp {
+    pub fn new() -> DcqcnRp {
         DcqcnRp {
-            rate: cfg.line_rate_gbps,
-            target: cfg.line_rate_gbps,
+            rate: LINK_GBPS,
+            target: LINK_GBPS,
             alpha: 1.0,
             t_stage: 0,
             b_stage: 0,
@@ -103,7 +88,6 @@ impl DcqcnRp {
             last_increase: Time::ZERO,
             cnp_count: 0,
             cut_count: 0,
-            cfg,
         }
     }
 
@@ -115,8 +99,8 @@ impl DcqcnRp {
     /// Has this RP recovered to (effectively) line rate? The engine's
     /// shared DCQCN tick drops recovered QPs from its congested set so the
     /// timer can disarm instead of ticking idle flows forever.
-    pub fn recovered(&self, line_rate_gbps: f64) -> bool {
-        self.rate >= line_rate_gbps * 0.999
+    pub fn recovered(&self) -> bool {
+        self.rate >= LINK_GBPS * 0.999
     }
 
     pub fn alpha(&self) -> f64 {
@@ -128,8 +112,8 @@ impl DcqcnRp {
         self.cnp_count += 1;
         self.last_cnp = Some(now);
         self.target = self.rate;
-        self.rate = (self.rate * (1.0 - self.alpha / 2.0)).max(self.cfg.min_rate_gbps);
-        self.alpha = ((1.0 - self.cfg.g) * self.alpha + self.cfg.g).min(1.0);
+        self.rate = (self.rate * (1.0 - self.alpha / 2.0)).max(MIN_RATE_GBPS);
+        self.alpha = ((1.0 - G) * self.alpha + G).min(1.0);
         self.t_stage = 0;
         self.b_stage = 0;
         self.bytes_since_stage = 0;
@@ -150,11 +134,11 @@ impl DcqcnRp {
     /// single mis-ordered CNP stall a QP forever or burst past the line.
     fn check_bounds(&self) {
         invariant!(
-            self.rate >= self.cfg.min_rate_gbps && self.rate <= self.cfg.line_rate_gbps,
+            self.rate >= MIN_RATE_GBPS && self.rate <= LINK_GBPS,
             "DCQCN rate {} outside [{}, {}]",
             self.rate,
-            self.cfg.min_rate_gbps,
-            self.cfg.line_rate_gbps
+            MIN_RATE_GBPS,
+            LINK_GBPS
         );
         invariant!(
             (0.0..=1.0).contains(&self.alpha),
@@ -162,39 +146,39 @@ impl DcqcnRp {
             self.alpha
         );
         invariant!(
-            self.target >= self.cfg.min_rate_gbps && self.target <= self.cfg.line_rate_gbps,
+            self.target >= MIN_RATE_GBPS && self.target <= LINK_GBPS,
             "DCQCN target {} outside [{}, {}]",
             self.target,
-            self.cfg.min_rate_gbps,
-            self.cfg.line_rate_gbps
+            MIN_RATE_GBPS,
+            LINK_GBPS
         );
     }
 
     /// Account transmitted bytes (drives the byte-counter stage).
     pub fn on_bytes_sent(&mut self, now: Time, bytes: u64) {
         self.bytes_since_stage += bytes;
-        if self.bytes_since_stage >= self.cfg.byte_counter {
+        if self.bytes_since_stage >= BYTE_COUNTER {
             self.bytes_since_stage = 0;
             self.b_stage += 1;
             self.increase(now);
         }
     }
 
-    /// Periodic tick; call at least every `alpha_timer`. Handles alpha decay
+    /// Periodic tick; call at least every [`ALPHA_TIMER`]. Handles alpha decay
     /// and timer-driven rate increase.
     pub fn on_timer(&mut self, now: Time) {
         // Alpha decays when no CNP arrived within the alpha timer.
-        if now.since(self.last_alpha_update) >= self.cfg.alpha_timer {
+        if now.since(self.last_alpha_update) >= ALPHA_TIMER {
             let quiet = match self.last_cnp {
-                Some(t) => now.since(t) >= self.cfg.alpha_timer,
+                Some(t) => now.since(t) >= ALPHA_TIMER,
                 None => true,
             };
             if quiet {
-                self.alpha *= 1.0 - self.cfg.g;
+                self.alpha *= 1.0 - G;
             }
             self.last_alpha_update = now;
         }
-        if now.since(self.last_increase) >= self.cfg.increase_timer {
+        if now.since(self.last_increase) >= INCREASE_TIMER {
             self.last_increase = now;
             self.t_stage += 1;
             self.increase(now);
@@ -205,22 +189,22 @@ impl DcqcnRp {
     /// One increase step; the stage counts select the phase.
     fn increase(&mut self, _now: Time) {
         let stage = self.t_stage.max(self.b_stage);
-        if stage < self.cfg.f_threshold {
+        if stage < F_THRESHOLD {
             // Fast recovery: halve the distance to target.
             self.rate = (self.rate + self.target) / 2.0;
-        } else if self.t_stage >= self.cfg.f_threshold && self.b_stage >= self.cfg.f_threshold {
+        } else if self.t_stage >= F_THRESHOLD && self.b_stage >= F_THRESHOLD {
             // Hyper increase.
-            let i = (self.t_stage.min(self.b_stage) - self.cfg.f_threshold + 1) as f64;
-            self.target += i * self.cfg.rhai_gbps;
-            self.target = self.target.min(self.cfg.line_rate_gbps);
+            let i = (self.t_stage.min(self.b_stage) - F_THRESHOLD + 1) as f64;
+            self.target += i * RHAI_GBPS;
+            self.target = self.target.min(LINK_GBPS);
             self.rate = (self.rate + self.target) / 2.0;
         } else {
             // Additive increase.
-            self.target += self.cfg.rai_gbps;
-            self.target = self.target.min(self.cfg.line_rate_gbps);
+            self.target += RAI_GBPS;
+            self.target = self.target.min(LINK_GBPS);
             self.rate = (self.rate + self.target) / 2.0;
         }
-        self.rate = self.rate.min(self.cfg.line_rate_gbps);
+        self.rate = self.rate.min(LINK_GBPS);
         self.check_bounds();
     }
 }
@@ -233,9 +217,9 @@ pub struct DcqcnNp {
 
 impl DcqcnNp {
     /// An ECN-marked packet arrived; should a CNP be emitted now?
-    pub fn should_send_cnp(&mut self, now: Time, cfg: &DcqcnConfig) -> bool {
+    pub fn should_send_cnp(&mut self, now: Time) -> bool {
         match self.last_cnp_sent {
-            Some(t) if now.since(t) < cfg.cnp_interval => false,
+            Some(t) if now.since(t) < CNP_INTERVAL => false,
             _ => {
                 self.last_cnp_sent = Some(now);
                 true
@@ -248,20 +232,16 @@ impl DcqcnNp {
 mod tests {
     use super::*;
 
-    fn cfg() -> DcqcnConfig {
-        DcqcnConfig::default()
-    }
-
     #[test]
     fn starts_at_line_rate() {
-        let rp = DcqcnRp::new(cfg());
+        let rp = DcqcnRp::new();
         assert_eq!(rp.rate_gbps(), 25.0);
         assert_eq!(rp.alpha(), 1.0);
     }
 
     #[test]
     fn cnp_halves_rate_initially() {
-        let mut rp = DcqcnRp::new(cfg());
+        let mut rp = DcqcnRp::new();
         rp.on_cnp(Time(0));
         // alpha=1 → cut by 1/2.
         assert!((rp.rate_gbps() - 12.5).abs() < 1e-9);
@@ -271,17 +251,17 @@ mod tests {
 
     #[test]
     fn repeated_cnps_floor_at_min_rate() {
-        let mut rp = DcqcnRp::new(cfg());
+        let mut rp = DcqcnRp::new();
         for i in 0..100 {
             rp.on_cnp(Time(i * 1000));
         }
-        assert!(rp.rate_gbps() >= cfg().min_rate_gbps);
+        assert!(rp.rate_gbps() >= MIN_RATE_GBPS);
         assert!(rp.rate_gbps() < 0.2);
     }
 
     #[test]
     fn alpha_decays_without_cnps() {
-        let mut rp = DcqcnRp::new(cfg());
+        let mut rp = DcqcnRp::new();
         rp.on_cnp(Time(0));
         let a0 = rp.alpha();
         let mut t = Time(0);
@@ -299,7 +279,7 @@ mod tests {
 
     #[test]
     fn fast_recovery_returns_toward_target() {
-        let mut rp = DcqcnRp::new(cfg());
+        let mut rp = DcqcnRp::new();
         rp.on_cnp(Time(0));
         let cut = rp.rate_gbps();
         let mut t = Time(0);
@@ -315,7 +295,7 @@ mod tests {
 
     #[test]
     fn rate_never_exceeds_line() {
-        let mut rp = DcqcnRp::new(cfg());
+        let mut rp = DcqcnRp::new();
         rp.on_cnp(Time(0));
         let mut t = Time(0);
         for _ in 0..1000 {
@@ -328,7 +308,7 @@ mod tests {
 
     #[test]
     fn byte_counter_stages() {
-        let mut rp = DcqcnRp::new(cfg());
+        let mut rp = DcqcnRp::new();
         rp.on_cnp(Time(0));
         let r0 = rp.rate_gbps();
         rp.on_bytes_sent(Time(1), 10 * 1024 * 1024);
@@ -338,20 +318,18 @@ mod tests {
     #[test]
     fn np_paces_cnps() {
         let mut np = DcqcnNp::default();
-        let c = cfg();
-        assert!(np.should_send_cnp(Time(0), &c));
-        assert!(!np.should_send_cnp(Time(10_000), &c), "within 50us window");
-        assert!(np.should_send_cnp(Time(51_000), &c));
+        assert!(np.should_send_cnp(Time(0)));
+        assert!(!np.should_send_cnp(Time(10_000)), "within 50us window");
+        assert!(np.should_send_cnp(Time(51_000)));
     }
 
     #[test]
     #[should_panic(expected = "DCQCN rate")]
     fn invariant_rejects_rate_outside_envelope() {
-        // A nonsensical config (min above line) makes the CNP cut clamp
-        // the rate above the line: the bounds checker must catch it.
-        let mut c = cfg();
-        c.min_rate_gbps = c.line_rate_gbps * 2.0;
-        let mut rp = DcqcnRp::new(c);
+        // A rate planted far above the line survives the CNP cut above
+        // the line: the bounds checker must catch it.
+        let mut rp = DcqcnRp::new();
+        rp.rate = LINK_GBPS * 4.0;
         rp.on_cnp(Time(0));
     }
 }

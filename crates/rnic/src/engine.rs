@@ -8,7 +8,7 @@
 //! The injector takes one MTU segment at a time from the head message of
 //! each active QP, paced per-QP by DCQCN (`next_allowed`), and hands it to
 //! the host's fabric port. The port's staging queue is bounded
-//! (`inject_limit_bytes`); when full, the injector parks and re-arms on the
+//! ([`INJECT_LIMIT_BYTES`]); when full, the injector parks and re-arms on the
 //! port's drain hook. This is what makes a huge WR occupy the pipe (the
 //! head-of-line blocking the paper's flow control fragments away) while
 //! still letting many QPs interleave at packet granularity.
@@ -39,10 +39,29 @@ use xrdma_telemetry::{span_mark, tele, SpanToken};
 
 use crate::config::{PageKind, RnicConfig};
 use crate::cq::{CompletionQueue, Cqe, CqeOpcode, CqeStatus};
-use crate::dcqcn::DcqcnRp;
+use crate::dcqcn::{self, DcqcnRp};
 use crate::mem::{AccessFlags, MemTable, Mr, Pd};
 use crate::qp::{PendingAtomic, PendingRead, Qp, QpCaps, RespJob, RxMsg, Srq, TxMsg, UnackedMsg};
 use crate::verbs::{Payload, Qpn, SendOp, SendWr, VerbsError};
+
+// NIC-only costs (doorbell + WQE fetch + DMA setup; CQE generation on
+// receive). Host software cost lives in the stacks above (profile
+// per_send/per_recv, XrdmaConfig cpu_send/cpu_recv), so one-sided
+// operations — which bypass the remote host CPU — are correspondingly
+// cheap (§II-A).
+
+/// Fixed cost to start processing a send WQE (doorbell + fetch + DMA
+/// setup).
+pub const WQE_PROCESS: Dur = Dur::nanos(450);
+/// Receive-side processing before an ACK/CQE is produced.
+pub const RX_PROCESS: Dur = Dur::nanos(550);
+/// Number of MR translation entries cached on-NIC (MPT/MTT model).
+pub const MR_CACHE_ENTRIES: usize = 2048;
+/// Max in-flight (unacknowledged) messages per QP.
+pub const MAX_INFLIGHT_MSGS: usize = 128;
+/// NIC egress staging limit in bytes: the injector stops handing packets
+/// to the port above this (bounds sender-side HoL blocking).
+pub const INJECT_LIMIT_BYTES: u64 = 256 * 1024;
 
 /// Verdict of an installed packet filter (the analysis framework's fault
 /// injector, §VI-C "Emulate Fault").
@@ -236,7 +255,7 @@ impl Rnic {
             node,
             fabric: RefCell::new(None),
             qp_cache: RefCell::new(TouchCache::new(cfg.qp_cache_entries)),
-            mr_cache: RefCell::new(TouchCache::new(cfg.mr_cache_entries)),
+            mr_cache: RefCell::new(TouchCache::new(MR_CACHE_ENTRIES)),
             ctx_fetch_free: Cell::new(Time::ZERO),
             cfg,
             port: RefCell::new(None),
@@ -419,15 +438,7 @@ impl Rnic {
     ) -> Rc<Qp> {
         let qpn = Qpn(self.next_qpn.get());
         self.next_qpn.set(qpn.0 + 1);
-        let qp = Qp::new(
-            qpn,
-            pd.id,
-            caps,
-            send_cq,
-            recv_cq,
-            srq,
-            DcqcnRp::new(self.cfg.dcqcn),
-        );
+        let qp = Qp::new(qpn, pd.id, caps, send_cq, recv_cq, srq, DcqcnRp::new());
         let mut qps = self.qps.borrow_mut();
         let i = qpn.0 as usize;
         let len = qps.len().max(i + 1);
@@ -590,11 +601,10 @@ impl Rnic {
             }
 
             // Port backpressure.
-            if self.port().total_queued() >= self.cfg.inject_limit_bytes {
+            if self.port().total_queued() >= INJECT_LIMIT_BYTES {
                 let me = self.clone();
                 self.injector.borrow_mut().parked_on_port = true;
-                let limit = self.cfg.inject_limit_bytes;
-                self.port().arm_drain_hook(limit / 2, move || {
+                self.port().arm_drain_hook(INJECT_LIMIT_BYTES / 2, move || {
                     me.injector.borrow_mut().parked_on_port = false;
                     me.arm_kick(Time::ZERO);
                 });
@@ -657,8 +667,7 @@ impl Rnic {
     }
 
     fn window_room(&self, tx: &crate::qp::TxState) -> bool {
-        tx.unacked.len() + tx.pending_reads.len() + tx.pending_atomics.len()
-            < self.cfg.max_inflight_msgs
+        tx.unacked.len() + tx.pending_reads.len() + tx.pending_atomics.len() < MAX_INFLIGHT_MSGS
     }
 
     /// Charge one QP-context fetch against the shared ICM/PCIe engine and
@@ -765,7 +774,7 @@ impl Rnic {
         let mut extra = Dur::ZERO;
         if !msg.started {
             msg.started = true;
-            extra += self.cfg.wqe_process;
+            extra += WQE_PROCESS;
             // Retransmits reset `started`, so a replay re-enters the WQE
             // stage — the span's stage residencies accumulate per stage.
             span_mark!(msg.wr.span, Wqe);
@@ -1085,12 +1094,10 @@ impl Rnic {
             st.data_bytes_tx += seg.wire_payload as u64;
         }
         // DCQCN byte accounting + pacing.
-        let rate = if self.cfg.dcqcn_enabled {
+        let rate = {
             let mut rp = qp.rp.borrow_mut();
             rp.on_bytes_sent(now, wire_size as u64);
             rp.rate_gbps()
-        } else {
-            qp.rp.borrow().rate_gbps()
         };
         let delay = pipeline + seg.extra;
         let pace = xrdma_sim::time::wire_time(wire_size as u64, rate);
@@ -1488,7 +1495,7 @@ impl Rnic {
                 .borrow()
                 .as_ref()
                 .expect("just installed")
-                .arm_in(self.cfg.dcqcn.alpha_timer);
+                .arm_in(dcqcn::ALPHA_TIMER);
         }
     }
 
@@ -1504,7 +1511,6 @@ impl Rnic {
             return;
         }
         let now = self.world.now();
-        let line = self.cfg.dcqcn.line_rate_gbps;
         let mut recovered = Vec::new();
         {
             let congested = self.congested.borrow();
@@ -1512,7 +1518,7 @@ impl Rnic {
                 if let Some(qp) = self.qp(qpn) {
                     let mut rp = qp.rp.borrow_mut();
                     rp.on_timer(now);
-                    if rp.recovered(line) {
+                    if rp.recovered() {
                         recovered.push(qpn);
                     }
                 } else {
@@ -1530,7 +1536,7 @@ impl Rnic {
                     .borrow()
                     .as_ref()
                     .expect("tick fired from this timer")
-                    .arm_in(self.cfg.dcqcn.alpha_timer);
+                    .arm_in(dcqcn::ALPHA_TIMER);
             }
         }
         // Rate changes may unblock pacing earlier than previously computed;
@@ -1560,7 +1566,7 @@ impl Rnic {
                 self.charge_ctx_fetch()
             }
         };
-        let at = (self.world.now() + self.cfg.rx_process + miss).max(qp.rx_ready.get());
+        let at = (self.world.now() + RX_PROCESS + miss).max(qp.rx_ready.get());
         qp.rx_ready.set(at);
         let me = self.clone();
         self.world.schedule_at(at, move || {
@@ -2311,10 +2317,7 @@ impl Rnic {
         // DCQCN notification point: an ECN-marked data packet triggers a
         // CNP back to the sender (paced per QP).
         if pkt.ecn_marked && bth.is_data() {
-            let fire = qp
-                .np
-                .borrow_mut()
-                .should_send_cnp(me.world.now(), &me.cfg.dcqcn);
+            let fire = qp.np.borrow_mut().should_send_cnp(me.world.now());
             if fire {
                 if let Some((_, remote_qpn)) = qp.remote() {
                     me.stats.borrow_mut().cnps_sent += 1;
@@ -2395,10 +2398,8 @@ impl Rnic {
             } => me.handle_atomic_resp(&qp, msg_seq, old_value),
             Bth::Cnp { .. } => {
                 me.stats.borrow_mut().cnps_received += 1;
-                if me.cfg.dcqcn_enabled {
-                    qp.rp.borrow_mut().on_cnp(me.world.now());
-                    me.mark_congested(qp.qpn);
-                }
+                qp.rp.borrow_mut().on_cnp(me.world.now());
+                me.mark_congested(qp.qpn);
             }
         }
     }

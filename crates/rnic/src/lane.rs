@@ -24,33 +24,27 @@
 
 use std::collections::VecDeque;
 
-use crate::dcqcn::{DcqcnConfig, DcqcnNp, DcqcnRp};
+use crate::dcqcn::{DcqcnNp, DcqcnRp};
 use crate::qp::QpState;
 
 /// Wire overhead per packet (Eth + IP + UDP + BTH ≈ 64 B), matching the
 /// serial fabric's accounting.
 pub const LANE_HDR_BYTES: u32 = 64;
+/// Path MTU for fragmentation.
+pub const LANE_MTU: u32 = 4096;
+/// Go-back-N retransmission timeout.
+pub const RETX_TIMEOUT_NS: u64 = 500_000;
 
 /// RNIC-lane tunables.
 #[derive(Clone, Copy, Debug)]
 pub struct RnicLaneConfig {
-    /// Path MTU for fragmentation.
-    pub mtu: u32,
     /// Hardware ACK window: max unacked fragments in flight per QP.
     pub max_unacked: usize,
-    /// Go-back-N retransmission timeout.
-    pub retx_timeout_ns: u64,
-    pub dcqcn: DcqcnConfig,
 }
 
 impl Default for RnicLaneConfig {
     fn default() -> RnicLaneConfig {
-        RnicLaneConfig {
-            mtu: 4096,
-            max_unacked: 64,
-            retx_timeout_ns: 500_000,
-            dcqcn: DcqcnConfig::default(),
-        }
+        RnicLaneConfig { max_unacked: 64 }
     }
 }
 
@@ -191,12 +185,11 @@ pub struct QpLane<M> {
     pub cnps_rx: u64,
     // Copied from the RNIC config at create_qp so pump() needs no
     // config reference.
-    mtu: u32,
     max_unacked: usize,
 }
 
 impl<M: Clone> QpLane<M> {
-    fn new(qpn: u32, dcqcn: DcqcnConfig) -> QpLane<M> {
+    fn new(qpn: u32) -> QpLane<M> {
         QpLane {
             qpn,
             peer_host: u32::MAX,
@@ -208,7 +201,7 @@ impl<M: Clone> QpLane<M> {
             next_psn: 0,
             unacked: VecDeque::new(),
             resend: 0,
-            rp: DcqcnRp::new(dcqcn),
+            rp: DcqcnRp::new(),
             pacing_next_ns: 0,
             pacing_armed: false,
             retx_armed: false,
@@ -224,7 +217,6 @@ impl<M: Clone> QpLane<M> {
             rx_frags: 0,
             dup_frags: 0,
             cnps_rx: 0,
-            mtu: 4096,
             max_unacked: 64,
         }
     }
@@ -301,7 +293,7 @@ impl<M: Clone> QpLane<M> {
                 return Pump::Idle;
             };
             let remaining = wr.size - self.cur_off;
-            let frag_bytes = remaining.min(self.mtu_cap());
+            let frag_bytes = remaining.min(LANE_MTU);
             let last = self.cur_off + frag_bytes == wr.size;
             let psn = self.next_psn;
             self.next_psn = self.next_psn.wrapping_add(1);
@@ -344,18 +336,15 @@ impl<M: Clone> QpLane<M> {
         Pump::Tx(bth)
     }
 
-    // The two caps live on the config; stored per-QP-call to keep the
-    // struct free of a config copy. Set by `RnicLane` before pumping.
-    fn mtu_cap(&self) -> u32 {
-        self.mtu
-    }
+    // The cap lives on the config; stored per QP to keep the struct free
+    // of a config copy. Set by `RnicLane` before pumping.
     fn max_unacked_cap(&self) -> usize {
         self.max_unacked
     }
 
     /// Cumulative ACK: release every fragment with PSN `< psn`, pushing
     /// a CQE per completed message. Returns the released fragment count.
-    pub fn on_ack(&mut self, now_ns: u64, psn: u32, retx_timeout_ns: u64, cq: &mut CqLane) -> u64 {
+    pub fn on_ack(&mut self, now_ns: u64, psn: u32, cq: &mut CqLane) -> u64 {
         let mut released = 0u64;
         while let Some(front) = self.unacked.front() {
             // Wrapping "front.psn < psn": the in-flight window is tiny
@@ -373,7 +362,7 @@ impl<M: Clone> QpLane<M> {
             released += 1;
         }
         if released > 0 {
-            self.retx_deadline_ns = now_ns + retx_timeout_ns;
+            self.retx_deadline_ns = now_ns + RETX_TIMEOUT_NS;
         }
         released
     }
@@ -394,7 +383,7 @@ impl<M: Clone> QpLane<M> {
     /// (lazy reprogramming: ack progress pushed it forward), or `None`
     /// when nothing is in flight. On a true expiry the window rewinds to
     /// the oldest unacked fragment.
-    pub fn on_retx_timeout(&mut self, now_ns: u64, retx_timeout_ns: u64) -> Option<u64> {
+    pub fn on_retx_timeout(&mut self, now_ns: u64) -> Option<u64> {
         if self.unacked.is_empty() {
             return None;
         }
@@ -403,7 +392,7 @@ impl<M: Clone> QpLane<M> {
         }
         self.resend = 0;
         self.retransmissions += 1;
-        self.retx_deadline_ns = now_ns + retx_timeout_ns;
+        self.retx_deadline_ns = now_ns + RETX_TIMEOUT_NS;
         Some(self.retx_deadline_ns)
     }
 
@@ -422,7 +411,6 @@ impl<M: Clone> QpLane<M> {
         last: bool,
         msg: Option<M>,
         ecn: bool,
-        dcqcn: &DcqcnConfig,
     ) -> RxData<M> {
         let mut out = RxData::default();
         if psn == self.expected_psn {
@@ -447,7 +435,7 @@ impl<M: Clone> QpLane<M> {
                 out.nak = Some(self.expected_psn);
             }
         }
-        if ecn && self.np.should_send_cnp(xrdma_sim::Time(now_ns), dcqcn) {
+        if ecn && self.np.should_send_cnp(xrdma_sim::Time(now_ns)) {
             out.cnp = true;
         }
         out
@@ -512,8 +500,7 @@ impl<M: Clone> RnicLane<M> {
     /// handle-index porting rule).
     pub fn create_qp(&mut self) -> u32 {
         let qpn = self.qps.len() as u32;
-        let mut qp = QpLane::new(qpn, self.cfg.dcqcn);
-        qp.mtu = self.cfg.mtu;
+        let mut qp = QpLane::new(qpn);
         qp.max_unacked = self.cfg.max_unacked;
         self.qps.push(qp);
         qpn
@@ -562,15 +549,13 @@ mod tests {
                 Pump::WaitUntil(t) => *now = t,
                 Pump::Tx(bth) => {
                     if let LaneBthKind::Data { psn, last, msg, .. } = bth.kind {
-                        let rx =
-                            b.qp(bq)
-                                .on_data(*now, psn, last, msg, false, &DcqcnConfig::default());
+                        let rx = b.qp(bq).on_data(*now, psn, last, msg, false);
                         if let Some(m) = rx.deliver {
                             delivered.push(m);
                         }
                         if let Some(ack) = rx.ack {
                             let mut cq = std::mem::take(&mut a.cq);
-                            a.qp(aq).on_ack(*now, ack, 500_000, &mut cq);
+                            a.qp(aq).on_ack(*now, ack, &mut cq);
                             a.cq = cq;
                         }
                     }
@@ -625,18 +610,14 @@ mod tests {
         let LaneBthKind::Data { psn, last, msg, .. } = pkts[1].kind.clone() else {
             panic!("data")
         };
-        let rx = b
-            .qp(bq)
-            .on_data(now, psn, last, msg, false, &DcqcnConfig::default());
+        let rx = b.qp(bq).on_data(now, psn, last, msg, false);
         assert_eq!(rx.nak, Some(0));
         assert!(rx.deliver.is_none() && rx.ack.is_none());
         // Same gap again (psn 2): NAK suppressed.
         let LaneBthKind::Data { psn, last, msg, .. } = pkts[2].kind.clone() else {
             panic!("data")
         };
-        let rx = b
-            .qp(bq)
-            .on_data(now, psn, last, msg, false, &DcqcnConfig::default());
+        let rx = b.qp(bq).on_data(now, psn, last, msg, false);
         assert_eq!(rx.nak, None, "one NAK per gap");
         // Sender rewinds to 0 and the full retry completes the message.
         a.qp(aq).on_nak(0);
@@ -662,10 +643,10 @@ mod tests {
         } {}
         a.qp(aq).retx_deadline_ns = 500_000;
         // Early fire: just re-arm at the stored deadline.
-        assert_eq!(a.qp(aq).on_retx_timeout(100_000, 500_000), Some(500_000));
+        assert_eq!(a.qp(aq).on_retx_timeout(100_000), Some(500_000));
         assert_eq!(a.qp(aq).retransmissions, 0);
         // True expiry: rewind and count.
-        assert_eq!(a.qp(aq).on_retx_timeout(600_000, 500_000), Some(1_100_000));
+        assert_eq!(a.qp(aq).on_retx_timeout(600_000), Some(1_100_000));
         assert_eq!(a.qp(aq).retransmissions, 1);
         match a.qp(aq).pump(now.max(600_000)) {
             Pump::Tx(bth) => match bth.kind {
@@ -678,10 +659,7 @@ mod tests {
 
     #[test]
     fn window_closes_at_max_unacked() {
-        let mut a: RnicLane<&'static str> = RnicLane::new(RnicLaneConfig {
-            max_unacked: 2,
-            ..RnicLaneConfig::default()
-        });
+        let mut a: RnicLane<&'static str> = RnicLane::new(RnicLaneConfig { max_unacked: 2 });
         let aq = a.create_qp();
         a.qp(aq).connect(1, 0, 9);
         a.qp(aq).post_send(1, 100_000, "w"); // many frags
@@ -697,8 +675,8 @@ mod tests {
         assert_eq!(sent, 2, "ack-clocked window closes");
         // One cumulative ack reopens it.
         let mut cq = CqLane::default();
-        let mut qp = std::mem::replace(a.qp(aq), QpLane::new(0, DcqcnConfig::default()));
-        qp.on_ack(now, 1, 500_000, &mut cq);
+        let mut qp = std::mem::replace(a.qp(aq), QpLane::new(0));
+        qp.on_ack(now, 1, &mut cq);
         assert!(matches!(qp.pump(now), Pump::WaitUntil(_) | Pump::Tx(_)));
         *a.qp(aq) = qp;
     }
@@ -706,10 +684,9 @@ mod tests {
     #[test]
     fn ecn_packets_emit_paced_cnps_and_cut_rate() {
         let (mut a, aq, mut b, bq) = pair();
-        let cfg = DcqcnConfig::default();
-        let rx = b.qp(bq).on_data(0, 0, true, Some("x"), true, &cfg);
+        let rx = b.qp(bq).on_data(0, 0, true, Some("x"), true);
         assert!(rx.cnp, "first ECN mark emits a CNP");
-        let rx = b.qp(bq).on_data(1_000, 1, true, Some("y"), true, &cfg);
+        let rx = b.qp(bq).on_data(1_000, 1, true, Some("y"), true);
         assert!(!rx.cnp, "CNP paced within the interval");
         let line = a.qp(aq).rp.rate_gbps();
         a.qp(aq).on_cnp(0);

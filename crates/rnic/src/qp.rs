@@ -467,7 +467,6 @@ impl Qp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcqcn::DcqcnConfig;
 
     fn qp() -> Rc<Qp> {
         let cq = CompletionQueue::new(0, 64);
@@ -478,7 +477,7 @@ mod tests {
             cq.clone(),
             cq,
             None,
-            DcqcnRp::new(DcqcnConfig::default()),
+            DcqcnRp::new(),
         )
     }
 
@@ -554,7 +553,7 @@ mod tests {
                 cq.clone(),
                 cq.clone(),
                 Some(srq.clone()),
-                DcqcnRp::new(DcqcnConfig::default()),
+                DcqcnRp::new(),
             )
         };
         let a = mk(1);
@@ -589,7 +588,7 @@ mod tests {
                 cq.clone(),
                 cq.clone(),
                 None,
-                DcqcnRp::new(DcqcnConfig::default()),
+                DcqcnRp::new(),
             )
         };
         // a on node 0 talking to (node 1, qp 2); b on node 1 talking back.

@@ -20,39 +20,22 @@ use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
 use bytes::Bytes;
-use serde::Serialize;
 use xrdma_fabric::packet::PRIO_TCP;
 use xrdma_fabric::{Fabric, NodeId, Packet};
 use xrdma_sim::{Dur, World};
 
 use crate::engine::Rnic;
 
-/// TCP model parameters.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct TcpConfig {
-    /// Connect handshake latency (client-observed; §III: ~100 µs).
-    pub connect_latency: Dur,
-    /// OS kernel stack traversal per message, each way.
-    pub stack_delay: Dur,
-    /// Per-chunk CPU cost (copies, interrupts) at each end.
-    pub per_chunk_cpu: Dur,
-    /// Segment size on the wire.
-    pub mss: u32,
-    /// Wire header overhead per segment.
-    pub hdr_bytes: u32,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            connect_latency: Dur::micros(100),
-            stack_delay: Dur::micros(8),
-            per_chunk_cpu: Dur::micros(2),
-            mss: 16 * 1024,
-            hdr_bytes: 66,
-        }
-    }
-}
+/// Connect handshake latency (client-observed; §III: ~100 µs).
+pub const CONNECT_LATENCY: Dur = Dur::micros(100);
+/// OS kernel stack traversal per message, each way.
+pub const STACK_DELAY: Dur = Dur::micros(8);
+/// Per-chunk CPU cost (copies, interrupts) at each end.
+pub const PER_CHUNK_CPU: Dur = Dur::micros(2);
+/// Segment size on the wire.
+pub const MSS: u32 = 16 * 1024;
+/// Wire header overhead per segment.
+pub const HDR_BYTES: u32 = 66;
 
 /// Wire segment for the TCP model.
 #[derive(Debug)]
@@ -120,7 +103,6 @@ pub struct TcpStack {
     world: Rc<World>,
     rnic: Rc<Rnic>,
     fabric: Rc<Fabric>,
-    pub cfg: TcpConfig,
     listeners: RefCell<HashMap<u16, Box<dyn Fn(Rc<TcpConn>)>>>,
     conns: RefCell<HashMap<u64, Rc<TcpConn>>>,
     pending_connects: RefCell<HashMap<u64, Box<dyn FnOnce(Rc<TcpConn>)>>>,
@@ -132,12 +114,11 @@ pub struct TcpStack {
 }
 
 impl TcpStack {
-    pub fn new(fabric: &Rc<Fabric>, rnic: &Rc<Rnic>, cfg: TcpConfig) -> Rc<TcpStack> {
+    pub fn new(fabric: &Rc<Fabric>, rnic: &Rc<Rnic>) -> Rc<TcpStack> {
         let stack = Rc::new(TcpStack {
             world: fabric.world().clone(),
             rnic: rnic.clone(),
             fabric: fabric.clone(),
-            cfg,
             listeners: RefCell::new(HashMap::new()),
             conns: RefCell::new(HashMap::new()),
             pending_connects: RefCell::new(HashMap::new()),
@@ -193,7 +174,7 @@ impl TcpStack {
             client_conn: conn.local_id,
             src: self.node(),
         };
-        self.emit(server, seg, 64, self.cfg.connect_latency / 2);
+        self.emit(server, seg, 64, CONNECT_LATENCY / 2);
     }
 
     fn emit(&self, dst: NodeId, seg: TcpSeg, payload: u32, extra_delay: Dur) {
@@ -201,7 +182,7 @@ impl TcpStack {
             src: self.node(),
             dst,
             prio: PRIO_TCP,
-            size_bytes: payload + self.cfg.hdr_bytes,
+            size_bytes: payload + HDR_BYTES,
             ecn_capable: false,
             ecn_marked: false,
             flow_hash: (self.node().0 as u64) << 32 | dst.0 as u64,
@@ -220,10 +201,10 @@ impl TcpStack {
     }
 
     fn send_message(&self, dst: NodeId, dst_conn: u64, msg_id: u64, len: u64, data: Option<Bytes>) {
-        let mss = self.cfg.mss as u64;
+        let mss = MSS as u64;
         let nchunks = if len == 0 { 1 } else { len.div_ceil(mss) };
         // Stack delay once + per-chunk CPU serialization on the send side.
-        let mut delay = self.cfg.stack_delay;
+        let mut delay = STACK_DELAY;
         for i in 0..nchunks {
             let off = i * mss;
             let chunk = (len - off).min(mss);
@@ -231,7 +212,7 @@ impl TcpStack {
             let chunk_data = data
                 .as_ref()
                 .map(|b| b.slice(off as usize..(off + chunk) as usize));
-            delay += self.cfg.per_chunk_cpu;
+            delay += PER_CHUNK_CPU;
             self.emit(
                 dst,
                 TcpSeg::Data {
@@ -277,7 +258,7 @@ impl TcpStack {
                         server_conn: conn.local_id,
                     },
                     64,
-                    self.cfg.connect_latency / 2,
+                    CONNECT_LATENCY / 2,
                 );
             }
             TcpSeg::SynAck {
@@ -318,7 +299,7 @@ impl TcpStack {
                     self.bytes_received.set(self.bytes_received.get() + total);
                     // Receive-side stack delay before the app sees it.
                     let conn2 = conn.clone();
-                    self.world.schedule_in(self.cfg.stack_delay, move || {
+                    self.world.schedule_in(STACK_DELAY, move || {
                         if let Some(f) = conn2.on_msg.borrow().as_ref() {
                             f(total, data.clone());
                         }
@@ -342,8 +323,8 @@ mod tests {
         let fabric = Fabric::new(w.clone(), FabricConfig::pair(), &rng);
         let a = Rnic::new(&fabric, NodeId(0), RnicConfig::default(), rng.fork("a"));
         let b = Rnic::new(&fabric, NodeId(1), RnicConfig::default(), rng.fork("b"));
-        let ta = TcpStack::new(&fabric, &a, TcpConfig::default());
-        let tb = TcpStack::new(&fabric, &b, TcpConfig::default());
+        let ta = TcpStack::new(&fabric, &a);
+        let tb = TcpStack::new(&fabric, &b);
         (w, ta, tb)
     }
 

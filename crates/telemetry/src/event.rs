@@ -170,8 +170,7 @@ impl EventKind {
     }
 
     /// Packet-level events fire once per packet per hop; the hub keeps them
-    /// out of the run log unless `HubConfig::packet_level` asks for them
-    /// (they always enter the flight-recorder ring).
+    /// out of the run log (they always enter the flight-recorder ring).
     pub fn is_packet_level(&self) -> bool {
         matches!(
             self,

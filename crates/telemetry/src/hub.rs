@@ -27,16 +27,16 @@ use crate::event::{Event, EventKind};
 use crate::metrics::MetricsRegistry;
 use crate::recorder::FlightRecorder;
 
-/// Capture policy for an installed hub.
+/// Flight-recorder ring capacity.
+pub const RING_CAPACITY: usize = 256;
+/// Bounded slow-op store capacity (whole trees; oldest dropped first).
+pub const SLOW_SPAN_CAPACITY: usize = 32;
+
+/// Capture policy for an installed hub. The run log always takes
+/// protocol-level events and never packet-level ones (the flight
+/// recorder sees both).
 #[derive(Clone, Copy, Debug)]
 pub struct HubConfig {
-    /// Append protocol-level events to the run log (needed by exporters).
-    pub capture_log: bool,
-    /// Also log packet-level events (`pkt-enqueue`) — high volume; the
-    /// flight recorder sees them regardless.
-    pub packet_level: bool,
-    /// Flight-recorder ring capacity.
-    pub ring_capacity: usize,
     /// Retain every closed span tree for export (span JSONL / Chrome
     /// trace). Slow-op forensics and the latency-breakdown histograms work
     /// regardless.
@@ -44,26 +44,19 @@ pub struct HubConfig {
     /// End-to-end latency (ns) at or above which an operation's full span
     /// tree is retained in the slow-op store.
     pub slow_span_ns: u64,
-    /// Bounded slow-op store capacity (whole trees; oldest dropped first).
-    pub slow_span_capacity: usize,
 }
 
 impl Default for HubConfig {
     fn default() -> HubConfig {
         HubConfig {
-            capture_log: true,
-            packet_level: false,
-            ring_capacity: 256,
             capture_spans: true,
             slow_span_ns: 1_000_000,
-            slow_span_capacity: 32,
         }
     }
 }
 
 pub struct TelemetryHub {
     world: Rc<World>,
-    cfg: HubConfig,
     events: RefCell<Vec<Event>>,
     recorder: RefCell<FlightRecorder>,
     metrics: MetricsRegistry,
@@ -85,17 +78,19 @@ impl TelemetryHub {
     /// uninstalls both on drop; installing over an existing hub replaces
     /// it.
     pub fn install(world: &Rc<World>, cfg: HubConfig) -> HubGuard {
+        // Every knob left on `HubConfig` steers span capture.
+        #[cfg(not(feature = "telemetry"))]
+        let _ = cfg;
         let hub = Rc::new(TelemetryHub {
             world: world.clone(),
-            cfg,
             events: RefCell::new(Vec::new()),
-            recorder: RefCell::new(FlightRecorder::new(cfg.ring_capacity)),
+            recorder: RefCell::new(FlightRecorder::new(RING_CAPACITY)),
             metrics: MetricsRegistry::new(),
             #[cfg(feature = "telemetry")]
             spans: RefCell::new(crate::span::SpanTracker::new(
                 cfg.capture_spans,
                 cfg.slow_span_ns,
-                cfg.slow_span_capacity,
+                SLOW_SPAN_CAPACITY,
             )),
             last_dump: RefCell::new(None),
         });
@@ -117,7 +112,7 @@ impl TelemetryHub {
     }
 
     /// Stamp and route one event. The flight recorder sees everything; the
-    /// run log is filtered per [`HubConfig`]. An abnormal channel close
+    /// run log skips packet-level events. An abnormal channel close
     /// (`peer-dead`) dumps the recorder, the §VI "black box on a crash"
     /// behaviour.
     pub fn record(&self, kind: EventKind) {
@@ -142,7 +137,7 @@ impl TelemetryHub {
                 ..
             }
         );
-        if self.cfg.capture_log && (self.cfg.packet_level || !ev.kind.is_packet_level()) {
+        if !ev.kind.is_packet_level() {
             self.events.borrow_mut().push(ev);
         }
         if abnormal_close {

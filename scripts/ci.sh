@@ -9,7 +9,9 @@
 #            on unused allow annotations, and on malformed annotations
 #            (an inline `allow(rule) -- reason` is the only way to accept
 #            a finding); coverage spans the sim crates plus tests/,
-#            examples/ and crates/bench
+#            examples/ and crates/bench, and rule U2 (unvaried-knob)
+#            also reads config writers, and nothing else, from every
+#            crate's tests/ and benches/ and from benchmark/src
 #   test     full suite across the feature matrix:
 #              - default (telemetry compiled out)
 #              - telemetry (event bus + exporters live)

@@ -453,7 +453,8 @@ mod fault_plan_liveness {
 mod more_invariants {
     use proptest::prelude::*;
     use xrdma_apps::workload::{LoadSchedule, Phase};
-    use xrdma_rnic::dcqcn::{DcqcnConfig, DcqcnRp};
+    use xrdma_fabric::LINK_GBPS;
+    use xrdma_rnic::dcqcn::{DcqcnRp, MIN_RATE_GBPS};
     use xrdma_sim::{Dur, Time};
 
     proptest! {
@@ -463,8 +464,7 @@ mod more_invariants {
         fn dcqcn_bounds(
             events in proptest::collection::vec((0u8..3, 1u64..1000), 1..400),
         ) {
-            let cfg = DcqcnConfig::default();
-            let mut rp = DcqcnRp::new(cfg);
+            let mut rp = DcqcnRp::new();
             let mut t = Time::ZERO;
             for (kind, step) in events {
                 t += Dur::micros(step);
@@ -473,8 +473,8 @@ mod more_invariants {
                     1 => rp.on_bytes_sent(t, step * 4096),
                     _ => rp.on_timer(t),
                 }
-                prop_assert!(rp.rate_gbps() >= cfg.min_rate_gbps - 1e-9);
-                prop_assert!(rp.rate_gbps() <= cfg.line_rate_gbps + 1e-9);
+                prop_assert!(rp.rate_gbps() >= MIN_RATE_GBPS - 1e-9);
+                prop_assert!(rp.rate_gbps() <= LINK_GBPS + 1e-9);
                 prop_assert!((0.0..=1.0).contains(&rp.alpha()));
             }
         }
@@ -482,8 +482,7 @@ mod more_invariants {
         /// A cut then sustained quiet always recovers to (near) line rate.
         #[test]
         fn dcqcn_always_recovers(cnps in 1u32..20) {
-            let cfg = DcqcnConfig::default();
-            let mut rp = DcqcnRp::new(cfg);
+            let mut rp = DcqcnRp::new();
             let mut t = Time::ZERO;
             for _ in 0..cnps {
                 t += Dur::micros(55);
@@ -494,7 +493,7 @@ mod more_invariants {
                 rp.on_timer(t);
             }
             prop_assert!(
-                rp.rate_gbps() > cfg.line_rate_gbps * 0.95,
+                rp.rate_gbps() > LINK_GBPS * 0.95,
                 "recovered to {}",
                 rp.rate_gbps()
             );
