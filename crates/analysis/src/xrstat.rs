@@ -315,13 +315,13 @@ pub fn render_qp_cache_panel(p: &QpCachePanel) -> String {
     out
 }
 
-/// Render the threaded-engine lane panel (DESIGN.md §3.15): one row per
-/// lane with barrier rounds, executed events, mailbox send/recv counts
-/// and telemetry records, plus a residency summary naming the busiest
-/// and idlest lanes by executed-event share — so shard imbalance (an
-/// overloaded incast sink pinning one worker) is diagnosable without a
-/// trace viewer. Deterministic: rows in lane order, shares from exact
-/// integer counts.
+/// Render the lane-engine panel (DESIGN.md §3.15): one row per lane with
+/// lookahead rounds, executed events, cross-lane send/recv counts
+/// (`MB-SENT`/`MB-RECV`) and telemetry records, plus a residency summary
+/// naming the busiest and idlest lanes by executed-event share — so a
+/// hot lane (an overloaded incast sink) is diagnosable without a trace
+/// viewer. Deterministic: rows in lane order, shares from exact integer
+/// counts.
 pub fn render_lane_panel(stats: &[xrdma_sim::shard::LaneStats]) -> String {
     if stats.is_empty() {
         return String::from("LANES: none\n");
@@ -548,12 +548,12 @@ mod tests {
         assert_eq!(render_lane_panel(&[]), "LANES: none\n");
     }
 
-    /// The panel over a real threaded run: rows cover every lane and the
+    /// The panel over a real lane run: rows cover every lane and the
     /// executed shares sum to ~100%.
     #[test]
     fn lane_panel_renders_a_real_shard_world() {
         use xrdma_sim::Time;
-        let mut w = xrdma_sim::shard::incast(9, 4, 7);
+        let mut w = xrdma_sim::shard::incast(9, 7);
         w.run_until(Time(300_000));
         let stats = w.lane_stats();
         let s = render_lane_panel(&stats);

@@ -1,9 +1,8 @@
-//! The X-RDMA middleware on `Send` lane state (DESIGN.md §3.15): the
+//! The X-RDMA middleware on owned lane state (DESIGN.md §3.15): the
 //! glue that runs the ported per-host stack — channel seq-ack windows,
 //! keepalive, CM handshake, QP/CQ/DCQCN ([`xrdma_rnic::lane`]) and the
 //! host NIC endpoint ([`xrdma_fabric::lane`]) — inside
-//! [`xrdma_sim::shard::ShardWorld`], one lane per host, on real worker
-//! threads.
+//! [`xrdma_sim::shard::ShardWorld`], one lane per host.
 //!
 //! # Porting rules (what moved where)
 //!
@@ -12,24 +11,22 @@
 //!   cross-object reference is a handle index: channel `i` drives QP
 //!   `i` (same index by construction), a peer is `(peer_host,
 //!   peer_chan)`, callbacks are plain `fn` pointers in [`HostHooks`].
-//! * All cross-host interactions ride the mailbox protocol: packet
+//! * All cross-host interactions are cross-lane sends: packet
 //!   delivery after NIC serialization (two-hop propagation = the
 //!   lookahead floor), the CM handshake (out-of-band, as TCP-based CM
 //!   is in production), and keepalive probes (which are ordinary
 //!   packets). Nothing else crosses a lane boundary.
 //! * Every timer — pacing wakeups, go-back-N retransmission (lazily
 //!   reprogrammed), DCQCN ticks, keepalive — is armed through the
-//!   lane's own calendar at points that execute identically for any
-//!   shard count, preserving the seq-allocation obligation. Same-seed
-//!   digests, telemetry JSONL and derived span JSONL are therefore
-//!   byte-identical across `shards ∈ {1, 2, 4, 8}`.
+//!   lane's own calendar, so same-seed digests, telemetry JSONL and
+//!   derived span JSONL are byte-identical run to run.
 //!
 //! The reference workload, [`grouped_incast`], is the scenario
 //! tests/sharding.rs's lane battery runs: an N-node cluster partitioned
 //! into racks of `group` hosts, each rack running a many-to-one incast
 //! into its sink (deep enough that receiver-side ECN and DCQCN engage),
-//! plus a cross-rack heartbeat mesh so mailbox traffic crosses shard
-//! boundaries at every shard count.
+//! plus a cross-rack heartbeat mesh so every lane sends and receives
+//! cross-lane traffic.
 
 use std::collections::VecDeque;
 
@@ -142,7 +139,7 @@ impl ChannelLane {
 }
 
 /// Per-host application hooks: plain `fn` pointers (no captures, no
-/// allocation, trivially `Send`) — the lane port of the serial stack's
+/// allocation) — the lane port of the serial stack's
 /// boxed channel callbacks.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HostHooks {
@@ -190,9 +187,8 @@ pub struct AppCounters {
     pub rpc_bytes: u64,
 }
 
-/// The whole middleware stack of one host as owned lane state. Named
-/// `*Lane` so the S1 `non-send-shard-state` lint walks it as a shard
-/// root: no `Rc`, no `RefCell`, no raw pointers anywhere inside.
+/// The whole middleware stack of one host as owned lane state: no `Rc`,
+/// no `RefCell`, no raw pointers anywhere inside.
 pub struct HostLane {
     pub host: u32,
     pub cfg: HostConfig,
@@ -240,8 +236,8 @@ impl HostLane {
 }
 
 /// Deterministic one-line summary per host: everything observable about
-/// the stack, so `ShardWorld::digest` compares the *entire* middleware
-/// state across shard counts.
+/// the stack, so `ShardWorld::digest` covers the *entire* middleware
+/// state.
 impl std::fmt::Debug for HostLane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -285,7 +281,7 @@ impl std::fmt::Debug for HostLane {
 }
 
 // ---------------------------------------------------------------------------
-// Connection management: out-of-band handshake over the mailbox protocol
+// Connection management: out-of-band handshake over cross-lane sends
 // ---------------------------------------------------------------------------
 
 /// Start a connection from this lane to `server`: allocates the local
@@ -536,7 +532,7 @@ fn after_rx(l: &mut L, chan: u32, newly_acked: usize) {
 // ---------------------------------------------------------------------------
 
 /// Drain the QP's send side into the NIC, arming pacing and retx
-/// timers as needed. Identical call points for every shard count.
+/// timers as needed.
 fn qp_pump(l: &mut L, qpn: u32) {
     let me = l.id();
     loop {
@@ -736,7 +732,6 @@ pub struct IncastSpec {
     /// Rack size: host `g*group` is rack `g`'s sink, the rest are
     /// clients blasting it.
     pub group: usize,
-    pub shards: usize,
     pub seed: u64,
     /// Bulk request payload bytes.
     pub rpc_size: u32,
@@ -750,11 +745,10 @@ pub struct IncastSpec {
 impl IncastSpec {
     /// The reference shape: racks of 16, 48 KiB requests, a 200 µs
     /// cross-rack heartbeat mesh, lossless NICs.
-    pub fn full(nodes: usize, shards: usize, seed: u64) -> IncastSpec {
+    pub fn full(nodes: usize, seed: u64) -> IncastSpec {
         IncastSpec {
             nodes,
             group: 16,
-            shards,
             seed,
             rpc_size: 48 * 1024,
             heartbeat_ns: 200_000,
@@ -855,11 +849,7 @@ pub fn grouped_incast(spec: IncastSpec) -> HostWorld {
             s
         })
         .collect();
-    let shard_cfg = ShardConfig {
-        shards: spec.shards,
-        lookahead: Dur::nanos(2 * xrdma_sim::shard::HOP_NS),
-    };
-    let mut w = ShardWorld::new(shard_cfg, spec.seed, states);
+    let mut w = ShardWorld::new(ShardConfig::default(), spec.seed, states);
     for h in 0..spec.nodes {
         let rack = h / spec.group;
         let sink = (rack * spec.group) as u32;
@@ -886,7 +876,7 @@ pub fn grouped_incast(spec: IncastSpec) -> HostWorld {
 /// Derived per-RPC span log: one line per completed RPC, matched from
 /// the `tx`/`done` telemetry records, ordered by completion. Stands in
 /// for the serial stack's span JSONL on the lane engine — and is
-/// byte-identical across shard counts because the record log is.
+/// byte-identical run to run because the record log is.
 pub fn spans_jsonl(w: &HostWorld) -> String {
     use std::collections::HashMap;
     let mut start: HashMap<u64, u64> = HashMap::new();
@@ -918,11 +908,10 @@ pub fn spans_jsonl(w: &HostWorld) -> String {
 mod tests {
     use super::*;
 
-    fn small_world(shards: usize, seed: u64, drop_every: u64) -> HostWorld {
+    fn small_world(seed: u64, drop_every: u64) -> HostWorld {
         grouped_incast(IncastSpec {
             nodes: 12,
             group: 4,
-            shards,
             seed,
             rpc_size: 8 * 1024,
             heartbeat_ns: 150_000,
@@ -932,7 +921,7 @@ mod tests {
 
     #[test]
     fn rpcs_complete_end_to_end() {
-        let mut w = small_world(1, 7, 0);
+        let mut w = small_world(7, 0);
         w.run_until(Time(3_000_000));
         let done: u64 = w.lanes().iter().map(|l| l.state.app.rpcs_done).sum();
         assert!(done > 50, "closed-loop RPCs flowed: {done}");
@@ -949,23 +938,8 @@ mod tests {
     }
 
     #[test]
-    fn digests_identical_across_shard_counts() {
-        let mut base = small_world(1, 90125, 0);
-        base.run_until(Time(2_000_000));
-        let base_digest = base.digest();
-        let base_spans = spans_jsonl(&base);
-        for shards in [2usize, 4] {
-            let mut w = small_world(shards, 90125, 0);
-            w.run_until(Time(2_000_000));
-            assert_eq!(base_digest, w.digest(), "shards={shards} digest");
-            assert_eq!(base_spans, spans_jsonl(&w), "shards={shards} spans");
-        }
-        assert!(base_spans.contains("\"span\":\"rpc\""), "spans derived");
-    }
-
-    #[test]
     fn loss_recovers_via_go_back_n_identically() {
-        let mut a = small_world(1, 11, 97);
+        let mut a = small_world(11, 97);
         a.run_until(Time(3_000_000));
         let retx: u64 = a
             .lanes()
@@ -976,13 +950,6 @@ mod tests {
         assert!(retx > 0, "drop knob must force retransmissions");
         let done: u64 = a.lanes().iter().map(|l| l.state.app.rpcs_done).sum();
         assert!(done > 10, "RPCs complete despite loss: {done}");
-        let mut b = small_world(4, 11, 97);
-        b.run_until(Time(3_000_000));
-        assert_eq!(
-            a.digest(),
-            b.digest(),
-            "lossy run byte-identical at 4 shards"
-        );
     }
 
     #[test]
@@ -992,7 +959,6 @@ mod tests {
         let mut w = grouped_incast(IncastSpec {
             nodes: 4,
             group: 4,
-            shards: 1,
             seed: 3,
             rpc_size: 1024,
             heartbeat_ns: 0,
@@ -1015,7 +981,7 @@ mod tests {
 
     #[test]
     fn window_backpressure_counts_stalls() {
-        let mut w = small_world(1, 5, 0);
+        let mut w = small_world(5, 0);
         // Run long enough for connects, then find a connected bulk client
         // channel and flood it.
         w.run_until(Time(400_000));

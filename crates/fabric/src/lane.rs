@@ -1,4 +1,4 @@
-//! Per-host fabric endpoint for the `Send` lane engine (DESIGN.md §3.15).
+//! Per-host fabric endpoint for the lane engine (DESIGN.md §3.15).
 //!
 //! The serial world models the whole Clos fabric as shared switch state
 //! behind `Rc<Fabric>`. Lanes cannot share a switch: every piece of
@@ -22,9 +22,7 @@
 //!   cross-lane shared state.
 //!
 //! The type is a plain-data state machine: no `Rc`, no `RefCell`, no
-//! callbacks (the S1 `non-send-shard-state` lint walks it as a shard
-//! root because the name ends in `Lane`). It never schedules anything
-//! itself — methods return what the caller must schedule, keeping the
+//! callbacks. It never schedules anything itself — methods return what the caller must schedule, keeping the
 //! module unit-testable without a world.
 
 use crate::config::LINK_GBPS;
@@ -37,8 +35,8 @@ pub const HOP_NS: u64 = 500;
 pub const ECN_THRESHOLD_NS: u64 = 20_000;
 
 /// A packet travelling between host NIC lanes. `B` is the opaque upper
-/// -layer body (the RNIC lane's BTH equivalent); it must be `Send`
-/// because packets cross lanes through the mailbox protocol.
+/// -layer body (the RNIC lane's BTH equivalent), carried to the peer
+/// lane by a cross-lane send.
 #[derive(Clone, Debug)]
 pub struct LanePkt<B> {
     pub src: u32,
@@ -62,7 +60,7 @@ pub struct NicLaneConfig {
     pub line_rate_gbps: f64,
     /// Deterministic fault knob: drop every Nth egress packet (0 = off).
     /// Gives the chaos battery real loss + go-back-N recovery on the
-    /// threaded engine without any shared fault injector.
+    /// lane engine without any shared fault injector.
     pub drop_every: u64,
 }
 

@@ -71,7 +71,6 @@ pub struct FaultInjector {
     injected: Cell<u64>,
 }
 
-// xrdma-lint: allow(cross-shard-static) -- injector arms one serial Rc-world per thread by design; sharded lanes carry fault state in owned Lane fields, never through this singleton
 thread_local! {
     static CURRENT: RefCell<Option<Rc<FaultInjector>>> = const { RefCell::new(None) };
 }

@@ -18,8 +18,8 @@
 //!   `faults_gated` / `pub_fn` flags.
 //! * [`symbols`] — a two-pass workspace symbol table (struct/enum fields,
 //!   type aliases, manual `impl Ord` blocks) shared by all rules, so
-//!   cross-file questions ("is this field reachable from `World`?",
-//!   "is this alias a `HashMap`?") have answers.
+//!   cross-file questions ("is this alias a `HashMap`?", "does anything
+//!   outside `Default` write this config field?") have answers.
 //!
 //! The rule families:
 //!
@@ -42,17 +42,15 @@
 //!   structurally under `#[cfg(feature = "faults")]`.
 //! * **P1 `hot-path-alloc`** — no per-packet heap allocation in the
 //!   fabric/RNIC data-path files; payloads ride `bytes::Bytes` windows.
-//! * **S1 `non-send-shard-state`** — `Rc<_>` / `RefCell<_>` / `*mut`
-//!   fields in types reachable from the shard roots (`World`, `*Lane`):
-//!   lane state crosses worker-thread boundaries, so it must be `Send`.
-//! * **S2 `cross-shard-static`** — mutable or
-//!   lazily-initialized `static`s and `thread_local!` singletons in sim
-//!   crates: per-thread or process-global state silently forks or races
-//!   once one world's events execute on many worker threads.
+//! * **S2 `cross-shard-static`** — mutable or lazily-initialized
+//!   `static`s in sim crates: process-global state is shared by every
+//!   world in the process, and `paper` runs worlds concurrently on rayon
+//!   workers, so it races. (A `thread_local!` is fine: a world never
+//!   leaves its thread.)
 //! * **S3 `unordered-cross-shard-merge`** — event
 //!   containers keyed on bare `Time`, and manual `impl Ord` blocks for
-//!   `Time`-carrying entry types that never consult `seq`: cross-shard
-//!   merges must order on `(Time, seq)` or same-instant events interleave
+//!   `Time`-carrying entry types that never consult `seq`: event merges
+//!   must order on `(Time, seq)` or same-instant events interleave
 //!   nondeterministically.
 //! * **U2 `unvaried-knob`** — a leaf field of a `pub struct *Config`
 //!   that nothing but the struct's own `impl Default` ever sets is a
@@ -118,15 +116,11 @@ pub enum Rule {
     /// `Bytes::from`, or `.clone()` of a payload buffer) in one of the
     /// per-packet hot files of the fabric/RNIC data path.
     HotPathAlloc,
-    /// S1: `Rc<_>` / `RefCell<_>` / `*mut` in a type reachable from a
-    /// shard root (`World`, `*Lane`) — cannot cross a rayon shard
-    /// boundary. Workspace-level; computed from the symbol table.
-    NonSendShardState,
-    /// S2: mutable or lazily-initialized `static` (or `thread_local!`)
-    /// in a sim crate — cross-shard shared state.
+    /// S2: mutable or lazily-initialized `static` in a sim crate —
+    /// state shared by every world in the process.
     CrossShardStatic,
     /// S3: event insertion keyed on bare `Time` (no `seq` tie-break) —
-    /// cross-shard merges become nondeterministic at equal timestamps.
+    /// event merges become nondeterministic at equal timestamps.
     UnorderedMerge,
     /// U2: a leaf field of a `pub struct *Config` with no writer outside
     /// the struct's own `impl Default`. Workspace-level; computed from
@@ -150,7 +144,6 @@ impl Rule {
             Rule::RawTelemetry => "raw-telemetry-emit",
             Rule::UngatedFaultHook => "ungated-fault-hook",
             Rule::HotPathAlloc => "hot-path-alloc",
-            Rule::NonSendShardState => "non-send-shard-state",
             Rule::CrossShardStatic => "cross-shard-static",
             Rule::UnorderedMerge => "unordered-cross-shard-merge",
             Rule::UnvariedKnob => "unvaried-knob",
@@ -162,7 +155,7 @@ impl Rule {
         Rule::ALL.into_iter().find(|r| r.name() == s)
     }
 
-    pub const ALL: [Rule; 13] = [
+    pub const ALL: [Rule; 12] = [
         Rule::WallClock,
         Rule::AmbientRandomness,
         Rule::NondeterministicIter,
@@ -171,7 +164,6 @@ impl Rule {
         Rule::RawTelemetry,
         Rule::UngatedFaultHook,
         Rule::HotPathAlloc,
-        Rule::NonSendShardState,
         Rule::CrossShardStatic,
         Rule::UnorderedMerge,
         Rule::UnvariedKnob,
@@ -242,7 +234,7 @@ impl RuleSet {
 }
 
 /// Simulation crates: everything that runs inside a `World` must be fully
-/// deterministic (D1–D4) and shard-migratable (S1–S3), and the configs
+/// deterministic (D1–D4, S2–S3), and the configs
 /// they declare carry only knobs something varies (U2).
 pub const SIM_RULES: RuleSet = RuleSet {
     rules: &[
@@ -252,7 +244,6 @@ pub const SIM_RULES: RuleSet = RuleSet {
         Rule::IntraWorldParallelism,
         Rule::RawTelemetry,
         Rule::UngatedFaultHook,
-        Rule::NonSendShardState,
         Rule::CrossShardStatic,
         Rule::UnorderedMerge,
         Rule::UnvariedKnob,
@@ -273,7 +264,6 @@ pub const API_RULES: RuleSet = RuleSet {
         Rule::RawTelemetry,
         Rule::UngatedFaultHook,
         Rule::HotPathAlloc,
-        Rule::NonSendShardState,
         Rule::CrossShardStatic,
         Rule::UnorderedMerge,
         Rule::UnvariedKnob,
@@ -291,7 +281,6 @@ pub const FABRIC_RULES: RuleSet = RuleSet {
         Rule::RawTelemetry,
         Rule::UngatedFaultHook,
         Rule::HotPathAlloc,
-        Rule::NonSendShardState,
         Rule::CrossShardStatic,
         Rule::UnorderedMerge,
         Rule::UnvariedKnob,
@@ -310,7 +299,6 @@ pub const RNIC_RULES: RuleSet = RuleSet {
         Rule::RawTelemetry,
         Rule::UngatedFaultHook,
         Rule::HotPathAlloc,
-        Rule::NonSendShardState,
         Rule::CrossShardStatic,
         Rule::UnorderedMerge,
         Rule::UnvariedKnob,
@@ -326,7 +314,6 @@ pub const TELEMETRY_CRATE_RULES: RuleSet = RuleSet {
         Rule::AmbientRandomness,
         Rule::NondeterministicIter,
         Rule::IntraWorldParallelism,
-        Rule::NonSendShardState,
         Rule::CrossShardStatic,
         Rule::UnorderedMerge,
         Rule::UnvariedKnob,
@@ -499,25 +486,6 @@ fn analyze_tokens(
 
     // Workspace-level rules, attributed to the declaring file so each
     // finding is emitted exactly once.
-    if rules.contains(Rule::NonSendShardState) {
-        for f in symbols.non_send_shard_fields() {
-            if f.file != file {
-                continue;
-            }
-            raw_violations.push(Violation {
-                rule: Rule::NonSendShardState,
-                file: file.to_path_buf(),
-                line: f.line as usize,
-                snippet: snippet(f.line as usize),
-                message: format!(
-                    "field `{}.{}: {}` contains `{}` and is reachable from shard root \
-                     `{}`; this state cannot migrate to a rayon shard — refactor to \
-                     owned/Send state before the sharded kernel lands",
-                    f.ty, f.field, f.rendered, f.pattern, f.root
-                ),
-            });
-        }
-    }
     if rules.contains(Rule::UnvariedKnob) {
         for k in symbols.unvaried_knobs() {
             if k.file != file {
@@ -550,7 +518,7 @@ fn analyze_tokens(
                 message: format!(
                     "manual `impl Ord for {}` orders a `Time`-carrying event type \
                      without consulting `seq`; same-instant events would merge in \
-                     arbitrary order across shards — order by `(Time, seq)`",
+                     arbitrary order — order by `(Time, seq)`",
                     io.ty
                 ),
             });
@@ -1071,58 +1039,19 @@ mod tests {
     // --- S-family -----------------------------------------------------
 
     #[test]
-    fn s1_flags_refcell_field_on_world() {
-        let src = "pub struct World {\n    now: Cell<Time>,\n    calendar: RefCell<Calendar>,\n}\n\
-                   struct Calendar { wheel: Vec<u32> }";
-        let v = run(src, SIM_RULES);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::NonSendShardState);
-        assert_eq!(v[0].line, 3);
-        assert!(v[0].message.contains("RefCell<_>"), "{v:?}");
-    }
-
-    #[test]
-    fn s1_follows_reachability_through_fields() {
-        let src = "pub struct World { calendar: Calendar }\n\
-                   struct Calendar { slot: Rc<Slot> }\n\
-                   struct Slot { n: u64 }";
-        let v = run(src, SIM_RULES);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].line, 2);
-        assert!(v[0].message.contains("reachable from shard root `World`"));
-    }
-
-    #[test]
-    fn s1_lane_structs_are_roots() {
-        let src = "pub struct EventLane { q: RefCell<Vec<u8>> }";
-        let v = run(src, SIM_RULES);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::NonSendShardState);
-    }
-
-    #[test]
-    fn s1_silent_on_send_safe_state_and_unreachable_types() {
-        // Cell<T: Copy> is fine to migrate (it is Send); RefCell in a type
-        // not reachable from a root is someone else's problem.
-        let src = "pub struct World { now: Cell<Time>, slots: Vec<Slot> }\n\
-                   struct Slot { n: u64 }\n\
-                   struct Detached { inner: RefCell<u32> }";
-        assert!(run(src, SIM_RULES).is_empty());
-    }
-
-    #[test]
-    fn s2_flags_thread_local_and_lazy_statics() {
+    fn s2_flags_mutable_and_lazy_statics_not_thread_locals() {
         let src =
             "thread_local! {\n    static CURRENT: RefCell<Option<Hub>> = RefCell::new(None);\n}\n\
-                   static REGISTRY: Mutex<Vec<u32>> = Mutex::new(Vec::new());";
+                   static REGISTRY: Mutex<Vec<u32>> = Mutex::new(Vec::new());\n\
+                   static HUB: LazyLock<Hub> = LazyLock::new(Hub::new);";
         let v = run(src, SIM_RULES);
         let s2: Vec<_> = v
             .iter()
             .filter(|v| v.rule == Rule::CrossShardStatic)
             .collect();
         assert_eq!(s2.len(), 2, "{v:?}");
-        assert_eq!(s2[0].line, 1);
-        assert_eq!(s2[1].line, 4);
+        assert_eq!(s2[0].line, 4);
+        assert_eq!(s2[1].line, 5);
     }
 
     #[test]
@@ -1170,11 +1099,9 @@ mod tests {
 
     #[test]
     fn s_rules_respect_allow_annotations() {
-        let src = "pub struct World {\n\
-                   // xrdma-lint: allow(non-send-shard-state) -- migrates in the shard PR\n\
-                   calendar: RefCell<Calendar>,\n\
-                   }\n\
-                   struct Calendar { wheel: Vec<u32> }";
+        let src =
+            "// xrdma-lint: allow(cross-shard-static) -- one registry per process by design\n\
+                   static REGISTRY: Mutex<Vec<u32>> = Mutex::new(Vec::new());";
         let report = analyze_source(Path::new("t.rs"), src, SIM_RULES);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.allows.len(), 1);

@@ -58,7 +58,7 @@ const ITER_METHODS: &[&str] = &[
 const CHAIN_ADAPTERS: &[&str] = &["borrow", "borrow_mut", "lock", "as_ref", "as_mut"];
 
 /// Interior-mutable / lazily-initialized wrappers that make a `static`
-/// cross-shard mutable state (S2). `static mut` itself is D4's.
+/// process-global mutable state (S2). `static mut` itself is D4's.
 const MUTABLE_STATIC_WRAPPERS: &[&str] = &[
     "Cell", "RefCell", "OnceCell", "OnceLock", "LazyLock", "Lazy", "Mutex", "RwLock",
 ];
@@ -110,8 +110,8 @@ impl<'a> FileCtx<'a> {
     }
 }
 
-/// Run every token-scan rule in `rules` over the file. (S1, the
-/// `impl Ord` half of S3 and U2 are workspace-level — see [`Symbols`].)
+/// Run every token-scan rule in `rules` over the file. (The `impl Ord`
+/// half of S3 and U2 are workspace-level — see [`Symbols`].)
 pub fn check_file(ctx: &FileCtx, rules: &[Rule], out: &mut Vec<Violation>) {
     for rule in rules {
         match rule {
@@ -126,7 +126,7 @@ pub fn check_file(ctx: &FileCtx, rules: &[Rule], out: &mut Vec<Violation>) {
             Rule::CrossShardStatic => cross_shard_static(ctx, out),
             Rule::UnorderedMerge => unordered_merge_decls(ctx, out),
             // Workspace-level rules, handled by the driver.
-            Rule::NonSendShardState | Rule::UnvariedKnob | Rule::UnusedAllow => {}
+            Rule::UnvariedKnob | Rule::UnusedAllow => {}
         }
     }
 }
@@ -460,19 +460,9 @@ fn cross_shard_static(ctx: &FileCtx, out: &mut Vec<Violation>) {
             continue;
         }
         let t = &toks[i];
-        // `thread_local! { … }`: one finding for the whole block. Worlds
-        // are per-thread today; under sharding, one world's events execute
-        // on many rayon workers and per-thread singletons silently fork.
+        // `thread_local! { … }` is per-thread, and a world never leaves
+        // its thread: skip the block, the statics inside it included.
         if t.is_ident("thread_local") && toks.get(i + 1).is_some_and(|t| t.is_punct('!')) {
-            ctx.hit(
-                out,
-                Rule::CrossShardStatic,
-                t.line,
-                "`thread_local!` world-singleton: under sharded execution one world's \
-                 events run on many worker threads, so per-thread state silently forks; \
-                 carry it in the `World`/shard context instead"
-                    .to_string(),
-            );
             let mut j = i + 2;
             while j < toks.len() && !toks[j].is_punct('{') {
                 j += 1;
@@ -499,8 +489,9 @@ fn cross_shard_static(ctx: &FileCtx, out: &mut Vec<Violation>) {
                         Rule::CrossShardStatic,
                         t.line,
                         format!(
-                            "mutable/lazy `static {}` (`{}`) is cross-shard shared state; \
-                             worlds must own their state so shards replay deterministically",
+                            "mutable/lazy `static {}` (`{}`) is process-global state shared by \
+                             every world in the process; worlds must own their state so \
+                             concurrent runs replay deterministically",
                             toks[i + 1].text,
                             w.text
                         ),

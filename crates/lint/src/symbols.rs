@@ -5,15 +5,10 @@
 //! aliases, and manual `impl Ord for T` blocks. Pass two — after every
 //! scanned file has been absorbed — answers workspace-level questions:
 //!
-//! * **S1 `non-send-shard-state`** — compute the set of types reachable
-//!   from the shard roots (`World` and any `*Lane` struct) by following
-//!   field types through aliases, and flag every field along the way whose
-//!   type is `Rc<_>`, `RefCell<_>` or `*mut _`. Those are exactly the
-//!   types that cannot migrate to a rayon shard without a redesign.
 //! * **S3 `unordered-cross-shard-merge`** (the `impl Ord` half) — every
 //!   manual ordering of an event-entry type (a struct with a `Time`-typed
 //!   field) must break ties on a `seq` field, or same-instant events merge
-//!   in nondeterministic order across shards.
+//!   in nondeterministic order.
 //! * **Alias resolution for D3** — a field typed through an alias of
 //!   `HashMap`/`HashSet` (e.g. `type QpMap = HashMap<…>`) is recognized as
 //!   a hash container wherever the alias is used.
@@ -83,11 +78,6 @@ pub struct Symbols {
     /// they sit in (empty outside one): such a write does not vary a knob
     /// of that type.
     pub dot_writes: BTreeSet<(String, String)>,
-}
-
-/// Shard-root predicate: `World` plus any per-shard event-lane struct.
-pub fn is_shard_root(name: &str) -> bool {
-    name == "World" || name.ends_with("Lane")
 }
 
 impl Symbols {
@@ -298,63 +288,6 @@ impl Symbols {
         out
     }
 
-    /// S1: walk the reachability graph from the shard roots, returning
-    /// `(type, field, root, line, file, rendered type)` for every
-    /// non-`Send`-safe field on the way.
-    pub fn non_send_shard_fields(&self) -> Vec<NonSendField> {
-        let mut out = Vec::new();
-        let mut visited: BTreeSet<String> = BTreeSet::new();
-        // Deterministic BFS: roots in name order, then discovery order.
-        let mut queue: Vec<(String, String)> = self
-            .types
-            .keys()
-            .filter(|n| is_shard_root(n))
-            .map(|n| (n.clone(), n.clone()))
-            .collect();
-        while let Some((name, root)) = queue.pop() {
-            if !visited.insert(name.clone()) {
-                continue;
-            }
-            let Some(info) = self.types.get(&name) else {
-                continue;
-            };
-            for field in &info.fields {
-                if let Some(pat) = non_send_pattern(&field.ty) {
-                    out.push(NonSendField {
-                        ty: name.clone(),
-                        field: field.name.clone(),
-                        root: root.clone(),
-                        pattern: pat,
-                        file: info.file.clone(),
-                        line: field.line,
-                        rendered: render_type(&field.ty),
-                    });
-                }
-                // Follow referenced types (resolving one alias level).
-                for t in &field.ty {
-                    if t.kind != TokKind::Ident {
-                        continue;
-                    }
-                    let mut refs = vec![t.text.clone()];
-                    if let Some(rhs) = self.aliases.get(&t.text) {
-                        refs.extend(
-                            rhs.iter()
-                                .filter(|r| r.kind == TokKind::Ident)
-                                .map(|r| r.text.clone()),
-                        );
-                    }
-                    for r in refs {
-                        if self.types.contains_key(&r) && !visited.contains(&r) {
-                            queue.push((r, root.clone()));
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_by(|a, b| (&a.file, a.line, &a.field).cmp(&(&b.file, b.line, &b.field)));
-        out
-    }
-
     /// S3 (ordering half): manual `impl Ord` blocks for event-entry types
     /// (structs with a `Time` field) that never consult `seq`.
     pub fn unordered_event_ords(&self) -> Vec<&ImplOrd> {
@@ -372,17 +305,6 @@ impl Symbols {
             })
             .collect()
     }
-}
-
-/// One S1 finding.
-pub struct NonSendField {
-    pub ty: String,
-    pub field: String,
-    pub root: String,
-    pub pattern: &'static str,
-    pub file: PathBuf,
-    pub line: u32,
-    pub rendered: String,
 }
 
 /// One U2 finding.
@@ -496,48 +418,6 @@ fn is_assign_op(rest: &[Token]) -> bool {
         Some(t) if t.kind == TokKind::Punct && "+-*/%^|&".contains(t.text.as_str()) => eq(1),
         _ => false,
     }
-}
-
-/// Which non-`Send` pattern a type-token slice contains, if any.
-fn non_send_pattern(ty: &[Token]) -> Option<&'static str> {
-    for (k, t) in ty.iter().enumerate() {
-        if t.is_ident("Rc") && ty.get(k + 1).is_some_and(|n| n.is_punct('<')) {
-            return Some("Rc<_>");
-        }
-        if t.is_ident("RefCell") && ty.get(k + 1).is_some_and(|n| n.is_punct('<')) {
-            return Some("RefCell<_>");
-        }
-        if t.is_punct('*') && ty.get(k + 1).is_some_and(|n| n.is_ident("mut")) {
-            return Some("*mut _");
-        }
-    }
-    None
-}
-
-/// Compact display form of a type-token slice for diagnostics.
-pub fn render_type(ty: &[Token]) -> String {
-    let mut out = String::new();
-    let mut prev_ident = false;
-    for t in ty {
-        let ident_like = matches!(t.kind, TokKind::Ident | TokKind::Num | TokKind::Lifetime);
-        if ident_like && prev_ident {
-            out.push(' ');
-        }
-        match t.kind {
-            TokKind::Lifetime => {
-                out.push('\'');
-                out.push_str(&t.text);
-            }
-            TokKind::Str => {
-                out.push('"');
-                out.push_str(&t.text);
-                out.push('"');
-            }
-            _ => out.push_str(&t.text),
-        }
-        prev_ident = ident_like;
-    }
-    out
 }
 
 /// Skip a balanced `<…>` generic list if one starts at `j`.

@@ -1,9 +1,4 @@
-// Lane state smuggled out of the lane: a thread-local "current lane"
-// singleton forks silently when one lane's events migrate between
-// workers, and a process-global registry races across shards. Both
-// must fire S2.
-thread_local! {
-    static CURRENT_LANE: RefCell<Option<EventLane>> = RefCell::new(None);
-}
-
+// Lane state smuggled out of the lane: a process-global registry is
+// shared by every world in the process, and worlds run concurrently on
+// rayon workers, so it races. Must fire S2.
 static LIVE_LANES: AtomicUsize = AtomicUsize::new(0);

@@ -1,3 +1,1 @@
-thread_local! {
-    static CURRENT: RefCell<Option<Hub>> = RefCell::new(None);
-}
+static REGISTRY: Mutex<Vec<u32>> = Mutex::new(Vec::new());

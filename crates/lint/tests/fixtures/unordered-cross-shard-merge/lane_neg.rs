@@ -1,4 +1,4 @@
-// The mailbox merge rule: cross events carry the sender's monotone
+// The cross-lane merge rule: cross events carry the sender's monotone
 // sequence number, and merges sort on the full unique key — a pure
 // function of simulation state, never of drain order.
 struct CrossEvent {

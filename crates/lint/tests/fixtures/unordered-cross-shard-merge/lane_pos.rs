@@ -1,6 +1,7 @@
-// A mailbox merge keyed on bare arrival time: ties between two lanes'
-// events resolve by heap internals, so the merged order depends on
-// mailbox drain order — exactly the nondeterminism S3 exists to catch.
+// A cross-lane merge keyed on bare arrival time: ties between two lanes'
+// events resolve by heap internals, so the merged order depends on the
+// order lanes were drained in — exactly the nondeterminism S3 exists to
+// catch.
 struct Mailbox {
     inbound: BinaryHeap<Reverse<Time>>,
 }

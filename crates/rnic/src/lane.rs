@@ -1,21 +1,19 @@
-//! Per-host RNIC state for the `Send` lane engine (DESIGN.md §3.15): the
+//! Per-host RNIC state for the lane engine (DESIGN.md §3.15): the
 //! port of the QP / CQ / DCQCN data path from the `Rc<World>`-rooted
 //! [`crate::engine::Rnic`] onto plain owned structs.
 //!
-//! The porting rules this module demonstrates (and the S1
-//! `non-send-shard-state` lint enforces, since every type here ends in
-//! `Lane`):
+//! The porting rules this module demonstrates:
 //!
 //! * **Handle indices instead of `Rc` reachability.** A QP is
 //!   `rnic.qps[qpn]`; a peer QP is `(peer_host, peer_qpn)` — plain
 //!   numbers that cross lanes inside packets, never pointers.
 //! * **Emission, not scheduling.** Methods return what must happen
 //!   ([`Pump`], [`RxData`]) and the glue layer (xrdma-core's lane
-//!   module) owns the calendar: every timer arm happens at an identical
-//!   seq-allocation point regardless of shard count.
+//!   module) owns the calendar, so every timer arm happens at a
+//!   seq-allocation point the glue chooses.
 //! * **Reuse of the pure protocol cores.** [`DcqcnRp`]/[`DcqcnNp`] and
 //!   the RESET→INIT→RTR→RTS [`QpState`] discipline are shared with the
-//!   serial stack verbatim — they were already `Send` plain data.
+//!   serial stack verbatim — they were already plain data.
 //!
 //! The data path itself is the serial engine's, at packet granularity:
 //! MTU fragmentation, per-packet PSNs, cumulative hardware ACK, NAK on

@@ -11,8 +11,10 @@
 //!   Ties in the event heap are broken by insertion sequence number, and all
 //!   randomness flows through [`SimRng`] streams forked from a root seed.
 //! * **Single-threaded worlds, parallel sweeps.** A `World` is deliberately
-//!   `!Send`/`!Sync` (it is built from `Rc`/`Cell`/`RefCell`); the benchmark
-//!   harness runs many independent worlds on separate rayon workers.
+//!   `!Send`/`!Sync` (it is built from `Rc`/`Cell`/`RefCell`), and the
+//!   per-host lane engine, [`ShardWorld`], runs all its lanes on the
+//!   calling thread too; the benchmark harness runs many independent
+//!   worlds on separate rayon workers.
 //! * **Cheap virtual time.** [`Time`] and [`Dur`] are thin `u64` nanosecond
 //!   wrappers; the hot path (schedule/pop) does no allocation beyond the
 //!   boxed callback.
@@ -66,7 +68,6 @@ macro_rules! invariant {
     };
 }
 
-// xrdma-lint: allow(cross-shard-static) -- deliberately per-thread: each lane worker (and each serial world thread) installs its own observer; no state crosses shards
 thread_local! {
     static INVARIANT_OBSERVER: std::cell::RefCell<Option<Box<dyn Fn(&str)>>> =
         const { std::cell::RefCell::new(None) };

@@ -1,16 +1,14 @@
 //! The calendar + slab scheduler core shared by [`crate::World`] (the
 //! `Rc`-based serial world) and [`crate::shard::ShardWorld`] (the
-//! `Send` parallel lane engine).
+//! per-host lane engine).
 //!
 //! Everything here is generic over the stored closure types `O`
 //! (one-shot) and `M` (re-armable timer), so the same timer-wheel
-//! calendar executes identically whether the callbacks capture `Rc`s on
-//! one thread or are `Send` closures running inside a shard lane. The
-//! structure is a plain `&mut self` state machine: virtual-clock and
-//! sequence-number policy stay with the owner (`World` keeps them in
-//! `Cell`s, a lane keeps them as plain fields), which is what lets lane
-//! state satisfy the S1 `non-send-shard-state` lint with no interior
-//! mutability at all.
+//! calendar executes identically whether the callbacks capture `Rc`s
+//! or take the lane by `&mut`. The structure is a plain `&mut self`
+//! state machine: virtual-clock and sequence-number policy stay with the
+//! owner (`World` keeps them in `Cell`s, a lane keeps them as plain
+//! fields), so lane state needs no interior mutability at all.
 //!
 //! # Calendar layout (DESIGN.md §3)
 //!

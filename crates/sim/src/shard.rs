@@ -1,91 +1,64 @@
-//! Sharded parallel event lanes with conservative lookahead
+//! Per-host event lanes run in conservative-lookahead rounds
 //! (DESIGN.md §3.15).
 //!
-//! A [`ShardWorld`] partitions a simulated cluster into per-host event
-//! [`Lane`]s — each a miniature single-threaded world running the same
-//! timer-wheel calendar as [`crate::World`] — and executes them in
-//! *rounds* bounded by conservative lookahead: every lane may safely run
-//! all events strictly before `bound = global_min_pending + L`, where
-//! `L` is the minimum cross-lane link latency (the ≈500 ns/hop floor —
-//! two hops through a ToR, so 1 µs by default). Cross-lane interactions
-//! must travel as messages with delay ≥ `L`, so anything a lane sends
-//! while executing below `bound` arrives at `sender_now + L ≥ bound` —
-//! never inside the round that produced it.
+//! A [`ShardWorld`] splits a simulated cluster into per-host event
+//! [`Lane`]s — each a miniature world running the same timer-wheel
+//! calendar as [`crate::World`] — and runs them on the calling thread in
+//! *rounds*: every lane runs all events strictly before
+//! `bound = global_min_pending + LOOKAHEAD`, where [`LOOKAHEAD`] is the
+//! minimum cross-lane link latency (two ≈500 ns hops through a ToR).
+//! Cross-lane interactions travel as messages with delay ≥ `LOOKAHEAD`,
+//! so anything a lane sends while executing below `bound` arrives at
+//! `sender_now + LOOKAHEAD ≥ bound` — never inside the round that
+//! produced it.
 //!
-//! # Determinism across shard counts and thread interleavings
+//! # Why rounds, on one thread
 //!
-//! The byte-identical contract (DESIGN.md §7) must hold no matter how
-//! many shards or worker threads execute the lanes. Three rules deliver
-//! it:
+//! The rounds are the model, not a parallelism device: a lane's local
+//! sequence numbers are allocated only (a) during its own event execution
+//! and (b) when cross events are merged into its calendar, which happens
+//! once per round, sorted by `(at, src_lane, src_seq)`. `src_seq` is the
+//! sender's monotone per-lane counter, so the sort key is unique and the
+//! merge order is a pure function of simulation state. Where the round
+//! bounds fall therefore decides which `seq` every merged event takes,
+//! and with it the `(at, seq)` order of same-instant events — the digests
+//! pin exactly that.
 //!
-//! * **Lane granularity is fixed by topology, not by shard count.** One
-//!   lane per simulated host, always; shards are only contiguous
-//!   groupings of lanes onto workers (adjacent lane ids — same-ToR
-//!   hosts — share a shard). Changing `shards` changes which thread
-//!   runs a lane, never which lane owns an event.
-//! * **Mailbox merge rule.** Cross-lane events always go through a
-//!   per-`(dst_shard, src_shard)` mailbox — even when source and
-//!   destination share a shard — and are folded into the destination
-//!   calendar only at a round boundary, sorted by
-//!   `(at, src_lane, src_seq)`. `src_seq` is the sender's monotone
-//!   per-lane sequence counter, so the sort key is unique and the merge
-//!   order is a pure function of simulation state.
-//! * **Seq-allocation obligation.** A lane's local sequence numbers are
-//!   allocated only (a) during its own (serial, deterministic) event
-//!   execution and (b) during mailbox merges, which happen at globally
-//!   agreed round boundaries in the sorted order above. Hence the
-//!   `(at, seq)` calendar order inside every lane is identical for any
-//!   shard count ≥ 1 and any thread schedule.
-//!
-//! The round loop itself is one function, [`worker`], run inline when
-//! `shards == 1` (the serial degenerate case: zero threads, zero locks
-//! taken under contention) and on `std::thread::scope` workers — one
-//! per shard, over disjoint `&mut` lane slices — otherwise. Workers
-//! synchronize on a [`RoundBarrier`]; the reduction of per-shard minima
-//! into the round bound is computed by whichever worker the barrier
-//! elects leader, from the same atomics, so the result does not depend
-//! on the election. A worker caches each lane's next live instant, so a
-//! round costs O(lanes with work below the bound): idle lanes are
-//! neither peeked nor visited (see [`worker`]).
-//!
-//! # Send-state contract
-//!
-//! Lane state is plain owned data: no `Rc`, no `RefCell`, no raw
-//! pointers (S1 `non-send-shard-state` enforces this on every `*Lane`
-//! type), no thread-local singletons (S2), and closures stored in a
-//! lane calendar are `FnOnce(&mut Lane<S>) + Send`. Telemetry is a
-//! per-lane record log merged deterministically after the run; RNG is a
-//! per-lane [`SimRng`] forked by lane id from the run seed.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! The loop caches each lane's next live instant, so a round costs
+//! O(lanes with work below the bound): idle lanes are neither peeked nor
+//! visited (see [`ShardWorld::run_until`]). Telemetry is a per-lane
+//! record log merged deterministically after the run; RNG is a per-lane
+//! [`SimRng`] forked by lane id from the run seed.
 
 use crate::rng::SimRng;
 use crate::sched::{EventId, Fired, Sched};
 use crate::time::{Dur, Time};
 
 /// One-shot lane callback.
-pub type LaneFn<S> = Box<dyn FnOnce(&mut Lane<S>) + Send>;
+pub type LaneFn<S> = Box<dyn FnOnce(&mut Lane<S>)>;
 /// Re-armable (periodic) lane callback.
-pub type LaneTimerFn<S> = Box<dyn FnMut(&mut Lane<S>) + Send>;
+pub type LaneTimerFn<S> = Box<dyn FnMut(&mut Lane<S>)>;
 
-/// How a [`ShardWorld`] is partitioned and synchronized.
+/// Nanoseconds per fabric hop (the ≈500 ns floor from the paper's rack
+/// RTTs); cross-lane messages traverse two hops (host → ToR → host).
+const HOP_NS: u64 = 500;
+
+/// Conservative lookahead: the minimum cross-lane delay, two hops
+/// (host → ToR → host). It sets the round length.
+pub const LOOKAHEAD: Dur = Dur::nanos(2 * HOP_NS);
+const _: () = assert!(LOOKAHEAD.as_nanos() > 0, "lookahead must be positive");
+
+/// [`ShardWorld`] construction options.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
-    /// Worker shards. Lanes are split into `shards` contiguous blocks;
-    /// `1` runs the identical round algorithm inline with no threads.
+    /// Ignored: lanes always run on the calling thread. Kept only because
+    /// `benchmark/src/lane.rs` still writes it.
     pub shards: usize,
-    /// Conservative lookahead `L`: the minimum cross-lane delay. The
-    /// default is two 500 ns hops (host → ToR → host).
-    pub lookahead: Dur,
 }
 
 impl Default for ShardConfig {
     fn default() -> ShardConfig {
-        ShardConfig {
-            shards: 1,
-            lookahead: Dur::nanos(2 * 500),
-        }
+        ShardConfig { shards: 1 }
     }
 }
 
@@ -102,9 +75,8 @@ pub struct LaneRecord {
 
 /// Per-lane residency counters, read back after a run via
 /// [`ShardWorld::lane_stats`]: how many lookahead rounds the lane sat in,
-/// how many callbacks it executed, and its mailbox traffic in both
-/// directions. All are pure functions of simulation state — identical
-/// across shard counts and thread interleavings.
+/// how many callbacks it executed, and its cross-lane traffic in both
+/// directions. All are pure functions of simulation state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LaneStats {
     pub lane: u32,
@@ -117,7 +89,7 @@ pub struct LaneStats {
 
 /// A cross-lane event in flight: executes `f` on lane `dst` at `at`.
 /// Ordered at merge time by `(at, src, src_seq)` — a unique key, so the
-/// merge never depends on mailbox arrival order.
+/// merge never depends on the order lanes were visited in.
 struct CrossEvent<S> {
     at: Time,
     dst: u32,
@@ -128,8 +100,7 @@ struct CrossEvent<S> {
 
 /// A per-host event lane: a miniature world with its own clock, sequence
 /// counter, timer-wheel calendar, RNG stream, telemetry log, and model
-/// state `S`. Everything is plain owned data — `Lane<S>: Send` whenever
-/// `S: Send` — per the S1 shard-state lint contract.
+/// state `S`.
 pub struct Lane<S> {
     id: u32,
     now: Time,
@@ -138,7 +109,6 @@ pub struct Lane<S> {
     rounds: u64,
     cross_sent: u64,
     cross_recv: u64,
-    lookahead: Dur,
     sched: Sched<LaneFn<S>, LaneTimerFn<S>>,
     outbox: Vec<CrossEvent<S>>,
     records: Vec<LaneRecord>,
@@ -166,19 +136,18 @@ impl<S: 'static> Lane<S> {
         self.executed
     }
 
-    /// Lookahead rounds this lane has participated in. Round counts are a
-    /// pure function of simulation state (the bound sequence is computed
-    /// from global minima), so this is identical across shard counts.
+    /// Lookahead rounds this lane has participated in. Every lane sits in
+    /// every round, executed or skipped.
     pub fn rounds(&self) -> u64 {
         self.rounds
     }
 
-    /// Cross-lane events this lane has sent (mailbox sends).
+    /// Cross-lane events this lane has sent .
     pub fn cross_sent(&self) -> u64 {
         self.cross_sent
     }
 
-    /// Cross-lane events merged into this lane (mailbox receives).
+    /// Cross-lane events merged into this lane .
     pub fn cross_recv(&self) -> u64 {
         self.cross_recv
     }
@@ -189,11 +158,7 @@ impl<S: 'static> Lane<S> {
     }
 
     /// Schedule a local event at absolute time `at` (clamped to `now`).
-    pub fn schedule_at(
-        &mut self,
-        at: Time,
-        f: impl FnOnce(&mut Lane<S>) + Send + 'static,
-    ) -> EventId {
+    pub fn schedule_at(&mut self, at: Time, f: impl FnOnce(&mut Lane<S>) + 'static) -> EventId {
         crate::invariant!(
             at >= self.now,
             "lane {} scheduling into the past: {at:?} < {:?}",
@@ -206,11 +171,7 @@ impl<S: 'static> Lane<S> {
     }
 
     /// Schedule a local event after delay `d`.
-    pub fn schedule_in(
-        &mut self,
-        d: Dur,
-        f: impl FnOnce(&mut Lane<S>) + Send + 'static,
-    ) -> EventId {
+    pub fn schedule_in(&mut self, d: Dur, f: impl FnOnce(&mut Lane<S>) + 'static) -> EventId {
         self.schedule_at(self.now.saturating_add(d), f)
     }
 
@@ -222,7 +183,7 @@ impl<S: 'static> Lane<S> {
 
     /// Start a self-re-arming periodic callback (fire-and-forget; the
     /// keepalive-tick idiom). First firing after `period`.
-    pub fn start_periodic(&mut self, period: Dur, f: impl FnMut(&mut Lane<S>) + Send + 'static) {
+    pub fn start_periodic(&mut self, period: Dur, f: impl FnMut(&mut Lane<S>) + 'static) {
         let idx = self.sched.make_timer(Some(period), Box::new(f));
         let at = self.now.saturating_add(period);
         let seq = self.next_seq();
@@ -231,19 +192,17 @@ impl<S: 'static> Lane<S> {
 
     /// Send a cross-lane event: run `f` on lane `dst` after `delay`.
     ///
-    /// `delay` must be at least the configured lookahead `L` — that is
-    /// the conservative-synchronization contract that lets shards run a
-    /// whole round without hearing from each other. Checked under
+    /// `delay` must be at least [`LOOKAHEAD`] — the contract that lets a
+    /// whole round run before its cross sends are merged. Checked under
     /// `debug_invariants` (and always clamped, so release builds stay
     /// deterministic rather than subtly early).
-    pub fn send_to(&mut self, dst: u32, delay: Dur, f: impl FnOnce(&mut Lane<S>) + Send + 'static) {
+    pub fn send_to(&mut self, dst: u32, delay: Dur, f: impl FnOnce(&mut Lane<S>) + 'static) {
         crate::invariant!(
-            delay >= self.lookahead,
-            "lane {} cross-send below the lookahead horizon: {delay:?} < {:?}",
-            self.id,
-            self.lookahead
+            delay >= LOOKAHEAD,
+            "lane {} cross-send below the lookahead horizon: {delay:?} < {LOOKAHEAD:?}",
+            self.id
         );
-        let delay = delay.max(self.lookahead);
+        let delay = delay.max(LOOKAHEAD);
         let src_seq = self.next_seq();
         self.cross_sent += 1;
         self.outbox.push(CrossEvent {
@@ -326,201 +285,17 @@ impl<S: 'static> Lane<S> {
     }
 }
 
-/// A reusable sense-counting barrier that, unlike `std::sync::Barrier`,
-/// can be *poisoned*: when a worker panics mid-round (an `invariant!`
-/// firing inside lane code), its peers unblock and panic too instead of
-/// parking forever — a deadlocked differential test tells you nothing,
-/// a propagated panic dumps the diverging event. Yield-spinning is fine
-/// here: rounds are short and workers ≤ cores is the expected shape.
-struct RoundBarrier {
-    n: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    poisoned: AtomicBool,
-}
-
-impl RoundBarrier {
-    fn new(n: usize) -> RoundBarrier {
-        RoundBarrier {
-            n,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-
-    /// Block until all `n` workers arrive; returns `true` for exactly
-    /// one of them (the round leader). Panics if a peer poisoned the
-    /// barrier.
-    fn wait(&self) -> bool {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation
-                .store(generation.wrapping_add(1), Ordering::Release);
-            true
-        } else {
-            while self.generation.load(Ordering::Acquire) == generation {
-                if self.poisoned.load(Ordering::Relaxed) {
-                    panic!("a peer lane worker panicked; see its message above");
-                }
-                std::thread::yield_now();
-            }
-            false
-        }
-    }
-}
-
-/// Poisons the barrier if dropped during an unwind, so a panic in one
-/// worker fails the whole run loudly instead of deadlocking peers.
-struct PoisonOnPanic<'a>(&'a RoundBarrier);
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poisoned.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Round bookkeeping shared by all workers of one `run_until` call.
-struct RoundShared {
-    barrier: RoundBarrier,
-    /// Per-shard minimum pending instant (`u64::MAX` = shard is idle).
-    mins: Vec<AtomicU64>,
-    /// Exclusive execution bound for the current round, in nanoseconds.
-    bound: AtomicU64,
-    done: AtomicBool,
-}
-
-/// The round loop, identical for the inline (`shards == 1`) and threaded
-/// paths. `lanes` is this worker's contiguous slice, `base` the global
-/// index of its first lane.
-///
-/// A round costs O(lanes with work), not O(lanes) (DESIGN.md §3.15):
-/// `next[i]` caches lane `i`'s `next_live_at()`. A lane's live head moves
-/// in only three ways — its owner touched it between `run_until` calls
-/// (the cache is rebuilt per call), a merge scheduled an earlier cross
-/// event (lowered), or the lane executed (refreshed once afterwards) — so
-/// the shard minimum is a min over the array, and a lane with
-/// `next[i] >= bound` is skipped: `exec_until` would pop nothing. It must
-/// be the *live* head, not the head key: the global minimum fixes the
-/// round bounds, and those fix when merges allocate sequence numbers.
-#[allow(clippy::too_many_arguments)]
-fn worker<S: Send + 'static>(
-    shard: usize,
-    shards: usize,
-    lanes: &mut [Lane<S>],
-    base: usize,
-    shard_of: &[u32],
-    mailboxes: &[Mutex<Vec<CrossEvent<S>>>],
-    shared: &RoundShared,
-    deadline: Time,
-    lookahead: Dur,
-) {
-    let _poison = PoisonOnPanic(&shared.barrier);
-    let mut inbound: Vec<CrossEvent<S>> = Vec::new();
-    let mut outbound: Vec<Vec<CrossEvent<S>>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut next: Vec<u64> = lanes.iter_mut().map(Lane::next_ns).collect();
-    let mut rounds = 0u64;
-    loop {
-        // Phase A — merge: drain this shard's mailboxes (fixed src-shard
-        // order; ordering is irrelevant because the sort key is unique),
-        // fold into destination lanes, then publish the shard's minimum.
-        for src in 0..shards {
-            let mut mb = mailboxes[shard * shards + src].lock().expect("mailbox");
-            inbound.append(&mut mb);
-        }
-        inbound.sort_unstable_by_key(|e| (e.dst, e.at, e.src, e.src_seq));
-        for ev in inbound.drain(..) {
-            let i = ev.dst as usize - base;
-            next[i] = next[i].min(lanes[i].merge_inbound(ev).nanos());
-        }
-        let min = next.iter().copied().min().unwrap_or(u64::MAX);
-        shared.mins[shard].store(min, Ordering::Relaxed);
-
-        // Phase B — bound: one worker (whichever the barrier elects)
-        // reduces the minima; the result is a pure function of the
-        // atomics, so the election does not matter.
-        if shared.barrier.wait() {
-            let gmin = shared
-                .mins
-                .iter()
-                .map(|m| m.load(Ordering::Relaxed))
-                .min()
-                .unwrap_or(u64::MAX);
-            if gmin == u64::MAX || gmin > deadline.nanos() {
-                shared.done.store(true, Ordering::Relaxed);
-            } else {
-                let bound = gmin
-                    .saturating_add(lookahead.as_nanos().max(1))
-                    .min(deadline.nanos().saturating_add(1));
-                shared.bound.store(bound, Ordering::Relaxed);
-            }
-        }
-        shared.barrier.wait();
-        if shared.done.load(Ordering::Relaxed) {
-            // Every lane sat in every round, executed or skipped.
-            for lane in lanes.iter_mut() {
-                lane.rounds += rounds;
-            }
-            return;
-        }
-        let bound = Time(shared.bound.load(Ordering::Relaxed));
-
-        // Phase C — execute: every lane with work below the bound runs
-        // serially; cross sends stage in lane outboxes and flush to the
-        // pair mailboxes for the next round's merge. The first round
-        // visits every lane, flushing sends staged through `lane_mut`.
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            if next[i] >= bound.nanos() && rounds > 0 {
-                continue;
-            }
-            lane.exec_until(bound);
-            next[i] = lane.next_ns();
-            for ev in lane.outbox.drain(..) {
-                outbound[shard_of[ev.dst as usize] as usize].push(ev);
-            }
-        }
-        rounds += 1;
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            crate::invariant!(
-                next[i] == lane.next_ns(),
-                "lane {} head cache is stale after round {rounds}: {}",
-                lane.id,
-                next[i]
-            );
-        }
-        for (dst_shard, evs) in outbound.iter_mut().enumerate() {
-            if evs.is_empty() {
-                continue;
-            }
-            let mut mb = mailboxes[dst_shard * shards + shard]
-                .lock()
-                .expect("mailbox");
-            mb.append(evs);
-        }
-        // Flush barrier: nobody drains a round-N+1 mailbox until every
-        // shard has finished writing its round-N cross sends. Without
-        // this, a fast shard could merge-and-advance past an event a
-        // slow shard was still flushing — the classic straggler race.
-        shared.barrier.wait();
-    }
-}
-
 /// A cluster of per-host event lanes executing under conservative
 /// lookahead. See the module docs for the determinism argument.
 pub struct ShardWorld<S> {
     lanes: Vec<Lane<S>>,
-    cfg: ShardConfig,
     now: Time,
 }
 
-impl<S: Send + 'static> ShardWorld<S> {
+impl<S: 'static> ShardWorld<S> {
     /// Build a world with one lane per entry of `states`; lane `i` gets
     /// RNG stream `fork_idx(i)` of the root seed.
-    pub fn new(cfg: ShardConfig, seed: u64, states: Vec<S>) -> ShardWorld<S> {
-        assert!(cfg.lookahead.as_nanos() > 0, "lookahead must be positive");
+    pub fn new(_cfg: ShardConfig, seed: u64, states: Vec<S>) -> ShardWorld<S> {
         let root = SimRng::new(seed);
         let lanes = states
             .into_iter()
@@ -533,7 +308,6 @@ impl<S: Send + 'static> ShardWorld<S> {
                 rounds: 0,
                 cross_sent: 0,
                 cross_recv: 0,
-                lookahead: cfg.lookahead,
                 sched: Sched::new(),
                 outbox: Vec::new(),
                 records: Vec::new(),
@@ -543,7 +317,6 @@ impl<S: Send + 'static> ShardWorld<S> {
             .collect();
         ShardWorld {
             lanes,
-            cfg,
             now: Time::ZERO,
         }
     }
@@ -576,8 +349,7 @@ impl<S: Send + 'static> ShardWorld<S> {
     }
 
     /// Per-lane residency counters (one row per lane, in id order) — the
-    /// imbalance evidence behind the xr-stat lane panel and the sharding
-    /// battery's lane-utilization bound. Deterministic across shard counts.
+    /// evidence behind the xr-stat lane panel.
     pub fn lane_stats(&self) -> Vec<LaneStats> {
         self.lanes
             .iter()
@@ -592,74 +364,64 @@ impl<S: Send + 'static> ShardWorld<S> {
             .collect()
     }
 
-    /// Shard index of each lane: `shards` contiguous blocks, fixed by
-    /// `(lane_count, shards)` alone — deterministic from topology.
-    fn partition(&self, shards: usize) -> Vec<usize> {
-        let n = self.lanes.len();
-        (0..=shards).map(|s| s * n / shards).collect()
-    }
-
     /// Run every lane up to and including `deadline`, in lookahead
     /// rounds; afterwards all lane clocks sit exactly at `deadline`
     /// (events beyond it stay pending).
+    ///
+    /// A round merges the cross events sent so far, sorted by
+    /// `(dst, at, src, src_seq)`, takes the global minimum `gmin` over the
+    /// lanes' live heads, and runs every lane whose head lies below
+    /// `bound = min(gmin + LOOKAHEAD, deadline + 1)`. `next[i]` caches lane
+    /// `i`'s live head: it moves only when the owner touched the lane
+    /// between calls (the cache is rebuilt per call), when a merge
+    /// schedules an earlier event (lowered), or when the lane executes
+    /// (refreshed once afterwards). A lane with `next[i] >= bound` is
+    /// skipped, since `exec_until` would pop nothing. It must be the
+    /// *live* head, not the head key: `gmin` fixes the round bounds, and
+    /// those fix when merges allocate sequence numbers.
     pub fn run_until(&mut self, deadline: Time) {
-        let shards = self.cfg.shards.clamp(1, self.lanes.len().max(1));
-        let bounds = self.partition(shards);
-        let mut shard_of = vec![0u32; self.lanes.len()];
-        for s in 0..shards {
-            for lane in shard_of.iter_mut().take(bounds[s + 1]).skip(bounds[s]) {
-                *lane = s as u32;
-            }
+        // Sends staged through `lane_mut` between calls merge first, so
+        // they count toward the first round's bound.
+        let mut inbound: Vec<CrossEvent<S>> = Vec::new();
+        for lane in &mut self.lanes {
+            inbound.append(&mut lane.outbox);
         }
-        let mailboxes: Vec<Mutex<Vec<CrossEvent<S>>>> = (0..shards * shards)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
-        let shared = RoundShared {
-            barrier: RoundBarrier::new(shards),
-            mins: (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            bound: AtomicU64::new(0),
-            done: AtomicBool::new(false),
-        };
-        let lookahead = self.cfg.lookahead;
-        if shards == 1 {
-            worker(
-                0,
-                1,
-                &mut self.lanes,
-                0,
-                &shard_of,
-                &mailboxes,
-                &shared,
-                deadline,
-                lookahead,
-            );
-        } else {
-            // Split the lane vec into disjoint per-shard &mut slices.
-            let mut slices: Vec<(usize, usize, &mut [Lane<S>])> = Vec::with_capacity(shards);
-            let mut rest: &mut [Lane<S>] = &mut self.lanes;
-            let mut off = 0usize;
-            for s in 0..shards {
-                let take = bounds[s + 1] - bounds[s];
-                let (head, tail) = rest.split_at_mut(take);
-                slices.push((s, off, head));
-                rest = tail;
-                off += take;
+        let mut next: Vec<u64> = self.lanes.iter_mut().map(Lane::next_ns).collect();
+        let mut rounds = 0u64;
+        loop {
+            inbound.sort_unstable_by_key(|e| (e.dst, e.at, e.src, e.src_seq));
+            for ev in inbound.drain(..) {
+                let i = ev.dst as usize;
+                next[i] = next[i].min(self.lanes[i].merge_inbound(ev).nanos());
             }
-            let shard_of = &shard_of;
-            let mailboxes = &mailboxes;
-            let shared = &shared;
-            std::thread::scope(|scope| {
-                for (s, base, chunk) in slices {
-                    scope.spawn(move || {
-                        worker(
-                            s, shards, chunk, base, shard_of, mailboxes, shared, deadline,
-                            lookahead,
-                        );
-                    });
+            let gmin = next.iter().copied().min().unwrap_or(u64::MAX);
+            if gmin == u64::MAX || gmin > deadline.nanos() {
+                break;
+            }
+            let bound = Time(
+                gmin.saturating_add(LOOKAHEAD.as_nanos())
+                    .min(deadline.nanos().saturating_add(1)),
+            );
+            for (i, lane) in self.lanes.iter_mut().enumerate() {
+                if next[i] >= bound.nanos() {
+                    continue;
                 }
-            });
+                lane.exec_until(bound);
+                next[i] = lane.next_ns();
+                inbound.append(&mut lane.outbox);
+            }
+            rounds += 1;
+            for (i, lane) in self.lanes.iter_mut().enumerate() {
+                crate::invariant!(
+                    next[i] == lane.next_ns(),
+                    "lane {} head cache is stale after round {rounds}: {}",
+                    lane.id,
+                    next[i]
+                );
+            }
         }
         for lane in &mut self.lanes {
+            lane.rounds += rounds;
             if lane.now < deadline {
                 lane.now = deadline;
             }
@@ -698,12 +460,11 @@ impl<S: Send + 'static> ShardWorld<S> {
     }
 }
 
-impl<S: Send + std::fmt::Debug + 'static> ShardWorld<S> {
+impl<S: std::fmt::Debug + 'static> ShardWorld<S> {
     /// Everything observable about the run, serialized: per-lane clocks,
     /// sequence counters, execution counts and model state, plus the
-    /// merged record log. Byte-identical across shard counts and thread
-    /// interleavings for the same seed — the property `tests/sharding.rs`
-    /// enforces.
+    /// merged record log. Byte-identical for the same seed — the property
+    /// `tests/sharding.rs` pins.
     pub fn digest(&self) -> String {
         let mut out = String::new();
         for l in &self.lanes {
@@ -722,8 +483,8 @@ impl<S: Send + std::fmt::Debug + 'static> ShardWorld<S> {
 }
 
 // ---------------------------------------------------------------------------
-// Reference workload: a keepalive-laden incast, the model the
-// differential battery in tests/sharding.rs runs at every shard count.
+// Reference workload: a keepalive-laden incast, the model whose digest
+// tests/sharding.rs pins.
 // ---------------------------------------------------------------------------
 
 /// Per-host counters of the [`incast`] model.
@@ -736,22 +497,18 @@ pub struct IncastState {
     pub keepalives: u64,
 }
 
-/// Nanoseconds per fabric hop (the ≈500 ns floor from the paper's rack
-/// RTTs); cross-lane messages traverse two hops (host → ToR → host).
-pub const HOP_NS: u64 = 500;
-
 /// Build the reference incast: host 0 is the sink, every other host
 /// pipelines request/reply RPCs into it while all hosts run local
 /// keepalive ticks (the X-RDMA per-connection heartbeat pattern — the
-/// bulk of event volume, and exactly the work that parallelizes across
-/// lanes). Seeded events only; call [`ShardWorld::run_until`] to run.
-pub fn incast(nodes: usize, shards: usize, seed: u64) -> ShardWorld<IncastState> {
+/// bulk of event volume). Seeded events only; call
+/// [`ShardWorld::run_until`] to run.
+pub fn incast(nodes: usize, seed: u64) -> ShardWorld<IncastState> {
     assert!(nodes >= 2, "incast needs a sink and at least one client");
-    let cfg = ShardConfig {
-        shards,
-        lookahead: Dur::nanos(2 * HOP_NS),
-    };
-    let mut w = ShardWorld::new(cfg, seed, vec![IncastState::default(); nodes]);
+    let mut w = ShardWorld::new(
+        ShardConfig::default(),
+        seed,
+        vec![IncastState::default(); nodes],
+    );
     for id in 0..nodes {
         let lane = w.lane_mut(id);
         // Keepalive tick with a per-lane co-prime-ish period so firings
@@ -800,42 +557,32 @@ fn request_pump(lane: &mut Lane<IncastState>) {
 mod tests {
     use super::*;
 
-    fn digest_at(nodes: usize, shards: usize, seed: u64, until: Dur) -> String {
-        let mut w = incast(nodes, shards, seed);
+    fn digest_at(nodes: usize, seed: u64, until: Dur) -> String {
+        let mut w = incast(nodes, seed);
         w.run_until(Time(until.as_nanos()));
         w.digest()
     }
 
     #[test]
-    fn shard_counts_agree_byte_for_byte() {
-        let base = digest_at(9, 1, 42, Dur::micros(300));
-        for shards in [2usize, 3, 4, 8] {
-            let d = digest_at(9, shards, 42, Dur::micros(300));
-            assert_eq!(base, d, "shards={shards} diverged from serial");
-        }
-        assert!(base.contains("\"ev\":\"done\""), "RPCs completed: {base}");
-    }
-
-    #[test]
     fn seeds_differ() {
-        let a = digest_at(6, 2, 1, Dur::micros(200));
-        let b = digest_at(6, 2, 2, Dur::micros(200));
+        let a = digest_at(6, 1, Dur::micros(200));
+        let b = digest_at(6, 2, Dur::micros(200));
         assert_ne!(a, b, "seed must matter");
     }
 
     #[test]
     fn resumable_runs_match_single_run() {
-        let mut a = incast(5, 4, 7);
+        let mut a = incast(5, 7);
         a.run_until(Time(100_000));
         a.run_until(Time(200_000));
-        let mut b = incast(5, 4, 7);
+        let mut b = incast(5, 7);
         b.run_until(Time(200_000));
         assert_eq!(a.digest(), b.digest(), "run_until must be resumable");
     }
 
     #[test]
     fn lanes_all_reach_deadline() {
-        let mut w = incast(7, 3, 11);
+        let mut w = incast(7, 11);
         w.run_until(Time(250_000));
         for l in w.lanes() {
             assert_eq!(l.now(), Time(250_000), "lane {} starved", l.id());
@@ -847,7 +594,7 @@ mod tests {
     fn cross_events_never_beat_the_horizon() {
         // Every "done" record carries the request RTT in `b`; it can
         // never be below two cross-lane hops (2 × 2 × HOP_NS).
-        let mut w = incast(6, 2, 13);
+        let mut w = incast(6, 13);
         w.run_until(Time(300_000));
         for r in w.merged_records() {
             if r.tag == "done" {
@@ -882,33 +629,20 @@ mod tests {
             let peer = if l.id() == 7 { 40 } else { 7 };
             l.send_to(peer, Dur::nanos(1_300), ping);
         }
-        let run = |shards: usize| {
-            let cfg = ShardConfig {
-                shards,
-                ..Default::default()
-            };
-            let mut w = ShardWorld::new(cfg, 5, vec![0u64; 64]);
-            w.lane_mut(7).schedule_at(Time(10), ping);
-            w.lane_mut(40)
-                .start_periodic(Dur::nanos(700), |l| l.state += 1_000);
-            w.run_until(Time(50_000));
-            w
-        };
-        let base = run(1);
-        let stats = base.lane_stats();
+        let mut w = ShardWorld::new(ShardConfig::default(), 5, vec![0u64; 64]);
+        w.lane_mut(7).schedule_at(Time(10), ping);
+        w.lane_mut(40)
+            .start_periodic(Dur::nanos(700), |l| l.state += 1_000);
+        w.run_until(Time(50_000));
+        let stats = w.lane_stats();
         assert!(stats[0].rounds > 30, "rounds ran: {}", stats[0].rounds);
         for s in &stats {
             assert_eq!(s.rounds, stats[0].rounds, "lane {} rounds", s.lane);
             let active = s.lane == 7 || s.lane == 40;
             assert_eq!(s.executed > 0, active, "lane {} executed", s.lane);
         }
-        for l in base.lanes() {
+        for l in w.lanes() {
             assert_eq!(l.now(), Time(50_000), "lane {} starved", l.id());
-        }
-        for shards in [2usize, 4, 8] {
-            let w = run(shards);
-            assert_eq!(base.digest(), w.digest(), "shards={shards} digest");
-            assert_eq!(stats, w.lane_stats(), "shards={shards} lane_stats");
         }
     }
 
@@ -920,34 +654,26 @@ mod tests {
     /// and the second cross event would take its `seq` before `w`.
     #[test]
     fn cancelled_head_does_not_move_round_bounds() {
-        let run = |shards: usize| {
-            let cfg = ShardConfig {
-                shards,
-                ..Default::default()
-            };
-            let mut w = ShardWorld::new(cfg, 1, vec![(); 8]);
-            let lane = w.lane_mut(5);
-            let head = lane.schedule_at(Time(2_500), |l| l.emit("head", 0, 0));
-            lane.schedule_at(Time(4_000), |l| l.emit("y", 0, 0));
-            lane.schedule_at(Time(3_700), |l| {
-                l.emit("z", 0, 0);
-                l.schedule_in(Dur::nanos(300), |l| l.emit("w", 0, 0));
+        let mut w = ShardWorld::new(ShardConfig::default(), 1, vec![(); 8]);
+        let lane = w.lane_mut(5);
+        let head = lane.schedule_at(Time(2_500), |l| l.emit("head", 0, 0));
+        lane.schedule_at(Time(4_000), |l| l.emit("y", 0, 0));
+        lane.schedule_at(Time(3_700), |l| {
+            l.emit("z", 0, 0);
+            l.schedule_in(Dur::nanos(300), |l| l.emit("w", 0, 0));
+        });
+        let lane = w.lane_mut(0);
+        lane.schedule_at(Time(100), move |l| {
+            l.send_to(5, Dur::nanos(1_000), move |l| {
+                l.cancel(head);
+                l.emit("c1", 0, 0);
             });
-            let lane = w.lane_mut(0);
-            lane.schedule_at(Time(100), move |l| {
-                l.send_to(5, Dur::nanos(1_000), move |l| {
-                    l.cancel(head);
-                    l.emit("c1", 0, 0);
-                });
-            });
-            lane.schedule_at(Time(3_000), |l| {
-                l.send_to(5, Dur::nanos(1_000), |l| l.emit("c2", 0, 0));
-            });
-            w.run_until(Time(10_000));
-            w
-        };
-        let base = run(1);
-        let order: Vec<(u64, &str)> = base
+        });
+        lane.schedule_at(Time(3_000), |l| {
+            l.send_to(5, Dur::nanos(1_000), |l| l.emit("c2", 0, 0));
+        });
+        w.run_until(Time(10_000));
+        let order: Vec<(u64, &str)> = w
             .merged_records()
             .iter()
             .map(|r| (r.t.nanos(), r.tag))
@@ -962,35 +688,39 @@ mod tests {
                 (4_000, "c2")
             ]
         );
-        assert_eq!(base.lane_stats()[5].rounds, 4);
-        for shards in [2usize, 4, 8] {
-            let w = run(shards);
-            assert_eq!(base.digest(), w.digest(), "shards={shards} digest");
-            assert_eq!(base.lane_stats(), w.lane_stats(), "shards={shards}");
-        }
+        assert_eq!(w.lane_stats()[5].rounds, 4);
     }
 
     /// The head cache lives for one `run_until`: whatever the owner does
-    /// to an idle lane through `lane_mut` between two calls takes effect.
+    /// to a lane through `lane_mut` between two calls takes effect,
+    /// including a cross send staged there. The send must arrive whether
+    /// the world is busy, idle, or has its only head past the deadline.
     #[test]
     fn lane_mut_between_runs_reaches_idle_lanes() {
-        for shards in [1usize, 2, 4] {
-            let cfg = ShardConfig {
-                shards,
-                ..Default::default()
-            };
-            let mut w = ShardWorld::new(cfg, 9, vec![0u64; 4]);
-            w.lane_mut(0)
-                .start_periodic(Dur::nanos(900), |l| l.state += 1);
+        // (periodic tick on lane 0, local event on lane 3, expected state)
+        let cases = [
+            (Some(900), Some(12_000), 11),
+            (None, None, 10),
+            (None, Some(25_000), 10),
+        ];
+        for (tick, local, want) in cases {
+            let mut w = ShardWorld::new(ShardConfig::default(), 9, vec![0u64; 4]);
+            if let Some(period) = tick {
+                w.lane_mut(0)
+                    .start_periodic(Dur::nanos(period), |l| l.state += 1);
+            }
             w.run_until(Time(10_000));
             assert_eq!(w.lanes()[3].executed(), 0, "lane 3 idle so far");
-            w.lane_mut(3).schedule_at(Time(12_000), |l| l.state += 1);
+            if let Some(at) = local {
+                w.lane_mut(3).schedule_at(Time(at), |l| l.state += 1);
+            }
             w.lane_mut(2)
                 .send_to(3, Dur::nanos(2_000), |l| l.state += 10);
             w.run_until(Time(20_000));
-            assert_eq!(w.lanes()[3].state, 11, "shards={shards}");
-            assert_eq!(w.lanes()[2].cross_sent(), 1);
-            assert_eq!(w.lanes()[3].cross_recv(), 1);
+            let case = format!("tick={tick:?} local={local:?}");
+            assert_eq!(w.lanes()[3].state, want, "{case}");
+            assert_eq!(w.lanes()[2].cross_sent(), 1, "{case}");
+            assert_eq!(w.lanes()[3].cross_recv(), 1, "{case}");
         }
     }
 
@@ -998,7 +728,7 @@ mod tests {
     /// before the active-lane round loop: none of them may drift.
     #[test]
     fn incast_lane_stats_are_pinned() {
-        let mut w = incast(9, 1, 42);
+        let mut w = incast(9, 42);
         w.run_until(Time(300_000));
         let got: Vec<_> = w
             .lane_stats()

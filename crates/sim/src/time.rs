@@ -92,7 +92,7 @@ impl Dur {
 
     /// The raw nanosecond count.
     #[inline]
-    pub fn as_nanos(self) -> u64 {
+    pub const fn as_nanos(self) -> u64 {
         self.0
     }
 

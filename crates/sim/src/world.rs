@@ -5,12 +5,12 @@
 //! delays.
 //!
 //! The calendar mechanics (the timer wheel and its merge with the delay
-//! lines) live in `sched.rs`, which the parallel
+//! lines) live in `sched.rs`, which the
 //! [`crate::shard::ShardWorld`] lane engine shares; this module
 //! owns only the serial-world policy: the virtual clock, the global
 //! sequence counter, and the `Rc<World>` callback idiom. A `World` is
-//! deliberately `!Send`/`!Sync` — parallelism happens across worlds (or
-//! across [`crate::shard`] lanes), never inside one.
+//! deliberately `!Send`/`!Sync` — parallelism happens across worlds,
+//! never inside one.
 //!
 //! # Delay lines (DESIGN.md §3.17)
 //!
@@ -60,7 +60,6 @@ type WorldSched = Sched<Box<dyn FnOnce()>, Box<dyn FnMut()>>;
 pub struct World {
     now: Cell<Time>,
     seq: Cell<u64>,
-    // xrdma-lint: allow(non-send-shard-state) -- the serial Rc-world's one interior-mutable cell; Send lane state lives in shard::Lane, which carries Sched by plain &mut
     sched: RefCell<WorldSched>,
     executed: Cell<u64>,
 }

@@ -67,7 +67,6 @@ pub struct TelemetryHub {
     last_dump: RefCell<Option<Vec<Event>>>,
 }
 
-// xrdma-lint: allow(cross-shard-static) -- hub binds to one serial Rc-world per thread by design; sharded lanes never consult it — lane telemetry is the owned Lane::emit record log, merged deterministically post-run
 thread_local! {
     static CURRENT: RefCell<Option<Rc<TelemetryHub>>> = const { RefCell::new(None) };
 }

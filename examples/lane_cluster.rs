@@ -1,10 +1,9 @@
-//! Lane cluster: the real middleware stack on the threaded shard engine
-//! (DESIGN.md §3.15) — a grouped incast across per-host `Send` lanes,
-//! rendered by `xr-stat`'s lane panel.
+//! Lane cluster: the real middleware stack on the lane engine
+//! (DESIGN.md §3.15) — a grouped incast across per-host lanes, rendered
+//! by `xr-stat`'s lane panel.
 //!
-//! Runs the same scenario twice (serial inline vs 4 threaded shards) and
-//! asserts the digests are byte-identical before printing per-lane
-//! residency, the busiest/idlest lanes, and the host application counters.
+//! Prints per-lane residency, the busiest/idlest lanes, and the host
+//! application counters.
 //!
 //! Run with: `cargo run --example lane_cluster`
 
@@ -14,24 +13,14 @@ use xrdma_sim::Time;
 
 const HORIZON: Time = Time(3_000_000); // 3 ms of virtual time
 
-fn run(shards: usize) -> (String, xrdma_core::lane::HostWorld) {
-    let mut spec = IncastSpec::full(32, shards, 7);
-    spec.group = 8; // 4 racks of 8 so every shard count owns whole racks
+fn main() {
+    let mut spec = IncastSpec::full(32, 7);
+    spec.group = 8; // 4 racks of 8
     let mut w = grouped_incast(spec);
     w.run_until(HORIZON);
-    (w.digest(), w)
-}
-
-fn main() {
-    let (serial_digest, _) = run(1);
-    let (threaded_digest, w) = run(4);
-    assert_eq!(
-        serial_digest, threaded_digest,
-        "serial and threaded digests must be byte-identical"
-    );
     println!(
-        "[lane_cluster] 32 hosts, 4 racks, serial == 4-shard digest ({} bytes)",
-        threaded_digest.len()
+        "[lane_cluster] 32 hosts, 4 racks, digest {} bytes",
+        w.digest().len()
     );
 
     let stats = w.lane_stats();

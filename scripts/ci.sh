@@ -4,7 +4,7 @@
 #   build    release build of the whole workspace
 #   fmt      rustfmt in check mode
 #   clippy   all targets, warnings are errors
-#   lint     xrdma-lint determinism/shard-safety pass (DESIGN.md §7):
+#   lint     xrdma-lint determinism pass (DESIGN.md §7):
 #            regenerates results/lint.json and fails on any diagnostic,
 #            on unused allow annotations, and on malformed annotations
 #            (an inline `allow(rule) -- reason` is the only way to accept
@@ -19,11 +19,6 @@
 #                the runtime invariant checkers)
 #              - faults + telemetry + debug_invariants (fault injector
 #                live: chaos suite + fault-plan property tests)
-#              - threaded-engine leg: the sharding battery (all features)
-#                run explicitly — the real middleware stack on threaded
-#                ShardWorld lanes at shards {1,2,4,8}, byte-identical
-#                digests/telemetry/span JSONL, loss-chaos recovery, and
-#                the busiest lane's share of events
 #   paper    regenerates every experiment at full scale into a temp dir
 #            (`paper all` from the telemetry build, `paper chaos_recovery`
 #            from the faults build) and byte-compares it with results/:
@@ -57,8 +52,6 @@ run cargo test -q --workspace
 run cargo test -q --workspace --features xrdma-tests/telemetry
 run cargo test -q --workspace --features xrdma-tests/telemetry,xrdma-tests/debug_invariants
 run cargo test -q --workspace --features xrdma-tests/faults,xrdma-tests/telemetry,xrdma-tests/debug_invariants
-run cargo test -q -p xrdma-tests --test sharding \
-    --features xrdma-tests/faults,xrdma-tests/telemetry,xrdma-tests/debug_invariants
 # Each build below is already compiled; it only puts that variant's
 # `paper` back in target/release.
 paper_out="$(mktemp -d)"
