@@ -13,7 +13,7 @@ use xrdma_fabric::ecmp_hash;
 use xrdma_rnic::mem::MemTable;
 use xrdma_rnic::{AccessFlags, PageKind};
 use xrdma_sim::stats::Histogram;
-use xrdma_sim::{DelayLine, Dur, ShardConfig, ShardWorld, SimRng, Time, Timer, World};
+use xrdma_sim::{Dur, ShardConfig, ShardWorld, SimRng, Time, Timer, World};
 
 /// A one-shot that re-schedules itself `gap_ns` later, `left` times.
 fn rearm_chain(w: &Rc<World>, gap_ns: u64, left: u32) {
@@ -26,13 +26,10 @@ fn rearm_chain(w: &Rc<World>, gap_ns: u64, left: u32) {
     });
 }
 
-/// `incast_bulk`'s calendar shape: 64 packets in flight, each re-sent over
-/// one constant 250 ns hop from its own handler 100 times, beside 32
-/// re-arming timers so every pop merges line heads with calendar keys.
-/// `lines` sends the hops through a [`DelayLine`], otherwise each is a
-/// boxed `schedule_in` one-shot; the event order is the same either way.
-fn hop_storm(lines: bool) -> u64 {
-    use std::cell::RefCell;
+/// A constant-delay hop stream: 64 packets in flight, each re-sent over
+/// one 250 ns hop by a boxed `schedule_in` one-shot from its own handler
+/// 100 times, beside 32 re-arming timers.
+fn hop_storm() -> u64 {
     const HOP: Dur = Dur::nanos(250);
     fn one_shot_hop(w: &Rc<World>, left: u32) {
         if left > 0 {
@@ -48,25 +45,12 @@ fn hop_storm(lines: bool) -> u64 {
             t
         })
         .collect();
-    let own: Rc<RefCell<Option<DelayLine<u32>>>> = Rc::new(RefCell::new(None));
-    if lines {
-        let o = own.clone();
-        *own.borrow_mut() = Some(w.delay_line(HOP, move |left: u32| {
-            if left > 0 {
-                o.borrow().as_ref().expect("installed").send(left - 1);
-            }
-        }));
-    }
     for i in 0..64u64 {
         w.run_until(Time(3 * i)); // stagger the 64 packets
-        match own.borrow().as_ref() {
-            Some(line) => line.send(100),
-            None => one_shot_hop(&w, 101),
-        }
+        one_shot_hop(&w, 101);
     }
     w.run_until(Time(102 * 250));
     drop(timers);
-    *own.borrow_mut() = None; // break the handler -> handle -> world cycle
     w.events_executed()
 }
 
@@ -166,13 +150,9 @@ fn bench_event_loop(c: &mut Criterion) {
         let (w, _timers) = timer_storm(1024, 5_000, 5_000);
         b.iter(|| w.run_for(Dur::micros(5)))
     });
-    // A constant-delay hop as a delay-line entry against the boxed
-    // one-shot it replaces (DESIGN.md §3.17).
+    // A constant-delay hop as a boxed one-shot.
     g.throughput(Throughput::Elements(64 * 101));
-    g.bench_function("delay_line_hop", |b| b.iter(|| black_box(hop_storm(true))));
-    g.bench_function("schedule_in_hop", |b| {
-        b.iter(|| black_box(hop_storm(false)))
-    });
+    g.bench_function("schedule_in_hop", |b| b.iter(|| black_box(hop_storm())));
     // The `lane_incast` round shape: 256 lanes of which 8 carry a
     // self-re-arming 700 ns event, so nearly every 1 µs lookahead round
     // finds work on a few lanes and nothing on the other 248.

@@ -1,11 +1,11 @@
-//! Fabric assembly: builds the Clos out of switches, ports and cables, and
+//! Fabric assembly: builds the Clos out of switches and ports, and
 //! exposes the host-facing attach/send API the RNIC layer uses.
 
 use std::rc::Rc;
 
 use xrdma_sim::{SimRng, World};
 
-use crate::config::{FabricConfig, LINK_GBPS, PROP_DELAY, SWITCH_DELAY, UPLINK_GBPS};
+use crate::config::{FabricConfig, LINK_GBPS, PROP_DELAY, UPLINK_GBPS};
 use crate::packet::{NodeId, Packet};
 use crate::port::{Port, PortDest};
 use crate::stats::FabricStats;
@@ -44,9 +44,6 @@ impl Fabric {
         cfg.validate();
         let topo = Rc::new(Topology::from_config(&cfg));
         let stats = FabricStats::new();
-        // The fabric's two constant per-packet delays, one line each.
-        let cable = Port::cable(&world, PROP_DELAY);
-        let pipeline = Switch::pipeline(&world, SWITCH_DELAY);
 
         let mk_switch = |tier: Tier, idx: u32, n_down: usize| {
             Switch::new(
@@ -55,7 +52,6 @@ impl Fabric {
                 topo.clone(),
                 cfg.ecn,
                 cfg.pfc,
-                pipeline.clone(),
                 PROP_DELAY,
                 n_down,
                 stats.clone(),
@@ -81,7 +77,6 @@ impl Fabric {
                 world.clone(),
                 label,
                 rate,
-                cable.clone(),
                 cfg.queue_limit_bytes,
                 PortDest::Switch {
                     sw: Rc::downgrade(dst),
@@ -109,7 +104,6 @@ impl Fabric {
                 world.clone(),
                 format!("tor{t}->host{h}"),
                 LINK_GBPS,
-                cable.clone(),
                 cfg.queue_limit_bytes,
                 PortDest::Host {
                     sink: std::cell::RefCell::new(None),
@@ -240,15 +234,16 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SWITCH_DELAY;
     use crate::packet::{PRIO_RDMA, PRIO_TCP};
     use std::any::Any;
     use std::cell::RefCell;
-    use xrdma_sim::Dur;
+    use xrdma_sim::{time::wire_time, Dur, Time};
 
     struct Collect {
         world: Rc<World>,
-        got: RefCell<Vec<(u64, u64)>>, // (arrival ns, body tag)
-        pauses: RefCell<Vec<(u8, bool)>>,
+        got: RefCell<Vec<(u64, u64)>>,         // (arrival ns, body tag)
+        pauses: RefCell<Vec<(u64, u8, bool)>>, // (ns, prio, paused)
     }
     impl Collect {
         fn new(world: &Rc<World>) -> Rc<Collect> {
@@ -265,7 +260,8 @@ mod tests {
             self.got.borrow_mut().push((self.world.now().nanos(), tag));
         }
         fn pfc_pause(&self, prio: u8, paused: bool) {
-            self.pauses.borrow_mut().push((prio, paused));
+            let now = self.world.now().nanos();
+            self.pauses.borrow_mut().push((now, prio, paused));
         }
     }
 
@@ -294,8 +290,91 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].1, 42);
         // host ser 320 + prop 250 + fwd 500 + tor ser 320 + prop 250 = 1640.
+        let ser = wire_time(1000, LINK_GBPS);
+        assert_eq!(
+            Dur::nanos(got[0].0),
+            ser + PROP_DELAY + SWITCH_DELAY + ser + PROP_DELAY
+        );
         assert_eq!(got[0].0, 1640);
         assert_eq!(f.stats().snapshot().delivered_pkts, 1);
+        assert_eq!(w.events_executed(), 2, "one event per hop");
+    }
+
+    #[test]
+    fn back_to_back_packets_cross_a_switch_one_serialization_apart() {
+        let w = World::new();
+        let f = Fabric::new(w.clone(), FabricConfig::pair(), &SimRng::new(1));
+        let sink = Collect::new(&w);
+        f.attach_host(NodeId(1), sink.clone());
+        f.attach_host(NodeId(0), Collect::new(&w));
+        assert!(f.send(pkt(0, 1, 1000, 1)));
+        assert!(f.send(pkt(0, 1, 1000, 2)));
+        w.run();
+        // The second leaves the host at 640 and the ToR at 640 + 750 +
+        // 320: the ToR port had just finished the first.
+        assert_eq!(*sink.got.borrow(), vec![(1640, 1), (1960, 2)]);
+        // Four arrivals, and the host port's one wake to start the second.
+        assert_eq!(w.events_executed(), 5);
+    }
+
+    /// XOFF at the enqueue that crosses `xoff_bytes`, XON at exactly the
+    /// departure that drops the ingress counter to `xon_bytes` — even when
+    /// no packet waits behind it, so only the outstanding XOFF wakes the
+    /// port there.
+    #[test]
+    fn xon_lands_at_the_releasing_departure() {
+        let w = World::new();
+        let mut cfg = FabricConfig::pair();
+        cfg.pfc.xoff_bytes = 1500;
+        cfg.pfc.xon_bytes = 0;
+        let f = Fabric::new(w.clone(), cfg, &SimRng::new(1));
+        let (rx, tx) = (Collect::new(&w), Collect::new(&w));
+        f.attach_host(NodeId(0), rx.clone());
+        f.attach_host(NodeId(1), tx.clone());
+        // Hold the ToR's port to host 0 so both packets queue there.
+        let down = f.down_ports[0].clone();
+        down.set_paused(PRIO_RDMA, true);
+        assert!(f.send(pkt(1, 0, 1000, 1)));
+        assert!(f.send(pkt(1, 0, 1000, 2)));
+        let d = down.clone();
+        w.schedule_at(Time(10_000), move || d.set_paused(PRIO_RDMA, false));
+        w.run();
+        // Arrivals at the ToR: 1070 (1000 B charged) and 1390 (2000 B >
+        // 1500: XOFF, landing one control flight, 250 ns, later). Released
+        // at 10 000: departures 10 320 (1000 B left) and 10 640 (0: XON).
+        let tx_pauses = tx.pauses.borrow().clone();
+        assert_eq!(
+            tx_pauses,
+            vec![(1640, PRIO_RDMA, true), (10_890, PRIO_RDMA, false)]
+        );
+        assert_eq!(*rx.got.borrow(), vec![(10_570, 1), (10_890, 2)]);
+        let c = f.stats().snapshot();
+        assert_eq!((c.pause_frames, c.resume_frames), (1, 1));
+    }
+
+    /// A release whose departure has passed is applied before the XOFF
+    /// decision it would change, even when its port has been idle since
+    /// and so never woke to apply it.
+    #[test]
+    fn xoff_counts_only_bytes_still_in_the_switch() {
+        let w = World::new();
+        let mut cfg = FabricConfig::rack(3);
+        cfg.pfc.xoff_bytes = 1500;
+        cfg.pfc.xon_bytes = 0;
+        let f = Fabric::new(w.clone(), cfg, &SimRng::new(1));
+        let sinks: Vec<_> = (0..3).map(|_| Collect::new(&w)).collect();
+        for (h, sink) in sinks.iter().enumerate() {
+            f.attach_host(NodeId(h as u32), sink.clone());
+        }
+        // Host 1's first packet leaves the ToR for host 0 at 1390; its
+        // second, to host 2, is charged to the same ingress at 6070.
+        assert!(f.send(pkt(1, 0, 1000, 1)));
+        let f2 = f.clone();
+        w.schedule_at(Time(5_000), move || assert!(f2.send(pkt(1, 2, 1000, 2))));
+        w.run();
+        assert_eq!(*sinks[0].got.borrow(), vec![(1640, 1)]);
+        assert_eq!(*sinks[2].got.borrow(), vec![(6640, 2)]);
+        assert_eq!(f.stats().snapshot().pause_frames, 0, "1000 B in the switch");
     }
 
     #[test]

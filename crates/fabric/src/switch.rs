@@ -8,21 +8,24 @@
 //! structure that lets pause storms propagate hop by hop (§IX "Eradicate
 //! PFC" discusses why that matters).
 //!
-//! Per packet a switch costs one event and no allocation: the forwarding
-//! delay is an entry on the fabric's shared [`Pipeline`] delay line, from
-//! [`Switch::receive`] (route, ECN sample) to [`Switch::forwarded`]
-//! (enqueue, PFC accounting). Only PFC control frames — a few hundred per
-//! run — are scheduled as boxed one-shots.
+//! Per packet a switch costs no event of its own: the upstream port's
+//! arrival fires one propagation plus forwarding delay after the packet's
+//! departure, and [`Switch::receive`] is the whole forwarding step in one
+//! handler — route, ECN sample, enqueue, PFC ingress charge. ECN therefore
+//! samples the egress queue the packet joins at the instant it joins it,
+//! DCQCN's congestion-point rule. Ports hand PFC releases back through
+//! [`Switch::release`]. Only PFC control frames — a few hundred per run —
+//! are scheduled as boxed one-shots.
 
-use std::cell::RefCell;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::{Rc, Weak};
 
-use xrdma_sim::{invariant, DelayLine, Dur, SimRng, World};
+use xrdma_sim::{invariant, Dur, SimRng, World};
 use xrdma_telemetry::tele;
 
 use crate::config::{EcnConfig, PfcConfig};
 use crate::packet::{ecmp_hash, NodeId, Packet, NPRIO, PRIO_TCP};
-use crate::port::Port;
+use crate::port::{Port, Release};
 use crate::stats::FabricStats;
 use crate::topology::{SwitchAddr, Tier, Topology};
 
@@ -32,19 +35,6 @@ struct IngressState {
     bytes: u64,
     xoff_sent: bool,
 }
-
-/// A packet inside a switch's forwarding pipeline, routed and ECN-sampled,
-/// on its way to egress port `egress`.
-pub(crate) struct Forward {
-    sw: Rc<Switch>,
-    egress: usize,
-    ingress: usize,
-    pkt: Packet,
-}
-
-/// The fabric's forwarding pipelines: one delay line of the per-switch
-/// forwarding delay, shared by every switch.
-pub(crate) type Pipeline = DelayLine<Forward>;
 
 /// The constants of one switch's routing decision, so the per-packet
 /// lookup ([`Switch::egress`]) divides only inside `ecmp_hash`, and only
@@ -85,11 +75,14 @@ pub struct Switch {
     route: Route,
     ecn: EcnConfig,
     pfc: PfcConfig,
-    pipeline: Pipeline,
     /// Control-frame flight time back to the upstream device.
     ctrl_delay: Dur,
-    /// Egress ports in a fixed layout; `route_port` maps a NextHop to one.
-    ports: RefCell<Vec<Rc<Port>>>,
+    /// Egress ports in a fixed layout; [`Switch::egress`] maps a
+    /// destination to one.
+    ports: OnceCell<Vec<Rc<Port>>>,
+    /// (ingress, priority) pairs with an XOFF outstanding, shared with
+    /// the ports: while any is, they wake at every departure.
+    xoffs: Rc<Cell<u32>>,
     /// Down-port index base: ports[0..n_down] are down, rest up.
     n_down: usize,
     /// The port on the *upstream device* feeding each of our ingress
@@ -101,22 +94,12 @@ pub struct Switch {
 }
 
 impl Switch {
-    /// The delay line carrying packets through pipelines of
-    /// `forward_delay`.
-    pub(crate) fn pipeline(world: &Rc<World>, forward_delay: Dur) -> Pipeline {
-        world.delay_line(forward_delay, |f: Forward| {
-            f.sw.forwarded(f.egress, f.pkt, f.ingress)
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         world: Rc<World>,
         addr: SwitchAddr,
         topo: Rc<Topology>,
         ecn: EcnConfig,
         pfc: PfcConfig,
-        pipeline: Pipeline,
         ctrl_delay: Dur,
         n_down: usize,
         stats: Rc<FabricStats>,
@@ -146,9 +129,9 @@ impl Switch {
             route,
             ecn,
             pfc,
-            pipeline,
             ctrl_delay,
-            ports: RefCell::new(Vec::new()),
+            ports: OnceCell::new(),
+            xoffs: Rc::new(Cell::new(0)),
             n_down,
             upstream: RefCell::new(Vec::new()),
             ingress: RefCell::new(Vec::new()),
@@ -161,9 +144,13 @@ impl Switch {
     /// by the fabric builder.
     pub(crate) fn set_ports(self: &Rc<Self>, ports: Vec<Rc<Port>>) {
         for p in &ports {
-            p.set_owner(self);
+            p.set_owner(self, self.xoffs.clone());
         }
-        *self.ports.borrow_mut() = ports;
+        assert!(self.ports.set(ports).is_ok(), "ports wired twice");
+    }
+
+    fn ports(&self) -> &[Rc<Port>] {
+        self.ports.get().map_or(&[], Vec::as_slice)
     }
 
     /// Reserve a new ingress index for a cable being wired up. The upstream
@@ -217,15 +204,14 @@ impl Switch {
         }
     }
 
-    /// A packet arrives from cable `ingress`: route it, sample the egress
-    /// queue for ECN now, and enqueue one forwarding delay later.
-    pub(crate) fn receive(self: &Rc<Self>, mut pkt: Packet, ingress: usize) {
-        let egress = self.egress(pkt.dst, pkt.flow_hash);
+    /// A packet arrives from cable `ingress`, one forwarding delay after
+    /// it left the upstream port: route it, ECN-sample the egress queue it
+    /// joins, enqueue it there and charge it to its ingress for PFC.
+    pub(crate) fn receive(&self, mut pkt: Packet, ingress: usize) {
+        let port = &self.ports()[self.egress(pkt.dst, pkt.flow_hash)];
 
         // ECN marking against the chosen egress queue depth (RED).
         if pkt.ecn_capable && self.ecn.enabled {
-            let ports = self.ports.borrow();
-            let port = &ports[egress];
             let p = self.ecn.mark_probability(port.queue_bytes(pkt.prio));
             if p > 0.0 && self.rng.borrow_mut().chance(p) && !pkt.ecn_marked {
                 pkt.ecn_marked = true;
@@ -237,59 +223,79 @@ impl Switch {
             }
         }
 
-        self.pipeline.send(Forward {
-            sw: self.clone(),
-            egress,
-            ingress,
-            pkt,
-        });
+        // A packet dropped at a full queue is not charged.
+        let (prio, size) = (pkt.prio, pkt.size_bytes as u64);
+        if port.enqueue(pkt, ingress) {
+            self.charge(ingress, prio, size);
+        }
     }
 
-    /// The end of the forwarding pipeline: enqueue at egress and charge
-    /// the packet to its ingress for PFC.
-    fn forwarded(&self, egress: usize, pkt: Packet, ingress: usize) {
-        let prio = pkt.prio;
-        let size = pkt.size_bytes as u64;
-        if !self.ports.borrow()[egress].enqueue(pkt, ingress) {
-            // Dropped at full queue: no ingress accounting was added.
-            return;
-        }
-        // PFC ingress accounting for lossless classes.
+    /// PFC ingress accounting for a packet just enqueued: pause the
+    /// upstream sender when its ingress counter crosses `xoff_bytes`.
+    fn charge(&self, ingress: usize, prio: u8, size: u64) {
         if !self.pfc.enabled || prio == PRIO_TCP {
             return;
         }
-        let send_xoff = {
+        let crossed = {
             let st = &mut self.ingress.borrow_mut()[ingress][prio as usize];
             st.bytes += size;
-            let crossed = st.bytes > self.pfc.xoff_bytes && !st.xoff_sent;
-            st.xoff_sent |= crossed;
-            crossed
+            st.bytes > self.pfc.xoff_bytes && !st.xoff_sent
+        };
+        if !crossed {
+            return;
+        }
+        // The counter over-estimates by every release whose departure has
+        // passed but whose port has not applied it yet (a port applies its
+        // own at its next wake or start): apply them all, then decide.
+        let now = self.world.now();
+        for port in self.ports() {
+            if let Some(release) = port.take_due_release(now) {
+                self.release(release);
+            }
+        }
+        invariant!(
+            !self.ports().iter().any(|p| p.has_due_release(now)),
+            "{:?}: XOFF decided at {now:?} with a due release unapplied",
+            self.addr
+        );
+        let send_xoff = {
+            let st = &mut self.ingress.borrow_mut()[ingress][prio as usize];
+            let send = st.bytes > self.pfc.xoff_bytes && !st.xoff_sent;
+            st.xoff_sent |= send;
+            send
         };
         if send_xoff {
+            if self.xoffs.get() == 0 {
+                for port in self.ports() {
+                    port.wake_at_departure();
+                }
+            }
+            self.xoffs.set(self.xoffs.get() + 1);
             self.send_pfc(ingress, prio, true);
         }
     }
 
-    /// Egress accounting hook: `size` bytes that entered via `ingress`
-    /// have left the switch.
-    pub(crate) fn on_dequeued(self: &Rc<Self>, ingress: usize, prio: u8, size: u32) {
-        if !self.pfc.enabled || prio == PRIO_TCP {
+    /// A port's PFC release: `size` bytes that entered via `ingress` have
+    /// left the switch, at or before now. Resumes the upstream sender once
+    /// the ingress counter falls to `xon_bytes`.
+    pub(crate) fn release(&self, r: Release) {
+        if !self.pfc.enabled || r.prio == PRIO_TCP {
             return;
         }
         let send_xon = {
             let mut ing = self.ingress.borrow_mut();
-            let st = &mut ing[ingress][prio as usize];
+            let st = &mut ing[r.ingress][r.prio as usize];
             // PFC pause/resume decisions key off this counter; an underflow
             // here would wedge an XOFF on (or never send one) forever.
             invariant!(
-                st.bytes >= size as u64,
+                st.bytes >= r.size as u64,
                 "PFC ingress accounting underflow: ingress {} prio {} has {} bytes, releasing {}",
-                ingress,
-                prio,
+                r.ingress,
+                r.prio,
                 st.bytes,
-                size
+                r.size
             );
-            st.bytes = st.bytes.saturating_sub(size as u64);
+            st.bytes = st.bytes.saturating_sub(r.size as u64);
             if st.xoff_sent && st.bytes <= self.pfc.xon_bytes {
                 st.xoff_sent = false;
                 true
@@ -298,7 +304,8 @@ impl Switch {
             }
         };
         if send_xon {
-            self.send_pfc(ingress, prio, false);
+            self.xoffs.set(self.xoffs.get() - 1);
+            self.send_pfc(r.ingress, r.prio, false);
         }
     }
 
@@ -338,14 +345,14 @@ impl Switch {
 
     /// Convenience: sum of all egress queue occupancy.
     pub fn buffered_bytes(&self) -> u64 {
-        self.ports.borrow().iter().map(|p| p.total_queued()).sum()
+        self.ports().iter().map(|p| p.total_queued()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FabricConfig, PROP_DELAY, SWITCH_DELAY};
+    use crate::config::{FabricConfig, PROP_DELAY};
     use crate::topology::NextHop;
 
     impl Switch {
@@ -379,7 +386,6 @@ mod tests {
         for cfg in [FabricConfig::cluster(2, 4, 8), FabricConfig::pod(4, 8, 2)] {
             let world = World::new();
             let topo = Rc::new(Topology::from_config(&cfg));
-            let pipeline = Switch::pipeline(&world, SWITCH_DELAY);
             let tiers = [
                 (Tier::Tor, topo.n_tors(), cfg.hosts_per_tor),
                 (Tier::Leaf, topo.n_leaves(), cfg.tors_per_pod),
@@ -395,7 +401,6 @@ mod tests {
                         topo.clone(),
                         cfg.ecn,
                         cfg.pfc,
-                        pipeline.clone(),
                         PROP_DELAY,
                         n_down as usize,
                         FabricStats::new(),

@@ -50,22 +50,9 @@
 //! Cancellation never searches the calendar: each slab slot carries a
 //! generation counter, a key is live iff its generation matches, and stale
 //! keys are discarded when popped.
-//!
-//! # Delay lines (DESIGN.md §3.17)
-//!
-//! Beside the calendar a scheduler holds any number of *delay lines*: a
-//! FIFO of `(at, seq)` keys per constant delay, sorted by construction.
-//! [`Sched::pop_next`] is the merge — `bound = min(line heads, deadline)`,
-//! pop the calendar while its live head is below `bound`, else fire the
-//! earliest line head — so the pop sequence is still the global
-//! `(at, seq)` order. A line owns its handler: `pop_next` hands it out as
-//! [`Next::Line`] and [`Sched::finish_line_fire`] puts it back. Only the
-//! serial world opens lines; a lane engine's `Sched` has none and pops
-//! through [`Sched::pop_fired_before`], whose [`Fired`] has no line
-//! variant.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::{Dur, Time};
 
@@ -359,30 +346,10 @@ struct TimerSlot<M> {
     f: Option<M>,
 }
 
-/// A delay line (`World::delay_line`): the `(at, seq)` keys of a constant
-/// delay's in-flight entries, oldest first. Sorted by construction — the
-/// owner's clock is monotone, the delay is constant and `seq` increases —
-/// so the front is the line's minimum and a send is a `push_back`: no
-/// slab slot, no calendar key, no boxed closure. The line owns its fire
-/// closure.
-struct Line<M> {
-    keys: VecDeque<(Time, u64)>,
-    /// The line's handler; `None` only while it runs.
-    f: Option<M>,
-}
-
 /// What a popped live calendar key resolved to.
 pub(crate) enum Fired<O, M> {
     OneShot(O),
     Timer { idx: u32, gen: u32, f: M },
-}
-
-/// What [`Sched::pop_next`] resolved to: a calendar firing, or an entry
-/// of line `idx` with the line's handler, to be given back through
-/// [`Sched::finish_line_fire`].
-pub(crate) enum Next<O, M> {
-    Cal(Fired<O, M>),
-    Line { idx: u32, f: M },
 }
 
 /// Calendar plus slab arena: the whole scheduler state behind one `&mut`.
@@ -395,10 +362,7 @@ pub(crate) struct Sched<O, M> {
     free_events: Vec<u32>,
     timers: Vec<TimerSlot<M>>,
     free_timers: Vec<u32>,
-    /// Delay lines, merged with the calendar by [`Self::pop_next`].
-    lines: Vec<Line<M>>,
-    /// Logically pending firings: scheduled one-shots, armed timers and
-    /// delay-line entries.
+    /// Logically pending firings: scheduled one-shots and armed timers.
     live: usize,
     /// Key of the last firing [`Self::pop_next`] returned (checker state).
     last_fired: Option<(Time, u64)>,
@@ -412,7 +376,6 @@ impl<O, M> Sched<O, M> {
             free_events: Vec::new(),
             timers: Vec::new(),
             free_timers: Vec::new(),
-            lines: Vec::new(),
             live: 0,
             last_fired: None,
         }
@@ -563,26 +526,9 @@ impl<O, M> Sched<O, M> {
         }
     }
 
-    /// Pop the next live calendar firing whose `(at, seq)` is strictly
-    /// below `bound`, discarding stale keys below it on the way: one
-    /// calendar peek per event.
-    fn pop_fired_below(&mut self, bound: (Time, u64)) -> Option<(Key, Fired<O, M>)> {
-        loop {
-            let key = self.calendar.peek_min()?;
-            if (key.at, key.seq) >= bound {
-                return None;
-            }
-            let _ = self.calendar.pop_min();
-            if let Some(fired) = self.take_fired(key) {
-                return Some((key, fired));
-            }
-        }
-    }
-
     /// Pop the next live firing strictly before `bound`, discarding stale
     /// keys below it on the way — the lane engine's fused
-    /// `next_live_at` + pop, one calendar peek per event. Not expressed as
-    /// `pop_fired_below((bound, 0))`: that read +5 % on `lane_incast`.
+    /// `next_live_at` + pop, one calendar peek per event.
     pub(crate) fn pop_fired_before(&mut self, bound: Time) -> Option<(Time, Fired<O, M>)> {
         loop {
             let key = self.calendar.peek_min()?;
@@ -596,81 +542,27 @@ impl<O, M> Sched<O, M> {
         }
     }
 
-    /// Open a delay line whose entries fire the closure `f` builds from
-    /// the new line's index, which is returned. Lines are never freed:
-    /// make one per component, not per packet — [`Self::pop_next`] scans
-    /// every line's head on every event.
-    pub(crate) fn make_line(&mut self, f: impl FnOnce(u32) -> M) -> u32 {
-        let idx = self.lines.len() as u32;
-        self.lines.push(Line {
-            keys: VecDeque::new(),
-            f: Some(f(idx)),
-        });
-        idx
-    }
-
-    /// Append an entry to `line`. The caller stamps `(at, seq)` exactly as
-    /// it would for [`Self::schedule`], with the line's constant delay.
-    pub(crate) fn line_send(&mut self, line: u32, at: Time, seq: u64) {
-        self.live += 1;
-        self.lines[line as usize].keys.push_back((at, seq));
-    }
-
-    /// Entries in flight on `line`.
-    pub(crate) fn line_len(&self, line: u32) -> usize {
-        self.lines[line as usize].keys.len()
-    }
-
-    /// Pop the next firing at or before `deadline`: the global `(at, seq)`
-    /// minimum over the calendar's live keys and every delay line's head.
-    /// A line entry resolves to its line's handler as [`Next::Line`]; give
-    /// it back with [`Self::finish_line_fire`].
-    pub(crate) fn pop_next(&mut self, deadline: Time) -> Option<(Time, Next<O, M>)> {
-        let mut bound = (deadline, u64::MAX);
-        let mut first = None;
-        for (i, line) in self.lines.iter().enumerate() {
-            match line.keys.front() {
-                Some(&head) if head < bound => {
-                    bound = head;
-                    first = Some(i);
-                }
-                _ => {}
+    /// Pop the next live firing at or before `deadline`, discarding stale
+    /// keys on the way: one calendar peek per event.
+    pub(crate) fn pop_next(&mut self, deadline: Time) -> Option<(Time, Fired<O, M>)> {
+        loop {
+            let key = self.calendar.peek_min()?;
+            if key.at > deadline {
+                return None;
             }
+            let _ = self.calendar.pop_min();
+            let Some(fired) = self.take_fired(key) else {
+                continue;
+            };
+            let key = (key.at, key.seq);
+            crate::invariant!(
+                self.last_fired.is_none_or(|last| last < key),
+                "event order went backwards: {key:?} after {:?}",
+                self.last_fired
+            );
+            self.last_fired = Some(key);
+            return Some((key.0, fired));
         }
-        let (key, next) = match self.pop_fired_below(bound) {
-            Some((k, fired)) => ((k.at, k.seq), Next::Cal(fired)),
-            None => {
-                let idx = first?;
-                let line = &mut self.lines[idx];
-                let key = line.keys.pop_front().expect("head was read above");
-                // Merge obligations (DESIGN.md §7.2): a line is sorted, and
-                // its head fires only when no calendar key precedes it.
-                crate::invariant!(
-                    line.keys.front().is_none_or(|&next| key < next),
-                    "delay line out of order: fired {key:?}, new head {:?}",
-                    line.keys.front()
-                );
-                let f = line.f.take().expect("handlers do not run the world");
-                crate::invariant!(
-                    self.calendar.peek_min().is_none_or(|k| key < (k.at, k.seq)),
-                    "delay line entry {key:?} fired past the calendar head"
-                );
-                self.live -= 1;
-                (key, Next::Line { idx: idx as u32, f })
-            }
-        };
-        crate::invariant!(
-            self.last_fired.is_none_or(|last| last < key),
-            "event order went backwards: {key:?} after {:?}",
-            self.last_fired
-        );
-        self.last_fired = Some(key);
-        Some((key.0, next))
-    }
-
-    /// Give line `idx`'s handler back after it ran.
-    pub(crate) fn finish_line_fire(&mut self, idx: u32, f: M) {
-        self.lines[idx as usize].f = Some(f);
     }
 
     /// Give a timer closure back to its slot after a firing; returns
@@ -722,47 +614,6 @@ mod tests {
             slot: 0,
             gen: 0,
         }
-    }
-
-    type TestSched = Sched<Box<dyn FnOnce()>, Box<dyn FnMut()>>;
-
-    #[test]
-    fn pop_next_merges_lines_and_calendar_by_at_then_seq() {
-        let mut s = TestSched::new();
-        let a = s.make_line(|_| Box::new(|| {}));
-        let b = s.make_line(|_| Box::new(|| {}));
-        // seq order at t=100: calendar 0, line a 1, calendar 2, line b 3.
-        s.schedule(Time(100), 0, Box::new(|| {}));
-        s.line_send(a, Time(100), 1);
-        s.schedule(Time(100), 2, Box::new(|| {}));
-        s.line_send(b, Time(100), 3);
-        s.line_send(a, Time(101), 4); // past the deadline below
-        assert_eq!(s.pending(), 5);
-        let mut order = Vec::new();
-        for _ in 0..4 {
-            let (at, next) = s.pop_next(Time(100)).expect("four due");
-            order.push(match next {
-                Next::Cal(Fired::OneShot(_)) => (at, 'c'),
-                Next::Cal(Fired::Timer { .. }) => panic!("no timer was armed"),
-                Next::Line { idx, f } => {
-                    s.finish_line_fire(idx, f);
-                    (at, if idx == a { 'a' } else { 'b' })
-                }
-            });
-        }
-        let t = Time(100);
-        assert_eq!(order, [(t, 'c'), (t, 'a'), (t, 'c'), (t, 'b')]);
-        assert_eq!((s.pending(), s.line_len(a)), (1, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "delay line out of order")]
-    fn unsorted_line_trips_the_checker() {
-        let mut s = TestSched::new();
-        let line = s.make_line(|_| Box::new(|| {}));
-        s.line_send(line, Time(300), 0);
-        s.line_send(line, Time(250), 1); // a delay that shrank between sends
-        s.pop_next(Time(1_000));
     }
 
     /// The ladder's dense bucket: 4096 keys in one tick, each re-armed

@@ -1,37 +1,20 @@
 //! The serial event loop: an `Rc`-shared façade over the calendar + slab
 //! scheduler core in [`crate::sched`], with stable FIFO tie-breaking,
-//! O(1) generation-counter cancellation, a re-armable [`Timer`] API that
-//! boxes its closure exactly once, and typed [`DelayLine`]s for constant
-//! delays.
+//! O(1) generation-counter cancellation, and a re-armable [`Timer`] API
+//! that boxes its closure exactly once.
 //!
-//! The calendar mechanics (the timer wheel and its merge with the delay
-//! lines) live in `sched.rs`, which the
+//! The calendar mechanics (the timer wheel) live in `sched.rs`, which the
 //! [`crate::shard::ShardWorld`] lane engine shares; this module
 //! owns only the serial-world policy: the virtual clock, the global
 //! sequence counter, and the `Rc<World>` callback idiom. A `World` is
 //! deliberately `!Send`/`!Sync` — parallelism happens across worlds,
 //! never inside one.
-//!
-//! # Delay lines (DESIGN.md §3.17)
-//!
-//! A fabric hop is a *constant* delay applied to a stream of packets:
-//! cable propagation, switch pipeline. Scheduled as one-shots, each costs
-//! a boxed closure, a slab slot and a trip through the calendar heap. A
-//! [`DelayLine`] keeps the same `(now + delay, next_seq())` key in a FIFO
-//! instead — the keys are sorted because `now` is monotone, `delay` is
-//! constant and `seq` increases — and the run loop pops the global
-//! `(at, seq)` minimum over the calendar and the line heads. Every key
-//! still comes from the one sequence counter at the same call instant, so
-//! a line entry fires exactly where the `schedule_in` it replaces would
-//! have: event order, [`World::events_executed`] and [`World::pending`]
-//! are unchanged.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 pub use crate::sched::EventId;
-use crate::sched::{Fired, Next, Sched};
+use crate::sched::{Fired, Sched};
 use crate::time::{Dur, Time};
 
 /// The scheduler specialization the serial world runs on: plain boxed
@@ -86,8 +69,8 @@ impl World {
         self.executed.get()
     }
 
-    /// Number of events logically pending: scheduled one-shots, armed
-    /// timers and delay-line entries, excluding anything already cancelled.
+    /// Number of events logically pending: scheduled one-shots and armed
+    /// timers, excluding anything already cancelled.
     pub fn pending(&self) -> usize {
         self.sched.borrow().pending()
     }
@@ -159,48 +142,6 @@ impl World {
         self.sched.borrow_mut().arm_timer(idx, at, seq);
     }
 
-    /// Open a [`DelayLine`]: every item [`DelayLine::send`]s is handed to
-    /// `handler` exactly `delay` later, in the order a
-    /// `schedule_in(delay, ..)` per item would have run.
-    ///
-    /// The world keeps `handler` for its whole life, so it must not
-    /// capture an `Rc<World>` (or anything owning one) — the same
-    /// ownership rule as [`Timer`] closures. Lines are never freed and the
-    /// run loop looks at every line's head on every event: make one per
-    /// component and delay, not one per packet or per port.
-    pub fn delay_line<T: 'static>(
-        self: &Rc<Self>,
-        delay: Dur,
-        handler: impl Fn(T) + 'static,
-    ) -> DelayLine<T> {
-        let items = Rc::new(RefCell::new(VecDeque::new()));
-        let queue = items.clone();
-        let world = Rc::downgrade(self);
-        let idx = self.sched.borrow_mut().make_line(|idx| {
-            Box::new(move || {
-                let item = queue
-                    .borrow_mut()
-                    .pop_front()
-                    .expect("every line key has its item");
-                // Key/item accounting (DESIGN.md §7.2): the run loop just
-                // popped this entry's key, and we its item.
-                crate::invariant!(
-                    world
-                        .upgrade()
-                        .is_some_and(|w| w.sched.borrow().line_len(idx) == queue.borrow().len()),
-                    "delay line {idx}: keys and items out of step"
-                );
-                handler(item);
-            })
-        });
-        DelayLine {
-            world: self.clone(),
-            idx,
-            delay,
-            items,
-        }
-    }
-
     /// Pop and execute the next event at or before `deadline`; `false`
     /// when there is none (cancelled events are skipped transparently).
     fn step_until(&self, deadline: Time) -> bool {
@@ -211,12 +152,8 @@ impl World {
         self.now.set(at);
         self.executed.set(self.executed.get() + 1);
         match next {
-            Next::Line { idx, mut f } => {
-                f();
-                self.sched.borrow_mut().finish_line_fire(idx, f);
-            }
-            Next::Cal(Fired::OneShot(f)) => f(),
-            Next::Cal(Fired::Timer { idx, gen, mut f }) => {
+            Fired::OneShot(f) => f(),
+            Fired::Timer { idx, gen, mut f } => {
                 f();
                 // Give the closure back to its slot — unless the handle
                 // was dropped (and the slot possibly re-allocated)
@@ -318,41 +255,6 @@ impl std::fmt::Debug for Timer {
             .field("idx", &self.idx)
             .field("armed", &self.is_armed())
             .finish()
-    }
-}
-
-/// A typed FIFO for one constant delay, created by [`World::delay_line`].
-///
-/// Handles are cheap to clone and all feed the same line. Entries cannot
-/// be cancelled, and they outlive the handles: an item in flight when the
-/// last handle drops is still delivered.
-pub struct DelayLine<T> {
-    world: Rc<World>,
-    idx: u32,
-    delay: Dur,
-    /// In-flight items, parallel to the line's keys in the scheduler.
-    items: Rc<RefCell<VecDeque<T>>>,
-}
-
-impl<T> DelayLine<T> {
-    /// Hand `item` to the line's handler `delay` from now.
-    pub fn send(&self, item: T) {
-        let w = &self.world;
-        let at = w.now().saturating_add(self.delay);
-        let seq = w.next_seq();
-        w.sched.borrow_mut().line_send(self.idx, at, seq);
-        self.items.borrow_mut().push_back(item);
-    }
-}
-
-impl<T> Clone for DelayLine<T> {
-    fn clone(&self) -> Self {
-        DelayLine {
-            world: self.world.clone(),
-            idx: self.idx,
-            delay: self.delay,
-            items: self.items.clone(),
-        }
     }
 }
 
@@ -764,152 +666,6 @@ mod tests {
             assert_eq!((w.now(), w.pending()), (Time(deadline), heap.len()));
             assert!(want.len() > 1_500, "storm did real work: {}", want.len());
         }
-    }
-
-    /// Differential exactness of [`DelayLine`]: the storm above with a
-    /// third of its events each sending one item through one of three
-    /// lines (delays 0 / 250 / 500 ns) must trace, count and end exactly
-    /// like a reference world that `schedule_in`s the same sends.
-    #[test]
-    fn delay_lines_match_schedule_in() {
-        type Trace = Rc<RefCell<Vec<(u64, u32)>>>;
-        const DELAYS: [u64; 3] = [0, 250, 500];
-        /// `send(k, id)`: record `(now, id)` after `DELAYS[k]`, and
-        /// `(now, id + 1)` from a one-shot scheduled right behind it for
-        /// the same instant — a calendar key that must lose the tie.
-        fn sender(w: &Rc<World>, trace: &Trace, lines: bool) -> Rc<dyn Fn(usize, u32)> {
-            let weak = Rc::downgrade(w);
-            let tr = trace.clone();
-            let record = move |id: u32| {
-                let now = weak.upgrade().expect("world alive").now().nanos();
-                tr.borrow_mut().push((now, id));
-            };
-            let ls = lines.then(|| DELAYS.map(|d| w.delay_line(Dur::nanos(d), record.clone())));
-            let weak = Rc::downgrade(w);
-            Rc::new(move |k, id| {
-                let w = weak.upgrade().expect("world alive");
-                let delay = Dur::nanos(DELAYS[k]);
-                let (first, second) = (record.clone(), record.clone());
-                match &ls {
-                    Some(ls) => ls[k].send(id),
-                    None => drop(w.schedule_in(delay, move || first(id))),
-                }
-                w.schedule_in(delay, move || second(id + 1));
-            })
-        }
-        fn storm(seed: u64, lines: bool) -> (Vec<(u64, u32)>, u64, u64) {
-            let w = World::new();
-            let mut rng = SimRng::new(seed);
-            let trace: Trace = Rc::new(RefCell::new(Vec::new()));
-            let send = sender(&w, &trace, lines);
-            let mut cancellable = Vec::new();
-            let horizon = WHEEL_SLOTS as u64 * BUCKET_NS;
-            for i in 0..2_400u32 {
-                let at = match rng.range(0, 4) {
-                    0 | 1 => rng.range(0, 400) * 50, // dense ties, multiples of the delays
-                    2 => rng.range(0, 64) * BUCKET_NS, // exact bucket edges
-                    _ => rng.range(0, 2 * horizon),
-                };
-                let tr = trace.clone();
-                let hop = (i % 3 == 0).then(|| (send.clone(), rng.range(0, 3) as usize));
-                let id = w.schedule_at(Time(at), move || {
-                    tr.borrow_mut().push((at, i));
-                    if let Some((send, k)) = hop {
-                        send(k, 1_000_000 + 2 * i);
-                    }
-                });
-                if rng.range(0, 5) == 0 {
-                    cancellable.push(id);
-                }
-            }
-            for id in cancellable {
-                w.cancel(id);
-            }
-            let mut timers = Vec::new();
-            for t in 0..6u32 {
-                let tr = trace.clone();
-                // Multiples of 250 ns so timer firings tie with line heads.
-                let period = Dur::nanos(250 * (20 + rng.range(0, 200)));
-                let timer = w.periodic(period, move || tr.borrow_mut().push((u64::MAX, t)));
-                timer.arm_in(period);
-                timers.push(timer);
-            }
-            timers[2].cancel();
-            w.run_until(Time(3 * horizon));
-            let trace = trace.borrow().clone();
-            (trace, w.events_executed(), w.now().nanos())
-        }
-        for seed in [1u64, 7, 42] {
-            let reference = storm(seed, false);
-            let hops = reference.0.iter().filter(|e| e.1 >= 1_000_000).count();
-            assert!(reference.1 >= 2_000, "{} events", reference.1);
-            assert!(hops >= 2 * 500, "{} sends rode the lines", hops / 2);
-            assert_eq!(storm(seed, true), reference, "with lines, seed {seed}");
-        }
-    }
-
-    #[test]
-    fn run_until_fires_a_line_entry_at_exactly_the_deadline() {
-        let w = World::new();
-        let got = Rc::new(RefCell::new(Vec::new()));
-        let g = got.clone();
-        let line = w.delay_line(Dur::nanos(100), move |x: u32| g.borrow_mut().push(x));
-        line.send(1); // due at 100
-        w.run_until(Time(1));
-        line.send(2); // due at 101
-        w.run_until(Time(100));
-        assert_eq!(*got.borrow(), vec![1]);
-        assert_eq!(w.now(), Time(100));
-        assert_eq!(w.pending(), 1, "deadline + 1 stays pending");
-        w.run();
-        assert_eq!(*got.borrow(), vec![1, 2]);
-        assert_eq!(w.now(), Time(101));
-    }
-
-    #[test]
-    fn pending_and_executed_count_line_entries() {
-        let w = World::new();
-        let hits = Rc::new(Cell::new(0u32));
-        let h = hits.clone();
-        let line = w.delay_line(Dur::nanos(250), move |n: u32| h.set(h.get() + n));
-        w.schedule_in(Dur::nanos(10), || {});
-        line.send(1);
-        line.clone().send(10); // clones feed the same line
-        assert_eq!(w.pending(), 3);
-        drop(line); // entries in flight outlive the handles
-        w.run();
-        assert_eq!((hits.get(), w.pending(), w.events_executed()), (11, 0, 3));
-    }
-
-    #[test]
-    fn line_handler_may_send_on_its_own_line_and_open_new_ones() {
-        let w = World::new();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        // The handler re-sends on its own line until the count runs out,
-        // then opens a second line mid-fire and sends on that.
-        let own: Rc<RefCell<Option<DelayLine<u32>>>> = Rc::new(RefCell::new(None));
-        let (l, o, weak) = (log.clone(), own.clone(), Rc::downgrade(&w));
-        let line = w.delay_line(Dur::nanos(250), move |left: u32| {
-            let w = weak.upgrade().expect("world alive");
-            l.borrow_mut().push((w.now().nanos(), left));
-            if left > 0 {
-                o.borrow().as_ref().expect("installed").send(left - 1);
-            } else {
-                let l2 = l.clone();
-                let weak = Rc::downgrade(&w);
-                w.delay_line(Dur::nanos(7), move |tag: u32| {
-                    let now = weak.upgrade().expect("world alive").now().nanos();
-                    l2.borrow_mut().push((now, tag));
-                })
-                .send(99);
-            }
-        });
-        line.send(2);
-        *own.borrow_mut() = Some(line);
-        w.run();
-        assert_eq!(*log.borrow(), vec![(250, 2), (500, 1), (750, 0), (757, 99)]);
-        assert_eq!(w.events_executed(), 4);
-        *own.borrow_mut() = None; // break the handler -> handle -> world cycle
     }
 
     #[test]
