@@ -9,10 +9,12 @@
 //! registry in order and names what it skips for a feature this build
 //! lacks; `--list` prints the registry. Exit status: 0 when every
 //! requested experiment ran and wrote its files, 1 on a write error, 2 on
-//! a bad command line.
+//! a bad command line. After the experiments it prints one line with the
+//! run's wall time and the process's peak resident set (`VmHWM`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use xrdma_bench::experiments::{Entry, EXPERIMENTS};
 
@@ -31,6 +33,14 @@ fn bad_usage(msg: &str) -> ExitCode {
         eprintln!("  {name}");
     }
     ExitCode::from(2)
+}
+
+/// `VmHWM` from `/proc/self/status` in MB, where /proc exists.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 fn main() -> ExitCode {
@@ -69,6 +79,7 @@ fn main() -> ExitCode {
         }
     }
 
+    let start = Instant::now();
     for (name, entry) in todo {
         match entry {
             Entry::Run(run) => {
@@ -80,5 +91,10 @@ fn main() -> ExitCode {
             Entry::Needs(feature) => println!("skipped {name}: needs --features {feature}"),
         }
     }
+    let rss = peak_rss_mb().map_or("n/a".to_string(), |mb| format!("{mb:.0} MB"));
+    println!(
+        "paper: {:.1} s wall, peak RSS {rss} (VmHWM)",
+        start.elapsed().as_secs_f64()
+    );
     ExitCode::SUCCESS
 }

@@ -33,7 +33,7 @@ use bytes::Bytes;
 use xrdma_fabric::packet::{PRIO_CTRL, PRIO_RDMA};
 use xrdma_fabric::port::Port;
 use xrdma_fabric::{Fabric, NicSink, NodeId, Packet};
-use xrdma_sim::inthash::{IntMap, IntSet};
+use xrdma_sim::inthash::IntMap;
 use xrdma_sim::{Dur, SimRng, Time, World};
 use xrdma_telemetry::{span_mark, tele, SpanToken};
 
@@ -153,14 +153,41 @@ impl TouchCache {
                 break;
             }
         }
-        // Keep the order deque from growing without bound: drop the stale
-        // entries, keeping every live one in LRU order. The deque is then
-        // at most `capacity` long, so this is amortised O(1) per touch.
-        if self.order.len() > self.capacity * 4 + 16 {
+        // Keep the order deque proportional to the live keys: drop the
+        // stale entries, keeping every live one in LRU order. The deque is
+        // then `map.len()` long, at most a quarter of what it was, so this
+        // is amortised O(1) per touch. Only stale entries go, so the
+        // hit/miss sequence is the same at any threshold.
+        if self.order.len() > self.map.len() * 4 + 16 {
             let map = &self.map;
             self.order.retain(|(s, k)| map.get(k) == Some(s));
         }
         hit
+    }
+}
+
+/// A set of QPNs as one flag per QPN. QPNs start at 1, only increment and
+/// are never reused, so the flags stay as dense as the NIC's QP table.
+#[derive(Default)]
+struct QpnFlags(Vec<bool>);
+
+impl QpnFlags {
+    fn contains(&self, qpn: Qpn) -> bool {
+        self.0.get(qpn.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// Returns true if `qpn` was not already in the set.
+    fn insert(&mut self, qpn: Qpn) -> bool {
+        let i = qpn.0 as usize;
+        if i >= self.0.len() {
+            self.0.resize(i + 1, false);
+        }
+        !std::mem::replace(&mut self.0[i], true)
+    }
+
+    /// Returns true if `qpn` was in the set.
+    fn remove(&mut self, qpn: Qpn) -> bool {
+        self.0.get_mut(qpn.0 as usize).is_some_and(std::mem::take)
     }
 }
 
@@ -169,10 +196,11 @@ struct Injector {
     /// QPs ready to transmit now.
     ready: VecDeque<Qpn>,
     /// Membership for `ready` (avoid duplicates).
-    in_ready: IntSet<Qpn>,
-    /// Rate-throttled / backed-off QPs keyed by wake time.
+    in_ready: QpnFlags,
+    /// Rate-throttled / backed-off QPs keyed by wake time. An entry whose
+    /// QP has left `in_throttled` since it was pushed is stale and skipped.
     throttled: BinaryHeap<Reverse<(Time, u32)>>,
-    in_throttled: IntSet<Qpn>,
+    in_throttled: QpnFlags,
     /// Waiting on the port drain hook.
     parked_on_port: bool,
 }
@@ -181,9 +209,9 @@ impl Injector {
     fn new() -> Injector {
         Injector {
             ready: VecDeque::new(),
-            in_ready: IntSet::default(),
+            in_ready: QpnFlags::default(),
             throttled: BinaryHeap::new(),
-            in_throttled: IntSet::default(),
+            in_throttled: QpnFlags::default(),
             parked_on_port: false,
         }
     }
@@ -534,7 +562,7 @@ impl Rnic {
     fn activate(self: &Rc<Self>, qpn: Qpn, not_before: Time) {
         {
             let mut inj = self.injector.borrow_mut();
-            if inj.in_ready.contains(&qpn) {
+            if inj.in_ready.contains(qpn) {
                 return;
             }
             if not_before > self.world.now() {
@@ -542,7 +570,7 @@ impl Rnic {
                     inj.throttled.push(Reverse((not_before, qpn.0)));
                 }
             } else {
-                inj.in_throttled.remove(&qpn);
+                inj.in_throttled.remove(qpn);
                 inj.in_ready.insert(qpn);
                 inj.ready.push_back(qpn);
             }
@@ -591,7 +619,7 @@ impl Rnic {
                     Some(q) => {
                         let mut inj = self.injector.borrow_mut();
                         inj.throttled.pop();
-                        if inj.in_throttled.remove(&q) && !inj.in_ready.contains(&q) {
+                        if inj.in_throttled.remove(q) && !inj.in_ready.contains(q) {
                             inj.in_ready.insert(q);
                             inj.ready.push_back(q);
                         }
@@ -628,7 +656,7 @@ impl Rnic {
                     return;
                 }
             };
-            self.injector.borrow_mut().in_ready.remove(&qpn);
+            self.injector.borrow_mut().in_ready.remove(qpn);
 
             let Some(qp) = self.qp(qpn) else { continue };
             match self.transmit_one(&qp) {
@@ -2443,5 +2471,23 @@ mod tests {
         assert!(!cache.touch(0xC));
         assert!(cache.touch(0xB), "C must evict A, the LRU key, not B");
         assert!(!cache.touch(0xA), "A was evicted");
+    }
+
+    /// The order deque is bounded by the live keys, not by the capacity:
+    /// a 2 048-entry cache holding one hot key, then three, never keeps
+    /// more than `4 × live + 16` order entries.
+    #[test]
+    fn order_deque_follows_the_live_keys() {
+        let mut cache = TouchCache::new(2_048);
+        let bounded = |c: &TouchCache| c.order.len() <= 4 * c.map.len() + 16;
+        for _ in 0..100_000 {
+            cache.touch(7);
+            assert!(bounded(&cache), "one key: {} entries", cache.order.len());
+        }
+        for i in 0..100_000u32 {
+            cache.touch(i % 3);
+            assert!(bounded(&cache), "three keys: {} entries", cache.order.len());
+        }
+        assert_eq!(cache.map.len(), 4);
     }
 }

@@ -13,8 +13,14 @@ use serde::Serialize;
 /// Values below 2^SUB_BITS are recorded exactly; above that, each octave is
 /// split into 2^SUB_BITS linear sub-buckets, giving a worst-case relative
 /// quantization error of 1/2^SUB_BITS ≈ 1.6 %.
+///
+/// Memory follows use: `counts` starts empty and grows to the highest
+/// bucket recorded, so a histogram that only ever sees values below 64
+/// holds at most 64 counters, not all [`NBUCKETS`].
 #[derive(Clone, Debug)]
 pub struct Histogram {
+    /// Per-bucket counts up to the highest bucket recorded; buckets past
+    /// the end are zero.
     counts: Vec<u64>,
     total: u64,
     sum: u128,
@@ -24,7 +30,8 @@ pub struct Histogram {
 
 const SUB_BITS: u32 = 6;
 const SUB: u64 = 1 << SUB_BITS; // 64 sub-buckets per octave
-/// Enough buckets for the full u64 range.
+/// Buckets needed to cover the full u64 range: the upper bound that a
+/// [`Histogram`]'s `counts` grows towards, reached only at the top of it.
 const NBUCKETS: usize = ((64 - SUB_BITS) as usize + 1) * SUB as usize;
 
 #[inline]
@@ -62,7 +69,7 @@ impl Default for Histogram {
 impl Histogram {
     pub fn new() -> Histogram {
         Histogram {
-            counts: vec![0; NBUCKETS],
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -70,10 +77,21 @@ impl Histogram {
         }
     }
 
+    /// The counter for `v`'s bucket, growing `counts` to reach it.
+    #[inline]
+    fn bucket_mut(&mut self, v: u64) -> &mut u64 {
+        let idx = bucket_index(v);
+        debug_assert!(idx < NBUCKETS);
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
+        &mut self.counts[idx]
+    }
+
     /// Record one observation.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.counts[bucket_index(v)] += 1;
+        *self.bucket_mut(v) += 1;
         self.total += 1;
         self.sum += v as u128;
         self.min = self.min.min(v);
@@ -85,7 +103,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        self.counts[bucket_index(v)] += n;
+        *self.bucket_mut(v) += n;
         self.total += n;
         self.sum += v as u128 * n as u128;
         self.min = self.min.min(v);
@@ -157,6 +175,9 @@ impl Histogram {
 
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += *b;
         }
@@ -168,7 +189,7 @@ impl Histogram {
 
     /// Reset to empty.
     pub fn clear(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
+        self.counts.clear();
         self.total = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -432,6 +453,187 @@ mod tests {
         h.record_n(20, 0);
         assert_eq!(h.count(), 5);
         assert_eq!(h.max(), 10);
+    }
+
+    /// Reference: the eager layout, all `NBUCKETS` counters from the
+    /// start, merged and cleared in place. The growing histogram must read
+    /// exactly like it.
+    struct Eager {
+        counts: Vec<u64>,
+        total: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+    }
+
+    impl Eager {
+        fn new() -> Eager {
+            Eager {
+                counts: vec![0; NBUCKETS],
+                total: 0,
+                sum: 0,
+                min: u64::MAX,
+                max: 0,
+            }
+        }
+
+        fn record_n(&mut self, v: u64, n: u64) {
+            if n == 0 {
+                return;
+            }
+            self.counts[bucket_index(v)] += n;
+            self.total += n;
+            self.sum += v as u128 * n as u128;
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+
+        fn merge(&mut self, other: &Eager) {
+            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+                *a += *b;
+            }
+            self.total += other.total;
+            self.sum += other.sum;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+
+        fn clear(&mut self) {
+            *self = Eager::new();
+        }
+
+        fn percentile(&self, p: f64) -> u64 {
+            if self.total == 0 {
+                return 0;
+            }
+            if p <= 0.0 {
+                return self.min;
+            }
+            if p >= 100.0 {
+                return self.max;
+            }
+            let rank = ((p / 100.0) * self.total as f64).ceil() as u64;
+            let mut seen = 0u64;
+            for (i, &c) in self.counts.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    return bucket_value(i).clamp(self.min, self.max);
+                }
+            }
+            self.max
+        }
+    }
+
+    /// Every reading the growing histogram gives, against the eager one.
+    fn assert_reads_like(h: &Histogram, e: &Eager, what: &str) {
+        for p in [0.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
+            assert_eq!(h.percentile(p), e.percentile(p), "{what}: p{p}");
+        }
+        let s = h.summary();
+        let min = if e.total == 0 { 0 } else { e.min };
+        let mean = if e.total == 0 {
+            0.0
+        } else {
+            e.sum as f64 / e.total as f64
+        };
+        assert_eq!(
+            (s.count, s.min, s.max, s.p50, s.p90, s.p99, s.p999),
+            (
+                e.total,
+                min,
+                e.max,
+                e.percentile(50.0),
+                e.percentile(90.0),
+                e.percentile(99.0),
+                e.percentile(99.9)
+            ),
+            "{what}: summary"
+        );
+        assert_eq!(s.mean.to_bits(), mean.to_bits(), "{what}: mean");
+        assert_eq!(h.sum(), e.sum, "{what}: sum");
+    }
+
+    /// Seeded values spanning every octave: a random bit length, then a
+    /// random value of that length, repeated a random 0–3 times.
+    fn draws(seed: u64, n: usize) -> Vec<(u64, u64)> {
+        let mut x = seed;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x
+        };
+        (0..n)
+            .map(|_| {
+                let bits = (next() % 65) as u32; // 0..=64
+                let v = if bits == 0 { 0 } else { next() >> (64 - bits) };
+                (v, next() >> 62)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn histogram_growth_reads_exactly_like_the_eager_layout() {
+        for seed in 1..=8u64 {
+            let (mut h, mut e) = (Histogram::new(), Eager::new());
+            for (v, n) in draws(seed, 2_000) {
+                if n == 1 {
+                    h.record(v);
+                } else {
+                    h.record_n(v, n);
+                }
+                e.record_n(v, n);
+            }
+            assert_reads_like(&h, &e, "record/record_n");
+
+            // Merge in both length orders: a short histogram (values < 64,
+            // so at most 64 counters) into a long one and the reverse.
+            let (mut short, mut short_e) = (Histogram::new(), Eager::new());
+            for (v, n) in draws(seed + 100, 300) {
+                short.record_n(v % 64, n);
+                short_e.record_n(v % 64, n);
+            }
+            let mut long_into = h.clone();
+            long_into.merge(&short);
+            let mut short_into = short.clone();
+            short_into.merge(&h);
+            let mut merged_e = Eager::new();
+            merged_e.merge(&e);
+            merged_e.merge(&short_e);
+            assert_reads_like(&long_into, &merged_e, "long.merge(short)");
+            assert_reads_like(&short_into, &merged_e, "short.merge(long)");
+            let mut empty_into = Histogram::new();
+            empty_into.merge(&h);
+            assert_reads_like(&empty_into, &e, "empty.merge(h)");
+
+            // Clear, then record again: nothing of the old contents shows.
+            h.clear();
+            e.clear();
+            assert_reads_like(&h, &e, "cleared");
+            for (v, n) in draws(seed + 200, 500) {
+                h.record_n(v >> 20, n);
+                e.record_n(v >> 20, n);
+            }
+            assert_reads_like(&h, &e, "re-recorded after clear");
+        }
+    }
+
+    #[test]
+    fn histogram_holds_only_the_buckets_it_fills() {
+        let mut h = Histogram::new();
+        assert!(h.counts.is_empty(), "a new histogram allocates no buckets");
+        for v in 0..64 {
+            h.record(v);
+        }
+        h.record_n(63, 1_000);
+        assert!(
+            h.counts.len() <= 64,
+            "values below 64 hold {} counters",
+            h.counts.len()
+        );
+        h.record(1_000_000);
+        assert_eq!(h.counts.len(), bucket_index(1_000_000) + 1);
+        assert!(h.counts.len() < NBUCKETS);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 #            (`paper all` from the telemetry build, `paper chaos_recovery`
 #            from the faults build) and byte-compares it with results/:
 #            every committed result file, and with it every paper row and
-#            verdict, must be exactly what the code writes
+#            verdict, must be exactly what the code writes; each `paper`
+#            run ends with a `paper: N s wall, peak RSS M MB (VmHWM)` line,
+#            so the log carries both costs
 #   bench    builds the separate `benchmark/` workspace (nothing else
 #            compiles it) and smoke-runs every workload at --quick scale
 #            into a temp dir; fails on any output check and on any
