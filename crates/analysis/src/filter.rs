@@ -1,124 +1,115 @@
 //! Filter (§VI-C "Emulate Fault"): rule-based fault injection on the RDMA
 //! data plane — "Linux netfilter does not work on RDMA", so the middleware
-//! supplies its own. Rules can be enabled/disabled online via the tuning
-//! system, which we mirror with plain setters.
+//! supplies its own. It is a front end over `xrdma-faults`: each rule is a
+//! receive-side spec on the thread's fault injector (the filter installs
+//! one if none is current), so a Filter and a scheduled `FaultPlan` share
+//! one injection point and one set of RNIC counters. Rules can be
+//! enabled/disabled online via the tuning system, which we mirror with a
+//! plain setter.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use xrdma_fabric::{NodeId, Packet};
-use xrdma_rnic::engine::FilterVerdict;
+use xrdma_fabric::NodeId;
+use xrdma_faults::{FaultInjector, FaultKind, FaultPlan, FaultTarget, FaultsGuard};
 use xrdma_rnic::Rnic;
 use xrdma_sim::{Dur, SimRng};
 
-/// One injection rule, applied to packets arriving at the host.
-#[derive(Clone, Debug)]
-pub struct FilterRule {
-    /// Only match packets from this source (None = any).
-    pub from: Option<NodeId>,
-    /// Only match packets at least this large on the wire.
-    pub min_size: u32,
-    /// Probability the rule fires on a matching packet.
-    pub probability: f64,
-    /// What happens when it fires.
-    pub action: FilterAction,
-}
-
-#[derive(Clone, Copy, Debug)]
-pub enum FilterAction {
-    Drop,
-    Delay(Dur),
-}
-
-/// The per-host filter: owns the rule list and installs itself onto the
-/// RNIC's receive path.
+/// The per-host filter: its rules act on packets arriving at one RNIC.
 pub struct Filter {
-    rules: Rc<RefCell<Vec<FilterRule>>>,
-    enabled: Rc<Cell<bool>>,
-    /// Matches by action (stats).
-    pub dropped: Rc<Cell<u64>>,
-    pub delayed: Rc<Cell<u64>>,
+    rnic: Rc<Rnic>,
+    inj: Rc<FaultInjector>,
+    /// This filter's specs, as indices into the injector's spec list.
+    specs: RefCell<Vec<usize>>,
+    enabled: Cell<bool>,
+    /// Holds the injector installed by this filter, when it installed one.
+    _guard: Option<FaultsGuard>,
 }
 
 impl Filter {
-    /// Create a filter and install it on `rnic`. Initially enabled with an
-    /// empty rule list (passes everything).
+    /// Create a filter for `rnic`, initially enabled with no rules (passes
+    /// everything).
+    ///
+    /// The filter binds to the injector current at this call: if none is,
+    /// it installs one seeded with `rng` (otherwise `rng` is unused and
+    /// rules draw from that injector's stream) and uninstalls it when the
+    /// filter drops — other filters bound to it then stop injecting. A
+    /// later [`FaultInjector::install`] replaces the bound injector the
+    /// same way. Adding a rule or toggling the filter after either panics.
     pub fn install(rnic: &Rc<Rnic>, rng: SimRng) -> Filter {
-        let rules: Rc<RefCell<Vec<FilterRule>>> = Rc::new(RefCell::new(Vec::new()));
-        let enabled = Rc::new(Cell::new(true));
-        let dropped = Rc::new(Cell::new(0u64));
-        let delayed = Rc::new(Cell::new(0u64));
-        let rng = Rc::new(RefCell::new(rng));
-
-        let r2 = rules.clone();
-        let e2 = enabled.clone();
-        let d2 = dropped.clone();
-        let l2 = delayed.clone();
-        rnic.set_filter(move |pkt: &Packet| {
-            if !e2.get() {
-                return FilterVerdict::Pass;
-            }
-            for rule in r2.borrow().iter() {
-                if let Some(from) = rule.from {
-                    if pkt.src != from {
-                        continue;
-                    }
-                }
-                if pkt.size_bytes < rule.min_size {
-                    continue;
-                }
-                if !rng.borrow_mut().chance(rule.probability) {
-                    continue;
-                }
-                return match rule.action {
-                    FilterAction::Drop => {
-                        d2.set(d2.get() + 1);
-                        FilterVerdict::Drop
-                    }
-                    FilterAction::Delay(d) => {
-                        l2.set(l2.get() + 1);
-                        FilterVerdict::Delay(d)
-                    }
-                };
-            }
-            FilterVerdict::Pass
-        });
+        let guard = match FaultInjector::current() {
+            Some(_) => None,
+            None => Some(FaultInjector::install(rnic.world(), FaultPlan::new(), rng)),
+        };
         Filter {
-            rules,
-            enabled,
-            dropped,
-            delayed,
+            rnic: rnic.clone(),
+            inj: FaultInjector::current().expect("an injector is installed"),
+            specs: RefCell::new(Vec::new()),
+            enabled: Cell::new(true),
+            _guard: guard,
         }
     }
 
-    /// Add a rule (applies immediately).
-    pub fn add_rule(&self, rule: FilterRule) {
-        self.rules.borrow_mut().push(rule);
+    /// The bound injector, which must still be the one the hooks read.
+    fn injector(&self) -> &FaultInjector {
+        let current = FaultInjector::current().is_some_and(|c| Rc::ptr_eq(&c, &self.inj));
+        assert!(
+            current,
+            "Filter's fault injector was replaced or uninstalled; its rules no longer apply"
+        );
+        &self.inj
+    }
+
+    fn add(&self, from: Option<NodeId>, kind: FaultKind) {
+        let to = self.rnic.node().0;
+        let target = match from {
+            Some(from) => FaultTarget::Pair { from: from.0, to },
+            None => FaultTarget::Node(to),
+        };
+        let inj = self.injector();
+        let i = inj.add(target, kind);
+        inj.set_open(i, self.enabled.get());
+        self.specs.borrow_mut().push(i);
     }
 
     /// Drop a fraction of everything from `from` (or all sources).
-    pub fn drop_rate(&self, from: Option<NodeId>, probability: f64) {
-        self.add_rule(FilterRule {
-            from,
-            min_size: 0,
-            probability,
-            action: FilterAction::Drop,
-        });
+    pub fn drop_rate(&self, from: Option<NodeId>, prob: f64) {
+        self.add(from, FaultKind::Corrupt { prob });
     }
 
-    /// Slow a fraction of matching packets by `extra`.
-    pub fn slow_rate(&self, from: Option<NodeId>, probability: f64, extra: Dur) {
-        self.add_rule(FilterRule {
+    /// Slow a fraction of the packets from `from` (or all sources) by
+    /// `extra`.
+    pub fn slow_rate(&self, from: Option<NodeId>, prob: f64, extra: Dur) {
+        self.add(
             from,
-            min_size: 0,
-            probability,
-            action: FilterAction::Delay(extra),
-        });
+            FaultKind::Reorder {
+                prob,
+                delay_ns: extra.as_nanos(),
+            },
+        );
     }
 
     /// Enable/disable online ("The developer can enable or disable filter
     /// online via the tuning system").
     pub fn set_enabled(&self, on: bool) {
         self.enabled.set(on);
+        let inj = self.injector();
+        for &i in self.specs.borrow().iter() {
+            inj.set_open(i, on);
+        }
+    }
+
+    /// Packets the RNIC discarded on an injected receive fault. This is
+    /// the RNIC-wide `fault_rx_drops`: it also counts drops by other
+    /// filters on this RNIC and by a `FaultPlan`'s `Corrupt` specs.
+    pub fn dropped(&self) -> u64 {
+        self.rnic.stats().fault_rx_drops
+    }
+
+    /// Packets the RNIC held back on an injected receive delay. This is
+    /// the RNIC-wide `fault_rx_delays`: it also counts delays by other
+    /// filters on this RNIC and by a `FaultPlan`'s `Reorder` specs.
+    pub fn delayed(&self) -> u64 {
+        self.rnic.stats().fault_rx_delays
     }
 }

@@ -29,7 +29,7 @@ pub mod xrserver;
 pub mod xrstat;
 
 pub use adm::XrAdm;
-pub use filter::{Filter, FilterRule};
+pub use filter::Filter;
 pub use mock::MockTransport;
 pub use monitor::Monitor;
 pub use tracer::Tracer;

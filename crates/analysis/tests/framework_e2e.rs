@@ -304,19 +304,19 @@ fn filter_injected_drops_are_recovered_by_rc() {
     }
     net.world.run_for(Dur::secs(5));
     assert_eq!(got.get(), 200, "reliability recovered every drop");
-    assert!(filter.dropped.get() > 10, "filter actually dropped");
+    assert!(filter.dropped() > 10, "filter actually dropped");
     assert!(
         client.rnic().stats().retransmissions > 0,
         "go-back-N did the work"
     );
     // Disable online: traffic flows cleanly again.
     filter.set_enabled(false);
-    let before = filter.dropped.get();
+    let before = filter.dropped();
     for _ in 0..50 {
         c.send_oneway_size(512).unwrap();
     }
     net.world.run_for(Dur::millis(100));
-    assert_eq!(filter.dropped.get(), before);
+    assert_eq!(filter.dropped(), before);
     assert_eq!(got.get(), 250);
 }
 
@@ -344,7 +344,26 @@ fn filter_delay_slows_but_delivers() {
         "rtt {}ns includes injected delay",
         done.get()
     );
-    assert!(filter.delayed.get() >= 1);
+    assert!(filter.delayed() >= 1);
+}
+
+#[test]
+fn filters_share_the_injector_and_refuse_a_replaced_one() {
+    let net = net(FabricConfig::pair(), 10);
+    let client = ctx(&net, 0, XrdmaConfig::default());
+    let server = ctx(&net, 1, XrdmaConfig::default());
+    let owner = Filter::install(server.rnic(), net.rng.fork("filter"));
+    let second = Filter::install(client.rnic(), net.rng.fork("unused"));
+    second.drop_rate(None, 0.5);
+    owner.set_enabled(false);
+    let _other = xrdma_faults::FaultInjector::install(
+        &net.world,
+        xrdma_faults::FaultPlan::new(),
+        net.rng.fork("faults"),
+    );
+    let toggle =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| second.set_enabled(false)));
+    assert!(toggle.is_err(), "a replaced injector fails loudly");
 }
 
 #[test]

@@ -6,8 +6,7 @@
 //!
 //! Each experiment prints its paper-vs-measured table and writes
 //! `DIR/<name>.json` (default: the workspace `results/`). `all` runs the
-//! registry in order and names what it skips for a feature this build
-//! lacks; `--list` prints the registry. Exit status: 0 when every
+//! registry in order; `--list` prints the registry. Exit status: 0 when every
 //! requested experiment ran and wrote its files, 1 on a write error, 2 on
 //! a bad command line. After the experiments it prints one line with the
 //! run's wall time and the process's peak resident set (`VmHWM`).
@@ -16,14 +15,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use xrdma_bench::experiments::{Entry, EXPERIMENTS};
+use xrdma_bench::experiments::EXPERIMENTS;
 
 fn list() {
-    for (name, entry) in EXPERIMENTS {
-        match entry {
-            Entry::Run(_) => println!("{name}"),
-            Entry::Needs(feature) => println!("{name} (needs --features {feature})"),
-        }
+    for (name, _) in EXPERIMENTS {
+        println!("{name}");
     }
 }
 
@@ -70,9 +66,6 @@ fn main() -> ExitCode {
     } else {
         for name in &names {
             match EXPERIMENTS.iter().find(|(n, _)| n == name) {
-                Some((_, Entry::Needs(feature))) => {
-                    return bad_usage(&format!("{name} needs --features {feature}"))
-                }
                 Some(exp) => todo.push(exp),
                 None => return bad_usage(&format!("unknown experiment `{name}`")),
             }
@@ -80,15 +73,10 @@ fn main() -> ExitCode {
     }
 
     let start = Instant::now();
-    for (name, entry) in todo {
-        match entry {
-            Entry::Run(run) => {
-                if let Err(e) = run().write(&out) {
-                    eprintln!("paper: {name}: cannot write into {}: {e}", out.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            Entry::Needs(feature) => println!("skipped {name}: needs --features {feature}"),
+    for (name, run) in todo {
+        if let Err(e) = run().write(&out) {
+            eprintln!("paper: {name}: cannot write into {}: {e}", out.display());
+            return ExitCode::FAILURE;
         }
     }
     let rss = peak_rss_mb().map_or("n/a".to_string(), |mb| format!("{mb:.0} MB"));

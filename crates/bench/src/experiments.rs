@@ -7,7 +7,6 @@
 
 use crate::Report;
 
-#[cfg(feature = "faults")]
 pub mod chaos_recovery;
 pub mod exp_ablation;
 pub mod exp_dct;
@@ -22,50 +21,33 @@ pub mod fig12_antijitter;
 pub mod fig7_latency;
 pub mod fig8_establishment;
 pub mod fig9_rnr;
-#[cfg(feature = "telemetry")]
 pub mod latbreak;
 pub mod msgrate;
 pub mod qpscale;
 pub mod tab_establishment;
 pub mod tab_loc;
 
-/// How this build runs one registered experiment.
-pub enum Entry {
-    Run(fn() -> Report),
-    /// Needs this `xrdma-bench` cargo feature, which the build lacks.
-    Needs(&'static str),
-}
-
-// A glob, because which variants a build names depends on its features.
-use Entry::*;
-
 /// Every experiment, in the order `paper all` runs them.
-pub const EXPERIMENTS: &[(&str, Entry)] = &[
-    ("fig7_latency", Run(fig7_latency::run)), // ping-pong latency vs size, all stacks
-    ("fig8_establishment", Run(fig8_establishment::run)), // ESSD restart → steady-state IOPS ramp
-    ("fig9_rnr", Run(fig9_rnr::run)),         // RNR counter: X-RDMA vs native verbs
-    ("fig10_flowctl", Run(fig10_flowctl::run)), // incast bandwidth/CNP/pause, ±flow control
-    ("fig11_production", Run(fig11_production::run)), // online upgrade: QP count, IOPS, memcache
-    ("fig12_antijitter", Run(fig12_antijitter::run)), // ESSD/X-DB surge: throughput vs latency
-    ("tab_establishment", Run(tab_establishment::run)), // §VII-C connect latency + 4096-conn storm
-    ("tab_loc", Run(tab_loc::run)),           // §VII-B lines-of-code comparison
-    ("exp_qp_scalability", Run(exp_qp_scalability::run)), // §VII-F QP-context cache up to 60 K QPs
-    ("exp_srq", Run(exp_srq::run)),           // §VII-F SRQ memory vs RNR trade
-    ("exp_memmode", Run(exp_memmode::run)),   // §VII-F page-mode comparison
-    ("exp_jitter", Run(exp_jitter::run)),     // §III Issue 2: congestion jitter magnitude
-    ("exp_ablation", Run(exp_ablation::run)), // design-choice ablations (polling, window…)
-    ("exp_dct", Run(exp_dct::run)),           // §IX future work: DCT vs RC mesh
-    ("exp_lossy", Run(exp_lossy::run)),       // §IX future work: dropping PFC
-    #[cfg(feature = "faults")]
-    ("chaos_recovery", Run(chaos_recovery::run)), // §V-A keepalive dead-peer detection
-    #[cfg(not(feature = "faults"))]
-    ("chaos_recovery", Needs("faults")),
-    ("msgrate", Run(msgrate::run)), // sweep: CQ batching on/off vs conns
-    ("qpscale", Run(qpscale::run)), // sweep: mux pool vs 1 QP/conn to 100 K
-    #[cfg(feature = "telemetry")]
-    ("latbreak", Run(latbreak::run)), // sweep: per-stage latency, size × depth
-    #[cfg(not(feature = "telemetry"))]
-    ("latbreak", Needs("telemetry")),
+pub const EXPERIMENTS: &[(&str, fn() -> Report)] = &[
+    ("fig7_latency", fig7_latency::run), // ping-pong latency vs size, all stacks
+    ("fig8_establishment", fig8_establishment::run), // ESSD restart → steady-state IOPS ramp
+    ("fig9_rnr", fig9_rnr::run),         // RNR counter: X-RDMA vs native verbs
+    ("fig10_flowctl", fig10_flowctl::run), // incast bandwidth/CNP/pause, ±flow control
+    ("fig11_production", fig11_production::run), // online upgrade: QP count, IOPS, memcache
+    ("fig12_antijitter", fig12_antijitter::run), // ESSD/X-DB surge: throughput vs latency
+    ("tab_establishment", tab_establishment::run), // §VII-C connect latency + 4096-conn storm
+    ("tab_loc", tab_loc::run),           // §VII-B lines-of-code comparison
+    ("exp_qp_scalability", exp_qp_scalability::run), // §VII-F QP-context cache up to 60 K QPs
+    ("exp_srq", exp_srq::run),           // §VII-F SRQ memory vs RNR trade
+    ("exp_memmode", exp_memmode::run),   // §VII-F page-mode comparison
+    ("exp_jitter", exp_jitter::run),     // §III Issue 2: congestion jitter magnitude
+    ("exp_ablation", exp_ablation::run), // design-choice ablations (polling, window…)
+    ("exp_dct", exp_dct::run),           // §IX future work: DCT vs RC mesh
+    ("exp_lossy", exp_lossy::run),       // §IX future work: dropping PFC
+    ("chaos_recovery", chaos_recovery::run), // §V-A keepalive dead-peer detection
+    ("msgrate", msgrate::run),           // sweep: CQ batching on/off vs conns
+    ("qpscale", qpscale::run),           // sweep: mux pool vs 1 QP/conn to 100 K
+    ("latbreak", latbreak::run),         // sweep: per-stage latency, size × depth
 ];
 
 #[cfg(test)]

@@ -126,27 +126,26 @@ pub fn run() -> Report {
             .map(|&(t, v)| (t, v * 8.0 / 0.1 / 1e9))
             .collect(),
     );
-    // Telemetry artifacts (when built with `--features telemetry`): a
-    // Chrome trace_event dump of the congested 128 KiB run, plus CNP and
-    // TX-pause rate series for both 128 KiB variants.
+    // Telemetry artifacts: a Chrome trace_event dump of the congested
+    // 128 KiB run, plus CNP and TX-pause rate series for both 128 KiB
+    // variants.
     for (label, o) in [("128KB", k128), ("128KB_fc", k128fc)] {
-        if let Some(evs) = &o.events {
-            rep.series(
-                &format!("cnp_rate_{label}"),
-                xrdma_telemetry::export::event_rate_series(evs, "cnp", Dur::millis(10)),
-            );
-            rep.series(
-                &format!("pfc_xoff_rate_{label}"),
-                xrdma_telemetry::export::event_rate_series(evs, "pfc-xoff", Dur::millis(10)),
-            );
-        }
-    }
-    if let Some(evs) = &k128.events {
-        rep.attach_file(
-            "fig10_flowctl.trace.json",
-            xrdma_telemetry::export::chrome_trace(evs),
+        rep.series(
+            &format!("cnp_rate_{label}"),
+            xrdma_telemetry::export::event_rate_series(&o.events, "cnp", Dur::millis(10)),
         );
-        println!("telemetry: {} events captured on the 128KB run", evs.len());
+        rep.series(
+            &format!("pfc_xoff_rate_{label}"),
+            xrdma_telemetry::export::event_rate_series(&o.events, "pfc-xoff", Dur::millis(10)),
+        );
     }
+    rep.attach_file(
+        "fig10_flowctl.trace.json",
+        xrdma_telemetry::export::chrome_trace(&k128.events),
+    );
+    println!(
+        "telemetry: {} events captured on the 128KB run",
+        k128.events.len()
+    );
     rep
 }

@@ -15,10 +15,6 @@
 //! Artifacts: `results/latbreak.json` with one reconciliation row per
 //! point, and one `(depth, stage, percentile)` series per key with the
 //! message size on the x-axis.
-//!
-//! Needs `--features telemetry`: the span layer compiles to nothing
-//! without it, so there is no breakdown to measure, and `paper` skips
-//! this experiment.
 
 use std::cell::Cell;
 use std::rc::Rc;

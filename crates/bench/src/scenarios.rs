@@ -108,10 +108,9 @@ pub struct IncastOutcome {
     pub ecn_marks: u64,
     /// Per-100ms delivered-bytes series for the bandwidth plot.
     pub bw_series: Vec<(f64, f64)>,
-    /// Telemetry run log, when the harness was built with the `telemetry`
-    /// feature (`None` otherwise): every protocol-level event the stack
-    /// emitted, ready for the exporters in `xrdma_telemetry::export`.
-    pub events: Option<Vec<xrdma_telemetry::Event>>,
+    /// Telemetry run log: every protocol-level event the stack emitted,
+    /// ready for the exporters in `xrdma_telemetry::export`.
+    pub events: Vec<xrdma_telemetry::Event>,
 }
 
 impl IncastOutcome {
@@ -131,7 +130,6 @@ pub fn run_incast(
     seed: u64,
 ) -> IncastOutcome {
     let net = &net(FabricConfig::rack(senders + 1), seed);
-    #[cfg(feature = "telemetry")]
     let hub =
         xrdma_telemetry::TelemetryHub::install(&net.world, xrdma_telemetry::HubConfig::default());
     let sink = ctx(net, 0, cfg.clone());
@@ -177,10 +175,6 @@ pub fn run_incast(
         .map(|(c, _)| c.rnic().stats().cnps_received)
         .sum();
     let bw_series = series.borrow().rows();
-    #[cfg(feature = "telemetry")]
-    let events = Some(hub.events());
-    #[cfg(not(feature = "telemetry"))]
-    let events = None;
     IncastOutcome {
         delivered_bytes: received.get(),
         elapsed,
@@ -189,6 +183,6 @@ pub fn run_incast(
         host_tx_pause: c.host_tx_pause,
         ecn_marks: c.ecn_marked,
         bw_series,
-        events,
+        events: hub.events(),
     }
 }

@@ -231,19 +231,19 @@ impl Port {
         // Edge fault hooks: a scheduled fault window on this port's label
         // may kill the packet outright (link-down / drop storm) or squeeze
         // the buffer limit for the tail-drop check below.
-        #[cfg(feature = "faults")]
-        if xrdma_faults::port_drop(&self.label) {
-            self.stats.on_drop();
-            tele!(PktDrop {
-                port: self.label.clone(),
-                prio: pkt.prio,
-                bytes: pkt.size_bytes,
-            });
-            return false;
+        let mut limit_bytes = self.limit_bytes;
+        if xrdma_faults::active() {
+            if xrdma_faults::port_drop(&self.label) {
+                self.stats.on_drop();
+                tele!(PktDrop {
+                    port: self.label.clone(),
+                    prio: pkt.prio,
+                    bytes: pkt.size_bytes,
+                });
+                return false;
+            }
+            limit_bytes = xrdma_faults::port_limit(&self.label).unwrap_or(limit_bytes);
         }
-        let limit_bytes = self.limit_bytes;
-        #[cfg(feature = "faults")]
-        let limit_bytes = xrdma_faults::port_limit(&self.label).unwrap_or(limit_bytes);
         if self.queued_bytes[prio].get() + size > limit_bytes {
             self.stats.on_drop();
             tele!(PktDrop {

@@ -6,7 +6,10 @@
 //! answer the hooks at the other choke points. The lifecycle mirrors
 //! `TelemetryHub`: installation returns a guard, and dropping the guard
 //! (or installing a new injector) detaches the old one, so one test thread
-//! can run many faulted worlds in sequence.
+//! can run many faulted worlds in sequence. Specs can also be added to an
+//! armed injector and switched on and off at run time
+//! ([`FaultInjector::add`], [`FaultInjector::set_open`]); that is how
+//! the analysis framework's Filter drives it.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -57,14 +60,15 @@ type NodeHook = Box<dyn Fn(NodeCmd)>;
 
 /// The armed fault plan for the current thread's world.
 pub struct FaultInjector {
-    plan: FaultPlan,
+    /// The plan's specs, plus any added at run time.
+    specs: RefCell<Vec<FaultSpec>>,
     rng: RefCell<SimRng>,
     /// Per-spec "window open" flags, toggled by scheduled callbacks.
     on: RefCell<Vec<bool>>,
     /// Per-spec packet counters for `DropPeriodic`.
     periodic: RefCell<Vec<u64>>,
-    /// Node-command receivers, registered by `Rnic::new` under the
-    /// `faults` feature. BTreeMap: deterministic teardown order.
+    /// Node-command receivers, registered by `Rnic::new` while an
+    /// injector is active. BTreeMap: deterministic teardown order.
     nodes: RefCell<BTreeMap<u32, NodeHook>>,
     /// Nodes currently paused (`PeerPause` window open).
     paused: RefCell<BTreeMap<u32, ()>>,
@@ -73,11 +77,12 @@ pub struct FaultInjector {
 
 thread_local! {
     static CURRENT: RefCell<Option<Rc<FaultInjector>>> = const { RefCell::new(None) };
+    /// Mirrors `CURRENT.is_some()`: the one flag every hook group reads.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
 }
 
 fn with_current<R>(f: impl FnOnce(&FaultInjector) -> R) -> Option<R> {
-    let inj = CURRENT.with(|c| c.borrow().clone());
-    inj.map(|i| f(&i))
+    FaultInjector::current().map(|i| f(&i))
 }
 
 impl FaultInjector {
@@ -88,7 +93,7 @@ impl FaultInjector {
     pub fn install(world: &Rc<World>, plan: FaultPlan, rng: SimRng) -> FaultsGuard {
         let n = plan.specs.len();
         let inj = Rc::new(FaultInjector {
-            plan,
+            specs: RefCell::new(plan.specs),
             rng: RefCell::new(rng),
             on: RefCell::new(vec![false; n]),
             periodic: RefCell::new(vec![0; n]),
@@ -97,7 +102,7 @@ impl FaultInjector {
             injected: Cell::new(0),
         });
         for i in 0..n {
-            let spec = inj.plan.specs[i].clone();
+            let spec = inj.spec(i);
             let open_at = Time(spec.at_ns);
             let inj2 = inj.clone();
             world.schedule_at(open_at, move || inj2.open(i));
@@ -107,11 +112,48 @@ impl FaultInjector {
             }
         }
         CURRENT.with(|c| *c.borrow_mut() = Some(inj.clone()));
+        ACTIVE.with(|a| a.set(true));
         FaultsGuard { inj }
     }
 
-    fn spec(&self, i: usize) -> &FaultSpec {
-        &self.plan.specs[i]
+    /// The injector installed on this thread, if any.
+    pub fn current() -> Option<Rc<FaultInjector>> {
+        CURRENT.with(|c| c.borrow().clone())
+    }
+
+    /// Append a closed, unscheduled spec of `kind` on `target`; only
+    /// [`set_open`](Self::set_open) opens and closes it. Returns the
+    /// spec's index.
+    pub fn add(&self, target: FaultTarget, kind: FaultKind) -> usize {
+        let i = {
+            let mut specs = self.specs.borrow_mut();
+            specs.push(FaultSpec {
+                at_ns: 0,
+                dur_ns: None,
+                target,
+                kind,
+            });
+            specs.len() - 1
+        };
+        self.on.borrow_mut().push(false);
+        self.periodic.borrow_mut().push(0);
+        i
+    }
+
+    /// Open or close spec `i` now (a no-op if it already is).
+    pub fn set_open(&self, i: usize, on: bool) {
+        if self.on.borrow()[i] == on {
+            return;
+        }
+        if on {
+            self.open(i);
+        } else {
+            self.close(i);
+        }
+    }
+
+    fn spec(&self, i: usize) -> FaultSpec {
+        self.specs.borrow()[i].clone()
     }
 
     fn open(&self, i: usize) {
@@ -178,13 +220,12 @@ impl FaultInjector {
             fault,
             target: target.to_string(),
         });
-        let _ = (fault, target); // consumed only under the telemetry feature
     }
 
     fn active_specs(&self, f: impl FnMut(usize, &FaultSpec) -> bool) {
         let mut f = f;
         let on = self.on.borrow();
-        for (i, spec) in self.plan.specs.iter().enumerate() {
+        for (i, spec) in self.specs.borrow().iter().enumerate() {
             if on[i] && !f(i, spec) {
                 break;
             }
@@ -215,20 +256,30 @@ impl FaultsGuard {
 }
 
 impl Drop for FaultsGuard {
+    /// Uninstall, unless a later `install` already replaced this
+    /// injector: the replacement keeps its flag.
     fn drop(&mut self) {
         self.inj.nodes.borrow_mut().clear();
-        CURRENT.with(|c| {
+        let current = CURRENT.with(|c| {
             let mut cur = c.borrow_mut();
-            if cur.as_ref().is_some_and(|i| Rc::ptr_eq(i, &self.inj)) {
+            let current = cur.as_ref().is_some_and(|i| Rc::ptr_eq(i, &self.inj));
+            if current {
                 *cur = None;
             }
+            current
         });
+        if current {
+            ACTIVE.with(|a| a.set(false));
+        }
     }
 }
 
-/// Is an injector installed on this thread?
+/// Is an injector installed on this thread? Every hook group in the stack
+/// sits under one `if xrdma_faults::active()`, so a run without an
+/// injector pays one flag read per group.
+#[inline]
 pub fn active() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
+    ACTIVE.with(Cell::get)
 }
 
 /// Total injected actions for the current injector (0 when none).
@@ -293,13 +344,20 @@ pub fn port_limit(label: &str) -> Option<u64> {
     .flatten()
 }
 
-/// RNIC hook (`NicSink::deliver`): what to do with a packet arriving at
-/// `node` (corrupt → drop, duplicate, reorder-delay).
-pub fn rnic_rx(node: u32) -> Option<RxFault> {
+/// RNIC hook (`NicSink::deliver`): what to do with a packet from `src`
+/// arriving at `node` (corrupt → drop, duplicate, reorder-delay). `Node`
+/// targets match every arrival at the node, `Pair { from, to }` targets
+/// only those from `from` at `to`.
+pub fn rnic_rx(node: u32, src: u32) -> Option<RxFault> {
     with_current(|inj| {
         let mut verdict = None;
         inj.active_specs(|_, spec| {
-            if spec.target != FaultTarget::Node(node) {
+            let applies = match spec.target {
+                FaultTarget::Node(n) => n == node,
+                FaultTarget::Pair { from, to } => from == src && to == node,
+                FaultTarget::Edge(_) => false,
+            };
+            if !applies {
                 return true;
             }
             let fault = match spec.kind {
@@ -401,8 +459,8 @@ pub fn rnic_connect_fault(from: u32, to: u32) -> Option<ConnectFault> {
     .flatten()
 }
 
-/// Register a node-command receiver (called by `Rnic::new` under the
-/// `faults` feature). No-op when no injector is installed; a second
+/// Register a node-command receiver (called by `Rnic::new` while an
+/// injector is active). No-op when no injector is installed; a second
 /// registration for the same node replaces the first (QP-cache rebuilds).
 pub fn register_node(node: u32, hook: NodeHook) {
     with_current(|inj| {
@@ -601,9 +659,44 @@ mod tests {
             });
         let _g = FaultInjector::install(&world, plan, SimRng::new(1));
         world.run();
-        assert_eq!(rnic_rx(1), Some(RxFault::Drop { fault: "corrupt" }));
-        assert_eq!(rnic_rx(2), Some(RxFault::Duplicate));
-        assert_eq!(rnic_rx(3), Some(RxFault::Delay(Dur::nanos(700))));
-        assert_eq!(rnic_rx(4), None);
+        assert_eq!(rnic_rx(1, 9), Some(RxFault::Drop { fault: "corrupt" }));
+        assert_eq!(rnic_rx(2, 9), Some(RxFault::Duplicate));
+        assert_eq!(rnic_rx(3, 9), Some(RxFault::Delay(Dur::nanos(700))));
+        assert_eq!(rnic_rx(4, 9), None);
+    }
+
+    #[test]
+    fn rx_pair_targets_match_the_source() {
+        let world = World::new();
+        let _g = FaultInjector::install(&world, FaultPlan::new(), SimRng::new(1));
+        let inj = FaultInjector::current().expect("installed");
+        let i = inj.add(
+            FaultTarget::Pair { from: 2, to: 1 },
+            FaultKind::Corrupt { prob: 1.0 },
+        );
+        assert_eq!(rnic_rx(1, 2), None, "added closed");
+        inj.set_open(i, true);
+        assert_eq!(rnic_rx(1, 2), Some(RxFault::Drop { fault: "corrupt" }));
+        assert_eq!(rnic_rx(1, 3), None, "other sources pass");
+        assert_eq!(rnic_rx(2, 1), None, "pairs are directional");
+        inj.set_open(i, false);
+        assert_eq!(rnic_rx(1, 2), None, "closed at run time");
+        inj.set_open(i, true);
+        assert_eq!(rnic_rx(1, 2), Some(RxFault::Drop { fault: "corrupt" }));
+    }
+
+    /// Install A, install B, drop A: B stays current and active.
+    #[test]
+    fn dropping_a_replaced_injector_leaves_the_current_one_active() {
+        let world = World::new();
+        let plan = || FaultPlan::new().with(edge_spec(0, None, FaultKind::LinkDown));
+        let a = FaultInjector::install(&world, plan(), SimRng::new(1));
+        let b = FaultInjector::install(&world, plan(), SimRng::new(2));
+        world.run();
+        drop(a);
+        assert!(active());
+        assert!(port_drop("h0->t0"), "B still answers the hooks");
+        drop(b);
+        assert!(!active());
     }
 }

@@ -4,18 +4,19 @@
 //! seq-ack retransmission, §VI-C "Emulate Fault", §VII-F postmortems) are
 //! about what the middleware does *when things break*. This crate lets tests
 //! and benches break things on purpose, deterministically: a [`FaultPlan`]
-//! schedules typed faults on the virtual clock, and tiny feature-gated hooks
+//! schedules typed faults on the virtual clock, and tiny guarded hooks
 //! at the stack's existing choke points (`fabric::port` enqueue, the RNIC
 //! receive/completion paths, `rnic::cm` connect) consult the installed
 //! [`FaultInjector`] on their way through.
 //!
-//! ## Zero-cost contract
+//! ## Overhead contract
 //!
-//! Stack crates call into this crate only from code gated behind their
-//! `faults` cargo feature; with the feature off the hooks compile to nothing
-//! (the `ungated-fault-hook` xrdma-lint rule enforces the gating). With the
-//! feature on but no injector installed, each hook costs one thread-local
-//! check.
+//! Fault injection is a runtime plane, present in every build. Each hook
+//! group in the stack sits under one `if xrdma_faults::active()`, a read
+//! of a const-initialised thread-local `Cell<bool>`; with no injector
+//! installed that read is the whole cost, and no spec list is walked and
+//! no label compared. The `ungated-fault-hook` xrdma-lint rule rejects a
+//! hook call outside that guard.
 //!
 //! ## Determinism contract
 //!

@@ -15,7 +15,7 @@
 //!   never fire (the PR-1 false-positive class is gone by construction).
 //! * [`scope`] — brace-depth scope tracking with structural
 //!   `#[cfg(...)]`-attribute attachment: per-token `test` /
-//!   `faults_gated` / `pub_fn` flags.
+//!   `faults_guarded` / `pub_fn` flags.
 //! * [`symbols`] — a two-pass workspace symbol table (struct/enum fields,
 //!   type aliases, manual `impl Ord` blocks) shared by all rules, so
 //!   cross-file questions ("is this alias a `HashMap`?", "does anything
@@ -36,10 +36,11 @@
 //!   of `xrdma-core`/`xrdma-rnic` must become `XrdmaError`/`VerbsError`
 //!   results (internal invariants go through `debug_invariants`).
 //! * **T1 `raw-telemetry-emit`** — telemetry goes through the `tele!` and
-//!   `span_*!` macros; direct `emit_raw`/`span_*_raw` calls defeat
-//!   zero-overhead-when-off.
-//! * **F1 `ungated-fault-hook`** — every `xrdma_faults::` hook must sit
-//!   structurally under `#[cfg(feature = "faults")]`.
+//!   `span_*!` macros; direct `emit_raw`/`span_*_raw` calls skip their
+//!   `hub::active()` test.
+//! * **F1 `ungated-fault-hook`** — every `xrdma_faults::` hook call (a
+//!   function other than `active`) must sit structurally inside an
+//!   `if xrdma_faults::active()` block.
 //! * **P1 `hot-path-alloc`** — no per-packet heap allocation in the
 //!   fabric/RNIC data-path files; payloads ride `bytes::Bytes` windows.
 //! * **S2 `cross-shard-static`** — mutable or lazily-initialized
@@ -105,12 +106,13 @@ pub enum Rule {
     UnwrapInApi,
     /// T1: telemetry emitted around the `tele!`/`span_*!` macros (direct
     /// `emit_raw` or `span_open_raw`/`span_mark_raw`/`span_hop_raw`/
-    /// `span_end_raw` calls), which would defeat the
-    /// zero-overhead-when-off contract.
+    /// `span_end_raw` calls), which would skip the macros' one-flag
+    /// `hub::active()` test and build payloads with no hub installed.
     RawTelemetry,
-    /// F1: a fault-injection hook (`xrdma_faults::...`) not under
-    /// `#[cfg(feature = "faults")]`, which would leave injection code in
-    /// production builds and skew benchmark numbers.
+    /// F1: a fault-injection hook call (`xrdma_faults::f` for any function
+    /// `f` but `active`) outside an `if xrdma_faults::active()` block,
+    /// which would make every run pay for the hook's spec lookup, injector
+    /// or not, and skew benchmark numbers.
     UngatedFaultHook,
     /// P1: a heap allocation (`Box::new`, `vec![`, `.to_vec()`,
     /// `Bytes::from`, or `.clone()` of a payload buffer) in one of the
@@ -901,25 +903,27 @@ mod tests {
     #[test]
     fn f1_accepts_gated_block_and_statement() {
         let src = "fn f(p: &Port) {\n\
-                   #[cfg(feature = \"faults\")]\n\
-                   if xrdma_faults::port_drop(&p.label) {\n\
-                       xrdma_faults::note();\n\
-                       return;\n\
+                   let mut limit = 0;\n\
+                   if xrdma_faults::active() {\n\
+                       if xrdma_faults::port_drop(&p.label) {\n\
+                           xrdma_faults::note();\n\
+                           return;\n\
+                       }\n\
+                       limit = xrdma_faults::port_limit(&p.label).unwrap_or(limit);\n\
                    }\n\
-                   #[cfg(feature = \"faults\")]\n\
-                   let limit = xrdma_faults::port_limit(&p.label).unwrap_or(0);\n\
                    }";
         assert!(run(src, SIM_RULES).is_empty());
     }
 
+    /// Types are not hooks: fields, signatures and `use`s may name them
+    /// anywhere.
     #[test]
     fn f1_accepts_gated_fn_and_field() {
-        let src = "struct S {\n\
-                   #[cfg(feature = \"faults\")]\n\
+        let src = "use xrdma_faults::{active, plan::FaultSpec, NodeCmd};\n\
+                   struct S {\n\
                    paused: RefCell<Vec<xrdma_faults::NodeCmd>>,\n\
                    other: u32,\n\
                    }\n\
-                   #[cfg(feature = \"faults\")]\n\
                    fn cmd(c: xrdma_faults::NodeCmd) {\n\
                        use xrdma_faults::NodeCmd;\n\
                        drop(c);\n\
@@ -930,41 +934,63 @@ mod tests {
     #[test]
     fn f1_gate_survives_commas_in_the_item_head() {
         let src = "fn f() {\n\
-                   #[cfg(feature = \"faults\")]\n\
-                   match xrdma_faults::rnic_connect_fault(a.0, b.0) {\n\
-                       None => {}\n\
-                       Some(xrdma_faults::ConnectFault::Blackhole) => { go(); }\n\
+                   if xrdma_faults::active() && ready(a, b) {\n\
+                       match xrdma_faults::rnic_connect_fault(a.0, b.0) {\n\
+                           None => {}\n\
+                           Some(xrdma_faults::ConnectFault::Blackhole) => { go(); }\n\
+                       }\n\
                    }\n\
-                   }\n\
-                   #[cfg(feature = \"faults\")]\n\
-                   fn cmd(self: &Rc<Self>, c: xrdma_faults::NodeCmd) {\n\
-                       use xrdma_faults::NodeCmd;\n\
                    }";
         assert!(run(src, SIM_RULES).is_empty());
     }
 
+    /// Brackets in the condition hide their contents: a closure body (with
+    /// its own block, `;` and `||`) neither opens nor voids the guard.
     #[test]
-    fn f1_gate_ends_with_its_region() {
-        let src = "fn f() {\n\
-                   #[cfg(feature = \"faults\")]\n\
-                   {\n\
+    fn f1_guard_condition_may_hold_closures() {
+        let src = "fn f(v: &[i32]) {\n\
+                   if xrdma_faults::active() && v.iter().any(|x| { let y = *x; y > 0 || y < -1 }) {\n\
                        xrdma_faults::note();\n\
                    }\n\
                    xrdma_faults::note();\n\
                    }";
         let v = run(src, SIM_RULES);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].line, 6);
+        let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [5], "{v:?}");
     }
 
     #[test]
+    fn f1_gate_ends_with_its_region() {
+        let src = "fn f() {\n\
+                   if xrdma_faults::active() {\n\
+                       xrdma_faults::note();\n\
+                   } else {\n\
+                       xrdma_faults::note();\n\
+                   }\n\
+                   xrdma_faults::note();\n\
+                   }";
+        let v = run(src, SIM_RULES);
+        let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [5, 7], "{v:?}");
+    }
+
+    /// Only the `xrdma_faults::active()` guard counts: a cfg gate,
+    /// another crate's `active()`, an imported hook name, and a guard
+    /// that a top-level `||` can bypass are all findings (the positive
+    /// fixture carries the cfg case).
+    #[test]
     fn f1_other_cfg_gates_do_not_count() {
-        let v = run(
-            "#[cfg(feature = \"telemetry\")]\nfn f() { xrdma_faults::note(); }",
-            SIM_RULES,
-        );
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::UngatedFaultHook);
+        let src = "#[cfg(test_only)]\n\
+                   fn f() { xrdma_faults::note(); }\n\
+                   fn g() { if hub::active() { xrdma_faults::note(); } }\n\
+                   use xrdma_faults::{FaultKind, port_drop};\n\
+                   fn h(c: bool) { if xrdma_faults::active() || c { xrdma_faults::note(); } }\n\
+                   fn k(c: bool) { if xrdma_faults::active() && c || c { xrdma_faults::note(); } }";
+        let v = run(src, SIM_RULES);
+        let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [2, 3, 4, 5, 6], "{v:?}");
+        assert!(v.iter().all(|v| v.rule == Rule::UngatedFaultHook));
+        assert!(v[2].message.contains("xrdma_faults::port_drop"), "{v:?}");
     }
 
     #[test]

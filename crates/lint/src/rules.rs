@@ -219,7 +219,8 @@ fn intra_world_parallelism(ctx: &FileCtx, out: &mut Vec<Violation>) {
 fn raw_telemetry(ctx: &FileCtx, out: &mut Vec<Violation>) {
     // The raw span entry points share `emit_raw`'s contract: stack code
     // goes through the `span_open!`/`span_mark!`/`span_hop!`/`span_end!`
-    // macros, whose expansions vanish in telemetry-off builds.
+    // macros, whose expansions do nothing but test `hub::active()` while
+    // no hub is installed.
     const RAW_ENTRY_POINTS: [&str; 5] = [
         "emit_raw",
         "span_open_raw",
@@ -234,7 +235,7 @@ fn raw_telemetry(ctx: &FileCtx, out: &mut Vec<Violation>) {
                 Rule::RawTelemetry,
                 t.line,
                 "direct raw telemetry call bypasses the `tele!`/`span_*!` macros; \
-                 emission outside the macros is not compiled out in telemetry-off builds"
+                 emission outside the macros skips their `hub::active()` test"
                     .to_string(),
             );
         }
@@ -243,17 +244,52 @@ fn raw_telemetry(ctx: &FileCtx, out: &mut Vec<Violation>) {
 
 fn ungated_fault_hook(ctx: &FileCtx, out: &mut Vec<Violation>) {
     for (i, t) in ctx.tokens.iter().enumerate() {
-        if live(ctx, i) && t.is_ident("xrdma_faults") && !ctx.flags[i].faults_gated {
+        if !(live(ctx, i) && t.is_ident("xrdma_faults")) || ctx.flags[i].faults_guarded {
+            continue;
+        }
+        if let Some(hook) = fault_hook_named(ctx.tokens, i) {
             ctx.hit(
                 out,
                 Rule::UngatedFaultHook,
                 t.line,
-                "`xrdma_faults` hook outside a `#[cfg(feature = \"faults\")]` gate; \
-                 fault hooks must compile to nothing when the feature is off"
-                    .to_string(),
+                format!(
+                    "fault hook `xrdma_faults::{hook}` outside an `if xrdma_faults::active()` \
+                     block; without the guard a run with no injector pays for the hook"
+                ),
             );
         }
     }
+}
+
+/// The first hook a path starting at the `xrdma_faults` token `i` names:
+/// a function (lower-case final segment) other than the `active` guard,
+/// directly or inside a `use` group. Type paths are not hooks.
+fn fault_hook_named(toks: &[Token], i: usize) -> Option<String> {
+    let sep = |j: usize| {
+        toks.get(j).is_some_and(|t| t.is_punct(':'))
+            && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
+    };
+    let is_hook = |t: &Token| {
+        t.kind == TokKind::Ident
+            && t.text.starts_with(|c: char| c.is_ascii_lowercase())
+            && !matches!(t.text.as_str(), "active" | "self")
+    };
+    let mut j = i + 1;
+    while sep(j) {
+        let seg = toks.get(j + 2)?;
+        if seg.is_punct('{') {
+            let end = crate::scope_match_brace(toks, j + 2);
+            return (j + 3..end.min(toks.len()))
+                .find(|&k| is_hook(&toks[k]) && !sep(k + 1))
+                .map(|k| toks[k].text.clone());
+        }
+        j += 2;
+        if !sep(j + 1) {
+            return is_hook(seg).then(|| seg.text.clone());
+        }
+        j += 1;
+    }
+    None
 }
 
 fn unwrap_in_api(ctx: &FileCtx, out: &mut Vec<Violation>) {

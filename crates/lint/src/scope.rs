@@ -15,9 +15,12 @@
 //!
 //! * `test` — inside a `#[cfg(test)]`-gated item (module, fn, impl…).
 //!   Test code runs outside worlds and is exempt from determinism rules.
-//! * `faults_gated` — inside a `#[cfg(feature = "faults")]`-gated item or
-//!   statement; the F1 rule requires every `xrdma_faults` reference to
-//!   carry this flag.
+//! * `faults_guarded` — inside the block of an `if xrdma_faults::active()`
+//!   (the condition may go on with `&& …`, but a `||` outside brackets
+//!   voids the guard); the F1 rule requires every fault hook call to carry
+//!   this flag. An `else` block is not guarded. A brace block at the
+//!   condition's top level (`&& { … }`) is taken for the `if` block, which
+//!   then reads as unguarded: the rule errs towards a finding.
 //! * `pub_fn` — inside the body of a `pub fn` (not `pub(crate)`), where
 //!   the D5 unwrap rule applies. Nested private `fn` items shadow the
 //!   enclosing public region.
@@ -28,7 +31,7 @@ use crate::lexer::{TokKind, Token};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Flags {
     pub test: bool,
-    pub faults_gated: bool,
+    pub faults_guarded: bool,
     pub pub_fn: bool,
 }
 
@@ -49,7 +52,20 @@ struct Region {
 #[derive(Clone, Copy, Default)]
 struct AttrGate {
     test: bool,
-    faults: bool,
+}
+
+/// Does `if xrdma_faults::active()` start at `tokens[i]`, followed by the
+/// `if` block's `{` or by `&&`?
+fn opens_faults_guard(tokens: &[Token], i: usize) -> bool {
+    const GUARD: [&str; 7] = ["if", "xrdma_faults", ":", ":", "active", "(", ")"];
+    let n = GUARD.len();
+    let guard = tokens.get(i..i + n).is_some_and(|toks| {
+        toks.iter()
+            .zip(GUARD)
+            .all(|(t, want)| matches!(t.kind, TokKind::Ident | TokKind::Punct) && t.text == want)
+    });
+    let punct = |k: usize, c: char| tokens.get(i + k).is_some_and(|t| t.is_punct(c));
+    guard && (punct(n, '{') || (punct(n, '&') && punct(n + 1, '&')))
 }
 
 /// Compute per-token [`Flags`] for a lexed token stream.
@@ -71,6 +87,11 @@ pub fn scopes(tokens: &[Token]) -> Vec<Flags> {
     // `pub fn` detection.
     let mut pending_vis = false;
     let mut pending_fn = FnKind::None;
+    // Set between `if xrdma_faults::active()` and the `{` of its block;
+    // `guard_parens` is the bracket nesting inside that condition, so a
+    // closure body or `||` inside a call neither opens nor voids it.
+    let mut pending_guard = false;
+    let mut guard_parens: i32 = 0;
 
     let mut i = 0;
     while i < tokens.len() {
@@ -97,18 +118,11 @@ pub fn scopes(tokens: &[Token]) -> Vec<Flags> {
                 );
                 if is_inner {
                     match regions.last_mut() {
-                        Some(r) => {
-                            r.test |= gate.test;
-                            r.faults |= gate.faults;
-                        }
-                        None => {
-                            file_gate.test |= gate.test;
-                            file_gate.faults |= gate.faults;
-                        }
+                        Some(r) => r.test |= gate.test,
+                        None => file_gate.test |= gate.test,
                     }
                 } else {
                     pending.test |= gate.test;
-                    pending.faults |= gate.faults;
                     pending_active = true;
                     pb_inner = 0;
                     ang_inner = 0;
@@ -130,6 +144,10 @@ pub fn scopes(tokens: &[Token]) -> Vec<Flags> {
 
         match t.kind {
             TokKind::Ident => match t.text.as_str() {
+                "if" if opens_faults_guard(tokens, i) => {
+                    pending_guard = true;
+                    guard_parens = 0;
+                }
                 "pub" => {
                     if tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) {
                         // `pub(crate)` / `pub(super)`: restricted, not public.
@@ -167,11 +185,14 @@ pub fn scopes(tokens: &[Token]) -> Vec<Flags> {
             },
             TokKind::Punct => match t.text.as_bytes()[0] {
                 b'{' => {
+                    // A block nested in the guard's condition runs only
+                    // after `active()` held, so it is guarded too.
                     regions.push(Region {
                         test: pending.test,
-                        faults: pending.faults,
+                        faults: pending_guard,
                         fnk: pending_fn,
                     });
+                    pending_guard &= guard_parens > 0;
                     pending = AttrGate::default();
                     pending_active = false;
                     pending_fn = FnKind::None;
@@ -182,8 +203,19 @@ pub fn scopes(tokens: &[Token]) -> Vec<Flags> {
                 b'}' => {
                     regions.pop();
                 }
-                b'(' | b'[' => pb_inner += 1,
-                b')' | b']' => pb_inner -= 1,
+                b'(' | b'[' => {
+                    pb_inner += 1;
+                    guard_parens += 1;
+                }
+                b')' | b']' => {
+                    pb_inner -= 1;
+                    guard_parens -= 1;
+                }
+                b'|' if guard_parens <= 0 && tokens.get(i + 1).is_some_and(|t| t.is_punct('|')) => {
+                    // `active() && a || b` runs the block when `b` alone
+                    // holds: no guard.
+                    pending_guard = false;
+                }
                 b'<' if pending_active || pending_fn != FnKind::None => ang_inner += 1,
                 b'>' if (pending_active || pending_fn != FnKind::None)
                     && !(i > 0 && tokens[i - 1].is_punct('-')) =>
@@ -195,6 +227,7 @@ pub fn scopes(tokens: &[Token]) -> Vec<Flags> {
                     // A brace-less statement / trait-method decl ends
                     // here, together with any gate that covered it.
                     pending = AttrGate::default();
+                    pending_guard &= guard_parens > 0;
                     pending_active = false;
                     pending_fn = FnKind::None;
                     pending_vis = false;
@@ -231,19 +264,18 @@ fn mark(
 ) {
     let mut f = Flags {
         test: file_gate.test,
-        faults_gated: file_gate.faults,
+        faults_guarded: false,
         pub_fn: false,
     };
     for r in regions {
         f.test |= r.test;
-        f.faults_gated |= r.faults;
+        f.faults_guarded |= r.faults;
     }
     if let Some(r) = regions.iter().rev().find(|r| r.fnk != FnKind::None) {
         f.pub_fn = r.fnk == FnKind::Pub;
     }
     if pending_active {
         f.test |= pending.test;
-        f.faults_gated |= pending.faults;
     }
     let to = to.min(flags.len());
     for slot in flags[from..to].iter_mut() {
@@ -268,12 +300,9 @@ pub(crate) fn match_delim(tokens: &[Token], open: usize, open_c: char, close_c: 
     tokens.len()
 }
 
-/// Parse an attribute token group (starting at `[`) for the gates the
-/// rules care about: `cfg(test)` and `cfg(… feature = "faults" …)`.
-///
-/// A `cfg(not(...))` group contributes nothing — gating fault hooks under
-/// `not(feature = "faults")` would be exactly backwards, and treating it
-/// as a gate would hide the bug.
+/// Parse an attribute token group (starting at `[`) for the gate the
+/// rules care about: `cfg(test)`, possibly under `all(...)`/`any(...)`.
+/// A `cfg(not(...))` group contributes nothing.
 fn parse_attr_gate(group: &[Token]) -> AttrGate {
     let mut gate = AttrGate::default();
     let mut k = 0;
@@ -281,21 +310,8 @@ fn parse_attr_gate(group: &[Token]) -> AttrGate {
         if group[k].is_ident("cfg") && group.get(k + 1).is_some_and(|t| t.is_punct('(')) {
             let end = match_delim(group, k + 1, '(', ')');
             let body = &group[k + 2..end.min(group.len())];
-            if !body.iter().any(|t| t.is_ident("not")) {
-                // Bare `test`, possibly under all(...)/any(...).
-                if body.iter().any(|t| t.is_ident("test")) {
-                    gate.test = true;
-                }
-                for w in 0..body.len() {
-                    if body[w].is_ident("feature")
-                        && body.get(w + 1).is_some_and(|t| t.is_punct('='))
-                        && body
-                            .get(w + 2)
-                            .is_some_and(|t| t.kind == TokKind::Str && t.text == "faults")
-                    {
-                        gate.faults = true;
-                    }
-                }
+            if !body.iter().any(|t| t.is_ident("not")) && body.iter().any(|t| t.is_ident("test")) {
+                gate.test = true;
             }
             k = end + 1;
         } else {

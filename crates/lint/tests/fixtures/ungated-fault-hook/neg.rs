@@ -1,6 +1,7 @@
 fn poll(port: &Port) {
-    #[cfg(feature = "faults")]
-    if xrdma_faults::port_drop(&port.label) {
-        return;
+    if xrdma_faults::active() {
+        if xrdma_faults::port_drop(&port.label) {
+            return;
+        }
     }
 }

@@ -200,28 +200,29 @@ impl ConnManager {
         // fires), a refusal REJs after a half-exchange, and a slow
         // management plane defers the REQ — re-checked on re-entry, so the
         // penalty repeats for as long as the fault window stays open.
-        #[cfg(feature = "faults")]
-        match xrdma_faults::rnic_connect_fault(rnic.node().0, server.0) {
-            None => {}
-            Some(xrdma_faults::ConnectFault::Blackhole) => {
-                self.world.schedule_in(CONNECT_TIMEOUT, move || {
-                    done(Err(CmError::Timeout));
-                });
-                return;
-            }
-            Some(xrdma_faults::ConnectFault::Refuse) => {
-                let half = self.jittered(EXCHANGE / 2);
-                self.world.schedule_in(half, move || {
-                    done(Err(CmError::ConnectionRefused));
-                });
-                return;
-            }
-            Some(xrdma_faults::ConnectFault::Slow(extra)) => {
-                let me = self.clone();
-                self.world.schedule_in(extra, move || {
-                    me.send_req(rnic, qp, server, svc, done);
-                });
-                return;
+        if xrdma_faults::active() {
+            match xrdma_faults::rnic_connect_fault(rnic.node().0, server.0) {
+                None => {}
+                Some(xrdma_faults::ConnectFault::Blackhole) => {
+                    self.world.schedule_in(CONNECT_TIMEOUT, move || {
+                        done(Err(CmError::Timeout));
+                    });
+                    return;
+                }
+                Some(xrdma_faults::ConnectFault::Refuse) => {
+                    let half = self.jittered(EXCHANGE / 2);
+                    self.world.schedule_in(half, move || {
+                        done(Err(CmError::ConnectionRefused));
+                    });
+                    return;
+                }
+                Some(xrdma_faults::ConnectFault::Slow(extra)) => {
+                    let me = self.clone();
+                    self.world.schedule_in(extra, move || {
+                        me.send_req(rnic, qp, server, svc, done);
+                    });
+                    return;
+                }
             }
         }
         // Refusal is detected after a half-exchange (REJ message).

@@ -63,16 +63,6 @@ pub const MAX_INFLIGHT_MSGS: usize = 128;
 /// to the port above this (bounds sender-side HoL blocking).
 pub const INJECT_LIMIT_BYTES: u64 = 256 * 1024;
 
-/// Verdict of an installed packet filter (the analysis framework's fault
-/// injector, §VI-C "Emulate Fault").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FilterVerdict {
-    Pass,
-    /// Drop the packet silently (emulated loss).
-    Drop,
-    /// Deliver after an extra delay (emulated slow path).
-    Delay(Dur),
-}
 use crate::wire::{Bth, FragData, NakKind, TokenedBth, WireOp};
 
 /// Aggregate per-NIC counters.
@@ -103,6 +93,8 @@ pub struct RnicStats {
     pub fault_rx_drops: u64,
     /// Packets delivered twice by an injected duplication fault.
     pub fault_rx_dups: u64,
+    /// Packets held back by an injected reorder/slow-path fault.
+    pub fault_rx_delays: u64,
     /// Doorbell rings (one per `post_send`, one per posted WR *list*).
     pub doorbells: u64,
     /// Send WRs accepted across all doorbells; `posted_wrs / doorbells`
@@ -260,15 +252,8 @@ pub struct Rnic {
     paused_prios: RefCell<[bool; 8]>,
     /// Non-RDMA traffic handler (the TCP model registers here).
     alt_sink: RefCell<Option<Box<dyn Fn(Packet)>>>,
-    /// Receive-side fault-injection filter (Linux netfilter does not work
-    /// on the RDMA data plane — §III — so the middleware provides one).
-    filter: RefCell<Option<Box<dyn Fn(&Packet) -> FilterVerdict>>>,
-    /// Packets dropped / delayed by the filter (stats).
-    pub filtered_drops: Cell<u64>,
-    pub filtered_delays: Cell<u64>,
     /// Arrivals buffered while a `PeerPause` fault window freezes this
     /// node; replayed in order on resume.
-    #[cfg(feature = "faults")]
     paused_rx: RefCell<VecDeque<Packet>>,
     #[allow(dead_code)]
     rng: RefCell<SimRng>,
@@ -301,10 +286,6 @@ impl Rnic {
             alive: Cell::new(true),
             paused_prios: RefCell::new([false; 8]),
             alt_sink: RefCell::new(None),
-            filter: RefCell::new(None),
-            filtered_drops: Cell::new(0),
-            filtered_delays: Cell::new(0),
-            #[cfg(feature = "faults")]
             paused_rx: RefCell::new(VecDeque::new()),
             rng: RefCell::new(rng),
         });
@@ -314,8 +295,7 @@ impl Rnic {
         *rnic.port.borrow_mut() = Some(port);
         *rnic.fabric.borrow_mut() = Some(fabric.clone());
         // Let the fault injector steer this node (crash/pause/QP error).
-        #[cfg(feature = "faults")]
-        {
+        if xrdma_faults::active() {
             let weak = Rc::downgrade(&rnic);
             xrdma_faults::register_node(
                 node.0,
@@ -347,13 +327,6 @@ impl Rnic {
     pub fn set_alt_sink(&self, f: impl Fn(Packet) + 'static) {
         // xrdma-lint: allow(hot-path-alloc) -- sink installed once at setup
         *self.alt_sink.borrow_mut() = Some(Box::new(f));
-    }
-
-    /// Install a receive-side packet filter (fault injection). At most one
-    /// filter is active; installing replaces the previous one.
-    pub fn set_filter(&self, f: impl Fn(&Packet) -> FilterVerdict + 'static) {
-        // xrdma-lint: allow(hot-path-alloc) -- filter installed once at setup
-        *self.filter.borrow_mut() = Some(Box::new(f));
     }
 
     pub fn node(&self) -> NodeId {
@@ -1389,17 +1362,17 @@ impl Rnic {
     /// here so the `CqeDelay` fault (an RNIC stall, §III robustness) can
     /// hold it back; without an open fault window this is a plain push.
     fn push_cqe(&self, cq: &Rc<CompletionQueue>, cqe: Cqe) {
-        #[cfg(feature = "faults")]
-        if let Some(d) = xrdma_faults::cqe_delay(self.node.0) {
-            let cq = cq.clone();
-            self.world.schedule_in(d, move || cq.push(cqe));
-            return;
+        if xrdma_faults::active() {
+            if let Some(d) = xrdma_faults::cqe_delay(self.node.0) {
+                let cq = cq.clone();
+                self.world.schedule_in(d, move || cq.push(cqe));
+                return;
+            }
         }
         cq.push(cqe);
     }
 
     /// React to a fault-injector node command (registered in `Rnic::new`).
-    #[cfg(feature = "faults")]
     fn fault_cmd(self: &Rc<Self>, cmd: xrdma_faults::NodeCmd) {
         use xrdma_faults::NodeCmd;
         match cmd {
@@ -1857,17 +1830,31 @@ impl Rnic {
                 if front.seq <= msg_seq {
                     let u = tx.unacked.pop_front().unwrap();
                     if u.wr.signaled {
-                        out.push((u.wr.wr_id, op_to_cqe(&u.wr.op), u.wr.payload.len()));
+                        out.push((u.seq, u.wr.wr_id, op_to_cqe(&u.wr.op), u.wr.payload.len()));
                     }
                 } else {
                     break;
                 }
             }
-            // Drop replay entries that are now acknowledged.
-            tx.retx.retain(|m| m.seq > msg_seq);
+            // A late ACK can cover messages a go-back-N already queued for
+            // replay: they are done, so they complete here, in PSN order
+            // with the window's. A covered Read or atomic only leaves the
+            // replay queue: its response completes it (`pending_reads` /
+            // `pending_atomics` own that CQE), not the ACK.
+            let before = out.len();
+            tx.retx.retain(|m| {
+                let acked = m.seq <= msg_seq;
+                if acked && m.wr.signaled && !m.wr.op.is_fetch() {
+                    out.push((m.seq, m.wr.wr_id, op_to_cqe(&m.wr.op), m.wr.payload.len()));
+                }
+                !acked
+            });
+            if out.len() > before {
+                out.sort_unstable_by_key(|c| c.0);
+            }
             out
         };
-        for (wr_id, opcode, byte_len) in completions {
+        for (_, wr_id, opcode, byte_len) in completions {
             self.push_cqe(
                 &qp.send_cq,
                 Cqe {
@@ -2239,17 +2226,17 @@ impl NicSink for Rnic {
         let Some(me) = self.me.borrow().upgrade() else {
             return;
         };
-        // Scheduled fault-plan hooks (`xrdma-faults`): a PeerPause window
-        // freezes the node (arrivals buffered, replayed on resume); rx
-        // faults model ICRC corruption (drop), NIC-level duplication and
-        // reordering. All are recovered by the go-back-N protocol.
-        #[cfg(feature = "faults")]
-        {
+        // Fault hooks (`xrdma-faults`: a scheduled plan, or the analysis
+        // Filter's rules): a PeerPause window freezes the node (arrivals
+        // buffered, replayed on resume); rx faults model ICRC corruption
+        // (drop), NIC-level duplication and reordering or a slow path
+        // (delay). All are recovered by the go-back-N protocol.
+        if xrdma_faults::active() {
             if xrdma_faults::node_paused(self.node.0) {
                 self.paused_rx.borrow_mut().push_back(pkt);
                 return;
             }
-            match xrdma_faults::rnic_rx(self.node.0) {
+            match xrdma_faults::rnic_rx(self.node.0, pkt.src.0) {
                 None => {}
                 Some(xrdma_faults::RxFault::Drop { .. }) => {
                     self.stats.borrow_mut().fault_rx_drops += 1;
@@ -2277,31 +2264,10 @@ impl NicSink for Rnic {
                     }
                 }
                 Some(xrdma_faults::RxFault::Delay(d)) => {
-                    let me2 = me.clone();
-                    self.world.schedule_in(d, move || me2.deliver_filtered(pkt));
+                    self.stats.borrow_mut().fault_rx_delays += 1;
+                    self.world.schedule_in(d, move || me.deliver_filtered(pkt));
                     return;
                 }
-            }
-        }
-        // Fault-injection filter (checked once; delayed packets re-enter
-        // through deliver_filtered).
-        let verdict = match self.filter.borrow().as_ref() {
-            Some(f) => f(&pkt),
-            None => FilterVerdict::Pass,
-        };
-        match verdict {
-            FilterVerdict::Pass => {}
-            FilterVerdict::Drop => {
-                self.filtered_drops.set(self.filtered_drops.get() + 1);
-                return;
-            }
-            FilterVerdict::Delay(d) => {
-                self.filtered_delays.set(self.filtered_delays.get() + 1);
-                let me2 = me.clone();
-                self.world.schedule_in(d, move || {
-                    me2.deliver_filtered(pkt);
-                });
-                return;
             }
         }
         me.deliver_filtered(pkt);
@@ -2316,7 +2282,7 @@ impl NicSink for Rnic {
 }
 
 impl Rnic {
-    /// Post-filter delivery path.
+    /// Delivery path past the receive fault hooks.
     fn deliver_filtered(self: &Rc<Self>, pkt: Packet) {
         let me = self.clone();
         let mut pkt = pkt;
@@ -2489,5 +2455,82 @@ mod tests {
             assert!(bounded(&cache), "three keys: {} entries", cache.order.len());
         }
         assert_eq!(cache.map.len(), 4);
+    }
+
+    /// A Read that a go-back-N queued for replay is completed by its
+    /// response, not by an ACK that covers its sequence number: a Read
+    /// (seq 0) and a Write (seq 1) are both in flight, a retransmit
+    /// timeout moves them to the replay queue, and an ACK for seq 1
+    /// arrives before the replay starts. The Write completes on that ACK,
+    /// the Read once, when its response lands with the data.
+    #[test]
+    fn covering_ack_leaves_a_replayed_read_to_its_response() {
+        use std::rc::Rc;
+
+        use xrdma_fabric::{Fabric, FabricConfig, NodeId};
+        use xrdma_sim::{SimRng, World};
+
+        use super::Rnic;
+        use crate::config::{PageKind, RnicConfig};
+        use crate::cq::{CqeOpcode, CqeStatus};
+        use crate::mem::AccessFlags;
+        use crate::qp::QpCaps;
+        use crate::verbs::{Payload, SendWr};
+
+        let world = World::new();
+        let rng = SimRng::new(7);
+        let fabric = Fabric::new(world.clone(), FabricConfig::pair(), &rng);
+        let a = Rnic::new(&fabric, NodeId(0), RnicConfig::default(), rng.fork("a"));
+        let b = Rnic::new(&fabric, NodeId(1), RnicConfig::default(), rng.fork("b"));
+        let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
+        let (cqa, cqb) = (a.create_cq(64), b.create_cq(64));
+        let qa = a.create_qp(&pda, cqa.clone(), cqa.clone(), QpCaps::default(), None);
+        let qb = b.create_qp(&pdb, cqb.clone(), cqb.clone(), QpCaps::default(), None);
+        Rnic::connect_pair(&a, &qa, &b, &qb).unwrap();
+        let mr = |n: &Rc<Rnic>, pd| {
+            n.reg_mr(
+                pd,
+                4096,
+                AccessFlags::FULL,
+                PageKind::Anonymous,
+                true,
+                false,
+            )
+        };
+        let (dst, src) = (mr(&a, &pda), mr(&b, &pdb));
+        src.write(src.addr, b"read-me").unwrap();
+
+        let read = SendWr::read(1, dst.addr, dst.lkey, 7, src.addr, src.rkey);
+        a.post_send(&qa, read).unwrap();
+        let write = SendWr::write(2, Payload::Zero(64), src.addr + 64, src.rkey);
+        a.post_send(&qa, write).unwrap();
+        let in_flight = || {
+            let tx = qa.tx.borrow();
+            tx.pending_reads.contains_key(&0) && tx.unacked.iter().any(|u| u.seq == 1)
+        };
+        while !in_flight() {
+            assert!(world.step(), "both requests must leave the requester");
+        }
+
+        a.go_back_retransmit(&qa, None, false);
+        let queued: Vec<u64> = qa.tx.borrow().retx.iter().map(|m| m.seq).collect();
+        assert_eq!(queued, [0, 1], "the timeout queues both for replay");
+        a.handle_ack(&qa, 1);
+        assert!(qa.tx.borrow().retx.is_empty(), "the ACK covers both");
+        world.run();
+
+        let mut cqes = Vec::new();
+        while let Some(c) = cqa.poll_one() {
+            cqes.push((c.wr_id, c.opcode, c.status));
+        }
+        assert_eq!(
+            cqes,
+            [
+                (2, CqeOpcode::Write, CqeStatus::Success),
+                (1, CqeOpcode::Read, CqeStatus::Success),
+            ],
+            "one CQE per WR: the Write on the ACK, the Read on its response"
+        );
+        assert_eq!(dst.read(dst.addr, 7).unwrap(), b"read-me");
     }
 }

@@ -2,12 +2,11 @@
 //! operation mixes, and the invariants that must survive them — exactly
 //! once, in order, no stuck QPs, PFC accounting conserved.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use xrdma_fabric::{Fabric, FabricConfig, NodeId};
-use xrdma_rnic::engine::FilterVerdict;
+use xrdma_faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultTarget, FaultsGuard};
 use xrdma_rnic::verbs::Payload;
 use xrdma_rnic::{
     AccessFlags, CompletionQueue, CqeStatus, PageKind, Qp, QpCaps, RecvWr, Rnic, RnicConfig, SendWr,
@@ -54,28 +53,54 @@ fn pair(seed: u64, retx_ms: u64) -> Pair {
     }
 }
 
+/// Install receive-side noise for the whole run: each `(node, kind)` is an
+/// open-ended node spec.
+fn noise(world: &Rc<World>, seed: u64, specs: &[(u32, FaultKind)]) -> FaultsGuard {
+    let mut plan = FaultPlan::new();
+    for (node, kind) in specs {
+        plan = plan.with(FaultSpec {
+            at_ns: 0,
+            dur_ns: None,
+            target: FaultTarget::Node(*node),
+            kind: kind.clone(),
+        });
+    }
+    FaultInjector::install(world, plan, SimRng::new(seed))
+}
+
 /// Random drops AND delays on both directions; mixed sends and writes with
 /// real data; everything must arrive exactly once, in order, intact.
 #[test]
 fn loss_and_reorder_noise_mixed_ops_exactly_once() {
     for seed in [1u64, 2, 3] {
         let p = pair(seed, 2);
-        // Install noisy filters on both NICs.
-        let mk_noise = |seed: u64| {
-            let rng = RefCell::new(SimRng::new(seed));
-            move |_pkt: &xrdma_fabric::Packet| {
-                let mut rng = rng.borrow_mut();
-                if rng.chance(0.05) {
-                    FilterVerdict::Drop
-                } else if rng.chance(0.05) {
-                    FilterVerdict::Delay(Dur::micros(rng.range(1, 500)))
-                } else {
-                    FilterVerdict::Pass
-                }
-            }
-        };
-        p.a.set_filter(mk_noise(seed * 7 + 1));
-        p.b.set_filter(mk_noise(seed * 7 + 2));
+        // Drop 5 % and hold back another ~5 % (by 40 or 400 µs) of what
+        // arrives at either NIC.
+        let _noise = noise(
+            &p.world,
+            seed * 7 + 1,
+            &[0, 1]
+                .map(|n| {
+                    [
+                        (n, FaultKind::Corrupt { prob: 0.05 }),
+                        (
+                            n,
+                            FaultKind::Reorder {
+                                prob: 0.025,
+                                delay_ns: 40_000,
+                            },
+                        ),
+                        (
+                            n,
+                            FaultKind::Reorder {
+                                prob: 0.025,
+                                delay_ns: 400_000,
+                            },
+                        ),
+                    ]
+                })
+                .concat(),
+        );
 
         let pdb = p.b.alloc_pd();
         let target = p.b.reg_mr(
@@ -144,7 +169,7 @@ fn loss_and_reorder_noise_mixed_ops_exactly_once() {
         }
         // The noise actually fired.
         assert!(
-            p.a.filtered_drops.get() + p.b.filtered_drops.get() > 0,
+            p.a.stats().fault_rx_drops + p.b.stats().fault_rx_drops > 0,
             "drops happened"
         );
         assert!(p.a.stats().retransmissions > 0, "recovery happened");
@@ -156,14 +181,7 @@ fn loss_and_reorder_noise_mixed_ops_exactly_once() {
 #[test]
 fn reads_survive_loss() {
     let p = pair(9, 2);
-    let rng = RefCell::new(SimRng::new(99));
-    p.b.set_filter(move |_pkt| {
-        if rng.borrow_mut().chance(0.08) {
-            FilterVerdict::Drop
-        } else {
-            FilterVerdict::Pass
-        }
-    });
+    let _noise = noise(&p.world, 99, &[(1, FaultKind::Corrupt { prob: 0.08 })]);
     let pdb = p.b.alloc_pd();
     let src = p.b.reg_mr(
         &pdb,

@@ -15,9 +15,10 @@
 //! which `tele!` pairs so the payload is never even constructed when no hub
 //! is installed. Calling `emit_raw` directly from stack code is flagged by
 //! the `raw-telemetry-emit` lint rule: the macro is the only sanctioned
-//! entry point, because it is what makes the telemetry-off build free.
+//! entry point, because its `active()` test is what keeps a run without a
+//! hub down to one thread-local flag read per site.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
 use serde::Serialize;
@@ -61,7 +62,6 @@ pub struct TelemetryHub {
     recorder: RefCell<FlightRecorder>,
     metrics: MetricsRegistry,
     /// Causal span bookkeeping (DESIGN.md §8).
-    #[cfg(feature = "telemetry")]
     spans: RefCell<crate::span::SpanTracker>,
     /// The most recent flight-recorder dump, kept for tests and reports.
     last_dump: RefCell<Option<Vec<Event>>>,
@@ -69,6 +69,8 @@ pub struct TelemetryHub {
 
 thread_local! {
     static CURRENT: RefCell<Option<Rc<TelemetryHub>>> = const { RefCell::new(None) };
+    /// Mirrors `CURRENT.is_some()`: the one flag every emission site reads.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
 }
 
 impl TelemetryHub {
@@ -77,15 +79,11 @@ impl TelemetryHub {
     /// uninstalls both on drop; installing over an existing hub replaces
     /// it.
     pub fn install(world: &Rc<World>, cfg: HubConfig) -> HubGuard {
-        // Every knob left on `HubConfig` steers span capture.
-        #[cfg(not(feature = "telemetry"))]
-        let _ = cfg;
         let hub = Rc::new(TelemetryHub {
             world: world.clone(),
             events: RefCell::new(Vec::new()),
             recorder: RefCell::new(FlightRecorder::new(RING_CAPACITY)),
             metrics: MetricsRegistry::new(),
-            #[cfg(feature = "telemetry")]
             spans: RefCell::new(crate::span::SpanTracker::new(
                 cfg.capture_spans,
                 cfg.slow_span_ns,
@@ -94,6 +92,7 @@ impl TelemetryHub {
             last_dump: RefCell::new(None),
         });
         CURRENT.with(|c| *c.borrow_mut() = Some(hub.clone()));
+        ACTIVE.with(|a| a.set(true));
         let weak = Rc::downgrade(&hub);
         xrdma_sim::set_invariant_observer(move |msg| {
             if let Some(hub) = weak.upgrade() {
@@ -121,7 +120,6 @@ impl TelemetryHub {
         };
         // The slow-op tracer retains any span that was in flight across a
         // watchdog violation, whatever its own latency.
-        #[cfg(feature = "telemetry")]
         if matches!(
             &ev.kind,
             EventKind::PollGap { .. } | EventKind::SlowOp { .. }
@@ -177,21 +175,18 @@ impl TelemetryHub {
             ev.json_into(&mut line);
             eprintln!("[xrdma-telemetry] {line}");
         }
-        #[cfg(feature = "telemetry")]
-        {
-            let trees = self.spans.borrow().slow_trees();
-            if !trees.is_empty() {
-                eprintln!(
-                    "[xrdma-telemetry] slow-op spans: {} retained tree(s), {} dropped",
-                    trees.len(),
-                    self.spans.borrow().slow_dropped()
-                );
-                for tree in &trees {
-                    for node in tree {
-                        line.clear();
-                        node.json_into(&mut line);
-                        eprintln!("[xrdma-telemetry] {line}");
-                    }
+        let trees = self.spans.borrow().slow_trees();
+        if !trees.is_empty() {
+            eprintln!(
+                "[xrdma-telemetry] slow-op spans: {} retained tree(s), {} dropped",
+                trees.len(),
+                self.spans.borrow().slow_dropped()
+            );
+            for tree in &trees {
+                for node in tree {
+                    line.clear();
+                    node.json_into(&mut line);
+                    eprintln!("[xrdma-telemetry] {line}");
                 }
             }
         }
@@ -212,61 +207,30 @@ impl TelemetryHub {
     }
 
     // ------------------------------------------------------------------
-    // Causal spans (DESIGN.md §8). The query surface exists regardless of
-    // the feature so consumers (xr-stat, benches) need no cfg; with
-    // telemetry compiled out everything is empty.
+    // Causal spans (DESIGN.md §8).
     // ------------------------------------------------------------------
 
     /// Flattened nodes of every closed span tree, in close order.
     pub fn span_nodes(&self) -> Vec<crate::span::SpanNode> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.spans.borrow().closed_nodes()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            Vec::new()
-        }
+        self.spans.borrow().closed_nodes()
     }
 
     /// Retained slow-op span trees (each a flattened root-first node list).
     pub fn slow_span_trees(&self) -> Vec<Vec<crate::span::SpanNode>> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.spans.borrow().slow_trees()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            Vec::new()
-        }
+        self.spans.borrow().slow_trees()
     }
 
     /// Slow-op trees evicted from the bounded store.
     pub fn slow_span_dropped(&self) -> u64 {
-        #[cfg(feature = "telemetry")]
-        {
-            self.spans.borrow().slow_dropped()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            0
-        }
+        self.spans.borrow().slow_dropped()
     }
 
     /// Per-stage latency breakdown (one row per [`crate::span::Stage`] in
     /// pipeline order, then a final `e2e` row). Stably ordered.
     pub fn latency_breakdown(&self) -> Vec<crate::span::StageStat> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.spans.borrow().breakdown()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            Vec::new()
-        }
+        self.spans.borrow().breakdown()
     }
 
-    #[cfg(feature = "telemetry")]
     pub(crate) fn span_open(
         &self,
         node: u32,
@@ -279,14 +243,12 @@ impl TelemetryHub {
             .open(self.world.now().nanos(), node, qpn, seq, bytes)
     }
 
-    #[cfg(feature = "telemetry")]
     pub(crate) fn span_mark(&self, tok: crate::span::SpanToken, stage: crate::span::Stage) {
         self.spans
             .borrow_mut()
             .mark(tok, stage, self.world.now().nanos());
     }
 
-    #[cfg(feature = "telemetry")]
     pub(crate) fn span_hop(
         &self,
         tok: crate::span::SpanToken,
@@ -298,7 +260,6 @@ impl TelemetryHub {
             .hop(tok, label, started_ns, self.world.now().nanos());
     }
 
-    #[cfg(feature = "telemetry")]
     pub(crate) fn span_end(&self, tok: crate::span::SpanToken, end_ns: u64) {
         self.spans.borrow_mut().end(tok, end_ns);
     }
@@ -346,23 +307,29 @@ impl std::ops::Deref for HubGuard {
 }
 
 impl Drop for HubGuard {
+    /// Uninstall, unless a later `install` already replaced this hub: the
+    /// replacement keeps its flag and its invariant observer.
     fn drop(&mut self) {
-        xrdma_sim::clear_invariant_observer();
-        CURRENT.with(|c| {
+        let current = CURRENT.with(|c| {
             let mut cur = c.borrow_mut();
-            if let Some(h) = cur.as_ref() {
-                if Rc::ptr_eq(h, &self.hub) {
-                    *cur = None;
-                }
+            let current = cur.as_ref().is_some_and(|h| Rc::ptr_eq(h, &self.hub));
+            if current {
+                *cur = None;
             }
+            current
         });
+        if current {
+            ACTIVE.with(|a| a.set(false));
+            xrdma_sim::clear_invariant_observer();
+        }
     }
 }
 
-/// Is a hub installed on this thread? `tele!` checks this before building
-/// the event payload.
+/// Is a hub installed on this thread? `tele!` and the `span_*!` macros
+/// test this before building any payload.
+#[inline]
 pub fn active() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
+    ACTIVE.with(Cell::get)
 }
 
 /// Deliver one event to the installed hub, if any. Do not call this from
@@ -386,7 +353,6 @@ pub fn with_active<R>(f: impl FnOnce(&TelemetryHub) -> R) -> Option<R> {
 /// Open a span tree for one operation and return its root token. Do not
 /// call from stack code — use `span_open!` (enforced by the
 /// `raw-telemetry-emit` lint rule, like `emit_raw`).
-#[cfg(feature = "telemetry")]
 pub fn span_open_raw(node: u32, qpn: u32, seq: u32, bytes: u64) -> crate::span::SpanToken {
     let hub = CURRENT.with(|c| c.borrow().clone());
     match hub {
@@ -397,7 +363,6 @@ pub fn span_open_raw(node: u32, qpn: u32, seq: u32, bytes: u64) -> crate::span::
 
 /// Close the open stage and enter `stage`, at the current virtual time.
 /// Do not call from stack code — use `span_mark!`.
-#[cfg(feature = "telemetry")]
 pub fn span_mark_raw(tok: crate::span::SpanToken, stage: crate::span::Stage) {
     let hub = CURRENT.with(|c| c.borrow().clone());
     if let Some(h) = hub {
@@ -407,7 +372,6 @@ pub fn span_mark_raw(tok: crate::span::SpanToken, stage: crate::span::Stage) {
 
 /// Record one per-hop fabric transit that started at `started_ns` and
 /// ends now. Do not call from stack code — use `span_hop!`.
-#[cfg(feature = "telemetry")]
 pub fn span_hop_raw(tok: crate::span::SpanToken, label: &std::sync::Arc<str>, started_ns: u64) {
     let hub = CURRENT.with(|c| c.borrow().clone());
     if let Some(h) = hub {
@@ -418,7 +382,6 @@ pub fn span_hop_raw(tok: crate::span::SpanToken, label: &std::sync::Arc<str>, st
 /// Complete an operation at `end_ns` (explicit, so the caller can charge
 /// handler CPU via `busy_until`). Do not call from stack code — use
 /// `span_end!`.
-#[cfg(feature = "telemetry")]
 pub fn span_end_raw(tok: crate::span::SpanToken, end_ns: u64) {
     let hub = CURRENT.with(|c| c.borrow().clone());
     if let Some(h) = hub {

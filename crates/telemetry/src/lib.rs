@@ -9,14 +9,13 @@
 //!
 //! ## Overhead contract
 //!
-//! Instrumented crates emit through [`tele!`], which expands to **nothing**
-//! unless the *invoking* crate's `telemetry` feature is enabled — the
-//! telemetry-off build carries zero extra instructions on hot paths, the
-//! same contract `invariant!` makes for checkers. With the feature on but
-//! no hub installed, the cost is one thread-local flag check; the event
-//! payload is only constructed when a [`TelemetryHub`] is live on the
-//! current thread. The `raw-telemetry-emit` lint rule keeps stack code
-//! honest by rejecting direct `emit_raw` calls.
+//! Telemetry is a runtime plane, present in every build. Instrumented
+//! crates emit through [`tele!`] and the `span_*!` macros, each of which
+//! tests one const-initialised thread-local `Cell<bool>`
+//! ([`hub::active`]) and does nothing else while no [`TelemetryHub`] is
+//! installed: the event payload and the span operands are only evaluated
+//! when a hub is live on the current thread. The `raw-telemetry-emit` lint
+//! rule keeps stack code honest by rejecting direct `emit_raw` calls.
 
 pub mod event;
 pub mod export;
@@ -31,7 +30,7 @@ pub use metrics::MetricsRegistry;
 pub use recorder::FlightRecorder;
 pub use span::{SpanNode, SpanToken, Stage, StageStat};
 
-/// Emit a telemetry event, for free when telemetry is off.
+/// Emit a telemetry event; one flag test when no hub is installed.
 ///
 /// The operand is an [`EventKind`] variant body:
 ///
@@ -39,64 +38,39 @@ pub use span::{SpanNode, SpanToken, Stage, StageStat};
 /// tele!(PktDrop { port: self.label.clone(), prio, bytes });
 /// ```
 ///
-/// Expansion is gated on the **invoking** crate's `telemetry` feature
-/// (each instrumented crate declares one, forwarded down its dependency
-/// chain, mirroring `debug_invariants`). Payload expressions are evaluated
-/// only when a hub is installed, so `.clone()`s in operands are safe on
-/// hot paths.
+/// Payload expressions are evaluated only when a hub is installed, so
+/// `.clone()`s in operands are safe on hot paths.
 #[macro_export]
 macro_rules! tele {
     ($($ev:tt)+) => {{
-        #[cfg(feature = "telemetry")]
-        {
-            if $crate::hub::active() {
-                $crate::hub::emit_raw($crate::event::EventKind::$($ev)+);
-            }
+        if $crate::hub::active() {
+            $crate::hub::emit_raw($crate::event::EventKind::$($ev)+);
         }
     }};
 }
 
 /// Open a causal span for one operation (DESIGN.md §8), yielding its
-/// [`span::SpanToken`]. Expands to [`span::SpanToken::NONE`] — and
-/// evaluates no operands — unless the invoking crate's `telemetry` feature
-/// is on *and* a hub is installed, mirroring [`tele!`].
+/// [`span::SpanToken`]. Yields [`span::SpanToken::NONE`], evaluating no
+/// operands, when no hub is installed, mirroring [`tele!`].
 #[macro_export]
 macro_rules! span_open {
     ($node:expr, $qpn:expr, $seq:expr, $bytes:expr) => {{
-        #[cfg(feature = "telemetry")]
-        {
-            if $crate::hub::active() {
-                $crate::hub::span_open_raw($node, $qpn, $seq, $bytes)
-            } else {
-                $crate::span::SpanToken::NONE
-            }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
+        if $crate::hub::active() {
+            $crate::hub::span_open_raw($node, $qpn, $seq, $bytes)
+        } else {
             $crate::span::SpanToken::NONE
         }
     }};
 }
 
 /// Close the open stage of `tok`'s span at the current virtual time and
-/// enter `Stage::$stage`. Free when telemetry is off; ignored for
-/// `SpanToken::NONE` and closed spans.
-///
-/// The feature-off arm captures the operands in a closure that is never
-/// called: nothing is evaluated, no code is generated, but bindings and
-/// struct fields named in the operands still count as used.
+/// enter `Stage::$stage`. Ignored without a hub, for `SpanToken::NONE`
+/// and for closed spans.
 #[macro_export]
 macro_rules! span_mark {
     ($tok:expr, $stage:ident) => {{
-        #[cfg(feature = "telemetry")]
-        {
-            if $crate::hub::active() {
-                $crate::hub::span_mark_raw($tok, $crate::span::Stage::$stage);
-            }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = || $tok;
+        if $crate::hub::active() {
+            $crate::hub::span_mark_raw($tok, $crate::span::Stage::$stage);
         }
     }};
 }
@@ -106,15 +80,8 @@ macro_rules! span_mark {
 #[macro_export]
 macro_rules! span_hop {
     ($tok:expr, $label:expr, $started_ns:expr) => {{
-        #[cfg(feature = "telemetry")]
-        {
-            if $crate::hub::active() {
-                $crate::hub::span_hop_raw($tok, $label, $started_ns);
-            }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = || ($tok, $label, $started_ns);
+        if $crate::hub::active() {
+            $crate::hub::span_hop_raw($tok, $label, $started_ns);
         }
     }};
 }
@@ -124,15 +91,8 @@ macro_rules! span_hop {
 #[macro_export]
 macro_rules! span_end {
     ($tok:expr, $end_ns:expr) => {{
-        #[cfg(feature = "telemetry")]
-        {
-            if $crate::hub::active() {
-                $crate::hub::span_end_raw($tok, $end_ns);
-            }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = || ($tok, $end_ns);
+        if $crate::hub::active() {
+            $crate::hub::span_end_raw($tok, $end_ns);
         }
     }};
 }
@@ -143,27 +103,8 @@ mod tests {
     use crate::hub::{self, HubConfig, TelemetryHub};
     use xrdma_sim::{Dur, World};
 
-    /// With this crate's own `telemetry` feature off, `tele!` must expand
-    /// to nothing: even with a hub installed, no event is recorded. This is
-    /// the compile-side half of the zero-overhead contract (the lint rule
-    /// is the source-side half).
-    #[cfg(not(feature = "telemetry"))]
     #[test]
-    fn tele_is_a_no_op_without_the_feature() {
-        let world = World::new();
-        let guard = TelemetryHub::install(&world, HubConfig::default());
-        tele!(SeqDuplicate { seq: 1 });
-        tele!(PktDrop {
-            port: unreachable!("payload must not be evaluated"),
-            prio: 0,
-            bytes: 0,
-        });
-        assert_eq!(guard.event_count(), 0);
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn tele_emits_with_the_feature_on() {
+    fn tele_emits_into_the_installed_hub() {
         let world = World::new();
         let guard = TelemetryHub::install(&world, HubConfig::default());
         world.run_for(Dur::micros(5));
@@ -174,10 +115,13 @@ mod tests {
         assert!(matches!(evs[0].kind, EventKind::SeqDuplicate { seq: 42 }));
     }
 
+    // The `unreachable!` operands sit in the never-taken `active()` branch,
+    // which trips the divergence lints even though nothing runs.
     #[test]
+    #[allow(unreachable_code, clippy::diverging_sub_expression)]
     fn no_hub_means_no_payload_construction() {
-        // Guard dropped: active() is false, so even under the feature the
-        // payload expression must not run.
+        // No hub: active() is false, so the payload expression must not
+        // run.
         assert!(!hub::active());
         tele!(PktDrop {
             port: unreachable!("no hub installed"),
@@ -262,34 +206,8 @@ mod tests {
         assert_eq!(dump.len(), 3);
     }
 
-    /// The span macros share `tele!`'s compile-side zero-cost contract:
-    /// with the feature off they expand to nothing (`span_open!` to
-    /// `SpanToken::NONE`) and evaluate no operands.
-    #[cfg(not(feature = "telemetry"))]
     #[test]
-    // The `unreachable!` operands make the macros' never-called capture
-    // closures diverge mid-body, which trips `unreachable_code` even
-    // though nothing runs.
-    #[allow(unreachable_code)]
-    fn span_macros_are_no_ops_without_the_feature() {
-        let world = World::new();
-        let guard = TelemetryHub::install(&world, HubConfig::default());
-        let tok = span_open!(
-            unreachable!("operands must not be evaluated"),
-            0u32,
-            0u32,
-            0u64
-        );
-        assert!(tok.is_none());
-        span_mark!(tok, Rx);
-        span_end!(tok, unreachable!("operands must not be evaluated"));
-        assert!(guard.span_nodes().is_empty());
-        assert!(guard.latency_breakdown().is_empty());
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn span_macros_build_trees_with_the_feature_on() {
+    fn span_macros_build_trees_in_the_installed_hub() {
         let world = World::new();
         let guard = TelemetryHub::install(&world, HubConfig::default());
         let tok = span_open!(1u32, 4u32, 7u32, 64u64);
@@ -310,12 +228,44 @@ mod tests {
         assert_eq!(stage_sum, 5_000);
     }
 
-    #[cfg(feature = "telemetry")]
+    /// Without a hub the span macros evaluate none of their operands and
+    /// `span_open!` yields `SpanToken::NONE`.
     #[test]
-    fn span_open_without_a_hub_yields_none() {
+    #[allow(unreachable_code, clippy::diverging_sub_expression)]
+    fn span_macros_are_no_ops_without_a_hub() {
         assert!(!hub::active());
-        let tok = span_open!(0u32, 0u32, 0u32, 0u64);
+        let tok = span_open!(
+            unreachable!("operands must not be evaluated"),
+            0u32,
+            0u32,
+            0u64
+        );
         assert!(tok.is_none());
+        span_mark!(tok, Rx);
+        span_end!(tok, unreachable!("operands must not be evaluated"));
+    }
+
+    /// Install A, install B, drop A: B stays installed, keeps the flag up,
+    /// and its flight recorder still hears invariant failures.
+    #[test]
+    fn dropping_a_replaced_hub_leaves_the_current_one_wired() {
+        let world = World::new();
+        let a = TelemetryHub::install(&world, HubConfig::default());
+        let b = TelemetryHub::install(&world, HubConfig::default());
+        drop(a);
+        assert!(hub::active());
+        tele!(SeqDuplicate { seq: 1 });
+        assert_eq!(b.event_count(), 1);
+        let _ = std::panic::catch_unwind(|| {
+            xrdma_sim::invariant_failure("induced after a replaced hub dropped");
+        });
+        let dump = b.last_dump().expect("B's recorder heard the failure");
+        assert!(matches!(
+            dump.last().unwrap().kind,
+            EventKind::InvariantFired { .. }
+        ));
+        drop(b);
+        assert!(!hub::active());
     }
 
     #[test]

@@ -16,62 +16,45 @@
 //! transit is recorded as overlapping `hop` children on their own track;
 //! they are *not* part of the telescoping sum.
 //!
-//! Zero-cost contract: with the `telemetry` feature off, [`SpanToken`] is a
-//! zero-sized type and every `span_*!` macro expands to nothing, so the
-//! carried fields and emission sites vanish. With the feature on but no hub
-//! installed, emission is one thread-local check. Raw `span_*_raw` calls
-//! outside the gated macros are rejected by the `raw-telemetry-emit` lint
+//! Overhead contract: with no hub installed, each `span_*!` site costs one
+//! read of the thread-local `hub::active()` flag and evaluates none of its
+//! operands; the carried [`SpanToken`] is a plain `u64`. Raw `span_*_raw`
+//! calls outside the macros are rejected by the `raw-telemetry-emit` lint
 //! rule, exactly like `emit_raw`.
 
-use std::sync::Arc;
-
-#[cfg(feature = "telemetry")]
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use serde::write_json_str;
 
 /// A causal span identity, carried by value through the data path.
 ///
-/// Zero-sized when the `telemetry` feature is off; a non-zero `u64` span id
-/// (or 0 = none) when it is on. Always `Copy`, so hot-path structs can
-/// carry it for free.
+/// A non-zero `u64` span id, or 0 = none. `Copy`, so hot-path structs can
+/// carry it by value.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpanToken(#[cfg(feature = "telemetry")] u64);
+pub struct SpanToken(u64);
 
 impl SpanToken {
     /// The absent token: marks against it are ignored.
-    #[cfg(feature = "telemetry")]
     pub const NONE: SpanToken = SpanToken(0);
-    #[cfg(not(feature = "telemetry"))]
-    pub const NONE: SpanToken = SpanToken();
 
-    /// Is this the absent token? (Always true with telemetry compiled out.)
+    /// Is this the absent token?
     pub fn is_none(self) -> bool {
-        #[cfg(feature = "telemetry")]
-        {
-            self.0 == 0
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            true
-        }
+        self.0 == 0
     }
 
     /// The raw span id (0 = none).
-    #[cfg(feature = "telemetry")]
     pub fn raw(self) -> u64 {
         self.0
     }
 
     /// Derive the deterministic root id for an operation, following the
     /// RNIC connection-token mixing idiom (`| 1` keeps it non-zero).
-    #[cfg(feature = "telemetry")]
     pub fn derive(now_ns: u64, a: u64, b: u64) -> SpanToken {
         SpanToken(mix(now_ns, a, b))
     }
 }
 
-#[cfg(feature = "telemetry")]
 fn mix(a: u64, b: u64, c: u64) -> u64 {
     let mut h = a.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)
         ^ b.wrapping_mul(0xFF51_AFD7_ED55_8CCD)
@@ -130,7 +113,6 @@ impl Stage {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     fn index(self) -> usize {
         self as usize
     }
@@ -205,7 +187,6 @@ pub struct StageStat {
 }
 
 /// Span bookkeeping owned by the hub (one per thread/world).
-#[cfg(feature = "telemetry")]
 pub(crate) struct SpanTracker {
     /// Open operations by root id.
     open: BTreeMap<u64, OpenSpan>,
@@ -226,7 +207,6 @@ pub(crate) struct SpanTracker {
     last_violation_ns: Option<u64>,
 }
 
-#[cfg(feature = "telemetry")]
 struct OpenSpan {
     node: u32,
     qpn: u32,
@@ -243,7 +223,6 @@ struct OpenSpan {
     next_child: u32,
 }
 
-#[cfg(feature = "telemetry")]
 impl SpanTracker {
     pub(crate) fn new(capture: bool, slow_threshold_ns: u64, slow_cap: usize) -> SpanTracker {
         SpanTracker {
@@ -429,7 +408,6 @@ impl SpanTracker {
     }
 }
 
-#[cfg(feature = "telemetry")]
 fn stat_row(stage: &'static str, h: &xrdma_sim::stats::Histogram) -> StageStat {
     StageStat {
         stage,
@@ -442,7 +420,7 @@ fn stat_row(stage: &'static str, h: &xrdma_sim::stats::Histogram) -> StageStat {
     }
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

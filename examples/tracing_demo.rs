@@ -3,9 +3,8 @@
 //! and catch a slow application with the poll-gap watchdog — the §VII-D
 //! case-study workflow end to end.
 //!
-//! Run with: `cargo run --example tracing_demo`. Build with
-//! `--features telemetry` and pass `-- --format json` for the xr-stat
-//! machine-readable latency-breakdown document.
+//! Run with: `cargo run --example tracing_demo`; pass `-- --format json`
+//! for the xr-stat machine-readable latency-breakdown document.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -21,9 +20,8 @@ use xrdma_telemetry::{HubConfig, TelemetryHub};
 
 fn main() {
     let world = World::new();
-    // Causal-span capture (DESIGN.md §8): with the `telemetry` feature off
-    // the hub still installs but every span macro compiles to nothing, so
-    // the breakdown at the end prints its empty marker.
+    // Causal-span capture (DESIGN.md §8): the hub feeds the per-stage
+    // latency breakdown printed at the end.
     let hub = TelemetryHub::install(&world, HubConfig::default());
     let rng = SimRng::new(11);
     let fabric = Fabric::new(world.clone(), FabricConfig::pair(), &rng);
@@ -126,7 +124,7 @@ fn main() {
     world.run_for(Dur::secs(3));
     println!(
         "filter: dropped {} packets, yet {}/50 RPCs completed ({} retransmissions)",
-        filter.dropped.get(),
+        filter.dropped(),
         done.get(),
         client.rnic().stats().retransmissions
     );

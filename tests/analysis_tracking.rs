@@ -217,7 +217,7 @@ fn filter_reproduces_flake_deterministically() {
         net.world.run_for(Dur::secs(3));
         (
             got.get(),
-            filter.dropped.get(),
+            filter.dropped(),
             client.rnic().stats().retransmissions,
         )
     };

@@ -4,12 +4,6 @@
 //! retransmits recover exactly-once delivery, connect-time failures
 //! surface as typed errors, and every scenario is byte-identical when
 //! re-run with the same seed and plan.
-//!
-//! Built only under the `faults` feature (scripts/ci.sh runs the
-//! `faults,telemetry,debug_invariants` leg); without it this file is
-//! empty, matching the zero-cost contract the `ungated-fault-hook` lint
-//! rule enforces on the runtime crates.
-#![cfg(feature = "faults")]
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -842,7 +836,6 @@ fn chaos_mux_peer_crash_mid_reestablish() {
 // with XRDMA_UPDATE_GOLDEN=1 after an intentional telemetry change.
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "telemetry")]
 fn golden_scenario_jsonl() -> String {
     let world = World::new();
     let hub_guard =
@@ -899,7 +892,6 @@ fn golden_scenario_jsonl() -> String {
     xrdma_telemetry::export::to_jsonl(&hub_guard.events())
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn chaos_golden_link_flap_jsonl() {
     let got = golden_scenario_jsonl();

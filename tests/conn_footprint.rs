@@ -55,8 +55,8 @@ fn live_bytes() -> isize {
 const WARM: usize = 8;
 const ADDED: usize = 32;
 
-/// Measured when histograms began to grow on demand (the telemetry build's
-/// figure, 16 B above the default one); the budgets are these plus 25 %.
+/// Measured when histograms began to grow on demand (with telemetry
+/// compiled in, as it now always is); the budgets are these plus 25 %.
 /// With every histogram holding all its buckets from the start, a pair
 /// cost 77 934 B and a context 32 263 B.
 const PAIR_BYTES: isize = 17_518;

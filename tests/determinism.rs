@@ -315,7 +315,6 @@ fn mux_incast_different_seed_diverges() {
 /// capturing the same 16-client incast twice with the same seed must
 /// export byte-identical JSONL. This is what makes `results/` diffs
 /// meaningful across regression runs.
-#[cfg(feature = "telemetry")]
 fn incast_jsonl(seed: u64) -> String {
     let world = World::new();
     let guard =
@@ -364,7 +363,6 @@ fn incast_jsonl(seed: u64) -> String {
     xrdma_telemetry::export::to_jsonl(&guard.events())
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn incast_telemetry_jsonl_byte_identical() {
     let a = incast_jsonl(77);

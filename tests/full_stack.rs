@@ -142,7 +142,7 @@ fn packet_loss_on_a_chunk_server_is_transparent() {
     );
     essd.run_for(Dur::secs(1));
     world.run_for(Dur::secs(3));
-    assert!(filter.dropped.get() > 10, "loss actually injected");
+    assert!(filter.dropped() > 10, "loss actually injected");
     assert!(
         essd.completed.get() > 300,
         "replication path rode through the loss: {}",

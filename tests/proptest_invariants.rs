@@ -321,7 +321,6 @@ proptest! {
 /// generated mix of drop, duplicate and reorder windows that stays below
 /// the go-back-N retry budget, every accepted request eventually completes
 /// or its channel closes with a typed reason — no silent loss, no hang.
-#[cfg(feature = "faults")]
 mod fault_plan_liveness {
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;

@@ -3,7 +3,6 @@
 //! (a CQE stall retains the slow op's tree and blames the right stage),
 //! and structurally sound under adversity (parent/child integrity and
 //! telescoping stages survive packet loss and go-back-N retransmission).
-#![cfg(feature = "telemetry")]
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -233,7 +232,6 @@ fn check_tree_integrity(nodes: &[SpanNode]) {
 //    full tree and attribute the delay to the `cqe` stage.
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "faults")]
 #[test]
 fn cqe_delay_fault_retains_slow_tree_blaming_cqe_stage() {
     use xrdma_faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultTarget};
