@@ -10,16 +10,16 @@ use bytes::{Bytes, BytesMut};
 
 use xrdma_fabric::NodeId;
 use xrdma_rnic::verbs::Payload;
-use xrdma_rnic::{Qp, Rnic, SendOp, SendWr};
+use xrdma_rnic::{Qp, RecvWr, Rnic, SendOp, SendWr, VerbsError};
 use xrdma_sim::inthash::IntMap;
 use xrdma_sim::stats::{HistSummary, Histogram};
-use xrdma_sim::{Dur, Time};
+use xrdma_sim::{invariant, Dur, Time};
 use xrdma_telemetry::{span_end, span_mark, span_open, tele, SpanToken};
 
 use crate::config::{MsgMode, CPU_TRACE, FRAG_BYTES, MAX_MSG_SIZE};
 use crate::context::XrdmaContext;
 use crate::error::XrdmaError;
-use crate::memcache::McBuf;
+use crate::memcache::{McBuf, MemCache};
 use crate::proto::{Header, LargeDesc, MsgKind, MuxDesc, TraceHdr};
 use crate::seqack::{RxAccept, RxWindow, SeqRing, TxWindow};
 use crate::stats::ChannelStats;
@@ -211,8 +211,8 @@ pub struct XrdmaChannel {
     /// Received messages awaiting in-order delivery / large fetch; the
     /// ring's edge is the next seq to deliver.
     inbox: RefCell<SeqRing<InMsg>>,
-    /// Pre-posted receive slots, indexed by wr_id.
-    recv_slots: RefCell<Vec<McBuf>>,
+    /// Pre-posted receive slots, indexed by wr_id (empty in SRQ mode).
+    recv_slots: RefCell<RecvSlots>,
     rpc_waiters: RefCell<IntMap<u32, RpcWaiter>>,
     next_rpc: Cell<u32>,
     on_request: RefCell<Option<Box<dyn Fn(&Rc<XrdmaChannel>, XrdmaMsg, ReplyToken)>>>,
@@ -261,6 +261,101 @@ struct RpcWaiter {
 pub(crate) const CTRL_SLACK: u32 = 8;
 const MAX_CTRL_OUTSTANDING: u32 = 4;
 
+/// Pre-posted receive slots by wr_id: a channel's own (no SRQ) or a
+/// context's shared pool (SRQ). Slots are carved in order from memcache
+/// arenas, so consecutive ids almost always sit back to back in one MR;
+/// the table stores one `(first id, buffer)` per such run instead of one
+/// 24 B [`McBuf`] per slot. [`RecvSlots::push`] checks contiguity and
+/// starts a new run wherever an allocation does not extend the last one,
+/// so [`RecvSlots::get`] returns exactly the buffer pushed under that id
+/// whatever the memcache hands out.
+#[derive(Default)]
+pub(crate) struct RecvSlots {
+    /// Ascending by first id; slot `first + k` of a run is the run's
+    /// buffer moved up by `k` buffer lengths.
+    runs: Vec<(u32, McBuf)>,
+    len: u32,
+}
+
+impl RecvSlots {
+    /// Carve `n` slots of `slot_len` bytes from `mc`, posting each through
+    /// `post` as it is carved.
+    pub(crate) fn prepost(
+        mc: &MemCache,
+        n: u32,
+        slot_len: u64,
+        mut post: impl FnMut(RecvWr) -> Result<(), VerbsError>,
+    ) -> RecvSlots {
+        let mut slots = RecvSlots::default();
+        for _ in 0..n {
+            let buf = mc
+                .alloc(slot_len)
+                .expect("memcache must cover the receive slots");
+            let id = slots.push(buf);
+            post(recv_wr(id, &buf)).expect("receive queue sized for its slots");
+        }
+        slots
+    }
+
+    /// Append `buf` as the next slot id, which is returned.
+    fn push(&mut self, buf: McBuf) -> u32 {
+        let id = self.len;
+        let extends = self.runs.last().is_some_and(|&(first, base)| {
+            (base.len, base.lkey, base.rkey) == (buf.len, buf.lkey, buf.rkey)
+                && base.addr + u64::from(id - first) * base.len == buf.addr
+        });
+        if !extends {
+            self.runs.push((id, buf));
+        }
+        self.len += 1;
+        id
+    }
+
+    /// The buffer of slot `id`.
+    pub(crate) fn get(&self, id: u32) -> Option<McBuf> {
+        if id >= self.len {
+            return None;
+        }
+        // Run 0 starts at id 0, so at least one run qualifies.
+        let run = self.runs.partition_point(|&(first, _)| first <= id) - 1;
+        let (first, base) = self.runs[run];
+        Some(McBuf {
+            addr: base.addr + u64::from(id - first) * base.len,
+            ..base
+        })
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Stored runs: one per contiguous stretch of slots.
+    #[cfg(test)]
+    pub(crate) fn runs_len(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Every slot's buffer, in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = McBuf> + '_ {
+        (0..self.len).filter_map(|id| self.get(id))
+    }
+}
+
+/// The receive WR that arms slot `id`.
+pub(crate) fn recv_wr(id: u32, buf: &McBuf) -> RecvWr {
+    RecvWr::new(id as u64, buf.addr, buf.len, buf.lkey)
+}
+
+/// Check the result of re-arming a consumed receive slot. A post to a
+/// dead QP fails legitimately and is ignored; a full queue means some
+/// slot was posted twice, which would otherwise vanish silently.
+pub(crate) fn check_repost(res: Result<(), VerbsError>, id: u32) {
+    invariant!(
+        !matches!(res, Err(VerbsError::QueueFull)),
+        "receive slot {id} reposted into a full queue: a slot was posted twice"
+    );
+}
+
 impl XrdmaChannel {
     pub(crate) fn new(ctx: &Rc<XrdmaContext>, qp: Rc<Qp>, peer: NodeId) -> Rc<XrdmaChannel> {
         let depth = ctx.config().inflight_depth;
@@ -274,7 +369,7 @@ impl XrdmaChannel {
             outgoing: RefCell::new(SeqRing::new(depth)),
             pending: RefCell::new(VecDeque::new()),
             inbox: RefCell::new(SeqRing::new(depth)),
-            recv_slots: RefCell::new(Vec::new()),
+            recv_slots: RefCell::new(RecvSlots::default()),
             rpc_waiters: RefCell::new(IntMap::default()),
             next_rpc: Cell::new(1),
             on_request: RefCell::new(None),
@@ -296,30 +391,18 @@ impl XrdmaChannel {
         // the whole QP pool (receive memory scales with the pool, not the
         // channel count); without one, every channel preposts its own.
         if !ctx.has_srq() {
-            ch.prepost_recv_slots(ctx, depth + CTRL_SLACK);
+            let slots = RecvSlots::prepost(
+                ctx.memcache(),
+                depth + CTRL_SLACK,
+                Self::recv_slot_len(ctx),
+                |wr| ch.qp.post_recv(wr),
+            );
+            *ch.recv_slots.borrow_mut() = slots;
         }
         // Registration cost of the receive-slot arenas is paid here, at
         // channel setup — not lazily on the first send.
         ctx.thread().charge(ctx.memcache().take_reg_cost());
         ch
-    }
-
-    fn prepost_recv_slots(&self, ctx: &Rc<XrdmaContext>, n: u32) {
-        let slot_len = Self::recv_slot_len(ctx);
-        for _ in 0..n {
-            let buf = ctx
-                .memcache()
-                .alloc(slot_len)
-                .expect("memcache must cover receive slots");
-            let mut slots = self.recv_slots.borrow_mut();
-            let id = slots.len() as u32;
-            slots.push(buf);
-            self.qp
-                .post_recv(xrdma_rnic::RecvWr::new(
-                    id as u64, buf.addr, buf.len, buf.lkey,
-                ))
-                .expect("receive queue sized for the window");
-        }
     }
 
     pub(crate) fn recv_slot_len(ctx: &Rc<XrdmaContext>) -> u64 {
@@ -802,7 +885,7 @@ impl XrdmaChannel {
         let slot = if ctx.has_srq() {
             ctx.srq_slot(slot_id)
         } else {
-            self.recv_slots.borrow().get(slot_id as usize).copied()
+            self.recv_slots.borrow().get(slot_id)
         };
         let Some(slot) = slot else { return };
         // Parse the X-RDMA header out of the landed bytes.
@@ -1087,12 +1170,7 @@ impl XrdmaChannel {
                 return;
             }
         }
-        let _ = self.qp.post_recv(xrdma_rnic::RecvWr::new(
-            slot_id as u64,
-            slot.addr,
-            slot.len,
-            slot.lkey,
-        ));
+        check_repost(self.qp.post_recv(recv_wr(slot_id, slot)), slot_id);
     }
 
     /// Send-completion bookkeeping (called by the context poll loop).
@@ -1216,7 +1294,7 @@ impl XrdmaChannel {
                 ctx.flow_release();
             }
             // Release receive slots and any pinned buffers.
-            for buf in std::mem::take(&mut *self.recv_slots.borrow_mut()) {
+            for buf in std::mem::take(&mut *self.recv_slots.borrow_mut()).iter() {
                 ctx.memcache().release(&buf);
             }
             for buf in self.outgoing.borrow_mut().take_all() {
@@ -1244,5 +1322,66 @@ impl XrdmaChannel {
         if let Some(cb) = self.on_close.borrow().as_ref() {
             cb(reason);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn buf(addr: u64, lkey: u32) -> McBuf {
+        McBuf {
+            addr,
+            len: 100,
+            lkey,
+            rkey: lkey + 1,
+        }
+    }
+
+    #[test]
+    fn recv_slots_store_runs_and_return_what_was_pushed() {
+        // Two slots back to back, a gap, two more, then a new arena.
+        let pushed = [
+            buf(1_000, 7),
+            buf(1_100, 7),
+            buf(1_300, 7),
+            buf(1_400, 7),
+            buf(1_500, 9),
+            buf(1_600, 9),
+        ];
+        let mut slots = RecvSlots::default();
+        for (i, &b) in pushed.iter().enumerate() {
+            assert_eq!(slots.push(b), i as u32);
+        }
+        assert_eq!(slots.runs.len(), 3, "a gap and a new lkey each start a run");
+        assert_eq!(slots.len(), pushed.len());
+        for (i, b) in pushed.iter().enumerate() {
+            let got = slots.get(i as u32).expect("pushed slot");
+            let key = |b: &McBuf| (b.addr, b.len, b.lkey, b.rkey);
+            assert_eq!(key(&got), key(b), "slot {i}");
+        }
+        assert!(slots.get(pushed.len() as u32).is_none());
+        let addrs: Vec<u64> = slots.iter().map(|b| b.addr).collect();
+        assert_eq!(addrs, pushed.map(|b| b.addr));
+    }
+
+    #[test]
+    fn recv_slots_of_unequal_length_do_not_merge() {
+        let mut slots = RecvSlots::default();
+        slots.push(buf(0, 1));
+        slots.push(McBuf {
+            len: 50,
+            ..buf(100, 1)
+        });
+        slots.push(buf(150, 1));
+        assert_eq!(slots.runs.len(), 3);
+        assert_eq!(slots.get(1).map(|b| (b.addr, b.len)), Some((100, 50)));
+        assert_eq!(slots.get(2).map(|b| (b.addr, b.len)), Some((150, 100)));
+    }
+
+    #[test]
+    fn repost_to_dead_qp_is_ignored() {
+        check_repost(Ok(()), 0);
+        check_repost(Err(VerbsError::InvalidState("post_recv on RESET qp")), 0);
     }
 }

@@ -18,7 +18,9 @@ use xrdma_sim::stats::Histogram;
 use xrdma_sim::{CpuThread, Dur, SimRng, Time, World};
 use xrdma_telemetry::tele;
 
-use crate::channel::{wr_tag, CloseReason, XrdmaChannel, TAG_READ};
+use crate::channel::{
+    check_repost, recv_wr, wr_tag, CloseReason, RecvSlots, XrdmaChannel, TAG_READ,
+};
 use crate::config::{
     PollMode, XrdmaConfig, CPU_DOORBELL, CPU_POLL, CQ_SIZE, HYBRID_WINDOW, WAKEUP_LATENCY,
 };
@@ -94,7 +96,7 @@ pub struct XrdmaContext {
     /// serves every QP in the pool, so receive memory scales with
     /// `srq_size`, not with the channel count (§IV-E at mux scale).
     /// Indexed by slot id, which is the receive wr_id.
-    srq_slots: RefCell<Vec<McBuf>>,
+    srq_slots: RefCell<RecvSlots>,
     config: RefCell<XrdmaConfig>,
     memcache: MemCache,
     qpcache: QpCache,
@@ -199,7 +201,7 @@ impl XrdmaContext {
             pd,
             cq,
             srq,
-            srq_slots: RefCell::new(Vec::new()),
+            srq_slots: RefCell::new(RecvSlots::default()),
             config: RefCell::new(config),
             memcache,
             qpcache,
@@ -252,19 +254,10 @@ impl XrdmaContext {
         let Some(srq) = self.srq.clone() else {
             return;
         };
-        let n = self.config().srq_size;
+        let n = self.config().srq_size as u32;
         let slot_len = XrdmaChannel::recv_slot_len(self);
-        for id in 0..n as u32 {
-            let buf = self
-                .memcache
-                .alloc(slot_len)
-                .expect("memcache must cover the shared receive pool");
-            self.srq_slots.borrow_mut().push(buf);
-            srq.post(xrdma_rnic::RecvWr::new(
-                id as u64, buf.addr, buf.len, buf.lkey,
-            ))
-            .expect("SRQ sized for its own slot pool");
-        }
+        let slots = RecvSlots::prepost(&self.memcache, n, slot_len, |wr| srq.post(wr));
+        *self.srq_slots.borrow_mut() = slots;
         self.thread.charge(self.memcache.take_reg_cost());
     }
 
@@ -283,7 +276,7 @@ impl XrdmaContext {
 
     /// Resolve a shared receive slot by wr_id (SRQ mode only).
     pub(crate) fn srq_slot(&self, id: u32) -> Option<McBuf> {
-        self.srq_slots.borrow().get(id as usize).copied()
+        self.srq_slots.borrow().get(id)
     }
 
     /// Return a consumed shared slot to the SRQ rotation.
@@ -291,9 +284,7 @@ impl XrdmaContext {
         let (Some(srq), Some(buf)) = (self.srq.as_ref(), self.srq_slot(id)) else {
             return;
         };
-        let _ = srq.post(xrdma_rnic::RecvWr::new(
-            id as u64, buf.addr, buf.len, buf.lkey,
-        ));
+        check_repost(srq.post(recv_wr(id, &buf)), id);
     }
 
     /// Convenience: create the RNIC too (one context on a fresh node).
@@ -1068,5 +1059,47 @@ impl XrdmaContext {
             traces.clear(); // bounded ring, coarse
         }
         traces.insert(trace_id, rec);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xrdma_rnic::CmConfig;
+
+    fn srq_context() -> Rc<XrdmaContext> {
+        let world = World::new();
+        let rng = SimRng::new(1);
+        let fabric = Fabric::new(world.clone(), xrdma_fabric::FabricConfig::pair(), &rng);
+        let cm = ConnManager::new(world, CmConfig::default(), rng.fork("cm"));
+        let mut cfg = XrdmaConfig::default();
+        cfg.use_srq = true;
+        XrdmaContext::on_new_node(&fabric, &cm, NodeId(0), RnicConfig::default(), cfg, &rng)
+    }
+
+    /// An SRQ context holds its whole slot pool as a handful of runs, one
+    /// per memcache arena the pool spans.
+    #[test]
+    fn srq_slot_table_is_one_entry_per_arena() {
+        let ctx = srq_context();
+        let n = ctx.config().srq_size;
+        assert_eq!(ctx.srq_depth(), Some((n, n)));
+        let slot_len = XrdmaChannel::recv_slot_len(&ctx);
+        let arenas = ctx.memcache().arena_count();
+        assert_eq!(ctx.srq_slots.borrow().runs_len(), arenas);
+        let first = ctx.srq_slot(0).expect("slot 0");
+        let next = ctx.srq_slot(1).expect("slot 1");
+        assert_eq!(next.addr, first.addr + slot_len);
+        assert!(ctx.srq_slot(n as u32).is_none());
+    }
+
+    /// Reposting a slot that is still posted overfills the SRQ; that must
+    /// not vanish silently.
+    #[test]
+    #[should_panic(expected = "posted twice")]
+    fn double_srq_repost_is_an_invariant_failure() {
+        let ctx = srq_context();
+        // Every slot is posted at setup: slot 0 goes in a second time.
+        ctx.repost_srq_slot(0);
     }
 }

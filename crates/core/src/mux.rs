@@ -178,9 +178,32 @@ enum Slot {
     Draining { queued: VecDeque<QueuedFrame> },
 }
 
+/// Per-logical sequence state, kept by the mux for each logical channel
+/// that has sent or received at least one frame: 24 B, allocated at the
+/// first frame in either direction. A channel that never carries a frame
+/// costs its mux nothing here.
+#[derive(Clone, Copy, Default)]
+struct LogicalSeq {
+    /// Next per-logical sequence number to stamp on an outbound frame.
+    tx_seq: u64,
+    /// Receive side: next expected lseq (everything below is a duplicate
+    /// from a re-establishment race).
+    rx_next: u64,
+    /// Frames delivered to the handler.
+    received: u64,
+}
+
+/// [`LogicalChannel::seq`] before the channel's first frame.
+const NO_SEQ: u32 = u32::MAX;
+
 /// The multiplexing layer. One per context; serves both roles (client
 /// slots via [`ChannelMux::open`], server dispatch via
 /// [`ChannelMux::serve`]).
+///
+/// Per logical channel the mux holds an 8 B `Rc` in `opened` (or a
+/// `discovered` entry) and, once the channel carries a frame, a 24 B
+/// [`LogicalSeq`] in `seqs`; sequence state lives here, not in the
+/// channel, so it survives slot eviction.
 pub struct ChannelMux {
     ctx: Rc<XrdmaContext>,
     svc: u16,
@@ -198,6 +221,9 @@ pub struct ChannelMux {
     opened: RefCell<Vec<Rc<LogicalChannel>>>,
     /// Logical channels first named by a peer's frame, by `(peer, lcid)`.
     discovered: RefCell<IntMap<(NodeId, u64), Rc<LogicalChannel>>>,
+    /// Sequence state of every logical channel that carried a frame,
+    /// indexed by [`LogicalChannel::seq`].
+    seqs: RefCell<Vec<LogicalSeq>>,
     /// Slot keys that were evicted at least once (re-establishment
     /// accounting).
     evicted_once: RefCell<IntSet<SlotKey>>,
@@ -226,20 +252,20 @@ impl MuxReply {
     }
 }
 
-/// A cheap logical connection: a few counters and a slot-key — no QP, no
-/// receive buffers, no window memory. Everything physical is borrowed
-/// from the mux pool on demand.
+/// A cheap logical connection: an id, a peer and an index — no QP, no
+/// receive buffers, no window memory, no counters. Everything physical is
+/// borrowed from the mux pool on demand.
+///
+/// 24 B of fields, a 40 B `Rc` allocation (a 48 B glibc chunk). Its
+/// sequence state sits in the mux's table (see [`ChannelMux`]) from the
+/// first frame it sends or receives; `seq` indexes it.
 pub struct LogicalChannel {
     mux: Weak<ChannelMux>,
     pub lcid: u64,
     pub peer: NodeId,
-    /// Next per-logical sequence number to stamp on an outbound frame.
-    tx_seq: Cell<u64>,
-    /// Receive side: next expected lseq (everything below is a duplicate
-    /// from a re-establishment race).
-    rx_next: Cell<u64>,
-    pub sent: Cell<u64>,
-    pub received: Cell<u64>,
+    /// Index into the mux's `seqs` table, or [`NO_SEQ`] before the first
+    /// frame in either direction.
+    seq: Cell<u32>,
 }
 
 impl LogicalChannel {
@@ -283,9 +309,26 @@ impl LogicalChannel {
         })
     }
 
-    /// `(next tx lseq, next expected rx lseq)` — survives eviction.
+    /// `(next tx lseq, next expected rx lseq)` — survives eviction. Both
+    /// read 0 before the first frame and once the mux is gone.
     pub fn seq_state(&self) -> (u64, u64) {
-        (self.tx_seq.get(), self.rx_next.get())
+        let s = self.seq_entry();
+        (s.tx_seq, s.rx_next)
+    }
+
+    /// Frames delivered to the mux handler on this logical channel.
+    pub fn received(&self) -> u64 {
+        self.seq_entry().received
+    }
+
+    fn seq_entry(&self) -> LogicalSeq {
+        let Some(mux) = self.mux.upgrade() else {
+            return LogicalSeq::default();
+        };
+        let seqs = mux.seqs.borrow();
+        seqs.get(self.seq.get() as usize)
+            .copied()
+            .unwrap_or_default()
     }
 }
 
@@ -318,6 +361,7 @@ impl ChannelMux {
             first_lcid: ((epoch as u64) << 32) | 1,
             opened: RefCell::new(Vec::new()),
             discovered: RefCell::new(IntMap::default()),
+            seqs: RefCell::new(Vec::new()),
             evicted_once: RefCell::new(IntSet::default()),
             retry_armed: Cell::new(false),
             stats: RefCell::new(MuxStats::default()),
@@ -370,13 +414,21 @@ impl ChannelMux {
             mux: Rc::downgrade(self),
             lcid,
             peer,
-            tx_seq: Cell::new(0),
-            rx_next: Cell::new(0),
-            sent: Cell::new(0),
-            received: Cell::new(0),
+            seq: Cell::new(NO_SEQ),
         });
         self.stats.borrow_mut().logical_open += 1;
         lc
+    }
+
+    /// Update `lc`'s sequence state, allocating its entry on first use.
+    fn with_seq<R>(&self, lc: &LogicalChannel, f: impl FnOnce(&mut LogicalSeq) -> R) -> R {
+        let mut seqs = self.seqs.borrow_mut();
+        if lc.seq.get() == NO_SEQ {
+            let i = u32::try_from(seqs.len()).expect("fewer than 2^32 - 1 logical streams");
+            seqs.push(LogicalSeq::default());
+            lc.seq.set(i);
+        }
+        f(&mut seqs[lc.seq.get() as usize])
     }
 
     /// Serve mux traffic: accept physical channels on `svc` and dispatch
@@ -412,7 +464,15 @@ impl ChannelMux {
         // Re-establishment dedup: the logical stream consumed this lseq
         // already (the physical window deduped within one QP lifetime;
         // this guards across lifetimes).
-        if desc.lseq < lc.rx_next.get() {
+        let fresh = self.with_seq(&lc, |s| {
+            if desc.lseq < s.rx_next {
+                return false;
+            }
+            s.rx_next = desc.lseq + 1;
+            s.received += 1;
+            true
+        });
+        if !fresh {
             self.stats.borrow_mut().dup_drops += 1;
             tele!(MuxDupDrop {
                 node: self.ctx.node().0,
@@ -421,8 +481,6 @@ impl ChannelMux {
             });
             return;
         }
-        lc.rx_next.set(desc.lseq + 1);
-        lc.received.set(lc.received.get() + 1);
         self.stats.borrow_mut().frames_rx += 1;
         let reply = if msg.kind == crate::proto::MsgKind::Request {
             Some(MuxReply {
@@ -447,14 +505,16 @@ impl ChannelMux {
         lc: &LogicalChannel,
         make: impl FnOnce(MuxDesc) -> QueuedFrame,
     ) -> Result<(), XrdmaError> {
+        let lseq = self.with_seq(lc, |s| {
+            s.tx_seq += 1;
+            s.tx_seq - 1
+        });
         let desc = MuxDesc {
             lcid: lc.lcid,
-            lseq: lc.tx_seq.get(),
+            lseq,
         };
         let key: SlotKey = (lc.peer, lc.lcid % self.lanes);
         let frame = make(desc);
-        lc.tx_seq.set(desc.lseq + 1);
-        lc.sent.set(lc.sent.get() + 1);
         // Fast path: the slot is live — touch recency and transmit. Two
         // reasons a frame defers instead: earlier frames already sit in
         // the slot's backlog (per-logical lseq order is a wire
@@ -811,6 +871,12 @@ impl ChannelMux {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn logical_channel_and_seq_entry_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<LogicalChannel>(), 24);
+        assert_eq!(std::mem::size_of::<LogicalSeq>(), 24);
+    }
 
     #[test]
     fn lru_basic_order() {

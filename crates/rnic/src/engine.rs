@@ -246,6 +246,10 @@ pub struct Rnic {
     /// each other NIC-wide: past the SRAM working set it is the fetch
     /// unit's *bandwidth*, not its latency, that caps message rate.
     ctx_fetch_free: Cell<Time>,
+    /// When the last completion a `CqeDelay` window held back is released;
+    /// `None` until a window first holds one. Later completions queue
+    /// behind it, so held completions leave in the order they were raised.
+    cqe_release: Cell<Option<Time>>,
     stats: RefCell<RnicStats>,
     alive: Cell<bool>,
     /// Host uplink pause state per priority (observability).
@@ -270,6 +274,7 @@ impl Rnic {
             qp_cache: RefCell::new(TouchCache::new(cfg.qp_cache_entries)),
             mr_cache: RefCell::new(TouchCache::new(MR_CACHE_ENTRIES)),
             ctx_fetch_free: Cell::new(Time::ZERO),
+            cqe_release: Cell::new(None),
             cfg,
             port: RefCell::new(None),
             me: RefCell::new(std::rc::Weak::new()),
@@ -1360,16 +1365,28 @@ impl Rnic {
 
     /// Raise a CQE. Every completion the engine generates funnels through
     /// here so the `CqeDelay` fault (an RNIC stall, §III robustness) can
-    /// hold it back; without an open fault window this is a plain push.
+    /// hold it back. A stalled RNIC releases its completions in the order
+    /// it raised them: each held one leaves at `max(now + d, last
+    /// release)`, and one raised while earlier ones are still held (the
+    /// window may have closed meanwhile) waits for the last of them.
+    /// Without a fault window ever open this is a plain push.
     fn push_cqe(&self, cq: &Rc<CompletionQueue>, cqe: Cqe) {
+        let now = self.world.now();
+        let mut release = self.cqe_release.get().filter(|&t| t >= now);
         if xrdma_faults::active() {
             if let Some(d) = xrdma_faults::cqe_delay(self.node.0) {
-                let cq = cq.clone();
-                self.world.schedule_in(d, move || cq.push(cqe));
-                return;
+                let at = now.saturating_add(d).max(release.unwrap_or(now));
+                self.cqe_release.set(Some(at));
+                release = Some(at);
             }
         }
-        cq.push(cqe);
+        match release {
+            Some(at) => {
+                let cq = cq.clone();
+                self.world.schedule_at(at, move || cq.push(cqe));
+            }
+            None => cq.push(cqe),
+        }
     }
 
     /// React to a fault-injector node command (registered in `Rnic::new`).

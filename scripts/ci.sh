@@ -22,8 +22,10 @@
 #            verdict, must be exactly what the code writes; the run ends
 #            with a `paper: N s wall, peak RSS M MB (VmHWM)` line, so the
 #            log carries both costs
-#   bench    builds the separate `benchmark/` workspace (nothing else
-#            compiles it) and smoke-runs every workload at --quick scale
+#   bench    checks the separate `benchmark/` workspace (nothing else
+#            compiles it): rustfmt in check mode and its own unit tests
+#            (the `compare` verdicts, BENCHMARK.json against its workload
+#            table); then smoke-runs every workload at --quick scale
 #            into a temp dir; fails on any output check and on any
 #            model_digest mismatch between a workload's repetitions
 #   golden   the test legs must not have rewritten any committed golden
@@ -48,6 +50,8 @@ run cargo test -q --workspace
 run cargo test -q --workspace --features xrdma-tests/debug_invariants
 run target/release/paper all --out "$tmp/paper"
 run diff -r --exclude='*.trace.json' --exclude=lint.json results "$tmp/paper"
+run cargo fmt --check --manifest-path benchmark/Cargo.toml
+run cargo test -q --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 run benchmark/run.sh --quick --out "$tmp/bench"
 run git diff --exit-code -- tests/golden 'results/*.json'
 

@@ -2,13 +2,14 @@
 //! the live heap each added connected channel pair and each added context
 //! costs, counted by a wrapping global allocator. A per-connection
 //! structure that allocates for its worst case instead of its use shows
-//! up here as a budget overrun.
+//! up here as a budget overrun. The same holds for the two structures a
+//! multiplexed deployment scales by: idle logical channels and SRQ slots.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use xrdma_core::{XrdmaChannel, XrdmaConfig, XrdmaContext};
+use xrdma_core::{ChannelMux, XrdmaChannel, XrdmaConfig, XrdmaContext};
 use xrdma_fabric::{Fabric, FabricConfig, NodeId};
 use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
 use xrdma_sim::{Dur, SimRng, World};
@@ -55,12 +56,23 @@ fn live_bytes() -> isize {
 const WARM: usize = 8;
 const ADDED: usize = 32;
 
-/// Measured when histograms began to grow on demand (with telemetry
-/// compiled in, as it now always is); the budgets are these plus 25 %.
-/// With every histogram holding all its buckets from the start, a pair
-/// cost 77 934 B and a context 32 263 B.
-const PAIR_BYTES: isize = 17_518;
+/// Measured with telemetry compiled in, as it now always is; the budgets
+/// are these plus 25 %. The pair figure is from when receive slots became
+/// one table entry per contiguous run (with one 24 B record per slot a
+/// pair cost 17 518 B); the context figure from when histograms began to
+/// grow on demand (a context now measures 2 071 B). With every histogram
+/// holding all its buckets from the start, a pair cost 77 934 B and a
+/// context 32 263 B.
+const PAIR_BYTES: isize = 11_630;
 const CONTEXT_BYTES: isize = 2_055;
+
+/// Measured when a logical channel shrank to its id, peer and an index
+/// (a 40 B `Rc`) and the SRQ slot table to one entry per arena. Before,
+/// an idle logical channel cost 84 B (a 72 B `Rc` plus its share of the
+/// `opened` table) and an SRQ slot 56 B (a 32 B receive WR plus a 24 B
+/// buffer record).
+const LOGICAL_BYTES: isize = 52;
+const SRQ_SLOT_BYTES: isize = 32;
 
 fn budget(measured: isize) -> isize {
     measured + measured / 4
@@ -157,5 +169,83 @@ fn bytes_per_connection_stay_within_budget() {
         ctx <= budget(CONTEXT_BYTES),
         "{ctx} B per context, budget {}",
         budget(CONTEXT_BYTES)
+    );
+}
+
+/// Logical channels opened past a warm set, none of which ever sends.
+const LOGICAL_WARM: usize = 1_000;
+const LOGICAL_ADDED: usize = 10_000;
+
+/// Live heap bytes per idle logical channel: `ChannelMux::open` costs a
+/// table entry and nothing per connection beyond it.
+fn bytes_per_idle_logical() -> isize {
+    let r = rig();
+    let mux = ChannelMux::new(&r.a, 9);
+    let open = |n: usize| {
+        for _ in 0..n {
+            mux.open(NodeId(1));
+        }
+    };
+    open(LOGICAL_WARM);
+    let before = live_bytes();
+    open(LOGICAL_ADDED);
+    let after = live_bytes();
+    assert_eq!(
+        mux.stats().logical_open,
+        (LOGICAL_WARM + LOGICAL_ADDED) as u64
+    );
+    (after - before) / LOGICAL_ADDED as isize
+}
+
+#[test]
+fn idle_logical_channel_bytes() {
+    let per = bytes_per_idle_logical();
+    println!(
+        "live heap: {per} B per idle logical channel (budget {})",
+        budget(LOGICAL_BYTES)
+    );
+    assert!(
+        per <= budget(LOGICAL_BYTES),
+        "{per} B per idle logical channel, budget {}",
+        budget(LOGICAL_BYTES)
+    );
+}
+
+/// Live heap bytes of one more SRQ context on a shared RNIC.
+fn srq_context_bytes(r: &Rig, cm: &Rc<ConnManager>, srq_size: usize) -> (isize, Rc<XrdmaContext>) {
+    let mut cfg = XrdmaConfig::default();
+    cfg.use_srq = true;
+    cfg.srq_size = srq_size;
+    let before = live_bytes();
+    let ctx = XrdmaContext::new(r.a.rnic(), cm, cfg, "srq");
+    (live_bytes() - before, ctx)
+}
+
+/// Live heap bytes per shared receive slot: the difference between two
+/// SRQ contexts whose pools differ in size (both powers of two, so the
+/// queues' capacity doubling adds nothing on top).
+#[test]
+fn srq_context_bytes_per_slot() {
+    const SMALL: usize = 1 << 10;
+    const LARGE: usize = 1 << 13;
+    let r = rig();
+    let cm = ConnManager::new(r.world.clone(), CmConfig::default(), SimRng::new(2));
+    let mut keep = Vec::new();
+    // Warm: the RNIC's own tables grow with the first contexts.
+    for _ in 0..WARM {
+        keep.push(srq_context_bytes(&r, &cm, SMALL).1);
+    }
+    let (small, a) = srq_context_bytes(&r, &cm, SMALL);
+    let (large, b) = srq_context_bytes(&r, &cm, LARGE);
+    keep.extend([a, b]);
+    let per = (large - small) / (LARGE - SMALL) as isize;
+    println!(
+        "live heap: {per} B per SRQ slot (budget {})",
+        budget(SRQ_SLOT_BYTES)
+    );
+    assert!(
+        per <= budget(SRQ_SLOT_BYTES),
+        "{per} B per SRQ slot, budget {}",
+        budget(SRQ_SLOT_BYTES)
     );
 }

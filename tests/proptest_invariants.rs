@@ -373,6 +373,86 @@ mod fault_plan_liveness {
         }
     }
 
+    /// What became of the 16 requests one plan run sent.
+    struct Outcome {
+        accepted: u32,
+        completed: u32,
+        errored: u32,
+        closed: bool,
+        reason: Option<CloseReason>,
+    }
+
+    /// Build a client/server pair under `plan`, send 16 requests of
+    /// `size` bytes at 20 ms and run one second of simulated time.
+    fn run_plan(seed: u64, plan: FaultPlan, size: u64) -> Outcome {
+        let world = World::new();
+        let rng = SimRng::new(seed);
+        let _guard = FaultInjector::install(&world, plan, rng.fork("faults"));
+        let fabric = Fabric::new(world.clone(), FabricConfig::pair(), &rng);
+        let cm = ConnManager::new(world.clone(), CmConfig::default(), rng.fork("cm"));
+        let server = XrdmaContext::on_new_node(
+            &fabric,
+            &cm,
+            NodeId(0),
+            RnicConfig::default(),
+            XrdmaConfig::default(),
+            &rng,
+        );
+        server.listen(7, |ch| {
+            ch.set_on_request(|c, _m, t| {
+                c.respond_size(t, 64).ok();
+            });
+        });
+        let client = XrdmaContext::on_new_node(
+            &fabric,
+            &cm,
+            NodeId(1),
+            RnicConfig::default(),
+            XrdmaConfig::default(),
+            &rng,
+        );
+        let slot: Rc<RefCell<Option<Rc<XrdmaChannel>>>> = Rc::new(RefCell::new(None));
+        let s2 = slot.clone();
+        client.connect(NodeId(0), 7, move |r| *s2.borrow_mut() = Some(r.unwrap()));
+        world.run_for(Dur::millis(20));
+        let ch = slot
+            .borrow()
+            .clone()
+            .expect("established before faults open");
+
+        let reason: Rc<Cell<Option<CloseReason>>> = Rc::new(Cell::new(None));
+        let r2 = reason.clone();
+        ch.set_on_close(move |r| r2.set(Some(r)));
+        let completed = Rc::new(Cell::new(0u32));
+        let errored = Rc::new(Cell::new(0u32));
+        let mut accepted = 0u32;
+        for _ in 0..16 {
+            let (c2, e2) = (completed.clone(), errored.clone());
+            if ch
+                .send_request_size(size, move |_, msg| {
+                    if msg.is_error() {
+                        e2.set(e2.get() + 1);
+                    } else {
+                        c2.set(c2.get() + 1);
+                    }
+                })
+                .is_ok()
+            {
+                accepted += 1;
+            }
+        }
+        // The retry budget tops out around 64 ms × 7; a second of sim
+        // time is quiescence for any plan this module builds.
+        world.run_for(Dur::secs(1));
+        Outcome {
+            accepted,
+            completed: completed.get(),
+            errored: errored.get(),
+            closed: ch.is_closed(),
+            reason: reason.get(),
+        }
+    }
+
     proptest! {
         // Each case is a full-stack simulation (case count comes from the
         // vendored shim's PROPTEST_CASES, default 256).
@@ -385,67 +465,48 @@ mod fault_plan_liveness {
             for sel in sels {
                 plan = plan.with(build_spec(sel));
             }
-            let world = World::new();
-            let rng = SimRng::new(seed);
-            let _guard = FaultInjector::install(&world, plan, rng.fork("faults"));
-            let fabric = Fabric::new(world.clone(), FabricConfig::pair(), &rng);
-            let cm = ConnManager::new(world.clone(), CmConfig::default(), rng.fork("cm"));
-            let server = XrdmaContext::on_new_node(
-                &fabric, &cm, NodeId(0), RnicConfig::default(), XrdmaConfig::default(), &rng,
-            );
-            server.listen(7, |ch| {
-                ch.set_on_request(|c, _m, t| {
-                    c.respond_size(t, 64).ok();
-                });
-            });
-            let client = XrdmaContext::on_new_node(
-                &fabric, &cm, NodeId(1), RnicConfig::default(), XrdmaConfig::default(), &rng,
-            );
-            let slot: Rc<RefCell<Option<Rc<XrdmaChannel>>>> = Rc::new(RefCell::new(None));
-            let s2 = slot.clone();
-            client.connect(NodeId(0), 7, move |r| *s2.borrow_mut() = Some(r.unwrap()));
-            world.run_for(Dur::millis(20));
-            let ch = slot.borrow().clone().expect("established before faults open");
-
-            let reason: Rc<Cell<Option<CloseReason>>> = Rc::new(Cell::new(None));
-            let r2 = reason.clone();
-            ch.set_on_close(move |r| r2.set(Some(r)));
-            let completed = Rc::new(Cell::new(0u32));
-            let errored = Rc::new(Cell::new(0u32));
-            let mut accepted = 0u32;
-            for _ in 0..16 {
-                let (c2, e2) = (completed.clone(), errored.clone());
-                if ch
-                    .send_request_size(1024, move |_, msg| {
-                        if msg.is_error() {
-                            e2.set(e2.get() + 1);
-                        } else {
-                            c2.set(c2.get() + 1);
-                        }
-                    })
-                    .is_ok()
-                {
-                    accepted += 1;
-                }
-            }
-            // The retry budget tops out around 64 ms × 7; a second of sim
-            // time is quiescence for any plan this strategy can emit.
-            world.run_for(Dur::secs(1));
+            let o = run_plan(seed, plan, 1024);
             prop_assert_eq!(
-                completed.get() + errored.get(),
-                accepted,
+                o.completed + o.errored,
+                o.accepted,
                 "every accepted request resolved (no silent loss, no hang)"
             );
-            if errored.get() > 0 {
-                prop_assert!(ch.is_closed(), "error replies only come from teardown");
+            if o.errored > 0 {
+                prop_assert!(o.closed, "error replies only come from teardown");
                 prop_assert!(
-                    reason.get().is_some(),
+                    o.reason.is_some(),
                     "a torn-down channel reports a typed close reason"
                 );
             } else {
-                prop_assert_eq!(completed.get(), accepted);
+                prop_assert_eq!(o.completed, o.accepted);
             }
         }
+    }
+
+    /// Two overlapping CQE-delay windows, one per NIC, over rendezvous
+    /// (large-path) requests. Completions raised after a window closes
+    /// must not overtake the ones it still holds: a stalled RNIC releases
+    /// its completions in the order it raised them. When they overtook,
+    /// none of the 16 requests resolved and no error was raised.
+    #[test]
+    fn cqe_delay_windows_keep_rendezvous_live() {
+        let window = |node: u32, dur_ms: u64| FaultSpec {
+            at_ns: 19_000_000,
+            dur_ns: Some(dur_ms * 1_000_000),
+            target: FaultTarget::Node(node),
+            kind: FaultKind::CqeDelay {
+                delay_ns: 1_000_000,
+            },
+        };
+        let plan = FaultPlan::new().with(window(1, 6)).with(window(0, 5));
+        let o = run_plan(7, plan, 300_000);
+        assert_eq!(o.accepted, 16);
+        assert_eq!(
+            o.completed, 16,
+            "errored {}, closed {}",
+            o.errored, o.closed
+        );
+        assert!(!o.closed);
     }
 }
 

@@ -110,7 +110,7 @@ fn mux_resolves_opened_and_received_lcid_to_one_logical() {
         let seen = seen.borrow();
         assert_eq!(seen.len(), 1, "frame delivered (frame_first {frame_first})");
         assert!(Rc::ptr_eq(&seen[0], &opened), "frame_first {frame_first}");
-        assert_eq!(opened.received.get(), 1);
+        assert_eq!(opened.received(), 1);
         assert_eq!(ma.stats().logical_open, 1, "frame_first {frame_first}");
         // A different peer's lcid of the same number stays its own.
         let other = ma.logical_at(NodeId(5), opened.lcid);
