@@ -1163,12 +1163,14 @@ impl XrdmaChannel {
 
     fn repost_slot(&self, slot_id: u32, slot: &McBuf) {
         // Shared-pool slots go back through the context (the SRQ outlives
-        // this channel); private slots re-arm this QP's receive queue.
+        // this channel); private slots re-arm this QP's receive queue,
+        // their consumed message dropped from the MR first.
         if let Some(ctx) = self.ctx.upgrade() {
             if ctx.has_srq() {
                 ctx.repost_srq_slot(slot_id);
                 return;
             }
+            let _ = ctx.memcache().discard(slot);
         }
         check_repost(self.qp.post_recv(recv_wr(slot_id, slot)), slot_id);
     }

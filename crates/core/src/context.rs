@@ -279,11 +279,13 @@ impl XrdmaContext {
         self.srq_slots.borrow().get(id)
     }
 
-    /// Return a consumed shared slot to the SRQ rotation.
+    /// Return a consumed shared slot to the SRQ rotation, its message
+    /// dropped from the MR first.
     pub(crate) fn repost_srq_slot(&self, id: u32) {
         let (Some(srq), Some(buf)) = (self.srq.as_ref(), self.srq_slot(id)) else {
             return;
         };
+        let _ = self.memcache.discard(&buf);
         check_repost(srq.post(recv_wr(id, &buf)), id);
     }
 

@@ -256,7 +256,9 @@ impl MemCache {
     /// bytes the destination already reads as what it would receive, so a
     /// size-only body materialises nothing. Only that case may skip — a
     /// destination reused after an arena reset can hold stale bytes, and
-    /// those must still be overwritten (DESIGN.md design note 13).
+    /// those must still be overwritten (DESIGN.md design note 13). A
+    /// receive slot holds none: the core [`MemCache::discard`]s it before
+    /// every repost.
     pub fn copy(&self, src: &McBuf, src_off: u64, dst: &McBuf, len: u64) -> Result<(), XrdmaError> {
         if src_off.saturating_add(len) > src.len || len > dst.len {
             return Err(VerbsError::AccessError("copy past cache buffer").into());
@@ -273,6 +275,13 @@ impl MemCache {
         scratch.resize(len as usize, 0);
         src_mr.read_into(from, &mut scratch)?;
         Ok(dst_mr.write(to, &scratch)?)
+    }
+
+    /// Forget a buffer's bytes: it reads as zeroes again and its arena's
+    /// sparse backing gives them back. The core calls this when it re-arms
+    /// a consumed receive slot, after the message has been copied out.
+    pub fn discard(&self, buf: &McBuf) -> Result<(), XrdmaError> {
+        Ok(self.mr_of(buf)?.discard(buf.addr, buf.len)?)
     }
 
     /// Bytes the arenas' sparse backing actually holds (diagnostics).

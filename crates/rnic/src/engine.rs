@@ -1476,8 +1476,8 @@ impl Rnic {
         drop(tx);
         // Flush posted receives too.
         let mut rx = qp.rx.borrow_mut();
-        let rq = std::mem::take(&mut rx.rq);
-        for r in rq {
+        let mut rq = std::mem::take(&mut rx.rq);
+        while let Some(r) = rq.pop() {
             self.push_cqe(
                 &qp.recv_cq,
                 Cqe {

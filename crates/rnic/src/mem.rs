@@ -64,7 +64,9 @@ pub struct Pd {
 
 /// Sparse byte store: only written ranges occupy memory, so a 4 MiB
 /// arena that ever sees nothing but 56-byte headers costs 56 bytes. Reads
-/// of unwritten ranges return zeroes (fresh registered memory).
+/// of unwritten ranges return zeroes (fresh registered memory), and so do
+/// reads of discarded ones: [`Mr::discard`] gives a range's bytes back,
+/// so an arena of receive slots holds only the messages not yet consumed.
 ///
 /// A sorted extent index: `data[i]` holds the bytes from `starts[i]` on,
 /// starts ascend and extents never overlap. Every operation is one
@@ -101,7 +103,7 @@ impl SparseBytes {
             }
             _ => {
                 self.starts.insert(at, off);
-                // xrdma-lint: allow(hot-path-alloc) -- first touch of a fresh range (one per recv slot / arena), later writes extend or overwrite it
+                // xrdma-lint: allow(hot-path-alloc) -- first touch of a fresh range: one per message landing in a receive slot (its repost discarded the last one) or per arena; later writes extend or overwrite it
                 self.data.insert(at, bytes.to_vec());
                 at
             }
@@ -132,6 +134,46 @@ impl SparseBytes {
                 self.starts[k + 1]
             );
         }
+    }
+
+    /// Forget the bytes at `[off, off + len)`: extents inside the range
+    /// go, one reaching into it from either side is cut back to the part
+    /// outside, and one spanning it splits in two.
+    fn discard(&mut self, off: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
+        let end = off + len;
+        // Extents from `i` on start inside the range or past it.
+        let i = self.starts.partition_point(|&s| s < off);
+        if let Some(p) = i.checked_sub(1) {
+            let (start, p_end) = (self.starts[p], self.end_of(p));
+            if p_end > end {
+                // xrdma-lint: allow(hot-path-alloc) -- only an extent spanning the whole range splits; a slot's message never reaches the next slot, so a repost splits at most stale bytes of an arena's earlier use
+                let tail = self.data[p][(end - start) as usize..].to_vec();
+                self.data[p].truncate((off - start) as usize);
+                self.starts.insert(p + 1, end);
+                self.data.insert(p + 1, tail);
+                return;
+            }
+            if p_end > off {
+                self.data[p].truncate((off - start) as usize);
+            }
+        }
+        let mut j = i;
+        while self.starts.get(j).is_some_and(|&s| s < end) {
+            j += 1;
+        }
+        // Only the last extent starting inside the range can reach past
+        // it: keep that tail where it is.
+        if j > i && self.end_of(j - 1) > end {
+            let cut = (end - self.starts[j - 1]) as usize;
+            self.data[j - 1].drain(..cut);
+            self.starts[j - 1] = end;
+            j -= 1;
+        }
+        self.starts.drain(i..j);
+        self.data.drain(i..j);
     }
 
     /// Fill `out` with the bytes at `[off, off + out.len())`, zeroes where
@@ -239,6 +281,17 @@ impl Mr {
     pub fn read_bytes(&self, addr: u64, len: u64) -> Result<Bytes, VerbsError> {
         // The single per-message gather copy; fragments slice this buffer.
         self.read(addr, len).map(Bytes::from)
+    }
+
+    /// Forget the bytes at `[addr, addr + len)`: the range reads as zeroes
+    /// again, as freshly registered memory does, and its backing bytes are
+    /// freed (a no-op beyond bounds checks if unbacked).
+    pub fn discard(&self, addr: u64, len: u64) -> Result<(), VerbsError> {
+        let off = self.offset_of(addr, len)?;
+        if let Some(buf) = self.backing.borrow_mut().as_mut() {
+            buf.discard(off as u64, len);
+        }
+        Ok(())
     }
 
     /// Bytes actually materialized by the sparse backing (diagnostics).
@@ -734,6 +787,97 @@ mod tests {
         assert_eq!(mr.stored_bytes(), ARENA as u64);
         assert_eq!(mr.read(mr.addr, ARENA as u64).unwrap(), flat);
         assert!(wall.as_secs() < 5, "65 536 adjacent writes took {wall:?}");
+    }
+
+    /// The extent index is ordered, disjoint and holds no empty extent.
+    fn assert_well_formed(mr: &Mr) {
+        let ext = extents(mr);
+        assert!(ext.iter().all(|&(_, n)| n > 0), "empty extent in {ext:?}");
+        for w in ext.windows(2) {
+            assert!(w[0].0 + w[0].1 as u64 <= w[1].0, "overlap in {ext:?}");
+        }
+    }
+
+    /// Writes, discards and reads at random against a flat buffer: a byte
+    /// reads as the last value written to it unless a discard came after,
+    /// and the backing stores exactly the written, undiscarded bytes.
+    #[test]
+    fn discard_matches_a_dense_buffer() {
+        use xrdma_sim::SimRng;
+        const LEN: u64 = 512;
+        for seed in 0..48 {
+            let mut rng = SimRng::new(seed);
+            let mr = backed(LEN);
+            let mut flat = vec![0u8; LEN as usize];
+            let mut held = vec![false; LEN as usize];
+            for stamp in 1..=300u32 {
+                let off = rng.next_below(LEN);
+                let len = rng.next_below((LEN - off).min(96) + 1);
+                let (lo, hi) = (off as usize, (off + len) as usize);
+                match rng.next_below(3) {
+                    0 => {
+                        let data = vec![stamp as u8 | 1; len as usize];
+                        mr.write(mr.addr + off, &data).unwrap();
+                        flat[lo..hi].copy_from_slice(&data);
+                        held[lo..hi].fill(true);
+                    }
+                    1 => {
+                        mr.discard(mr.addr + off, len).unwrap();
+                        flat[lo..hi].fill(0);
+                        held[lo..hi].fill(false);
+                    }
+                    _ => assert_eq!(mr.read(mr.addr + off, len).unwrap(), &flat[lo..hi]),
+                }
+                assert_eq!(
+                    mr.read(mr.addr, LEN).unwrap(),
+                    flat,
+                    "seed {seed} step {stamp}"
+                );
+                let stored = held.iter().filter(|&&h| h).count() as u64;
+                assert_eq!(mr.stored_bytes(), stored, "seed {seed} step {stamp}");
+                assert_well_formed(&mr);
+            }
+        }
+    }
+
+    /// Each shape of discard, with the extent layout it must leave.
+    #[test]
+    fn discard_cuts_and_splits_extents() {
+        let mr = backed(1024);
+        mr.write(mr.addr + 100, &[1; 100]).unwrap();
+        mr.discard(mr.addr + 130, 20).unwrap(); // mid-extent: splits
+        assert_eq!(extents(&mr), [(100, 30), (150, 50)]);
+        assert_eq!(mr.read(mr.addr + 128, 4).unwrap(), [1, 1, 0, 0]);
+        assert_eq!(mr.read(mr.addr + 148, 4).unwrap(), [0, 0, 1, 1]);
+        mr.discard(mr.addr + 300, 50).unwrap(); // nothing written there
+        mr.discard(mr.addr + 160, 0).unwrap(); // zero length
+        assert_eq!(extents(&mr), [(100, 30), (150, 50)]);
+        mr.discard(mr.addr + 120, 40).unwrap(); // cuts both neighbours
+        assert_eq!(extents(&mr), [(100, 20), (160, 40)]);
+        mr.discard(mr.addr + 100, 100).unwrap(); // exactly both
+        assert_eq!(extents(&mr), []);
+        assert_eq!(mr.stored_bytes(), 0);
+        assert!(!mr.has_data_in(mr.addr, 1024));
+        assert!(matches!(
+            mr.discard(mr.addr + 1020, 8),
+            Err(VerbsError::AccessError(_))
+        ));
+        assert!(mr.discard(mr.addr - 1, 1).is_err());
+        let (t, pd) = table();
+        let unbacked = t.reg_mr(
+            &pd,
+            64,
+            AccessFlags::FULL,
+            PageKind::Anonymous,
+            false,
+            false,
+        );
+        unbacked.discard(unbacked.addr, 64).unwrap();
+        t.dereg_mr(&unbacked);
+        assert!(matches!(
+            unbacked.discard(unbacked.addr, 8),
+            Err(VerbsError::Gone(_))
+        ));
     }
 
     #[test]

@@ -56,12 +56,92 @@ impl Default for QpCaps {
     }
 }
 
+/// A FIFO of posted receive WRs, stored as runs. Consumers post slots
+/// carved in order from one buffer and repost them as they free up, so
+/// consecutive WRs almost always continue each other: the next `wr_id`,
+/// the next `len`-sized buffer, the same `len` and `lkey`. A run holds
+/// such a stretch as its oldest WR plus a count (32 B, what one
+/// [`RecvWr`] costs), so a queue costs its runs, not its posted WRs.
+/// [`RecvQueue::pop`] hands out exactly the WRs, in exactly the order,
+/// they were pushed; where no WR continues its predecessor every run
+/// holds one and the queue costs what a `VecDeque<RecvWr>` would.
+#[derive(Default)]
+pub(crate) struct RecvQueue {
+    runs: VecDeque<RecvRun>,
+    len: usize,
+}
+
+/// WR `k` of a run is `(wr_id + k, addr + k × len, len, lkey)`; a run
+/// in the queue holds at least one WR.
+#[derive(Clone, Copy)]
+struct RecvRun {
+    wr_id: u64,
+    addr: u64,
+    len: u64,
+    lkey: u32,
+    count: u32,
+}
+
+impl RecvQueue {
+    /// Append `wr`, extending the tail run when it continues it.
+    pub(crate) fn push(&mut self, wr: RecvWr) {
+        self.len += 1;
+        if let Some(r) = self.runs.back_mut() {
+            let k = u64::from(r.count);
+            if r.count < u32::MAX
+                && (r.len, r.lkey) == (wr.len, wr.lkey)
+                && r.wr_id.wrapping_add(k) == wr.wr_id
+                && r.addr.wrapping_add(k.wrapping_mul(r.len)) == wr.addr
+            {
+                r.count += 1;
+                return;
+            }
+        }
+        self.runs.push_back(RecvRun {
+            wr_id: wr.wr_id,
+            addr: wr.addr,
+            len: wr.len,
+            lkey: wr.lkey,
+            count: 1,
+        });
+    }
+
+    /// Take the oldest WR.
+    pub(crate) fn pop(&mut self) -> Option<RecvWr> {
+        let r = self.runs.front_mut()?;
+        let wr = RecvWr::new(r.wr_id, r.addr, r.len, r.lkey);
+        r.count -= 1;
+        if r.count == 0 {
+            self.runs.pop_front();
+        } else {
+            r.wr_id = r.wr_id.wrapping_add(1);
+            r.addr = r.addr.wrapping_add(r.len);
+        }
+        self.len -= 1;
+        Some(wr)
+    }
+
+    /// Posted WRs.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Stored runs.
+    #[cfg(test)]
+    fn runs_len(&self) -> usize {
+        self.runs.len()
+    }
+}
+
 /// A shared receive queue (§VII-F "Pay attention to SRQ"): several QPs draw
 /// receive WRs from one pool, trading memory for RNR risk under bursts.
+/// Its WRs are a [`RecvQueue`]: a pool of slots carved from a few arenas
+/// and reposted in the order they were taken costs a few runs however
+/// deep it is.
 pub struct Srq {
     pub id: u32,
     depth: usize,
-    wrs: RefCell<VecDeque<RecvWr>>,
+    wrs: RefCell<RecvQueue>,
 }
 
 impl Srq {
@@ -69,7 +149,7 @@ impl Srq {
         Rc::new(Srq {
             id,
             depth,
-            wrs: RefCell::new(VecDeque::new()),
+            wrs: RefCell::new(RecvQueue::default()),
         })
     }
 
@@ -78,12 +158,12 @@ impl Srq {
         if q.len() >= self.depth {
             return Err(VerbsError::QueueFull);
         }
-        q.push_back(wr);
+        q.push(wr);
         Ok(())
     }
 
     pub(crate) fn pop(&self) -> Option<RecvWr> {
-        self.wrs.borrow_mut().pop_front()
+        self.wrs.borrow_mut().pop()
     }
 
     pub fn len(&self) -> usize {
@@ -91,7 +171,7 @@ impl Srq {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.wrs.borrow().is_empty()
+        self.len() == 0
     }
 }
 
@@ -203,7 +283,10 @@ pub(crate) struct RxMsg {
 /// Receive-direction state.
 #[derive(Default)]
 pub(crate) struct RxState {
-    pub rq: VecDeque<RecvWr>,
+    /// The private receive queue (unused with an SRQ attached): a
+    /// channel's slots reposted in the order they were taken stay one or
+    /// two runs.
+    pub rq: RecvQueue,
     /// Next request-stream sequence number we will accept.
     pub next_deliver: u64,
     /// Message under reassembly.
@@ -441,7 +524,7 @@ impl Qp {
         if rx.rq.len() >= self.caps.max_recv_wr {
             return Err(VerbsError::QueueFull);
         }
-        rx.rq.push_back(wr);
+        rx.rq.push(wr);
         Ok(())
     }
 
@@ -450,7 +533,7 @@ impl Qp {
         if let Some(srq) = &self.srq {
             srq.pop()
         } else {
-            self.rx.borrow_mut().rq.pop_front()
+            self.rx.borrow_mut().rq.pop()
         }
     }
 
@@ -575,6 +658,131 @@ mod tests {
             srq.post(RecvWr::new(3, 0, 1, 0)),
             Err(VerbsError::QueueFull)
         ));
+    }
+
+    fn key(wr: &RecvWr) -> (u64, u64, u64, u32) {
+        (wr.wr_id, wr.addr, wr.len, wr.lkey)
+    }
+
+    /// Everything left in `qp`'s receive queue, oldest first: a private
+    /// queue the way the engine's error flush drains it, an SRQ by pops.
+    fn flush(qp: &Qp) -> Vec<RecvWr> {
+        if qp.srq.is_some() {
+            return std::iter::from_fn(|| qp.take_rqe()).collect();
+        }
+        let mut rq = std::mem::take(&mut qp.rx.borrow_mut().rq);
+        std::iter::from_fn(|| rq.pop()).collect()
+    }
+
+    /// The run queue against a `VecDeque<RecvWr>`, through a private RQ
+    /// and an SRQ: random posts, pops and flushes hand out the same WRs
+    /// in the same order, refuse the same posts at depth and report the
+    /// same length. A post continues the last WR, reposts a consumed one
+    /// (the oldest, as a slot ring does, or any), changes `len` or `lkey`
+    /// at the next address, or is unrelated.
+    #[test]
+    fn recv_queue_matches_a_vecdeque() {
+        use xrdma_sim::SimRng;
+        for seed in 0..48 {
+            let mut rng = SimRng::new(seed);
+            let depth = 1 + rng.next_below(24) as usize;
+            let cq = CompletionQueue::new(0, 64);
+            let caps = QpCaps {
+                max_send_wr: 1,
+                max_recv_wr: depth,
+            };
+            let srq = Srq::new(0, depth);
+            let private = Qp::new(
+                Qpn(1),
+                1,
+                caps,
+                cq.clone(),
+                cq.clone(),
+                None,
+                DcqcnRp::new(),
+            );
+            let shared = Qp::new(Qpn(2), 1, caps, cq.clone(), cq, Some(srq), DcqcnRp::new());
+            for qp in [private, shared] {
+                qp.modify_to_init().unwrap();
+                let mut model: VecDeque<RecvWr> = VecDeque::new();
+                let mut taken: Vec<RecvWr> = Vec::new();
+                let mut last = RecvWr::new(0, 0x1000, 64, 1);
+                for _ in 0..400 {
+                    let next = (last.wr_id + 1, last.addr + last.len);
+                    match rng.next_below(10) {
+                        0..=5 => {
+                            let wr = match rng.next_below(7) {
+                                0 | 1 => RecvWr::new(next.0, next.1, last.len, last.lkey),
+                                2 if !taken.is_empty() => taken.remove(0),
+                                3 if !taken.is_empty() => {
+                                    taken.swap_remove(rng.next_below(taken.len() as u64) as usize)
+                                }
+                                4 => RecvWr::new(next.0, next.1, 1 + last.len % 97, last.lkey),
+                                5 => RecvWr::new(next.0, next.1, last.len, last.lkey ^ 2),
+                                _ => RecvWr::new(
+                                    rng.next_below(1 << 20),
+                                    rng.next_below(1 << 30),
+                                    rng.next_below(4096),
+                                    rng.next_below(4) as u32,
+                                ),
+                            };
+                            let full = model.len() >= depth;
+                            let res = qp.post_recv(wr.clone());
+                            assert_eq!(full, matches!(res, Err(VerbsError::QueueFull)));
+                            if !full {
+                                res.unwrap();
+                                model.push_back(wr.clone());
+                                last = wr;
+                            }
+                        }
+                        6..=8 => {
+                            let got = qp.take_rqe();
+                            let want = model.pop_front();
+                            assert_eq!(got.as_ref().map(key), want.as_ref().map(key));
+                            taken.extend(want);
+                        }
+                        _ => {
+                            let got: Vec<_> = flush(&qp).iter().map(key).collect();
+                            let want: Vec<_> = model.drain(..).map(|w| key(&w)).collect();
+                            assert_eq!(got, want);
+                        }
+                    }
+                    assert_eq!(qp.recv_queue_len(), model.len());
+                }
+            }
+        }
+    }
+
+    /// A ring of slots reposted in the order they are taken stays two
+    /// runs deep at most; a `len` or `lkey` change, or a gap in address
+    /// or id, starts a new run.
+    #[test]
+    fn recv_queue_stores_runs() {
+        assert_eq!(
+            std::mem::size_of::<RecvRun>(),
+            std::mem::size_of::<RecvWr>()
+        );
+        let mut q = RecvQueue::default();
+        for i in 0..12 {
+            q.push(RecvWr::new(i, 0x1000 + 64 * i, 64, 1));
+        }
+        assert_eq!((q.len(), q.runs_len()), (12, 1));
+        for _ in 0..30 {
+            let wr = q.pop().unwrap();
+            q.push(wr);
+            assert!(q.runs_len() <= 2, "{} runs", q.runs_len());
+        }
+        let mut q = RecvQueue::default();
+        q.push(RecvWr::new(0, 0x1000, 64, 1));
+        q.push(RecvWr::new(1, 0x1040, 64, 3)); // lkey changes
+        q.push(RecvWr::new(2, 0x1080, 32, 3)); // len changes
+        q.push(RecvWr::new(3, 0x10c0, 32, 3)); // address skips
+        q.push(RecvWr::new(5, 0x10e0, 32, 3)); // id skips
+        q.push(RecvWr::new(6, 0x1100, 32, 3)); // continues
+        assert_eq!((q.len(), q.runs_len()), (6, 5));
+        let lkeys: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|w| w.lkey).collect();
+        assert_eq!(lkeys, [1, 3, 3, 3, 3, 3]);
+        assert_eq!((q.len(), q.runs_len()), (0, 0));
     }
 
     #[test]

@@ -21,7 +21,10 @@
 #            every committed result file, and with it every paper row and
 #            verdict, must be exactly what the code writes; the run ends
 #            with a `paper: N s wall, peak RSS M MB (VmHWM)` line, so the
-#            log carries both costs
+#            log carries both costs, and fails when M exceeds
+#            PAPER_RSS_MAX_MB: a footprint regression in any experiment
+#            (the connection sweeps of qpscale and fig8 above all) shows
+#            without a benchmark run
 #   bench    checks the separate `benchmark/` workspace (nothing else
 #            compiles it): rustfmt in check mode and its own unit tests
 #            (the `compare` verdicts, BENCHMARK.json against its workload
@@ -39,6 +42,11 @@ run() {
     "$@"
 }
 
+# `paper all`'s measured peak RSS plus 10 %: 564 MB (six runs read
+# 535-564) on a 2-vCPU KVM guest once receive queues stored runs and
+# consumed slots left the MR.
+PAPER_RSS_MAX_MB=620
+
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -48,7 +56,13 @@ run cargo clippy --workspace --all-targets -- -D warnings
 run cargo run -q --release -p xrdma-lint -- --format json --out results/lint.json
 run cargo test -q --workspace
 run cargo test -q --workspace --features xrdma-tests/debug_invariants
-run target/release/paper all --out "$tmp/paper"
+run target/release/paper all --out "$tmp/paper" | tee "$tmp/paper.log"
+rss="$(sed -n 's/^paper: .* peak RSS \([0-9]*\) MB (VmHWM)$/\1/p' "$tmp/paper.log")"
+echo "==> paper peak RSS ${rss:-unknown} MB, ceiling $PAPER_RSS_MAX_MB MB"
+if [ -z "$rss" ] || [ "$rss" -gt "$PAPER_RSS_MAX_MB" ]; then
+    echo "ci.sh: paper all's peak RSS is over its ceiling or missing" >&2
+    exit 1
+fi
 run diff -r --exclude='*.trace.json' --exclude=lint.json results "$tmp/paper"
 run cargo fmt --check --manifest-path benchmark/Cargo.toml
 run cargo test -q --release --offline --manifest-path benchmark/Cargo.toml --target-dir target

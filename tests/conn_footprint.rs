@@ -57,22 +57,24 @@ const WARM: usize = 8;
 const ADDED: usize = 32;
 
 /// Measured with telemetry compiled in, as it now always is; the budgets
-/// are these plus 25 %. The pair figure is from when receive slots became
-/// one table entry per contiguous run (with one 24 B record per slot a
-/// pair cost 17 518 B); the context figure from when histograms began to
-/// grow on demand (a context now measures 2 071 B). With every histogram
-/// holding all its buckets from the start, a pair cost 77 934 B and a
-/// context 32 263 B.
-const PAIR_BYTES: isize = 11_630;
+/// are these plus 25 %. The pair figure is from when receive queues began
+/// to store runs of WRs and a consumed slot's message to leave the MR
+/// (with a 32 B entry per posted WR and every message kept, a pair cost
+/// 11 630 B; with one 24 B record per slot besides, 17 518 B); the
+/// context figure from when histograms began to grow on demand (a context
+/// now measures 2 071 B). With every histogram holding all its buckets
+/// from the start, a pair cost 77 934 B and a context 32 263 B.
+const PAIR_BYTES: isize = 3_710;
 const CONTEXT_BYTES: isize = 2_055;
 
 /// Measured when a logical channel shrank to its id, peer and an index
-/// (a 40 B `Rc`) and the SRQ slot table to one entry per arena. Before,
-/// an idle logical channel cost 84 B (a 72 B `Rc` plus its share of the
-/// `opened` table) and an SRQ slot 56 B (a 32 B receive WR plus a 24 B
-/// buffer record).
+/// (a 40 B `Rc`) and the SRQ slot table to one entry per arena; the SRQ
+/// slot figure when the SRQ's WR queue, too, began to store one run per
+/// arena. Before, an idle logical channel cost 84 B (a 72 B `Rc` plus
+/// its share of the `opened` table) and an SRQ slot 56 B (a 32 B receive
+/// WR plus a 24 B buffer record), then 32 B (the WR alone).
 const LOGICAL_BYTES: isize = 52;
-const SRQ_SLOT_BYTES: isize = 32;
+const SRQ_SLOT_BYTES: isize = 0;
 
 fn budget(measured: isize) -> isize {
     measured + measured / 4
@@ -247,5 +249,42 @@ fn srq_context_bytes_per_slot() {
         per <= budget(SRQ_SLOT_BYTES),
         "{per} B per SRQ slot, budget {}",
         budget(SRQ_SLOT_BYTES)
+    );
+}
+
+/// After an RPC burst has been answered and the channels are quiet, both
+/// contexts' memory caches hold the bytes they held before it: every
+/// consumed receive slot gave its message back to the MR when it was
+/// reposted, so a connection's stored receive bytes follow what is in
+/// flight, not what has passed through it.
+#[test]
+fn consumed_slots_leave_the_mr() {
+    const RPCS: u32 = 200;
+    let r = rig();
+    connect(&r, WARM);
+    for ch in r.b.channels() {
+        ch.set_on_request(|ch, _, token| {
+            ch.respond_size(token, 64).unwrap();
+        });
+    }
+    let stored = || (r.a.memcache().stored_bytes(), r.b.memcache().stored_bytes());
+    let before = stored();
+    let answered = Rc::new(Cell::new(0));
+    for ch in r.a.channels() {
+        for _ in 0..RPCS {
+            let answered = answered.clone();
+            ch.send_request_size(64, move |_, msg| {
+                assert!(!msg.is_error());
+                answered.set(answered.get() + 1);
+            })
+            .unwrap();
+        }
+    }
+    r.world.run_for(Dur::millis(200));
+    assert_eq!(answered.get(), RPCS * WARM as u32, "every RPC answered");
+    assert_eq!(
+        stored(),
+        before,
+        "stored memcache bytes (client, server) after the burst"
     );
 }

@@ -3,6 +3,7 @@
 //! differential contract against the unmuxed path (DESIGN.md §3.16).
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -294,6 +295,53 @@ fn eviction_races_keepalive_probe() {
     assert_eq!(st.dup_drops, 0);
     assert_eq!(client.stats().keepalive_failures, 0, "probe never misread");
     assert_eq!(lc0.seq_state(), (2, 0), "client-side logical seq continued");
+}
+
+/// One SRQ context's slot pool rotates past its first memcache arena: a
+/// 2 048-slot pool of 4 160 B slots spans three 4 MiB arenas, and more
+/// than twice that many frames cycle every slot at least twice, each one
+/// arriving with its own bytes. A slot resolved to the wrong buffer, or a
+/// receive WR that lands a frame anywhere but its slot, loses or mangles
+/// the frames past the first arena.
+#[test]
+fn srq_rotation_spans_arenas() {
+    const SRQ: usize = 2048;
+    const LOGICALS: u64 = 8;
+    const PER: u64 = 2 * SRQ as u64 / LOGICALS + 40;
+    let net = net(2, 21);
+    let mut cfg = mux_cfg(4, 2);
+    cfg.srq_size = SRQ;
+    let server = ctx(&net, 0, cfg.clone());
+    let client = ctx(&net, 1, cfg);
+    assert!(
+        server.memcache().arena_count() >= 2,
+        "the pool spans arenas"
+    );
+    let smux = ChannelMux::new(&server, 7);
+    let got: Rc<RefCell<BTreeMap<u64, Vec<Bytes>>>> = Rc::default();
+    let g = got.clone();
+    smux.serve(move |lc, msg, _| g.borrow_mut().entry(lc.lcid).or_default().push(msg.body()));
+    let cmux = ChannelMux::new(&client, 7);
+    let logicals: Vec<_> = (0..LOGICALS).map(|_| cmux.open(NodeId(0))).collect();
+    for i in 0..PER {
+        for lc in &logicals {
+            lc.send_oneway(body_for(lc.lcid, i)).unwrap();
+        }
+    }
+    net.world.run_for(Dur::millis(500));
+    let got = got.borrow();
+    for lc in &logicals {
+        let bodies = &got[&lc.lcid];
+        assert_eq!(bodies.len() as u64, PER, "lcid {}: every frame", lc.lcid);
+        for (i, body) in bodies.iter().enumerate() {
+            assert_eq!(
+                body,
+                &body_for(lc.lcid, i as u64),
+                "lcid {} frame {i}",
+                lc.lcid
+            );
+        }
+    }
 }
 
 /// Run `n_logical` logical streams of `per` frames each through the mux
