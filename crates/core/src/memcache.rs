@@ -150,8 +150,9 @@ impl MemCache {
         })
     }
 
-    /// Return a buffer. When an arena's live count reaches zero its bump
-    /// pointer resets, making the whole arena reusable.
+    /// Return a buffer. Its bytes leave the arena's sparse backing (the
+    /// range reads as zeroes again). When an arena's live count reaches
+    /// zero its bump pointer resets, making the whole arena reusable.
     pub fn release(&self, buf: &McBuf) {
         let mut arenas = self.arenas.borrow_mut();
         let Some(a) = arenas.iter_mut().find(|a| a.mr.lkey == buf.lkey) else {
@@ -160,6 +161,8 @@ impl MemCache {
             return;
         };
         debug_assert!(a.live > 0, "double release");
+        let discarded = a.mr.discard(buf.addr, buf.len);
+        debug_assert!(discarded.is_ok(), "a cache buffer lies in its arena");
         a.live = a.live.saturating_sub(1);
         if a.live == 0 {
             a.bump = 0;
@@ -431,20 +434,24 @@ mod tests {
         assert!(mc.copy(&slot, 24, &staged, u64::MAX).is_err());
     }
 
-    /// The zero-skip's trap: after an arena reset the destination is the
-    /// old buffer's address and still holds its bytes, so an empty source
-    /// alone must not skip the copy.
+    /// A released buffer's bytes leave the arena: the reset arena hands
+    /// the same address out again, reading as zeroes. The zero-skip's
+    /// trap: a destination that holds bytes must still be overwritten,
+    /// so an empty source alone must not skip the copy.
     #[test]
     fn copy_onto_reused_buffer_clears_stale_bytes() {
         let mc = cache(small_cfg());
         let dirty = mc.alloc(64).unwrap();
         mc.write(&dirty, 0, &[0xAB; 64]).unwrap();
         mc.release(&dirty);
+        assert_eq!(mc.stored_bytes(), 0, "release discards the bytes");
         let dst = mc.alloc(64).unwrap();
         assert_eq!(
             dst.addr, dirty.addr,
             "the reset arena hands out the same address"
         );
+        assert_eq!(mc.read(&dst, 0, 64).unwrap(), vec![0; 64]);
+        mc.write(&dst, 0, &[0xCD; 64]).unwrap();
         let never_written = mc.alloc(64).unwrap();
         mc.copy(&never_written, 0, &dst, 64).unwrap();
         assert_eq!(mc.read(&dst, 0, 64).unwrap(), vec![0; 64]);

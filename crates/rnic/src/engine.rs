@@ -17,8 +17,10 @@
 //!
 //! Message-granular go-back-N: the responder accepts the request stream
 //! strictly in sequence, ACKs cumulatively, NAKs on a missing receive WR
-//! (**RNR**) or a sequence gap, and the requester replays from its unacked
-//! window. Retry exhaustion moves the QP to the error state and flushes all
+//! (**RNR**) or a sequence gap, and the requester rewinds the cursor of its
+//! in-flight table (`qp::InFlight`) and replays from there. A replayed
+//! atomic is answered from the responder's record of its first result.
+//! Retry exhaustion moves the QP to the error state and flushes all
 //! outstanding work — the signal X-RDMA's keepalive (§V-A) turns into a
 //! connection teardown.
 
@@ -41,7 +43,7 @@ use crate::config::{PageKind, RnicConfig};
 use crate::cq::{CompletionQueue, Cqe, CqeOpcode, CqeStatus};
 use crate::dcqcn::{self, DcqcnRp};
 use crate::mem::{AccessFlags, MemTable, Mr, Pd};
-use crate::qp::{PendingAtomic, PendingRead, Qp, QpCaps, RespJob, RxMsg, Srq, TxMsg, UnackedMsg};
+use crate::qp::{Qp, QpCaps, RespJob, RxMsg, Srq};
 use crate::verbs::{Payload, Qpn, SendOp, SendWr, VerbsError};
 
 // NIC-only costs (doorbell + WQE fetch + DMA setup; CQE generation on
@@ -665,15 +667,11 @@ impl Rnic {
     /// Does the QP have anything to put on the wire right now?
     fn qp_has_tx_work(&self, qp: &Rc<Qp>) -> bool {
         let tx = qp.tx.borrow();
-        if !tx.resp.is_empty() || !tx.retx.is_empty() || tx.cur.is_some() {
+        if !tx.resp.is_empty() || tx.inflight.has_work() {
             return true;
         }
         // Starting a new message requires window room.
-        !tx.sq.is_empty() && self.window_room(&tx)
-    }
-
-    fn window_room(&self, tx: &crate::qp::TxState) -> bool {
-        tx.unacked.len() + tx.pending_reads.len() + tx.pending_atomics.len() < MAX_INFLIGHT_MSGS
+        !tx.sq.is_empty() && tx.inflight.window_room()
     }
 
     /// Charge one QP-context fetch against the shared ICM/PCIe engine and
@@ -724,42 +722,25 @@ impl Rnic {
             self.emit(qp, seg, pipeline);
             return TxOutcome::Sent;
         }
-        // Priority 2: retransmissions.
-        if qp.tx.borrow().retx.front().is_some() {
-            let seg = self.next_msg_segment(qp, true);
-            match seg {
-                Some(seg) => {
-                    self.emit(qp, seg, pipeline);
-                    return TxOutcome::Sent;
-                }
-                None => return TxOutcome::Idle,
-            }
-        }
-        // Priority 3: current / new messages.
+        // Priority 2: the in-flight entry at the cursor (a replay, or the
+        // message being segmented); else a new message.
         {
             let mut tx = qp.tx.borrow_mut();
-            if tx.cur.is_none() {
+            if !tx.inflight.has_work() {
                 if tx.sq.is_empty() {
                     return TxOutcome::Idle;
                 }
-                if !self.window_room(&tx) {
+                if !tx.inflight.window_room() {
                     // Window full: an ACK will re-activate us.
                     return TxOutcome::Idle;
                 }
                 let wr = tx.sq.pop_front().expect("checked non-empty");
                 let seq = tx.next_seq;
                 tx.next_seq += 1;
-                tx.cur = Some(TxMsg {
-                    wr,
-                    seq,
-                    sent_off: 0,
-                    started: false,
-                    retries: 0,
-                    gather: None,
-                });
+                tx.inflight.start(wr, seq);
             }
         }
-        match self.next_msg_segment(qp, false) {
+        match self.next_msg_segment(qp) {
             Some(seg) => {
                 self.emit(qp, seg, pipeline);
                 TxOutcome::Sent
@@ -768,15 +749,11 @@ impl Rnic {
         }
     }
 
-    /// Build the next fragment of the active (or retransmitting) message.
-    fn next_msg_segment(self: &Rc<Self>, qp: &Rc<Qp>, retx: bool) -> Option<Seg> {
+    /// Build the next fragment of the in-flight entry at the cursor.
+    fn next_msg_segment(self: &Rc<Self>, qp: &Rc<Qp>) -> Option<Seg> {
         let now = self.world.now();
         let mut tx = qp.tx.borrow_mut();
-        let msg = if retx {
-            tx.retx.front_mut()?
-        } else {
-            tx.cur.as_mut()?
-        };
+        let msg = tx.inflight.cursor()?;
         let mut extra = Dur::ZERO;
         if !msg.started {
             msg.started = true;
@@ -785,128 +762,61 @@ impl Rnic {
             // stage — the span's stage residencies accumulate per stage.
             span_mark!(msg.wr.span, Wqe);
         }
-        let (remote_node, _remote_qpn) = qp.remote().expect("RTS implies remote");
-        let dst_qpn = qp.remote().unwrap().1;
-        let seq = msg.seq;
+        let (remote_node, dst_qpn) = qp.remote().expect("RTS implies remote");
+        let seq = msg.seq();
 
         // Read and atomic requests are single-packet.
-        match &msg.wr.op {
-            SendOp::Read => {
-                let (raddr, rkey) = msg.wr.remote.unwrap();
-                let len = msg.wr.payload.len();
-                let wr = msg.wr.clone();
-                if retx {
-                    tx.retx.pop_front();
-                } else {
-                    tx.cur = None;
-                }
-                tx.pending_reads.entry(seq).or_insert(PendingRead {
-                    wr_id: wr.wr_id,
-                    local: wr.local.unwrap(),
-                    remote: (raddr, rkey),
-                    total: len,
-                    received: 0,
-                    issued_at: now,
-                    retries: 0,
-                    signaled: wr.signaled,
-                });
-                if let Some(p) = tx.pending_reads.get_mut(&seq) {
-                    p.received = 0;
-                    p.issued_at = now;
-                }
-                drop(tx);
-                self.arm_retx_timer(qp);
-                return Some(Seg {
-                    bth: Bth::ReadReq {
+        if msg.wr.op.is_fetch() {
+            let (remote_addr, rkey) = msg.wr.remote.expect("validated at post");
+            let (bth, wire_payload) = match msg.wr.op {
+                SendOp::Read => (
+                    Bth::ReadReq {
                         dst_qpn,
                         src_qpn: qp.qpn,
                         msg_seq: seq,
-                        remote_addr: raddr,
+                        remote_addr,
                         rkey,
-                        len,
+                        len: msg.wr.payload.len(),
                     },
-                    wire_payload: 16,
-                    dst: remote_node,
-                    extra,
-                    prio: PRIO_RDMA,
-                    span: SpanToken::NONE,
-                });
-            }
-            SendOp::FetchAdd(operand) => {
-                let (raddr, rkey) = msg.wr.remote.unwrap();
-                let wr = msg.wr.clone();
-                let operand = *operand;
-                if retx {
-                    tx.retx.pop_front();
-                } else {
-                    tx.cur = None;
-                }
-                tx.pending_atomics.insert(
-                    seq,
-                    PendingAtomic {
-                        wr_id: wr.wr_id,
-                        local: wr.local.unwrap(),
-                        issued_at: now,
-                        signaled: wr.signaled,
-                    },
-                );
-                drop(tx);
-                self.arm_retx_timer(qp);
-                return Some(Seg {
-                    bth: Bth::AtomicReq {
+                    16,
+                ),
+                SendOp::FetchAdd(operand) => (
+                    Bth::AtomicReq {
                         dst_qpn,
                         src_qpn: qp.qpn,
                         msg_seq: seq,
-                        remote_addr: raddr,
+                        remote_addr,
                         rkey,
                         compare: None,
                         operand,
                     },
-                    wire_payload: 28,
-                    dst: remote_node,
-                    extra,
-                    prio: PRIO_RDMA,
-                    span: SpanToken::NONE,
-                });
-            }
-            SendOp::CompareSwap { expect, swap } => {
-                let (raddr, rkey) = msg.wr.remote.unwrap();
-                let wr = msg.wr.clone();
-                let (expect, swap) = (*expect, *swap);
-                if retx {
-                    tx.retx.pop_front();
-                } else {
-                    tx.cur = None;
-                }
-                tx.pending_atomics.insert(
-                    seq,
-                    PendingAtomic {
-                        wr_id: wr.wr_id,
-                        local: wr.local.unwrap(),
-                        issued_at: now,
-                        signaled: wr.signaled,
-                    },
-                );
-                drop(tx);
-                self.arm_retx_timer(qp);
-                return Some(Seg {
-                    bth: Bth::AtomicReq {
+                    28,
+                ),
+                SendOp::CompareSwap { expect, swap } => (
+                    Bth::AtomicReq {
                         dst_qpn,
                         src_qpn: qp.qpn,
                         msg_seq: seq,
-                        remote_addr: raddr,
+                        remote_addr,
                         rkey,
                         compare: Some(expect),
                         operand: swap,
                     },
-                    wire_payload: 28,
-                    dst: remote_node,
-                    extra,
-                    prio: PRIO_RDMA,
-                    span: SpanToken::NONE,
-                });
-            }
-            SendOp::Send | SendOp::Write | SendOp::WriteImm => {}
+                    28,
+                ),
+                SendOp::Send | SendOp::Write | SendOp::WriteImm => unreachable!("not a fetch"),
+            };
+            tx.inflight.sent(now);
+            drop(tx);
+            self.arm_retx_timer(qp);
+            return Some(Seg {
+                bth,
+                wire_payload,
+                dst: remote_node,
+                extra,
+                prio: PRIO_RDMA,
+                span: SpanToken::NONE,
+            });
         }
 
         // Streaming ops: take one MTU fragment.
@@ -941,7 +851,7 @@ impl Rnic {
                     Some(mr) => {
                         if mr.check(addr + off, frag_len as u64).is_err() {
                             drop(tx);
-                            self.local_wr_failure(qp, retx);
+                            self.local_wr_failure(qp);
                             return None;
                         }
                         if msg.gather.is_none() {
@@ -964,7 +874,7 @@ impl Rnic {
                     }
                     None => {
                         drop(tx);
-                        self.local_wr_failure(qp, retx);
+                        self.local_wr_failure(qp);
                         return None;
                     }
                 }
@@ -993,25 +903,8 @@ impl Rnic {
         // hop/RX record per message, not per MTU fragment.
         let seg_span = if last { msg.wr.span } else { SpanToken::NONE };
         if last {
-            // Message fully on the wire: move to the unacked window.
-            let msg = if retx {
-                tx.retx.pop_front().unwrap()
-            } else {
-                tx.cur.take().unwrap()
-            };
-            let retries = msg.retries;
-            // On retransmit the entry may still exist; replace it.
-            tx.unacked.retain(|u| u.seq != msg.seq);
-            let pos = tx.unacked.partition_point(|u| u.seq < msg.seq);
-            tx.unacked.insert(
-                pos,
-                UnackedMsg {
-                    wr: msg.wr,
-                    seq: msg.seq,
-                    sent_at: now,
-                    retries,
-                },
-            );
+            // Message fully on the wire: it now waits for its ACK.
+            tx.inflight.sent(now);
             drop(tx);
             self.arm_retx_timer(qp);
         }
@@ -1049,7 +942,6 @@ impl Rnic {
             }
             RespJob::Read {
                 req_seq,
-                addr,
                 len,
                 sent_off,
                 data,
@@ -1073,7 +965,6 @@ impl Rnic {
                     last,
                     data: frag,
                 };
-                let _ = addr;
                 *sent_off = off + frag_len as u64;
                 if last {
                     tx.resp.pop_front();
@@ -1139,15 +1030,8 @@ impl Rnic {
 
     /// A local gather failure (bad lkey / bounds): complete the WR in error
     /// and move the QP to the error state, flushing outstanding work.
-    fn local_wr_failure(self: &Rc<Self>, qp: &Rc<Qp>, retx: bool) {
-        let msg = {
-            let mut tx = qp.tx.borrow_mut();
-            if retx {
-                tx.retx.pop_front()
-            } else {
-                tx.cur.take()
-            }
-        };
+    fn local_wr_failure(self: &Rc<Self>, qp: &Rc<Qp>) {
+        let msg = qp.tx.borrow_mut().inflight.take_cursor();
         if let Some(msg) = msg {
             self.push_cqe(
                 &qp.send_cq,
@@ -1197,7 +1081,7 @@ impl Rnic {
         if tx.retx_timer.as_ref().is_some_and(|t| t.is_armed()) {
             return;
         }
-        if tx.unacked.is_empty() && tx.pending_reads.is_empty() && tx.pending_atomics.is_empty() {
+        if !tx.inflight.awaiting() {
             return;
         }
         if tx.retx_timer.is_none() {
@@ -1223,134 +1107,34 @@ impl Rnic {
         }
         let now = self.world.now();
         let timeout = self.cfg.retx_timeout;
-        let oldest = {
-            let tx = qp.tx.borrow();
-            let a = tx.unacked.front().map(|u| u.sent_at);
-            let b = tx.pending_reads.values().map(|p| p.issued_at).min();
-            let c = tx.pending_atomics.values().map(|p| p.issued_at).min();
-            [a, b, c].into_iter().flatten().min()
-        };
+        let oldest = qp.tx.borrow().inflight.oldest();
         let Some(oldest) = oldest else { return };
         if now.since(oldest) >= timeout {
-            self.go_back_retransmit(qp, None, false);
+            self.go_back_retransmit(qp, 0, false);
         }
         self.arm_retx_timer(qp);
     }
 
-    /// Go-back-N: replay unacked messages (and reissue pending reads /
-    /// atomics). `from_seq` limits the rollback start (NAK case); `rnr`
-    /// marks this as receiver-not-ready (affects counters/backoff).
-    fn go_back_retransmit(self: &Rc<Self>, qp: &Rc<Qp>, from_seq: Option<u64>, rnr: bool) {
+    /// Go-back-N: replay the in-flight table from the first entry at or
+    /// past `from_seq`; `rnr` marks this as receiver-not-ready (affects
+    /// counters/backoff).
+    fn go_back_retransmit(self: &Rc<Self>, qp: &Rc<Qp>, from_seq: u64, rnr: bool) {
         let now = self.world.now();
-        let exceeded = {
+        let (n, head_retries) = {
             let mut tx = qp.tx.borrow_mut();
-            let start = from_seq.unwrap_or(0);
-
-            // Replay queue: unacked (>= start) in order, then the partially
-            // sent current message, then anything already queued for retx.
-            let mut replay: VecDeque<TxMsg> = VecDeque::new();
-            let mut exceeded = false;
-            let mut kept: VecDeque<UnackedMsg> = VecDeque::new();
-            // Only the *head* of the rollback charges its retry budget —
-            // like real RC, which counts retries per stalled PSN, not per
-            // message swept up in the go-back. Later messages replay for
-            // free; they were collateral, not the cause.
-            let mut head_charged = false;
-            while let Some(mut u) = tx.unacked.pop_front() {
-                if u.seq < start {
-                    kept.push_back(u);
-                    continue;
-                }
-                if !head_charged {
-                    head_charged = true;
-                    u.retries += 1;
-                    if u.retries > self.cfg.retry_count {
-                        exceeded = true;
-                    }
-                }
-                replay.push_back(TxMsg {
-                    wr: u.wr.clone(),
-                    seq: u.seq,
-                    sent_off: 0,
-                    started: false,
-                    retries: u.retries,
-                    gather: None,
-                });
-                // Keep window entry out; it is re-inserted when resent.
-            }
-            tx.unacked = kept;
-            if let Some(mut cur) = tx.cur.take() {
-                cur.sent_off = 0;
-                cur.started = false;
-                if !head_charged {
-                    head_charged = true;
-                    cur.retries += 1;
-                    if cur.retries > self.cfg.retry_count {
-                        exceeded = true;
-                    }
-                }
-                replay.push_back(cur);
-            }
-            let old_retx = std::mem::take(&mut tx.retx);
-            for m in old_retx {
-                if replay.iter().all(|r| r.seq != m.seq) {
-                    replay.push_back(m);
-                }
-            }
-            // Reissue pending reads / atomics that fall in the replayed
-            // range (their requests or responses may have been lost).
-            let mut read_seqs: Vec<u64> = tx
-                .pending_reads
-                .iter()
-                .filter(|(s, p)| **s >= start && now.since(p.issued_at) >= Dur::ZERO)
-                .map(|(s, _)| *s)
-                .collect();
-            read_seqs.sort_unstable();
-            for s in read_seqs {
-                let p = tx.pending_reads.get_mut(&s).unwrap();
-                if !head_charged {
-                    head_charged = true;
-                    p.retries += 1;
-                    if p.retries > self.cfg.retry_count {
-                        exceeded = true;
-                    }
-                }
-                if replay.iter().all(|r| r.seq != s) {
-                    replay.push_back(TxMsg {
-                        wr: SendWr {
-                            wr_id: p.wr_id,
-                            op: SendOp::Read,
-                            payload: Payload::Zero(p.total),
-                            remote: Some(p.remote),
-                            imm: None,
-                            local: Some(p.local),
-                            signaled: p.signaled,
-                            span: SpanToken::NONE,
-                        },
-                        seq: s,
-                        sent_off: 0,
-                        started: false,
-                        retries: p.retries,
-                        gather: None,
-                    });
-                }
-            }
-            replay.make_contiguous().sort_by_key(|m| m.seq);
-            let n = replay.len() as u64;
-            tx.retx = replay;
             if rnr {
                 tx.backoff_until = now + self.cfg.rnr_timer;
             }
-            qp.retransmissions.set(qp.retransmissions.get() + n);
-            self.stats.borrow_mut().retransmissions += n;
-            tele!(Retransmit {
-                node: self.node.0,
-                qpn: qp.qpn.0,
-                msgs: n,
-            });
-            exceeded
+            tx.inflight.go_back(from_seq)
         };
-        if exceeded {
+        qp.retransmissions.set(qp.retransmissions.get() + n);
+        self.stats.borrow_mut().retransmissions += n;
+        tele!(Retransmit {
+            node: self.node.0,
+            qpn: qp.qpn.0,
+            msgs: n,
+        });
+        if head_retries.is_some_and(|r| r > self.cfg.retry_count) {
             let status = if rnr {
                 CqeStatus::RnrRetryExceeded
             } else {
@@ -1420,60 +1204,32 @@ impl Rnic {
         }
     }
 
-    /// Move the QP to the error state and flush everything with error CQEs.
+    /// Move the QP to the error state and flush everything with error
+    /// CQEs: the in-flight table, then the send queue, in WR order.
     fn fail_qp(self: &Rc<Self>, qp: &Rc<Qp>, head_status: CqeStatus) {
         qp.set_error();
-        let mut first = true;
-        let mut tx = qp.tx.borrow_mut();
-        let mut complete = |wr_id: u64, op: CqeOpcode| {
-            let status = if first {
-                first = false;
-                head_status
-            } else {
-                CqeStatus::WrFlushError
-            };
+        let (inflight, sq) = {
+            let mut tx = qp.tx.borrow_mut();
+            (tx.inflight.flush(), std::mem::take(&mut tx.sq))
+        };
+        for (i, wr) in inflight.into_iter().map(|e| e.wr).chain(sq).enumerate() {
             self.push_cqe(
                 &qp.send_cq,
                 Cqe {
-                    wr_id,
-                    status,
-                    opcode: op,
+                    wr_id: wr.wr_id,
+                    status: if i == 0 {
+                        head_status
+                    } else {
+                        CqeStatus::WrFlushError
+                    },
+                    opcode: op_to_cqe(&wr.op),
                     byte_len: 0,
                     imm: None,
                     qpn: qp.qpn,
                     span: SpanToken::NONE,
                 },
             );
-        };
-        let retx = std::mem::take(&mut tx.retx);
-        for m in retx {
-            complete(m.wr.wr_id, op_to_cqe(&m.wr.op));
         }
-        let unacked = std::mem::take(&mut tx.unacked);
-        for u in unacked {
-            complete(u.wr.wr_id, op_to_cqe(&u.wr.op));
-        }
-        if let Some(c) = tx.cur.take() {
-            complete(c.wr.wr_id, op_to_cqe(&c.wr.op));
-        }
-        let sq = std::mem::take(&mut tx.sq);
-        for w in sq {
-            complete(w.wr_id, op_to_cqe(&w.op));
-        }
-        // Flush in issue order, not bucket order.
-        let mut reads: Vec<_> = std::mem::take(&mut tx.pending_reads).into_iter().collect();
-        reads.sort_unstable_by_key(|&(seq, _)| seq);
-        for (_, p) in reads {
-            complete(p.wr_id, CqeOpcode::Read);
-        }
-        let mut atomics: Vec<_> = std::mem::take(&mut tx.pending_atomics)
-            .into_iter()
-            .collect();
-        atomics.sort_unstable_by_key(|&(seq, _)| seq);
-        for (_, p) in atomics {
-            complete(p.wr_id, CqeOpcode::Atomic);
-        }
-        drop(tx);
         // Flush posted receives too.
         let mut rx = qp.rx.borrow_mut();
         let mut rq = std::mem::take(&mut rx.rq);
@@ -1692,7 +1448,6 @@ impl Rnic {
             qp.rx.borrow_mut().cur = Some(RxMsg {
                 seq: msg_seq,
                 received: 0,
-                total: total_len,
                 rqe,
             });
         } else {
@@ -1840,50 +1595,22 @@ impl Rnic {
     }
 
     fn handle_ack(self: &Rc<Self>, qp: &Rc<Qp>, msg_seq: u64) {
-        let completions = {
-            let mut tx = qp.tx.borrow_mut();
-            let mut out = Vec::new();
-            while let Some(front) = tx.unacked.front() {
-                if front.seq <= msg_seq {
-                    let u = tx.unacked.pop_front().unwrap();
-                    if u.wr.signaled {
-                        out.push((u.seq, u.wr.wr_id, op_to_cqe(&u.wr.op), u.wr.payload.len()));
-                    }
-                } else {
-                    break;
-                }
-            }
-            // A late ACK can cover messages a go-back-N already queued for
-            // replay: they are done, so they complete here, in PSN order
-            // with the window's. A covered Read or atomic only leaves the
-            // replay queue: its response completes it (`pending_reads` /
-            // `pending_atomics` own that CQE), not the ACK.
-            let before = out.len();
-            tx.retx.retain(|m| {
-                let acked = m.seq <= msg_seq;
-                if acked && m.wr.signaled && !m.wr.op.is_fetch() {
-                    out.push((m.seq, m.wr.wr_id, op_to_cqe(&m.wr.op), m.wr.payload.len()));
-                }
-                !acked
-            });
-            if out.len() > before {
-                out.sort_unstable_by_key(|c| c.0);
-            }
-            out
-        };
-        for (_, wr_id, opcode, byte_len) in completions {
-            self.push_cqe(
-                &qp.send_cq,
-                Cqe {
-                    wr_id,
+        let mut done = Vec::new();
+        qp.tx.borrow_mut().inflight.ack(msg_seq, |e| {
+            if e.wr.signaled {
+                done.push(Cqe {
+                    wr_id: e.wr.wr_id,
                     status: CqeStatus::Success,
-                    opcode,
-                    byte_len,
+                    opcode: op_to_cqe(&e.wr.op),
+                    byte_len: e.wr.payload.len(),
                     imm: None,
                     qpn: qp.qpn,
                     span: SpanToken::NONE,
-                },
-            );
+                });
+            }
+        });
+        for cqe in done {
+            self.push_cqe(&qp.send_cq, cqe);
         }
         // Window may have opened.
         if self.qp_has_tx_work(qp) {
@@ -1905,21 +1632,17 @@ impl Rnic {
                 if expected_seq > 0 {
                     self.handle_ack(qp, expected_seq - 1);
                 }
-                self.go_back_retransmit(qp, Some(expected_seq), true);
+                self.go_back_retransmit(qp, expected_seq, true);
             }
             NakKind::SeqError => {
                 if expected_seq > 0 {
                     self.handle_ack(qp, expected_seq - 1);
                 }
-                self.go_back_retransmit(qp, Some(expected_seq), false);
+                self.go_back_retransmit(qp, expected_seq, false);
             }
             NakKind::RemoteAccess => {
                 // Complete the offending WR with an error and kill the QP.
-                let head = {
-                    let mut tx = qp.tx.borrow_mut();
-                    let pos = tx.unacked.iter().position(|u| u.seq == expected_seq);
-                    pos.map(|i| tx.unacked.remove(i).unwrap())
-                };
+                let head = qp.tx.borrow_mut().inflight.take(expected_seq);
                 if let Some(u) = head {
                     self.push_cqe(
                         &qp.send_cq,
@@ -1987,7 +1710,6 @@ impl Rnic {
                 };
                 qp.tx.borrow_mut().resp.push_back(RespJob::Read {
                     req_seq: msg_seq,
-                    addr: remote_addr,
                     len,
                     sent_off: 0,
                     data,
@@ -2022,8 +1744,13 @@ impl Rnic {
             return;
         }
         let next = qp.rx.borrow().next_deliver;
-        if msg_seq == next {
-            qp.rx.borrow_mut().next_deliver += 1;
+        let old_value = if msg_seq < next {
+            // A replay: answer with what the first execution returned.
+            // One older than the store has no requester waiting for it.
+            let rx = qp.rx.borrow();
+            let hit = rx.atomics.iter().find(|&&(s, _)| s == msg_seq);
+            let Some(&(_, old_value)) = hit else { return };
+            old_value
         } else if msg_seq > next {
             self.send_ctrl(
                 qp,
@@ -2036,44 +1763,40 @@ impl Rnic {
                 PRIO_RDMA,
             );
             return;
-        }
-        match self.mem.resolve_remote(rkey, remote_addr, 8, false, true) {
-            Ok(mr) => {
-                let old = match compare {
+        } else {
+            qp.rx.borrow_mut().next_deliver += 1;
+            let old = self
+                .mem
+                .resolve_remote(rkey, remote_addr, 8, false, true)
+                .and_then(|mr| match compare {
                     Some(expect) => mr.compare_swap(remote_addr, expect, operand),
                     None => mr.fetch_add(remote_addr, operand),
-                };
-                match old {
-                    Ok(old_value) => {
-                        qp.tx.borrow_mut().resp.push_back(RespJob::Atomic {
-                            req_seq: msg_seq,
-                            old_value,
-                        });
-                        self.activate(qp.qpn, Time::ZERO);
-                    }
-                    Err(_) => self.send_ctrl(
-                        qp,
-                        Bth::Nak {
-                            dst_qpn: qp.remote().unwrap().1,
-                            expected_seq: msg_seq,
-                            kind: NakKind::RemoteAccess,
-                        },
-                        4,
-                        PRIO_RDMA,
-                    ),
-                }
+                });
+            let Ok(old_value) = old else {
+                self.send_ctrl(
+                    qp,
+                    Bth::Nak {
+                        dst_qpn: qp.remote().unwrap().1,
+                        expected_seq: msg_seq,
+                        kind: NakKind::RemoteAccess,
+                    },
+                    4,
+                    PRIO_RDMA,
+                );
+                return;
+            };
+            let mut rx = qp.rx.borrow_mut();
+            if rx.atomics.len() == MAX_INFLIGHT_MSGS {
+                rx.atomics.pop_front();
             }
-            Err(_) => self.send_ctrl(
-                qp,
-                Bth::Nak {
-                    dst_qpn: qp.remote().unwrap().1,
-                    expected_seq: msg_seq,
-                    kind: NakKind::RemoteAccess,
-                },
-                4,
-                PRIO_RDMA,
-            ),
-        }
+            rx.atomics.push_back((msg_seq, old_value));
+            old_value
+        };
+        qp.tx.borrow_mut().resp.push_back(RespJob::Atomic {
+            req_seq: msg_seq,
+            old_value,
+        });
+        self.activate(qp.qpn, Time::ZERO);
     }
 
     fn handle_read_resp(
@@ -2092,7 +1815,7 @@ impl Rnic {
         }
         let done = {
             let mut tx = qp.tx.borrow_mut();
-            let Some(p) = tx.pending_reads.get_mut(&msg_seq) else {
+            let Some(p) = tx.inflight.get_mut(msg_seq) else {
                 return; // stale response after completion
             };
             if p.received != frag_off {
@@ -2100,36 +1823,36 @@ impl Rnic {
             }
             // Response data is progress: reset the retransmission clock so
             // a long (congested) read doesn't falsely time out mid-stream.
-            p.issued_at = self.world.now();
+            p.stamp = self.world.now();
             // Scatter into the local buffer when backed.
             let real: Option<&Bytes> = match &data {
                 FragData::Bytes(b) => Some(b),
                 FragData::Padded { head, .. } => Some(head),
                 FragData::Zero(_) => None,
             };
+            let (addr, lkey) = p.wr.local.expect("validated at post");
             if let Some(b) = real {
-                if let Some(mr) = self.mem.by_lkey(p.local.1) {
-                    let _ = mr.write(p.local.0 + frag_off, b);
+                if let Some(mr) = self.mem.by_lkey(lkey) {
+                    let _ = mr.write(addr + frag_off, b);
                 }
             }
             p.received += data.len() as u64;
             debug_assert!(p.received <= total_len);
             if last {
-                let p = tx.pending_reads.remove(&msg_seq).unwrap();
-                Some(p)
+                tx.inflight.take(msg_seq)
             } else {
                 None
             }
         };
         if let Some(p) = done {
-            if p.signaled {
+            if p.wr.signaled {
                 self.push_cqe(
                     &qp.send_cq,
                     Cqe {
-                        wr_id: p.wr_id,
+                        wr_id: p.wr.wr_id,
                         status: CqeStatus::Success,
                         opcode: CqeOpcode::Read,
-                        byte_len: p.total,
+                        byte_len: p.wr.payload.len(),
                         imm: None,
                         qpn: qp.qpn,
                         span: SpanToken::NONE,
@@ -2143,16 +1866,17 @@ impl Rnic {
     }
 
     fn handle_atomic_resp(self: &Rc<Self>, qp: &Rc<Qp>, msg_seq: u64, old_value: u64) {
-        let done = qp.tx.borrow_mut().pending_atomics.remove(&msg_seq);
+        let done = qp.tx.borrow_mut().inflight.take(msg_seq);
         if let Some(p) = done {
-            if let Some(mr) = self.mem.by_lkey(p.local.1) {
-                let _ = mr.write(p.local.0, &old_value.to_le_bytes());
+            let (addr, lkey) = p.wr.local.expect("validated at post");
+            if let Some(mr) = self.mem.by_lkey(lkey) {
+                let _ = mr.write(addr, &old_value.to_le_bytes());
             }
-            if p.signaled {
+            if p.wr.signaled {
                 self.push_cqe(
                     &qp.send_cq,
                     Cqe {
-                        wr_id: p.wr_id,
+                        wr_id: p.wr.wr_id,
                         status: CqeStatus::Success,
                         opcode: CqeOpcode::Atomic,
                         byte_len: 8,
@@ -2477,9 +2201,9 @@ mod tests {
     /// A Read that a go-back-N queued for replay is completed by its
     /// response, not by an ACK that covers its sequence number: a Read
     /// (seq 0) and a Write (seq 1) are both in flight, a retransmit
-    /// timeout moves them to the replay queue, and an ACK for seq 1
-    /// arrives before the replay starts. The Write completes on that ACK,
-    /// the Read once, when its response lands with the data.
+    /// timeout rewinds the cursor over them, and an ACK for seq 1 arrives
+    /// before the replay starts. The Write completes on that ACK, the
+    /// Read once, when its response lands with the data.
     #[test]
     fn covering_ack_leaves_a_replayed_read_to_its_response() {
         use std::rc::Rc;
@@ -2523,17 +2247,17 @@ mod tests {
         a.post_send(&qa, write).unwrap();
         let in_flight = || {
             let tx = qa.tx.borrow();
-            tx.pending_reads.contains_key(&0) && tx.unacked.iter().any(|u| u.seq == 1)
+            tx.next_seq == 2 && !tx.inflight.has_work()
         };
         while !in_flight() {
             assert!(world.step(), "both requests must leave the requester");
         }
 
-        a.go_back_retransmit(&qa, None, false);
-        let queued: Vec<u64> = qa.tx.borrow().retx.iter().map(|m| m.seq).collect();
+        a.go_back_retransmit(&qa, 0, false);
+        let queued = qa.tx.borrow().inflight.queued();
         assert_eq!(queued, [0, 1], "the timeout queues both for replay");
         a.handle_ack(&qa, 1);
-        assert!(qa.tx.borrow().retx.is_empty(), "the ACK covers both");
+        assert!(!qa.tx.borrow().inflight.has_work(), "the ACK covers both");
         world.run();
 
         let mut cqes = Vec::new();

@@ -7,12 +7,12 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use xrdma_fabric::NodeId;
-use xrdma_sim::inthash::IntMap;
 use xrdma_sim::{invariant, Time};
 use xrdma_telemetry::tele;
 
 use crate::cq::CompletionQueue;
 use crate::dcqcn::{DcqcnNp, DcqcnRp};
+use crate::engine::MAX_INFLIGHT_MSGS;
 use crate::verbs::{Qpn, RecvWr, SendWr, VerbsError};
 
 /// QP state machine, mirroring `ibv_qp_state`.
@@ -175,29 +175,231 @@ impl Srq {
     }
 }
 
-/// A message being segmented onto the wire.
+/// One started WR in the requester's [`InFlight`] table. It is
+/// segmented where it stands and leaves only when it completes.
 #[derive(Debug)]
-pub(crate) struct TxMsg {
+pub(crate) struct Entry {
     pub wr: SendWr,
-    pub seq: u64,
+    /// Private: the table keeps entries in `seq` order.
+    seq: u64,
+    /// When the request last went out whole, or a Read's response last
+    /// made progress: the retransmit clock runs from here.
+    pub stamp: Time,
+    /// Go-backs charged to this entry, against `retry_count`.
+    pub retries: u32,
     pub sent_off: u64,
     /// WQE-processing cost charged yet?
     pub started: bool,
-    /// Retransmission count carried across go-back-N replays.
-    pub retries: u32,
     /// Gather cache for `Payload::FromMr`: the whole message is copied out
     /// of the MR once, then every MTU fragment slices this shared buffer
-    /// instead of re-reading (and re-allocating) per fragment.
+    /// instead of re-reading (and re-allocating) per fragment. Dropped
+    /// once the last fragment is out.
     pub gather: Option<bytes::Bytes>,
+    /// Read response bytes landed so far.
+    pub received: u64,
 }
 
-/// A fully-sent message awaiting acknowledgment.
-#[derive(Debug)]
-pub(crate) struct UnackedMsg {
-    pub wr: SendWr,
-    pub seq: u64,
-    pub sent_at: Time,
-    pub retries: u32,
+impl Entry {
+    pub(crate) fn seq(&self) -> u64 {
+        self.seq
+    }
+}
+
+/// The requester's in-flight table: every started WR in sequence order,
+/// from its first segment until its ACK, response or flush.
+///
+/// Entries before the `resend` cursor are on the wire whole; the entry at
+/// it is being segmented; those after it wait to be replayed. Go-back-N
+/// rewinds the cursor. The window counts what the responder may still
+/// owe an answer for: every Read and atomic, and every other entry before
+/// the cursor.
+#[derive(Default)]
+pub(crate) struct InFlight {
+    entries: VecDeque<Entry>,
+    resend: usize,
+    window: usize,
+}
+
+impl InFlight {
+    fn counts(&self, i: usize) -> bool {
+        i < self.resend || self.entries[i].wr.op.is_fetch()
+    }
+
+    /// May another WR start?
+    pub(crate) fn window_room(&self) -> bool {
+        self.window < MAX_INFLIGHT_MSGS
+    }
+
+    /// Does an entry wait to be (re)segmented?
+    pub(crate) fn has_work(&self) -> bool {
+        self.resend < self.entries.len()
+    }
+
+    /// Does an entry on the wire wait for its ACK or response?
+    pub(crate) fn awaiting(&self) -> bool {
+        self.window > 0
+    }
+
+    /// Start `wr` as `seq`, behind every entry (nothing waits for replay).
+    pub(crate) fn start(&mut self, wr: SendWr, seq: u64) {
+        if wr.op.is_fetch() {
+            self.window += 1;
+        }
+        self.entries.push_back(Entry {
+            wr,
+            seq,
+            stamp: Time::ZERO,
+            retries: 0,
+            sent_off: 0,
+            started: false,
+            gather: None,
+            received: 0,
+        });
+        self.check();
+    }
+
+    /// The entry to segment next.
+    pub(crate) fn cursor(&mut self) -> Option<&mut Entry> {
+        self.entries.get_mut(self.resend)
+    }
+
+    /// The entry at the cursor went out whole at `now`.
+    pub(crate) fn sent(&mut self, now: Time) {
+        let e = &mut self.entries[self.resend];
+        e.stamp = now;
+        e.received = 0;
+        e.gather = None;
+        if !e.wr.op.is_fetch() {
+            self.window += 1;
+        }
+        self.resend += 1;
+        self.check();
+    }
+
+    fn remove(&mut self, i: usize) -> Entry {
+        if self.counts(i) {
+            self.window -= 1;
+        }
+        if i < self.resend {
+            self.resend -= 1;
+        }
+        self.entries.remove(i).expect("index in range")
+    }
+
+    fn find(&self, seq: u64) -> Option<usize> {
+        self.entries.binary_search_by_key(&seq, |e| e.seq).ok()
+    }
+
+    pub(crate) fn get_mut(&mut self, seq: u64) -> Option<&mut Entry> {
+        let i = self.find(seq)?;
+        self.entries.get_mut(i)
+    }
+
+    /// Take out the entry for `seq` (its response completed it, or the
+    /// responder refused it).
+    pub(crate) fn take(&mut self, seq: u64) -> Option<Entry> {
+        let e = self.remove(self.find(seq)?);
+        self.check();
+        Some(e)
+    }
+
+    /// Take out the entry at the cursor (its local gather failed).
+    pub(crate) fn take_cursor(&mut self) -> Option<Entry> {
+        let e = self.has_work().then(|| self.remove(self.resend));
+        self.check();
+        e
+    }
+
+    /// A cumulative ACK through `seq`: every Send and Write it covers
+    /// leaves through `done`, in sequence order, wherever the cursor is.
+    /// A covered Read or atomic stays for its response but is not
+    /// replayed: the cursor moves past it.
+    pub(crate) fn ack(&mut self, seq: u64, mut done: impl FnMut(Entry)) {
+        let mut i = 0;
+        while self.entries.get(i).is_some_and(|e| e.seq <= seq) {
+            if self.entries[i].wr.op.is_fetch() {
+                i += 1;
+            } else {
+                done(self.remove(i));
+            }
+        }
+        self.resend = self.resend.max(i);
+        self.check();
+    }
+
+    /// Go-back-N from `seq`: the cursor rewinds to the first entry at or
+    /// past it, and every entry from there is resegmented from its first
+    /// byte. Only that first entry is charged a retry, as real RC counts
+    /// retries per stalled PSN; the rest are collateral. Returns the
+    /// number of entries to replay and the charged entry's retries.
+    pub(crate) fn go_back(&mut self, seq: u64) -> (u64, Option<u32>) {
+        let to = self
+            .entries
+            .partition_point(|e| e.seq < seq)
+            .min(self.resend);
+        for (i, e) in self.entries.iter_mut().enumerate().skip(to) {
+            if i < self.resend && !e.wr.op.is_fetch() {
+                self.window -= 1;
+            }
+            e.sent_off = 0;
+            e.started = false;
+        }
+        self.resend = to;
+        let head = self.entries.get_mut(to).map(|e| {
+            e.retries += 1;
+            e.retries
+        });
+        self.check();
+        ((self.entries.len() - to) as u64, head)
+    }
+
+    /// Empty the table for an error flush: every entry, in WR order.
+    pub(crate) fn flush(&mut self) -> VecDeque<Entry> {
+        self.resend = 0;
+        self.window = 0;
+        std::mem::take(&mut self.entries)
+    }
+
+    /// The oldest stamp in the window.
+    pub(crate) fn oldest(&self) -> Option<Time> {
+        (0..self.entries.len())
+            .filter(|&i| self.counts(i))
+            .map(|i| self.entries[i].stamp)
+            .min()
+    }
+
+    /// Sequence numbers waiting for (re)segmenting, cursor first.
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> Vec<u64> {
+        self.entries
+            .iter()
+            .skip(self.resend)
+            .map(|e| e.seq)
+            .collect()
+    }
+
+    /// `debug_invariants`: sequence order, the cursor within the table,
+    /// and the window count equal to a recount.
+    fn check(&self) {
+        invariant!(
+            self.entries
+                .iter()
+                .zip(self.entries.iter().skip(1))
+                .all(|(a, b)| a.seq < b.seq),
+            "in-flight table out of sequence order"
+        );
+        invariant!(
+            self.resend <= self.entries.len(),
+            "in-flight cursor {} past {} entries",
+            self.resend,
+            self.entries.len()
+        );
+        invariant!(
+            self.window == (0..self.entries.len()).filter(|&i| self.counts(i)).count(),
+            "in-flight window count {} is not a recount",
+            self.window
+        );
+    }
 }
 
 /// Responder-side job: stream back a read response or an atomic result.
@@ -205,7 +407,6 @@ pub(crate) struct UnackedMsg {
 pub(crate) enum RespJob {
     Read {
         req_seq: u64,
-        addr: u64,
         len: u64,
         sent_off: u64,
         /// Pre-resolved data when the MR is backed (captured at accept time
@@ -219,42 +420,13 @@ pub(crate) enum RespJob {
     },
 }
 
-/// Requester-side record of an in-flight RDMA Read.
-#[derive(Debug)]
-pub(crate) struct PendingRead {
-    pub wr_id: u64,
-    pub local: (u64, u32),
-    /// Original remote (addr, rkey) — needed to rebuild the request on
-    /// go-back-N retransmission.
-    pub remote: (u64, u32),
-    #[allow(dead_code)]
-    pub total: u64,
-    pub received: u64,
-    pub issued_at: Time,
-    pub retries: u32,
-    pub signaled: bool,
-}
-
-/// Requester-side record of an in-flight atomic.
-#[derive(Debug)]
-pub(crate) struct PendingAtomic {
-    pub wr_id: u64,
-    pub local: (u64, u32),
-    pub issued_at: Time,
-    pub signaled: bool,
-}
-
 /// Send-direction state.
 #[derive(Default)]
 pub(crate) struct TxState {
     /// Posted, not yet started.
     pub sq: VecDeque<SendWr>,
-    /// Currently segmenting.
-    pub cur: Option<TxMsg>,
-    /// Go-back-N replay queue (oldest first); drained before `sq`.
-    pub retx: VecDeque<TxMsg>,
-    /// Fully sent, awaiting cumulative ACK.
-    pub unacked: VecDeque<UnackedMsg>,
+    /// Started, not yet completed.
+    pub inflight: InFlight,
     /// Next message sequence number to assign.
     pub next_seq: u64,
     /// Responder work: read/atomic responses to stream.
@@ -265,8 +437,6 @@ pub(crate) struct TxState {
     /// the closure is boxed once per QP life and re-armed in place. A
     /// reset wipes this state, which drops (and so cancels) the timer.
     pub retx_timer: Option<xrdma_sim::Timer>,
-    pub pending_reads: IntMap<u64, PendingRead>,
-    pub pending_atomics: IntMap<u64, PendingAtomic>,
 }
 
 /// A message being reassembled on the receive side.
@@ -274,8 +444,6 @@ pub(crate) struct TxState {
 pub(crate) struct RxMsg {
     pub seq: u64,
     pub received: u64,
-    #[allow(dead_code)]
-    pub total: u64,
     /// The receive WR consumed by this message (Send/WriteImm).
     pub rqe: Option<RecvWr>,
 }
@@ -296,6 +464,10 @@ pub(crate) struct RxState {
     pub awaiting_retx: bool,
     /// Count of unacked accepted messages (for standalone-ACK coalescing).
     pub unacked_count: u32,
+    /// `(seq, old value)` of the last [`MAX_INFLIGHT_MSGS`] atomics
+    /// executed: a replayed request is answered from here, since running
+    /// it again would apply it twice.
+    pub atomics: VecDeque<(u64, u64)>,
 }
 
 /// A reliable-connection queue pair.
@@ -550,6 +722,7 @@ impl Qp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verbs::Payload;
 
     fn qp() -> Rc<Qp> {
         let cq = CompletionQueue::new(0, 64);
@@ -811,6 +984,37 @@ mod tests {
         // stable and non-zero.
         assert_ne!(a.flow_hash(), 0);
         assert_ne!(b.flow_hash(), 0);
+    }
+
+    /// The table alone through a late covering ACK: a Read (seq 0) and a
+    /// Write (seq 1) are on the wire, a go-back rewinds over both and
+    /// charges the Read, and an ACK for seq 1 arrives before either is
+    /// replayed. The Write completes on the ACK; the Read stays for its
+    /// response, and nothing is left to replay until the next go-back,
+    /// which charges the Read again.
+    #[test]
+    fn covering_ack_after_a_go_back_completes_the_replayed_write() {
+        let mut t = InFlight::default();
+        t.start(SendWr::read(1, 0, 0, 8, 0, 0), 0);
+        t.sent(Time::ZERO);
+        t.start(SendWr::write(2, Payload::Zero(64), 0, 0), 1);
+        t.sent(Time::ZERO);
+        assert_eq!(t.go_back(0), (2, Some(1)));
+        let mut done = Vec::new();
+        t.ack(1, |e| done.push(e.wr.wr_id));
+        assert_eq!(done, [2], "the ACK completes the Write");
+        assert!(!t.has_work() && t.awaiting(), "the Read waits, unreplayed");
+        assert_eq!(t.go_back(0), (1, Some(2)), "a timeout replays the Read");
+        assert_eq!(t.take(0).map(|e| e.wr.wr_id), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "in-flight window count")]
+    fn invariant_rejects_a_miscounted_window() {
+        let mut t = InFlight::default();
+        t.start(SendWr::write(1, Payload::Zero(64), 0, 0), 0);
+        t.window += 1;
+        t.sent(Time::ZERO);
     }
 
     #[test]

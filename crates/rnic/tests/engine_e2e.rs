@@ -289,6 +289,42 @@ fn peer_crash_detected_by_retry_timeout() {
     assert_eq!(p.qa.state(), xrdma_rnic::QpState::Error);
 }
 
+/// A local gather failure completes the failing WR with
+/// `RemoteAccessError`, then flushes what is in flight in WR order: a Read
+/// and a Write are on the wire to a crashed peer when a Send whose lkey
+/// names no MR fails.
+#[test]
+fn local_failure_flushes_in_wr_order() {
+    let p = pair();
+    p.b.crash();
+    p.a.post_send(&p.qa, SendWr::read(1, 0, 0, 64, 0, 0))
+        .unwrap();
+    p.a.post_send(&p.qa, SendWr::write(2, Payload::Zero(64), 0, 0))
+        .unwrap();
+    let bad = Payload::FromMr {
+        addr: 0,
+        len: 64,
+        lkey: 999,
+    };
+    p.a.post_send(&p.qa, SendWr::send(3, bad)).unwrap();
+    p.world.run_for(Dur::millis(1));
+    let got: Vec<_> = p
+        .cqa
+        .poll(usize::MAX)
+        .iter()
+        .map(|c| (c.wr_id, c.status))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (3, CqeStatus::RemoteAccessError),
+            (1, CqeStatus::WrFlushError),
+            (2, CqeStatus::WrFlushError),
+        ]
+    );
+    assert_eq!(p.qa.state(), xrdma_rnic::QpState::Error);
+}
+
 #[test]
 fn zero_byte_probe_acked_when_alive() {
     let p = pair();

@@ -68,8 +68,11 @@ fn noise(world: &Rc<World>, seed: u64, specs: &[(u32, FaultKind)]) -> FaultsGuar
     FaultInjector::install(world, plan, SimRng::new(seed))
 }
 
-/// Random drops AND delays on both directions; mixed sends and writes with
-/// real data; everything must arrive exactly once, in order, intact.
+/// Random drops AND delays on both directions; mixed sends, writes, reads
+/// and fetch-adds with real data; everything must arrive exactly once, in
+/// order, intact. A fetch-add whose request or response is lost is
+/// replayed like any other WR and applied once: the counter ends at the
+/// sum of the operands.
 #[test]
 fn loss_and_reorder_noise_mixed_ops_exactly_once() {
     for seed in [1u64, 2, 3] {
@@ -119,6 +122,27 @@ fn loss_and_reorder_noise_mixed_ops_exactly_once() {
             true,
             false,
         );
+        let src = p.b.reg_mr(
+            &pdb,
+            1 << 16,
+            AccessFlags::FULL,
+            PageKind::Anonymous,
+            true,
+            false,
+        );
+        let pattern: Vec<u8> = (0..1u32 << 16).map(|k| (k % 241) as u8).collect();
+        src.write(src.addr, &pattern).unwrap();
+        let counter =
+            p.b.reg_mr(&pdb, 8, AccessFlags::FULL, PageKind::Anonymous, true, false);
+        let pda = p.a.alloc_pd();
+        let sink = p.a.reg_mr(
+            &pda,
+            1 << 21,
+            AccessFlags::FULL,
+            PageKind::Anonymous,
+            true,
+            false,
+        );
         let n = 150u64;
         for i in 0..n {
             p.qb.post_recv(RecvWr::new(i, recv_buf.addr + i * 64, 64, recv_buf.lkey))
@@ -126,8 +150,32 @@ fn loss_and_reorder_noise_mixed_ops_exactly_once() {
         }
         let mut rng = SimRng::new(seed ^ 0xABC);
         let mut expected_writes = Vec::new();
+        let mut expected_reads = Vec::new();
+        let mut operands = 0u64;
         for i in 0..n {
-            if rng.chance(0.5) {
+            let op = rng.next_below(4);
+            if op == 2 {
+                // A read of one or two MTU fragments into its own slot.
+                let (off, len) = (i * 97 % 4096, 100 + i % 7 * 1000);
+                let at = sink.addr + i * 8192;
+                expected_reads.push((at, off, len));
+                let wr = SendWr::read(i, at, sink.lkey, len, src.addr + off, src.rkey);
+                p.a.post_send(&p.qa, wr).unwrap();
+            } else if op == 3 {
+                operands += i + 1;
+                let wr = SendWr {
+                    op: xrdma_rnic::SendOp::FetchAdd(i + 1),
+                    ..SendWr::read(
+                        i,
+                        sink.addr + i * 8192,
+                        sink.lkey,
+                        8,
+                        counter.addr,
+                        counter.rkey,
+                    )
+                };
+                p.a.post_send(&p.qa, wr).unwrap();
+            } else if op == 0 {
                 // Send with a distinctive byte pattern.
                 let data = vec![(i % 251) as u8; 48];
                 p.a.post_send(&p.qa, SendWr::send(i, Payload::Inline(Bytes::from(data))))
@@ -149,9 +197,11 @@ fn loss_and_reorder_noise_mixed_ops_exactly_once() {
         }
         p.world.run_for(Dur::secs(20));
 
-        // Every op completed successfully at the sender.
+        // Every op completed successfully at the sender, exactly once.
         let send_cqes = p.cqa.poll(usize::MAX);
-        assert_eq!(send_cqes.len() as u64, n, "seed {seed}");
+        let mut ids: Vec<u64> = send_cqes.iter().map(|c| c.wr_id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..n).collect::<Vec<_>>(), "seed {seed}");
         assert!(send_cqes.iter().all(|c| c.status == CqeStatus::Success));
         // Receives arrived in order, exactly once.
         let recv_cqes = p.cqb.poll(usize::MAX);
@@ -167,6 +217,17 @@ fn loss_and_reorder_noise_mixed_ops_exactly_once() {
         for (addr, data) in &expected_writes {
             assert_eq!(&target.read(*addr, data.len() as u64).unwrap(), data);
         }
+        // So did the reads, and every fetch-add was applied once.
+        for &(at, off, len) in &expected_reads {
+            let want = &pattern[off as usize..(off + len) as usize];
+            assert_eq!(sink.read(at, len).unwrap(), want, "seed {seed}");
+        }
+        let cell = counter.read(counter.addr, 8).unwrap();
+        assert_eq!(
+            u64::from_le_bytes(cell.try_into().unwrap()),
+            operands,
+            "seed {seed}: the counter is the sum of the operands"
+        );
         // The noise actually fired.
         assert!(
             p.a.stats().fault_rx_drops + p.b.stats().fault_rx_drops > 0,

@@ -9,7 +9,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use xrdma_core::{ChannelMux, XrdmaChannel, XrdmaConfig, XrdmaContext};
+use bytes::Bytes;
+use xrdma_core::{ChannelMux, XrdmaChannel, XrdmaConfig, XrdmaContext, XrdmaMsg};
 use xrdma_fabric::{Fabric, FabricConfig, NodeId};
 use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
 use xrdma_sim::{Dur, SimRng, World};
@@ -255,36 +256,50 @@ fn srq_context_bytes_per_slot() {
 /// After an RPC burst has been answered and the channels are quiet, both
 /// contexts' memory caches hold the bytes they held before it: every
 /// consumed receive slot gave its message back to the MR when it was
-/// reposted, so a connection's stored receive bytes follow what is in
-/// flight, not what has passed through it.
+/// reposted, and every staged eager body when it was released, so a
+/// connection's stored bytes follow what is in flight, not what has
+/// passed through it. Run with size-only bodies and with 64 B of real
+/// bytes each way.
 #[test]
 fn consumed_slots_leave_the_mr() {
     const RPCS: u32 = 200;
-    let r = rig();
-    connect(&r, WARM);
-    for ch in r.b.channels() {
-        ch.set_on_request(|ch, _, token| {
-            ch.respond_size(token, 64).unwrap();
-        });
-    }
-    let stored = || (r.a.memcache().stored_bytes(), r.b.memcache().stored_bytes());
-    let before = stored();
-    let answered = Rc::new(Cell::new(0));
-    for ch in r.a.channels() {
-        for _ in 0..RPCS {
-            let answered = answered.clone();
-            ch.send_request_size(64, move |_, msg| {
-                assert!(!msg.is_error());
-                answered.set(answered.get() + 1);
-            })
-            .unwrap();
+    for real in [false, true] {
+        let r = rig();
+        connect(&r, WARM);
+        for ch in r.b.channels() {
+            ch.set_on_request(move |ch, _, token| {
+                let sent = if real {
+                    ch.respond(token, Bytes::from_static(&[0x5A; 64]))
+                } else {
+                    ch.respond_size(token, 64)
+                };
+                sent.unwrap();
+            });
         }
+        let stored = || (r.a.memcache().stored_bytes(), r.b.memcache().stored_bytes());
+        let before = stored();
+        let answered = Rc::new(Cell::new(0));
+        for ch in r.a.channels() {
+            for _ in 0..RPCS {
+                let answered = answered.clone();
+                let done = move |_: &Rc<XrdmaChannel>, msg: XrdmaMsg| {
+                    assert!(!msg.is_error());
+                    answered.set(answered.get() + 1);
+                };
+                let sent = if real {
+                    ch.send_request(Bytes::from_static(&[0xA5; 64]), done)
+                } else {
+                    ch.send_request_size(64, done)
+                };
+                sent.unwrap();
+            }
+        }
+        r.world.run_for(Dur::millis(200));
+        assert_eq!(answered.get(), RPCS * WARM as u32, "every RPC answered");
+        assert_eq!(
+            stored(),
+            before,
+            "stored memcache bytes (client, server) after the burst, real bodies: {real}"
+        );
     }
-    r.world.run_for(Dur::millis(200));
-    assert_eq!(answered.get(), RPCS * WARM as u32, "every RPC answered");
-    assert_eq!(
-        stored(),
-        before,
-        "stored memcache bytes (client, server) after the burst"
-    );
 }
