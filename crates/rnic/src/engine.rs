@@ -15,11 +15,12 @@
 //!
 //! ## Reliability
 //!
-//! Message-granular go-back-N: the responder accepts the request stream
-//! strictly in sequence, ACKs cumulatively, NAKs on a missing receive WR
-//! (**RNR**) or a sequence gap, and the requester rewinds the cursor of its
-//! in-flight table (`qp::InFlight`) and replays from there. A replayed
-//! atomic is answered from the responder's record of its first result.
+//! Message-granular go-back-N: the responder's sequence gate
+//! (`qp::Responder`) accepts the request stream strictly in sequence, ACKs
+//! cumulatively, and NAKs a missing receive WR (**RNR**) or a sequence gap
+//! once per episode; the requester rewinds the cursor of its in-flight
+//! table (`qp::InFlight`) and replays from there. A replayed atomic is
+//! answered from the responder's record of its first result.
 //! Retry exhaustion moves the QP to the error state and flushes all
 //! outstanding work — the signal X-RDMA's keepalive (§V-A) turns into a
 //! connection teardown.
@@ -43,7 +44,7 @@ use crate::config::{PageKind, RnicConfig};
 use crate::cq::{CompletionQueue, Cqe, CqeOpcode, CqeStatus};
 use crate::dcqcn::{self, DcqcnRp};
 use crate::mem::{AccessFlags, MemTable, Mr, Pd};
-use crate::qp::{Qp, QpCaps, RespJob, RxMsg, Srq};
+use crate::qp::{Arrival, Qp, QpCaps, Request, Srq};
 use crate::verbs::{Payload, Qpn, SendOp, SendWr, VerbsError};
 
 // NIC-only costs (doorbell + WQE fetch + DMA setup; CQE generation on
@@ -667,7 +668,7 @@ impl Rnic {
     /// Does the QP have anything to put on the wire right now?
     fn qp_has_tx_work(&self, qp: &Rc<Qp>) -> bool {
         let tx = qp.tx.borrow();
-        if !tx.resp.is_empty() || tx.inflight.has_work() {
+        if qp.responder.borrow().has_work() || tx.inflight.has_work() {
             return true;
         }
         // Starting a new message requires window room.
@@ -780,27 +781,18 @@ impl Rnic {
                     },
                     16,
                 ),
-                SendOp::FetchAdd(operand) => (
+                SendOp::FetchAdd(operand) | SendOp::CompareSwap { swap: operand, .. } => (
                     Bth::AtomicReq {
                         dst_qpn,
                         src_qpn: qp.qpn,
                         msg_seq: seq,
                         remote_addr,
                         rkey,
-                        compare: None,
+                        compare: match msg.wr.op {
+                            SendOp::CompareSwap { expect, .. } => Some(expect),
+                            _ => None,
+                        },
                         operand,
-                    },
-                    28,
-                ),
-                SendOp::CompareSwap { expect, swap } => (
-                    Bth::AtomicReq {
-                        dst_qpn,
-                        src_qpn: qp.qpn,
-                        msg_seq: seq,
-                        remote_addr,
-                        rkey,
-                        compare: Some(expect),
-                        operand: swap,
                     },
                     28,
                 ),
@@ -814,7 +806,6 @@ impl Rnic {
                 wire_payload,
                 dst: remote_node,
                 extra,
-                prio: PRIO_RDMA,
                 span: SpanToken::NONE,
             });
         }
@@ -913,7 +904,6 @@ impl Rnic {
             wire_payload: frag_len,
             dst: remote_node,
             extra,
-            prio: PRIO_RDMA,
             span: seg_span,
         })
     }
@@ -921,64 +911,17 @@ impl Rnic {
     /// Build the next responder segment (read response / atomic reply).
     fn next_resp_segment(self: &Rc<Self>, qp: &Rc<Qp>) -> Option<Seg> {
         let (remote_node, remote_qpn) = qp.remote()?;
-        let mut tx = qp.tx.borrow_mut();
-        let job = tx.resp.front_mut()?;
-        match job {
-            RespJob::Atomic { req_seq, old_value } => {
-                let bth = Bth::AtomicResp {
-                    dst_qpn: remote_qpn,
-                    msg_seq: *req_seq,
-                    old_value: *old_value,
-                };
-                tx.resp.pop_front();
-                Some(Seg {
-                    bth,
-                    wire_payload: 8,
-                    dst: remote_node,
-                    extra: Dur::ZERO,
-                    prio: PRIO_RDMA,
-                    span: SpanToken::NONE,
-                })
-            }
-            RespJob::Read {
-                req_seq,
-                len,
-                sent_off,
-                data,
-            } => {
-                let off = *sent_off;
-                let frag_len = ((*len - off).min(self.cfg.mtu as u64)) as u32;
-                let last = off + frag_len as u64 >= *len;
-                let frag = match data {
-                    // Zero-copy: each response fragment is a refcounted
-                    // window into the buffer captured at accept time.
-                    Some(bytes) => {
-                        FragData::Bytes(bytes.slice(off as usize..(off + frag_len as u64) as usize))
-                    }
-                    None => FragData::Zero(frag_len),
-                };
-                let bth = Bth::ReadResp {
-                    dst_qpn: remote_qpn,
-                    msg_seq: *req_seq,
-                    frag_off: off,
-                    total_len: *len,
-                    last,
-                    data: frag,
-                };
-                *sent_off = off + frag_len as u64;
-                if last {
-                    tx.resp.pop_front();
-                }
-                Some(Seg {
-                    bth,
-                    wire_payload: frag_len,
-                    dst: remote_node,
-                    extra: Dur::ZERO,
-                    prio: PRIO_RDMA,
-                    span: SpanToken::NONE,
-                })
-            }
-        }
+        let (bth, wire_payload) = qp
+            .responder
+            .borrow_mut()
+            .next_segment(remote_qpn, self.cfg.mtu)?;
+        Some(Seg {
+            bth,
+            wire_payload,
+            dst: remote_node,
+            extra: Dur::ZERO,
+            span: SpanToken::NONE,
+        })
     }
 
     /// Put a segment on the wire and update pacing/accounting.
@@ -1003,7 +946,7 @@ impl Rnic {
         let mut pkt = Packet::new(
             self.node,
             seg.dst,
-            seg.prio,
+            PRIO_RDMA,
             wire_size,
             qp.flow_hash(),
             // xrdma-lint: allow(hot-path-alloc) -- the one Box per packet: `Packet.body` is Box<dyn Any> by design
@@ -1033,18 +976,7 @@ impl Rnic {
     fn local_wr_failure(self: &Rc<Self>, qp: &Rc<Qp>) {
         let msg = qp.tx.borrow_mut().inflight.take_cursor();
         if let Some(msg) = msg {
-            self.push_cqe(
-                &qp.send_cq,
-                Cqe {
-                    wr_id: msg.wr.wr_id,
-                    status: CqeStatus::RemoteAccessError,
-                    opcode: op_to_cqe(&msg.wr.op),
-                    byte_len: 0,
-                    imm: None,
-                    qpn: qp.qpn,
-                    span: msg.wr.span,
-                },
-            );
+            self.complete(qp, &msg.wr, CqeStatus::RemoteAccessError, 0, msg.wr.span);
         }
         self.fail_qp(qp, CqeStatus::WrFlushError);
     }
@@ -1070,6 +1002,24 @@ impl Rnic {
             }) as Box<dyn Any>,
         );
         self.port().send(pkt);
+    }
+
+    /// NAK request `seq` with `kind`, counting SeqError and RNR NAKs.
+    fn send_nak(self: &Rc<Self>, qp: &Rc<Qp>, seq: u64, kind: NakKind) {
+        match kind {
+            NakKind::SeqError => self.stats.borrow_mut().seq_naks += 1,
+            NakKind::Rnr => self.stats.borrow_mut().rnr_naks_sent += 1,
+            NakKind::RemoteAccess => {}
+        }
+        let Some((_, dst_qpn)) = qp.remote() else {
+            return;
+        };
+        let bth = Bth::Nak {
+            dst_qpn,
+            expected_seq: seq,
+            kind,
+        };
+        self.send_ctrl(qp, bth, 4, PRIO_RDMA);
     }
 
     // ------------------------------------------------------------------
@@ -1173,6 +1123,20 @@ impl Rnic {
         }
     }
 
+    /// Raise the send-queue completion of `wr`.
+    fn complete(&self, qp: &Qp, wr: &SendWr, status: CqeStatus, byte_len: u64, span: SpanToken) {
+        let cqe = Cqe {
+            wr_id: wr.wr_id,
+            status,
+            opcode: op_to_cqe(&wr.op),
+            byte_len,
+            imm: None,
+            qpn: qp.qpn,
+            span,
+        };
+        self.push_cqe(&qp.send_cq, cqe);
+    }
+
     /// React to a fault-injector node command (registered in `Rnic::new`).
     fn fault_cmd(self: &Rc<Self>, cmd: xrdma_faults::NodeCmd) {
         use xrdma_faults::NodeCmd;
@@ -1212,27 +1176,13 @@ impl Rnic {
             let mut tx = qp.tx.borrow_mut();
             (tx.inflight.flush(), std::mem::take(&mut tx.sq))
         };
-        for (i, wr) in inflight.into_iter().map(|e| e.wr).chain(sq).enumerate() {
-            self.push_cqe(
-                &qp.send_cq,
-                Cqe {
-                    wr_id: wr.wr_id,
-                    status: if i == 0 {
-                        head_status
-                    } else {
-                        CqeStatus::WrFlushError
-                    },
-                    opcode: op_to_cqe(&wr.op),
-                    byte_len: 0,
-                    imm: None,
-                    qpn: qp.qpn,
-                    span: SpanToken::NONE,
-                },
-            );
+        let mut status = head_status;
+        for wr in inflight.into_iter().map(|e| e.wr).chain(sq) {
+            self.complete(qp, &wr, status, 0, SpanToken::NONE);
+            status = CqeStatus::WrFlushError;
         }
         // Flush posted receives too.
-        let mut rx = qp.rx.borrow_mut();
-        let mut rq = std::mem::take(&mut rx.rq);
+        let mut rq = std::mem::take(&mut *qp.rq.borrow_mut());
         while let Some(r) = rq.pop() {
             self.push_cqe(
                 &qp.recv_cq,
@@ -1369,248 +1319,131 @@ impl Rnic {
             st.data_pkts_rx += 1;
             st.data_bytes_rx += data.len() as u64;
         }
-        let next = qp.rx.borrow().next_deliver;
-        if msg_seq < next {
-            // Duplicate of an already-accepted message: re-ACK so the
-            // sender's window can advance.
-            if last {
-                self.send_ack(qp);
-            }
-            return;
+        let arrival = qp
+            .responder
+            .borrow_mut()
+            .gate(msg_seq, Request::Fragment { off: frag_off });
+        match arrival {
+            Arrival::InOrder => {}
+            // A duplicate message: re-ACK so the sender's window can advance.
+            Arrival::Duplicate if last => return self.send_ack(qp),
+            Arrival::Nak(expected) => return self.send_nak(qp, expected, NakKind::SeqError),
+            Arrival::Duplicate | Arrival::Discard => return,
         }
-        if msg_seq > next {
-            // Gap (a loss upstream, e.g. injected by the Filter).
-            let awaiting = qp.rx.borrow().awaiting_retx;
-            if !awaiting {
-                qp.rx.borrow_mut().awaiting_retx = true;
-                qp.rx.borrow_mut().cur = None;
-                self.stats.borrow_mut().seq_naks += 1;
-                self.send_ctrl(
-                    qp,
-                    Bth::Nak {
-                        dst_qpn: qp.remote().unwrap().1,
-                        expected_seq: next,
-                        kind: NakKind::SeqError,
-                    },
-                    4,
-                    PRIO_RDMA,
-                );
-            }
-            return;
-        }
-
-        // msg_seq == next_deliver.
-        if frag_off == 0 {
-            qp.rx.borrow_mut().awaiting_retx = false;
-            let needs_rqe = matches!(op, WireOp::Send | WireOp::WriteImm);
-            let rqe = if needs_rqe {
-                match qp.take_rqe() {
-                    Some(r) => {
-                        // Only Send places payload in the RQE buffer; a
-                        // WriteImm targets the remote address instead, so
-                        // the RQE length is irrelevant there.
-                        if op == WireOp::Send && r.len < total_len {
-                            // Local length error at responder: fatal.
-                            self.send_ctrl(
-                                qp,
-                                Bth::Nak {
-                                    dst_qpn: qp.remote().unwrap().1,
-                                    expected_seq: msg_seq,
-                                    kind: NakKind::RemoteAccess,
-                                },
-                                4,
-                                PRIO_RDMA,
-                            );
-                            return;
-                        }
-                        Some(r)
-                    }
-                    None => {
-                        // Receiver not ready.
-                        self.stats.borrow_mut().rnr_naks_sent += 1;
-                        qp.rx.borrow_mut().awaiting_retx = true;
-                        self.send_ctrl(
-                            qp,
-                            Bth::Nak {
-                                dst_qpn: qp.remote().unwrap().1,
-                                expected_seq: msg_seq,
-                                kind: NakKind::Rnr,
-                            },
-                            4,
-                            PRIO_RDMA,
-                        );
-                        return;
-                    }
+        if frag_off == 0 && !qp.responder.borrow_mut().restart() {
+            let rqe = if matches!(op, WireOp::Send | WireOp::WriteImm) {
+                let Some(r) = qp.take_rqe() else {
+                    // Receiver not ready.
+                    qp.responder.borrow_mut().rnr();
+                    return self.send_nak(qp, msg_seq, NakKind::Rnr);
+                };
+                // Only Send places payload in the RQE buffer; a WriteImm
+                // targets the remote address, so its RQE length is moot.
+                if op == WireOp::Send && r.len < total_len {
+                    // Local length error at responder: fatal.
+                    return self.send_nak(qp, msg_seq, NakKind::RemoteAccess);
                 }
+                Some(r)
             } else {
                 None
             };
-            qp.rx.borrow_mut().cur = Some(RxMsg {
-                seq: msg_seq,
-                received: 0,
-                rqe,
-            });
-        } else {
-            // Continuation fragment must match the assembly in progress.
-            let ok = {
-                let rx = qp.rx.borrow();
-                match &rx.cur {
-                    Some(c) => c.seq == msg_seq && c.received == frag_off && !rx.awaiting_retx,
-                    None => false,
-                }
-            };
-            if !ok {
-                return; // mid-retransmit noise; the NAK machinery recovers.
-            }
+            qp.responder.borrow_mut().begin(rqe);
         }
 
         // Data placement.
         let frag_len = data.len() as u64;
         let place_err = match op {
+            // A zero-byte Write is a keepalive probe: nothing to place.
+            WireOp::Write | WireOp::WriteImm if total_len == 0 => None,
             WireOp::Write | WireOp::WriteImm => {
-                if total_len == 0 {
-                    // Zero-byte probe (keepalive): nothing to place.
-                    None
-                } else {
-                    let (addr, rkey) = remote.expect("validated at post");
-                    match self
-                        .mem
-                        .resolve_remote(rkey, addr + frag_off, frag_len, true, false)
-                    {
-                        Ok(mr) => {
-                            let miss = !self.mr_cache.borrow_mut().touch(rkey);
-                            if miss {
-                                self.stats.borrow_mut().mr_cache_misses += 1;
-                            }
-                            match &data {
-                                FragData::Bytes(b) => mr.write(addr + frag_off, b).err(),
-                                FragData::Padded { head, .. } => {
-                                    mr.write(addr + frag_off, head).err()
-                                }
-                                FragData::Zero(_) => None,
-                            }
+                let (addr, rkey) = remote.expect("validated at post");
+                match self
+                    .mem
+                    .resolve_remote(rkey, addr + frag_off, frag_len, true, false)
+                {
+                    Ok(mr) => {
+                        if !self.mr_cache.borrow_mut().touch(rkey) {
+                            self.stats.borrow_mut().mr_cache_misses += 1;
                         }
-                        Err(e) => Some(e),
+                        data.bytes()
+                            .and_then(|b| mr.write(addr + frag_off, b).err())
                     }
+                    Err(e) => Some(e),
                 }
             }
             WireOp::Send => {
-                let rx = qp.rx.borrow();
-                let rqe = rx.cur.as_ref().and_then(|c| c.rqe.clone());
-                drop(rx);
-                match rqe {
-                    Some(r) => {
-                        let real: Option<&Bytes> = match &data {
-                            FragData::Bytes(b) => Some(b),
-                            FragData::Padded { head, .. } => Some(head),
-                            FragData::Zero(_) => None,
-                        };
-                        match real {
-                            Some(b) => match self.mem.by_lkey(r.lkey) {
-                                Some(mr) => mr.write(r.addr + frag_off, b).err(),
-                                // Unbacked receive buffers are allowed in
-                                // size-only mode.
-                                None => None,
-                            },
-                            None => None,
-                        }
-                    }
-                    None => None,
+                let rqe = qp.responder.borrow().rqe().map(|r| (r.lkey, r.addr));
+                match (rqe, data.bytes()) {
+                    // Unbacked receive buffers are allowed in size-only mode.
+                    (Some((lkey, addr)), Some(b)) => self
+                        .mem
+                        .by_lkey(lkey)
+                        .and_then(|mr| mr.write(addr + frag_off, b).err()),
+                    _ => None,
                 }
             }
         };
         if place_err.is_some() {
-            self.send_ctrl(
-                qp,
-                Bth::Nak {
-                    dst_qpn: qp.remote().unwrap().1,
-                    expected_seq: msg_seq,
-                    kind: NakKind::RemoteAccess,
-                },
-                4,
-                PRIO_RDMA,
-            );
-            qp.rx.borrow_mut().cur = None;
-            return;
+            qp.responder.borrow_mut().abort();
+            return self.send_nak(qp, msg_seq, NakKind::RemoteAccess);
         }
 
-        let mut completed = false;
-        {
-            let mut rx = qp.rx.borrow_mut();
-            if let Some(cur) = rx.cur.as_mut() {
-                cur.received += frag_len;
-                if last {
-                    completed = true;
-                }
+        let rqe = {
+            let mut responder = qp.responder.borrow_mut();
+            responder.land(frag_len);
+            if !last {
+                return;
             }
+            responder.deliver()
+        };
+        if let Some(rqe) = rqe {
+            let opcode = if op == WireOp::WriteImm {
+                CqeOpcode::RecvWriteImm
+            } else {
+                CqeOpcode::Recv
+            };
+            // Marked before push so a fault-injected CQE stall
+            // (`CqeDelay`) is attributed to the `cqe` stage.
+            span_mark!(span, Cqe);
+            self.push_cqe(
+                &qp.recv_cq,
+                Cqe {
+                    wr_id: rqe.wr_id,
+                    status: CqeStatus::Success,
+                    opcode,
+                    byte_len: total_len,
+                    imm,
+                    qpn: qp.qpn,
+                    span,
+                },
+            );
         }
-        if completed {
-            let cur = qp.rx.borrow_mut().cur.take().unwrap();
-            {
-                let mut rx = qp.rx.borrow_mut();
-                rx.next_deliver += 1;
-                rx.unacked_count += 1;
-            }
-            if let Some(rqe) = cur.rqe {
-                let opcode = if op == WireOp::WriteImm {
-                    CqeOpcode::RecvWriteImm
-                } else {
-                    CqeOpcode::Recv
-                };
-                // Marked before push so a fault-injected CQE stall
-                // (`CqeDelay`) is attributed to the `cqe` stage.
-                span_mark!(span, Cqe);
-                self.push_cqe(
-                    &qp.recv_cq,
-                    Cqe {
-                        wr_id: rqe.wr_id,
-                        status: CqeStatus::Success,
-                        opcode,
-                        byte_len: total_len,
-                        imm,
-                        qpn: qp.qpn,
-                        span,
-                    },
-                );
-            }
-            self.send_ack(qp);
-        }
+        self.send_ack(qp);
     }
 
     fn send_ack(self: &Rc<Self>, qp: &Rc<Qp>) {
-        let acked = {
-            let mut rx = qp.rx.borrow_mut();
-            rx.unacked_count = 0;
-            rx.next_deliver.wrapping_sub(1)
+        let Some((_, dst_qpn)) = qp.remote() else {
+            return;
         };
-        self.send_ctrl(
-            qp,
-            Bth::Ack {
-                dst_qpn: qp.remote().unwrap().1,
-                msg_seq: acked,
-            },
-            4,
-            PRIO_RDMA,
-        );
+        let msg_seq = qp.responder.borrow().acked();
+        self.send_ctrl(qp, Bth::Ack { dst_qpn, msg_seq }, 4, PRIO_RDMA);
     }
 
     fn handle_ack(self: &Rc<Self>, qp: &Rc<Qp>, msg_seq: u64) {
         let mut done = Vec::new();
         qp.tx.borrow_mut().inflight.ack(msg_seq, |e| {
             if e.wr.signaled {
-                done.push(Cqe {
-                    wr_id: e.wr.wr_id,
-                    status: CqeStatus::Success,
-                    opcode: op_to_cqe(&e.wr.op),
-                    byte_len: e.wr.payload.len(),
-                    imm: None,
-                    qpn: qp.qpn,
-                    span: SpanToken::NONE,
-                });
+                done.push(e.wr);
             }
         });
-        for cqe in done {
-            self.push_cqe(&qp.send_cq, cqe);
+        for wr in done {
+            self.complete(
+                qp,
+                &wr,
+                CqeStatus::Success,
+                wr.payload.len(),
+                SpanToken::NONE,
+            );
         }
         // Window may have opened.
         if self.qp_has_tx_work(qp) {
@@ -1620,46 +1453,28 @@ impl Rnic {
     }
 
     fn handle_nak(self: &Rc<Self>, qp: &Rc<Qp>, expected_seq: u64, kind: NakKind) {
-        match kind {
-            NakKind::Rnr => {
-                qp.rnr_events.set(qp.rnr_events.get() + 1);
-                self.stats.borrow_mut().rnr_naks_received += 1;
-                tele!(Rnr {
-                    node: self.node.0,
-                    qpn: qp.qpn.0,
-                });
-                // Everything below expected_seq is implicitly acked.
-                if expected_seq > 0 {
-                    self.handle_ack(qp, expected_seq - 1);
-                }
-                self.go_back_retransmit(qp, expected_seq, true);
+        if kind == NakKind::RemoteAccess {
+            // Complete the offending WR with an error and kill the QP.
+            let head = qp.tx.borrow_mut().inflight.take(expected_seq);
+            if let Some(u) = head {
+                self.complete(qp, &u.wr, CqeStatus::RemoteAccessError, 0, u.wr.span);
             }
-            NakKind::SeqError => {
-                if expected_seq > 0 {
-                    self.handle_ack(qp, expected_seq - 1);
-                }
-                self.go_back_retransmit(qp, expected_seq, false);
-            }
-            NakKind::RemoteAccess => {
-                // Complete the offending WR with an error and kill the QP.
-                let head = qp.tx.borrow_mut().inflight.take(expected_seq);
-                if let Some(u) = head {
-                    self.push_cqe(
-                        &qp.send_cq,
-                        Cqe {
-                            wr_id: u.wr.wr_id,
-                            status: CqeStatus::RemoteAccessError,
-                            opcode: op_to_cqe(&u.wr.op),
-                            byte_len: 0,
-                            imm: None,
-                            qpn: qp.qpn,
-                            span: u.wr.span,
-                        },
-                    );
-                }
-                self.fail_qp(qp, CqeStatus::WrFlushError);
-            }
+            return self.fail_qp(qp, CqeStatus::WrFlushError);
         }
+        let rnr = kind == NakKind::Rnr;
+        if rnr {
+            qp.rnr_events.set(qp.rnr_events.get() + 1);
+            self.stats.borrow_mut().rnr_naks_received += 1;
+            tele!(Rnr {
+                node: self.node.0,
+                qpn: qp.qpn.0,
+            });
+        }
+        // Everything below expected_seq is implicitly acked.
+        if expected_seq > 0 {
+            self.handle_ack(qp, expected_seq - 1);
+        }
+        self.go_back_retransmit(qp, expected_seq, rnr);
     }
 
     fn handle_read_req(
@@ -1673,32 +1488,19 @@ impl Rnic {
         if !qp.can_recv() {
             return;
         }
-        let next = qp.rx.borrow().next_deliver;
-        if msg_seq == next {
-            qp.rx.borrow_mut().next_deliver += 1;
-            qp.rx.borrow_mut().awaiting_retx = false;
-        } else if msg_seq > next {
-            // Lost something before this read; ask for replay.
-            self.send_ctrl(
-                qp,
-                Bth::Nak {
-                    dst_qpn: qp.remote().unwrap().1,
-                    expected_seq: next,
-                    kind: NakKind::SeqError,
-                },
-                4,
-                PRIO_RDMA,
-            );
-            return;
+        let arrival = qp.responder.borrow_mut().gate(msg_seq, Request::Execute);
+        match arrival {
+            // Reads are idempotent: a duplicate runs again.
+            Arrival::InOrder | Arrival::Duplicate => {}
+            Arrival::Nak(expected) => return self.send_nak(qp, expected, NakKind::SeqError),
+            Arrival::Discard => return,
         }
-        // msg_seq <= next: (re-)execute — reads are idempotent.
         match self
             .mem
             .resolve_remote(rkey, remote_addr, len, false, false)
         {
             Ok(mr) => {
-                let miss = !self.mr_cache.borrow_mut().touch(rkey);
-                if miss {
+                if !self.mr_cache.borrow_mut().touch(rkey) {
                     self.stats.borrow_mut().mr_cache_misses += 1;
                 }
                 // Stream Zero fragments unless real bytes were actually
@@ -1708,26 +1510,10 @@ impl Rnic {
                 } else {
                     None
                 };
-                qp.tx.borrow_mut().resp.push_back(RespJob::Read {
-                    req_seq: msg_seq,
-                    len,
-                    sent_off: 0,
-                    data,
-                });
+                qp.responder.borrow_mut().read(msg_seq, len, data);
                 self.activate(qp.qpn, Time::ZERO);
             }
-            Err(_) => {
-                self.send_ctrl(
-                    qp,
-                    Bth::Nak {
-                        dst_qpn: qp.remote().unwrap().1,
-                        expected_seq: msg_seq,
-                        kind: NakKind::RemoteAccess,
-                    },
-                    4,
-                    PRIO_RDMA,
-                );
-            }
+            Err(_) => self.send_nak(qp, msg_seq, NakKind::RemoteAccess),
         }
     }
 
@@ -1743,59 +1529,30 @@ impl Rnic {
         if !qp.can_recv() {
             return;
         }
-        let next = qp.rx.borrow().next_deliver;
-        let old_value = if msg_seq < next {
-            // A replay: answer with what the first execution returned.
-            // One older than the store has no requester waiting for it.
-            let rx = qp.rx.borrow();
-            let hit = rx.atomics.iter().find(|&&(s, _)| s == msg_seq);
-            let Some(&(_, old_value)) = hit else { return };
-            old_value
-        } else if msg_seq > next {
-            self.send_ctrl(
-                qp,
-                Bth::Nak {
-                    dst_qpn: qp.remote().unwrap().1,
-                    expected_seq: next,
-                    kind: NakKind::SeqError,
-                },
-                4,
-                PRIO_RDMA,
-            );
-            return;
-        } else {
-            qp.rx.borrow_mut().next_deliver += 1;
-            let old = self
-                .mem
-                .resolve_remote(rkey, remote_addr, 8, false, true)
-                .and_then(|mr| match compare {
-                    Some(expect) => mr.compare_swap(remote_addr, expect, operand),
-                    None => mr.fetch_add(remote_addr, operand),
-                });
-            let Ok(old_value) = old else {
-                self.send_ctrl(
-                    qp,
-                    Bth::Nak {
-                        dst_qpn: qp.remote().unwrap().1,
-                        expected_seq: msg_seq,
-                        kind: NakKind::RemoteAccess,
-                    },
-                    4,
-                    PRIO_RDMA,
-                );
-                return;
-            };
-            let mut rx = qp.rx.borrow_mut();
-            if rx.atomics.len() == MAX_INFLIGHT_MSGS {
-                rx.atomics.pop_front();
+        let arrival = qp.responder.borrow_mut().gate(msg_seq, Request::Execute);
+        match arrival {
+            Arrival::InOrder => {
+                let old = self
+                    .mem
+                    .resolve_remote(rkey, remote_addr, 8, false, true)
+                    .and_then(|mr| match compare {
+                        Some(expect) => mr.compare_swap(remote_addr, expect, operand),
+                        None => mr.fetch_add(remote_addr, operand),
+                    });
+                let Ok(old_value) = old else {
+                    return self.send_nak(qp, msg_seq, NakKind::RemoteAccess);
+                };
+                qp.responder.borrow_mut().executed(msg_seq, old_value);
             }
-            rx.atomics.push_back((msg_seq, old_value));
-            old_value
-        };
-        qp.tx.borrow_mut().resp.push_back(RespJob::Atomic {
-            req_seq: msg_seq,
-            old_value,
-        });
+            // A replay is answered with what the first execution returned.
+            Arrival::Duplicate => {
+                if !qp.responder.borrow_mut().replay(msg_seq) {
+                    return;
+                }
+            }
+            Arrival::Nak(expected) => return self.send_nak(qp, expected, NakKind::SeqError),
+            Arrival::Discard => return,
+        }
         self.activate(qp.qpn, Time::ZERO);
     }
 
@@ -1825,13 +1582,8 @@ impl Rnic {
             // a long (congested) read doesn't falsely time out mid-stream.
             p.stamp = self.world.now();
             // Scatter into the local buffer when backed.
-            let real: Option<&Bytes> = match &data {
-                FragData::Bytes(b) => Some(b),
-                FragData::Padded { head, .. } => Some(head),
-                FragData::Zero(_) => None,
-            };
             let (addr, lkey) = p.wr.local.expect("validated at post");
-            if let Some(b) = real {
+            if let Some(b) = data.bytes() {
                 if let Some(mr) = self.mem.by_lkey(lkey) {
                     let _ = mr.write(addr + frag_off, b);
                 }
@@ -1846,17 +1598,12 @@ impl Rnic {
         };
         if let Some(p) = done {
             if p.wr.signaled {
-                self.push_cqe(
-                    &qp.send_cq,
-                    Cqe {
-                        wr_id: p.wr.wr_id,
-                        status: CqeStatus::Success,
-                        opcode: CqeOpcode::Read,
-                        byte_len: p.wr.payload.len(),
-                        imm: None,
-                        qpn: qp.qpn,
-                        span: SpanToken::NONE,
-                    },
+                self.complete(
+                    qp,
+                    &p.wr,
+                    CqeStatus::Success,
+                    p.wr.payload.len(),
+                    SpanToken::NONE,
                 );
             }
             if self.qp_has_tx_work(qp) {
@@ -1873,18 +1620,7 @@ impl Rnic {
                 let _ = mr.write(addr, &old_value.to_le_bytes());
             }
             if p.wr.signaled {
-                self.push_cqe(
-                    &qp.send_cq,
-                    Cqe {
-                        wr_id: p.wr.wr_id,
-                        status: CqeStatus::Success,
-                        opcode: CqeOpcode::Atomic,
-                        byte_len: 8,
-                        imm: None,
-                        qpn: qp.qpn,
-                        span: SpanToken::NONE,
-                    },
-                );
+                self.complete(qp, &p.wr, CqeStatus::Success, 8, SpanToken::NONE);
             }
         }
     }
@@ -1944,7 +1680,6 @@ struct Seg {
     wire_payload: u32,
     dst: NodeId,
     extra: Dur,
-    prio: u8,
     /// Span riding the last fragment of a message onto the wire (`NONE`
     /// for non-final fragments and control-plane segments).
     span: SpanToken,

@@ -14,6 +14,7 @@ use crate::cq::CompletionQueue;
 use crate::dcqcn::{DcqcnNp, DcqcnRp};
 use crate::engine::MAX_INFLIGHT_MSGS;
 use crate::verbs::{Qpn, RecvWr, SendWr, VerbsError};
+use crate::wire::{Bth, FragData};
 
 /// QP state machine, mirroring `ibv_qp_state`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -402,24 +403,6 @@ impl InFlight {
     }
 }
 
-/// Responder-side job: stream back a read response or an atomic result.
-#[derive(Debug)]
-pub(crate) enum RespJob {
-    Read {
-        req_seq: u64,
-        len: u64,
-        sent_off: u64,
-        /// Pre-resolved data when the MR is backed (captured at accept time
-        /// so a later overwrite doesn't change what this read returns).
-        /// Shared buffer: response fragments slice it without copying.
-        data: Option<bytes::Bytes>,
-    },
-    Atomic {
-        req_seq: u64,
-        old_value: u64,
-    },
-}
-
 /// Send-direction state.
 #[derive(Default)]
 pub(crate) struct TxState {
@@ -429,8 +412,6 @@ pub(crate) struct TxState {
     pub inflight: InFlight,
     /// Next message sequence number to assign.
     pub next_seq: u64,
-    /// Responder work: read/atomic responses to stream.
-    pub resp: VecDeque<RespJob>,
     /// Do not transmit before this instant (RNR backoff).
     pub backoff_until: Time,
     /// Retransmission timer. Created lazily by the engine on first arm;
@@ -439,35 +420,290 @@ pub(crate) struct TxState {
     pub retx_timer: Option<xrdma_sim::Timer>,
 }
 
-/// A message being reassembled on the receive side.
-#[derive(Debug)]
-pub(crate) struct RxMsg {
-    pub seq: u64,
-    pub received: u64,
-    /// The receive WR consumed by this message (Send/WriteImm).
-    pub rqe: Option<RecvWr>,
+/// What reaches the responder's sequence gate.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Request {
+    /// A Send, Write or WriteImm fragment at byte `off` of its message.
+    Fragment { off: u64 },
+    /// A READ or atomic request: executed on arrival.
+    Execute,
 }
 
-/// Receive-direction state.
+/// How the sequence gate sorts an arriving request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Arrival {
+    /// Accepted before: a message is re-ACKed, a READ runs again (reads
+    /// are idempotent), an atomic is answered from the store.
+    Duplicate,
+    /// The expected request, or the next fragment of the message under
+    /// reassembly.
+    InOrder,
+    /// A gap opened: send one SeqError NAK for this expected seq.
+    Nak(u64),
+    /// Dropped unanswered: a gap inside a NAKed episode, or a fragment
+    /// out of phase with the reassembly.
+    Discard,
+}
+
+/// A READ response or an atomic answer waiting to go out.
+#[derive(Debug)]
+enum RespJob {
+    Read {
+        req_seq: u64,
+        len: u64,
+        sent_off: u64,
+        /// The bytes when the MR is backed, captured at accept time so a
+        /// later overwrite doesn't change what this read returns; response
+        /// fragments slice this shared buffer without copying.
+        data: Option<bytes::Bytes>,
+    },
+    Atomic {
+        req_seq: u64,
+        old_value: u64,
+    },
+}
+
+/// The expected message, partly reassembled.
+#[derive(Debug)]
+struct RxMsg {
+    received: u64,
+    /// The receive WR it consumed (Send/WriteImm).
+    rqe: Option<RecvWr>,
+}
+
+/// The RC responder: the sequence gate over the request stream, the
+/// message under reassembly, the atomic replay store and the queue of
+/// READ and atomic responses to stream back.
+///
+/// The gate accepts the request stream strictly in sequence. A request
+/// below the expected seq is a duplicate; one past it is a gap, and a gap
+/// is answered with one SeqError NAK per episode: the first NAKs, later
+/// ones are discarded until the expected request arrives again and ends
+/// the episode. An RNR NAK opens an episode the same way. A message's
+/// reassembly outlives an episode: its replayed first fragment restarts
+/// it in the receive WR it already holds.
 #[derive(Default)]
-pub(crate) struct RxState {
-    /// The private receive queue (unused with an SRQ attached): a
-    /// channel's slots reposted in the order they were taken stay one or
-    /// two runs.
-    pub rq: RecvQueue,
-    /// Next request-stream sequence number we will accept.
-    pub next_deliver: u64,
-    /// Message under reassembly.
-    pub cur: Option<RxMsg>,
-    /// True while discarding fragments after an RNR/seq NAK, until the
-    /// expected sequence number shows up again.
-    pub awaiting_retx: bool,
-    /// Count of unacked accepted messages (for standalone-ACK coalescing).
-    pub unacked_count: u32,
+pub(crate) struct Responder {
+    /// The next request-stream seq to accept.
+    expected: u64,
+    /// The message at `expected` under reassembly.
+    cur: Option<RxMsg>,
+    /// A SeqError or RNR NAK for `expected` is out: gaps stay quiet.
+    episode: bool,
     /// `(seq, old value)` of the last [`MAX_INFLIGHT_MSGS`] atomics
     /// executed: a replayed request is answered from here, since running
     /// it again would apply it twice.
-    pub atomics: VecDeque<(u64, u64)>,
+    atomics: VecDeque<(u64, u64)>,
+    /// Responses to stream, in the order their requests were accepted.
+    resp: VecDeque<RespJob>,
+}
+
+impl Responder {
+    /// The sequence gate: sort one arriving request. A READ or atomic is
+    /// accepted on arrival, a message when its last fragment lands
+    /// ([`Responder::deliver`]); a fragment past a message's first is in
+    /// order only while it continues the reassembly.
+    pub(crate) fn gate(&mut self, seq: u64, req: Request) -> Arrival {
+        let arrival = if seq < self.expected {
+            Arrival::Duplicate
+        } else if seq > self.expected {
+            if self.episode {
+                Arrival::Discard
+            } else {
+                self.episode = true;
+                Arrival::Nak(self.expected)
+            }
+        } else {
+            match req {
+                Request::Fragment { off: 0 } => self.episode = false,
+                Request::Fragment { off } => {
+                    if self.episode || self.cur.as_ref().is_none_or(|c| c.received != off) {
+                        return Arrival::Discard;
+                    }
+                }
+                Request::Execute => {
+                    self.episode = false;
+                    self.expected += 1;
+                }
+            }
+            Arrival::InOrder
+        };
+        self.check();
+        arrival
+    }
+
+    /// An RNR NAK for the expected message went out: the episode opens.
+    pub(crate) fn rnr(&mut self) {
+        self.episode = true;
+    }
+
+    /// A first fragment of the message already under reassembly (a
+    /// duplicate, or the replay after a loss) restarts it in the receive
+    /// WR it holds. False when no reassembly is open.
+    pub(crate) fn restart(&mut self) -> bool {
+        let Some(c) = self.cur.as_mut() else {
+            return false;
+        };
+        c.received = 0;
+        true
+    }
+
+    /// The expected message's first fragment was accepted, into `rqe`
+    /// when it consumes a receive WR.
+    pub(crate) fn begin(&mut self, rqe: Option<RecvWr>) {
+        self.cur = Some(RxMsg { received: 0, rqe });
+    }
+
+    /// The receive WR of the message under reassembly.
+    pub(crate) fn rqe(&self) -> Option<&RecvWr> {
+        self.cur.as_ref()?.rqe.as_ref()
+    }
+
+    /// Placement failed: the message is dropped.
+    pub(crate) fn abort(&mut self) {
+        self.cur = None;
+    }
+
+    /// `len` more bytes of the message under reassembly landed.
+    pub(crate) fn land(&mut self, len: u64) {
+        if let Some(c) = self.cur.as_mut() {
+            c.received += len;
+        }
+    }
+
+    /// The message's last fragment landed: the expected seq moves past
+    /// it, and the receive WR it consumed comes back for its CQE.
+    pub(crate) fn deliver(&mut self) -> Option<RecvWr> {
+        let msg = self.cur.take()?;
+        self.expected += 1;
+        self.check();
+        msg.rqe
+    }
+
+    /// The last seq a cumulative ACK covers.
+    pub(crate) fn acked(&self) -> u64 {
+        self.expected.wrapping_sub(1)
+    }
+
+    /// Queue the response to the READ `seq`.
+    pub(crate) fn read(&mut self, seq: u64, len: u64, data: Option<bytes::Bytes>) {
+        self.resp.push_back(RespJob::Read {
+            req_seq: seq,
+            len,
+            sent_off: 0,
+            data,
+        });
+        self.check();
+    }
+
+    /// The atomic `seq` ran and found `old`: keep it for a replay and
+    /// queue the answer.
+    pub(crate) fn executed(&mut self, seq: u64, old: u64) {
+        if self.atomics.len() == MAX_INFLIGHT_MSGS {
+            self.atomics.pop_front();
+        }
+        self.atomics.push_back((seq, old));
+        self.resp.push_back(RespJob::Atomic {
+            req_seq: seq,
+            old_value: old,
+        });
+        self.check();
+    }
+
+    /// A replayed atomic: queue the answer its first execution gave. One
+    /// older than the store has no requester waiting for it and gets no
+    /// answer (returns false).
+    pub(crate) fn replay(&mut self, seq: u64) -> bool {
+        let Some(&(_, old)) = self.atomics.iter().find(|&&(s, _)| s == seq) else {
+            return false;
+        };
+        self.resp.push_back(RespJob::Atomic {
+            req_seq: seq,
+            old_value: old,
+        });
+        true
+    }
+
+    /// Does a response wait to go out?
+    pub(crate) fn has_work(&self) -> bool {
+        !self.resp.is_empty()
+    }
+
+    /// The next response segment to `dst_qpn` and its wire payload: an
+    /// atomic answer, or one `mtu`-sized fragment of a READ response.
+    pub(crate) fn next_segment(&mut self, dst_qpn: Qpn, mtu: u32) -> Option<(Bth, u32)> {
+        let seg = match self.resp.front_mut()? {
+            &mut RespJob::Atomic { req_seq, old_value } => {
+                self.resp.pop_front();
+                let bth = Bth::AtomicResp {
+                    dst_qpn,
+                    msg_seq: req_seq,
+                    old_value,
+                };
+                (bth, 8)
+            }
+            RespJob::Read {
+                req_seq,
+                len,
+                sent_off,
+                data,
+            } => {
+                let off = *sent_off;
+                let frag_len = (*len - off).min(mtu as u64) as u32;
+                let end = off + frag_len as u64;
+                let last = end >= *len;
+                let frag = match data {
+                    Some(bytes) => FragData::Bytes(bytes.slice(off as usize..end as usize)),
+                    None => FragData::Zero(frag_len),
+                };
+                let bth = Bth::ReadResp {
+                    dst_qpn,
+                    msg_seq: *req_seq,
+                    frag_off: off,
+                    total_len: *len,
+                    last,
+                    data: frag,
+                };
+                *sent_off = end;
+                if last {
+                    self.resp.pop_front();
+                }
+                (bth, frag_len)
+            }
+        };
+        self.check();
+        Some(seg)
+    }
+
+    /// `debug_invariants`: every answer kept or queued is for an accepted
+    /// request, the store is bounded and in sequence order, and a queued
+    /// READ response has bytes left to send.
+    fn check(&self) {
+        invariant!(
+            self.atomics.len() <= MAX_INFLIGHT_MSGS
+                && self.atomics.iter().all(|&(s, _)| s < self.expected)
+                && self
+                    .atomics
+                    .iter()
+                    .zip(self.atomics.iter().skip(1))
+                    .all(|(a, b)| a.0 < b.0),
+            "responder atomic store out of order or past seq {}",
+            self.expected
+        );
+        invariant!(
+            self.resp.iter().all(|j| match *j {
+                RespJob::Read {
+                    req_seq,
+                    len,
+                    sent_off,
+                    ..
+                } => req_seq < self.expected && sent_off < len.max(1),
+                RespJob::Atomic { req_seq, .. } => req_seq < self.expected,
+            }),
+            "responder queued a response not owed before seq {}",
+            self.expected
+        );
+    }
 }
 
 /// A reliable-connection queue pair.
@@ -482,7 +718,11 @@ pub struct Qp {
     remote: Cell<Option<(NodeId, Qpn)>>,
     flow_hash: Cell<u64>,
     pub(crate) tx: RefCell<TxState>,
-    pub(crate) rx: RefCell<RxState>,
+    /// The private receive queue (unused with an SRQ attached): a
+    /// channel's slots reposted in the order they were taken stay one or
+    /// two runs.
+    pub(crate) rq: RefCell<RecvQueue>,
+    pub(crate) responder: RefCell<Responder>,
     pub(crate) rp: RefCell<DcqcnRp>,
     pub(crate) np: RefCell<DcqcnNp>,
     /// Pacer: earliest instant the next segment may enter the NIC port.
@@ -530,7 +770,8 @@ impl Qp {
             remote: Cell::new(None),
             flow_hash: Cell::new(0),
             tx: RefCell::new(TxState::default()),
-            rx: RefCell::new(RxState::default()),
+            rq: RefCell::new(RecvQueue::default()),
+            responder: RefCell::new(Responder::default()),
             rp: RefCell::new(rp),
             np: RefCell::new(DcqcnNp::default()),
             next_allowed: Cell::new(Time::ZERO),
@@ -633,7 +874,8 @@ impl Qp {
         self.set_state(QpState::Reset);
         self.remote.set(None);
         *self.tx.borrow_mut() = TxState::default();
-        *self.rx.borrow_mut() = RxState::default();
+        *self.rq.borrow_mut() = RecvQueue::default();
+        *self.responder.borrow_mut() = Responder::default();
         self.next_allowed.set(Time::ZERO);
         self.rx_ready.set(Time::ZERO);
         self.conn_token.set(0);
@@ -692,11 +934,11 @@ impl Qp {
         if let Some(srq) = &self.srq {
             return srq.post(wr);
         }
-        let mut rx = self.rx.borrow_mut();
-        if rx.rq.len() >= self.caps.max_recv_wr {
+        let mut rq = self.rq.borrow_mut();
+        if rq.len() >= self.caps.max_recv_wr {
             return Err(VerbsError::QueueFull);
         }
-        rx.rq.push(wr);
+        rq.push(wr);
         Ok(())
     }
 
@@ -705,7 +947,7 @@ impl Qp {
         if let Some(srq) = &self.srq {
             srq.pop()
         } else {
-            self.rx.borrow_mut().rq.pop()
+            self.rq.borrow_mut().pop()
         }
     }
 
@@ -714,7 +956,7 @@ impl Qp {
         if let Some(srq) = &self.srq {
             srq.len()
         } else {
-            self.rx.borrow().rq.len()
+            self.rq.borrow().len()
         }
     }
 }
@@ -843,7 +1085,7 @@ mod tests {
         if qp.srq.is_some() {
             return std::iter::from_fn(|| qp.take_rqe()).collect();
         }
-        let mut rq = std::mem::take(&mut qp.rx.borrow_mut().rq);
+        let mut rq = std::mem::take(&mut *qp.rq.borrow_mut());
         std::iter::from_fn(|| rq.pop()).collect()
     }
 
@@ -1006,6 +1248,226 @@ mod tests {
         assert!(!t.has_work() && t.awaiting(), "the Read waits, unreplayed");
         assert_eq!(t.go_back(0), (1, Some(2)), "a timeout replays the Read");
         assert_eq!(t.take(0).map(|e| e.wr.wr_id), Some(1));
+    }
+
+    /// Drive `r` as the engine does with one arrival of a single-fragment
+    /// request: a Send or Write lands and is delivered, a READ or atomic
+    /// runs. Returns the gate's verdict.
+    fn arrive(r: &mut Responder, seq: u64, op: char) -> Arrival {
+        let req = match op {
+            'S' | 'W' => Request::Fragment { off: 0 },
+            _ => Request::Execute,
+        };
+        let arrival = r.gate(seq, req);
+        match (arrival, op) {
+            (Arrival::InOrder, 'S' | 'W') => {
+                assert!(!r.restart(), "a single fragment leaves nothing open");
+                r.begin((op == 'S').then(|| RecvWr::new(seq, 0, 64, 0)));
+                r.land(8);
+                assert_eq!(r.deliver().map(|w| w.wr_id), (op == 'S').then_some(seq));
+            }
+            (Arrival::InOrder, 'R') => r.read(seq, 8, None),
+            // The atomic `seq` finds `seq + 100`, so an answer names its run.
+            (Arrival::InOrder, 'A') => r.executed(seq, seq + 100),
+            (Arrival::Duplicate, 'A') => assert!(r.replay(seq), "replay of {seq} unanswered"),
+            _ => {}
+        }
+        arrival
+    }
+
+    /// Every queued response, in order, as `(seq, old value or READ length)`.
+    fn drain(r: &mut Responder) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| r.next_segment(Qpn(2), 4096))
+            .map(|(bth, _)| match bth {
+                Bth::AtomicResp {
+                    msg_seq, old_value, ..
+                } => (msg_seq, old_value),
+                Bth::ReadResp {
+                    msg_seq, total_len, ..
+                } => (msg_seq, total_len),
+                other => panic!("not a response: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// The gate sorts by the expected seq: below it a duplicate, at it in
+    /// order, past it a gap NAKed for the expected seq. A continuation
+    /// fragment is in order only at the reassembly's offset.
+    #[test]
+    fn responder_gate_sorts_duplicates_order_and_gaps() {
+        let mut r = Responder::default();
+        assert_eq!(r.gate(0, Request::Fragment { off: 0 }), Arrival::InOrder);
+        r.begin(None);
+        r.land(4096);
+        let frag = |off| Request::Fragment { off };
+        assert_eq!(r.gate(0, frag(8192)), Arrival::Discard, "out of phase");
+        assert_eq!(r.gate(0, frag(4096)), Arrival::InOrder);
+        r.land(100);
+        assert_eq!(r.deliver().map(|w| w.wr_id), None);
+        assert_eq!(r.acked(), 0);
+        assert_eq!(r.gate(0, frag(0)), Arrival::Duplicate);
+        assert_eq!(r.gate(0, Request::Execute), Arrival::Duplicate);
+        assert_eq!(r.gate(2, Request::Execute), Arrival::Nak(1));
+        assert_eq!(r.gate(1, Request::Execute), Arrival::InOrder);
+        assert_eq!(r.acked(), 1, "a READ is accepted on arrival");
+    }
+
+    /// One SeqError NAK per episode, whatever arrives past the gap: a
+    /// Send, a READ or an atomic. The expected request ends the episode,
+    /// an atomic as much as a READ or a first fragment, and an RNR NAK
+    /// opens one the same way. A half-reassembled message outlives the
+    /// episode: its replay restarts it in the receive WR it holds.
+    #[test]
+    fn responder_naks_a_gap_once_per_episode() {
+        let frag = |off| Request::Fragment { off };
+        let mut r = Responder::default();
+        // A READ (seq 1) overtakes the last fragment of message 0.
+        assert_eq!(r.gate(0, frag(0)), Arrival::InOrder);
+        assert!(!r.restart());
+        r.begin(Some(RecvWr::new(7, 0, 8192, 0)));
+        r.land(4096);
+        assert_eq!(r.gate(1, Request::Execute), Arrival::Nak(0));
+        for seq in [2, 1, 3] {
+            assert_eq!(r.gate(seq, Request::Execute), Arrival::Discard);
+            assert_eq!(r.gate(seq, frag(0)), Arrival::Discard);
+        }
+        assert_eq!(
+            r.gate(0, frag(4096)),
+            Arrival::Discard,
+            "held by the episode"
+        );
+        assert_eq!(r.gate(0, frag(0)), Arrival::InOrder, "the replay");
+        assert!(r.restart(), "restarts in the receive WR it holds");
+        r.land(4096);
+        assert_eq!(r.gate(0, frag(4096)), Arrival::InOrder);
+        r.land(100);
+        assert_eq!(r.deliver().map(|w| w.wr_id), Some(7));
+        assert_eq!(
+            r.gate(2, Request::Execute),
+            Arrival::Nak(1),
+            "a new episode"
+        );
+        assert_eq!(
+            r.gate(1, Request::Execute),
+            Arrival::InOrder,
+            "an atomic ends it"
+        );
+        assert_eq!(r.gate(3, Request::Execute), Arrival::Nak(2));
+        assert_eq!(r.gate(2, frag(0)), Arrival::InOrder);
+        r.rnr();
+        assert_eq!(r.gate(3, Request::Execute), Arrival::Discard, "RNR episode");
+        assert_eq!(r.gate(2, frag(0)), Arrival::InOrder);
+        assert_eq!(r.gate(4, Request::Execute), Arrival::Nak(2));
+    }
+
+    /// A replayed atomic is answered from the store with its first
+    /// result; one older than the store's last `MAX_INFLIGHT_MSGS` gets no
+    /// answer.
+    #[test]
+    fn responder_answers_a_replayed_atomic_from_its_store() {
+        let mut r = Responder::default();
+        let n = MAX_INFLIGHT_MSGS as u64 + 2;
+        for seq in 0..n {
+            assert_eq!(arrive(&mut r, seq, 'A'), Arrival::InOrder);
+        }
+        assert_eq!(drain(&mut r).len(), n as usize);
+        assert!(!r.replay(0) && !r.replay(1), "older than the store");
+        assert!(r.replay(2) && r.replay(n - 1));
+        assert_eq!(drain(&mut r), [(2, 102), (n - 1, n + 99)]);
+        assert!(!r.has_work());
+    }
+
+    /// Responses leave in acceptance order; a READ response goes out in
+    /// `mtu`-sized fragments slicing the captured bytes.
+    #[test]
+    fn responder_streams_responses_in_order() {
+        let mut r = Responder::default();
+        assert_eq!(r.gate(0, Request::Execute), Arrival::InOrder);
+        r.read(0, 5000, Some(bytes::Bytes::from(vec![7u8; 5000])));
+        assert_eq!(arrive(&mut r, 1, 'A'), Arrival::InOrder);
+        let mut frags = Vec::new();
+        while let Some((bth, len)) = r.next_segment(Qpn(2), 4096) {
+            frags.push(match bth {
+                Bth::ReadResp {
+                    frag_off,
+                    last,
+                    data,
+                    ..
+                } => (frag_off, len, last, data.bytes().map(|b| b.len())),
+                Bth::AtomicResp { old_value, .. } => (old_value, len, true, None),
+                other => panic!("not a response: {other:?}"),
+            });
+        }
+        assert_eq!(
+            frags,
+            [
+                (0, 4096, false, Some(4096)),
+                (4096, 904, true, Some(904)),
+                (101, 8, true, None)
+            ]
+        );
+    }
+
+    /// Small-scope checker: every arrival sequence of length ≤ 8 over
+    /// seqs 0..4, for six assignments of Send, Write, READ and FetchAdd to
+    /// the seqs. Each seq is accepted (delivered or executed) at most once
+    /// and in order; a gap NAKs if and only if nothing was NAKed since the
+    /// last in-order arrival, and names the expected seq; a duplicate
+    /// atomic is answered with its first result.
+    #[test]
+    fn responder_small_scope_checker() {
+        let programs = ["SWRA", "WRAS", "RASW", "ASWR", "RRRR", "AAAA"];
+        let mut runs = 0u64;
+        for ops in programs.map(|p| p.chars().collect::<Vec<char>>()) {
+            for len in 1..=8u32 {
+                for code in 0..4u64.pow(len) {
+                    let seqs: Vec<u64> = (0..len).map(|i| code / 4u64.pow(i) % 4).collect();
+                    let mut r = Responder::default();
+                    let mut accepted = Vec::new();
+                    let mut naked = false;
+                    for &seq in &seqs {
+                        let expected = accepted.len() as u64;
+                        let arrival = arrive(&mut r, seq, ops[seq as usize]);
+                        let want = if seq < expected {
+                            Arrival::Duplicate
+                        } else if seq == expected {
+                            Arrival::InOrder
+                        } else if naked {
+                            Arrival::Discard
+                        } else {
+                            Arrival::Nak(expected)
+                        };
+                        assert_eq!(arrival, want, "{ops:?} arrivals {seqs:?} at {seq}");
+                        match arrival {
+                            Arrival::InOrder => {
+                                accepted.push(seq);
+                                naked = false;
+                            }
+                            Arrival::Nak(_) => naked = true,
+                            _ => {}
+                        }
+                    }
+                    assert!(accepted.iter().copied().eq(0..accepted.len() as u64));
+                    for (seq, v) in drain(&mut r) {
+                        let want = if ops[seq as usize] == 'A' {
+                            seq + 100
+                        } else {
+                            8
+                        };
+                        assert!(seq < accepted.len() as u64 && v == want, "{seqs:?}");
+                    }
+                    runs += 1;
+                }
+            }
+        }
+        assert_eq!(runs, 6 * (4u64.pow(9) - 4) / 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "responder queued a response not owed")]
+    fn invariant_rejects_a_response_never_requested() {
+        let mut r = Responder::default();
+        r.read(3, 8, None);
     }
 
     #[test]

@@ -32,6 +32,14 @@ impl FragData {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The real bytes this fragment carries to place (none when size-only).
+    pub fn bytes(&self) -> Option<&Bytes> {
+        match self {
+            FragData::Bytes(b) | FragData::Padded { head: b, .. } => Some(b),
+            FragData::Zero(_) => None,
+        }
+    }
 }
 
 /// A BTH plus the connection token it was sent under. This is what

@@ -394,3 +394,143 @@ fn qp_cache_hit_rates() {
     assert!(small > 0.9, "small working set hits: {small}");
     assert!(large < 0.3, "thrashing working set misses: {large}");
 }
+
+/// One Write held back by 100 µs or lost in the first 2 µs at the
+/// responder, with 12 READs or 12 FetchAdds queued behind it. Every
+/// request that arrives past the gap is out of order, and the responder
+/// answers the whole gap episode with one SeqError NAK: one go-back
+/// replays the 13 WRs at most, and all 13 complete on an RTS QP. A NAK
+/// per out-of-order READ or atomic charged the Write a retry each and
+/// failed the QP with `RetryExceeded` after 72 retransmissions.
+#[test]
+fn one_late_write_costs_one_nak_ahead_of_reads_and_atomics() {
+    let late = FaultKind::Reorder {
+        prob: 1.0,
+        delay_ns: 100_000,
+    };
+    let lost = FaultKind::Corrupt { prob: 1.0 };
+    for (hold, fetch_add) in [(&late, false), (&late, true), (&lost, false), (&lost, true)] {
+        let case = format!("{hold:?}, fetch_add {fetch_add}");
+        let p = pair(5, 2);
+        let plan = FaultPlan::new().with(FaultSpec {
+            at_ns: 0,
+            dur_ns: Some(2_000),
+            target: FaultTarget::Node(1),
+            kind: hold.clone(),
+        });
+        let _faults = FaultInjector::install(&p.world, plan, SimRng::new(5));
+        let pdb = p.b.alloc_pd();
+        let src = p.b.reg_mr(
+            &pdb,
+            4096,
+            AccessFlags::FULL,
+            PageKind::Anonymous,
+            true,
+            false,
+        );
+        src.write(src.addr + 64, b"read-me!").unwrap();
+        let pda = p.a.alloc_pd();
+        let sink = p.a.reg_mr(
+            &pda,
+            4096,
+            AccessFlags::FULL,
+            PageKind::Anonymous,
+            true,
+            false,
+        );
+        let write = SendWr::write(0, Payload::Zero(64), src.addr, src.rkey);
+        p.a.post_send(&p.qa, write).unwrap();
+        for i in 1..13u64 {
+            let read = SendWr::read(i, sink.addr + i * 8, sink.lkey, 8, src.addr + 64, src.rkey);
+            let wr = if fetch_add {
+                SendWr {
+                    op: xrdma_rnic::SendOp::FetchAdd(1),
+                    ..read
+                }
+            } else {
+                read
+            };
+            p.a.post_send(&p.qa, wr).unwrap();
+        }
+        p.world.run_for(Dur::millis(200));
+
+        let (sa, sb) = (p.a.stats(), p.b.stats());
+        assert_eq!(
+            sb.fault_rx_delays + sb.fault_rx_drops,
+            1,
+            "{case}: only the Write is held"
+        );
+        let cqes = p.cqa.poll(usize::MAX);
+        let ok = cqes
+            .iter()
+            .filter(|c| c.status == CqeStatus::Success)
+            .count();
+        assert_eq!(
+            (ok, cqes.len(), p.qa.state()),
+            (13, 13, xrdma_rnic::QpState::Rts),
+            "{case}: statuses {:?}, {} retransmissions",
+            cqes.iter().map(|c| c.status).collect::<Vec<_>>(),
+            sa.retransmissions
+        );
+        assert_eq!(sb.seq_naks, 1, "{case}: one NAK for the episode");
+        assert!(
+            sa.retransmissions <= 13,
+            "{case}: {} retransmissions",
+            sa.retransmissions
+        );
+        let cell = u64::from_le_bytes(src.read(src.addr + 64, 8).unwrap().try_into().unwrap());
+        let want = u64::from_le_bytes(*b"read-me!") + if fetch_add { 12 } else { 0 };
+        assert_eq!(cell, want, "{case}: each FetchAdd applied once");
+    }
+}
+
+/// A Send's first fragment arriving while the Send is already being
+/// reassembled, as a duplicate or as the go-back replay after its middle
+/// fragment was lost, restarts the reassembly in the receive WR it
+/// holds. Each used to take a fresh receive WR, and the one it held was
+/// consumed without a completion: one CQE, two receive WRs gone.
+#[test]
+fn replayed_first_fragment_keeps_its_receive_wr() {
+    // (fault, its window in ns, Send length): the 6 000 B Send's first
+    // fragment lands in [0, 4.5 µs), the 10 000 B Send's second in
+    // [5, 6 µs).
+    let cases = [
+        (FaultKind::Duplicate { prob: 1.0 }, 0, 4_500, 6_000),
+        (FaultKind::Corrupt { prob: 1.0 }, 5_000, 1_000, 10_000),
+    ];
+    for (kind, at_ns, dur_ns, len) in cases {
+        let p = pair(5, 2);
+        let plan = FaultPlan::new().with(FaultSpec {
+            at_ns,
+            dur_ns: Some(dur_ns),
+            target: FaultTarget::Node(1),
+            kind: kind.clone(),
+        });
+        let _faults = FaultInjector::install(&p.world, plan, SimRng::new(5));
+        for i in 0..4 {
+            p.qb.post_recv(RecvWr::new(i, 0, 16_384, 0)).unwrap();
+        }
+        p.a.post_send(&p.qa, SendWr::send(1, Payload::Zero(len)))
+            .unwrap();
+        p.world.run_for(Dur::millis(200));
+        let sb = p.b.stats();
+        assert_eq!(
+            sb.fault_rx_dups + sb.fault_rx_drops,
+            1,
+            "{kind:?}: one fragment hit"
+        );
+        let recvs: Vec<_> = p
+            .cqb
+            .poll(usize::MAX)
+            .iter()
+            .map(|c| (c.wr_id, c.status))
+            .collect();
+        assert_eq!(recvs, [(0, CqeStatus::Success)], "{kind:?}");
+        assert_eq!(
+            p.qb.recv_queue_len(),
+            3,
+            "{kind:?}: one receive WR consumed"
+        );
+        assert_eq!(p.cqa.poll_one().map(|c| c.status), Some(CqeStatus::Success));
+    }
+}

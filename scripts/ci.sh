@@ -34,6 +34,10 @@
 #   golden   the test legs must not have rewritten any committed golden
 #            or result file (catches an XRDMA_UPDATE_GOLDEN leak or a
 #            determinism break that slipped past the byte-compare tests)
+#   mutants  scripts/mutants.sh: every committed mutant in tests/mutants
+#            must make each test its manifest line names fail, and each
+#            such test must pass without it (~45 s on a 2-vCPU host: one
+#            debug build in a throwaway copy, then a rebuild per mutant)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,5 +72,6 @@ run cargo fmt --check --manifest-path benchmark/Cargo.toml
 run cargo test -q --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 run benchmark/run.sh --quick --out "$tmp/bench"
 run git diff --exit-code -- tests/golden 'results/*.json'
+run scripts/mutants.sh
 
 echo "==> ci.sh: all gates passed"

@@ -321,6 +321,8 @@ proptest! {
 /// generated mix of drop, duplicate and reorder windows that stays below
 /// the go-back-N retry budget, every accepted request eventually completes
 /// or its channel closes with a typed reason — no silent loss, no hang.
+/// A plan without drops loses nothing, so it must complete every request
+/// and leave the channel open: duplicates and reorders only delay.
 mod fault_plan_liveness {
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
@@ -461,11 +463,16 @@ mod fault_plan_liveness {
             seed in any::<u64>(),
             sels in proptest::collection::vec(spec_strategy(), 1..4),
         ) {
+            let lossless = sels.iter().all(|sel| sel.0 != 0);
             let mut plan = FaultPlan::new();
             for sel in sels {
                 plan = plan.with(build_spec(sel));
             }
             let o = run_plan(seed, plan, 1024);
+            if lossless {
+                prop_assert_eq!(o.completed, o.accepted, "a plan without drops completes everything");
+                prop_assert!(!o.closed, "a plan without drops keeps the channel");
+            }
             prop_assert_eq!(
                 o.completed + o.errored,
                 o.accepted,
@@ -507,6 +514,35 @@ mod fault_plan_liveness {
             o.errored, o.closed
         );
         assert!(!o.closed);
+    }
+
+    /// Reordering alone on the client, whose NIC answers the server's
+    /// rendezvous READs: a READ that overtakes the request ahead of it
+    /// opens a gap, and the gap costs one SeqError NAK however many READs
+    /// arrive behind it. When every out-of-order READ sent its own NAK,
+    /// each charged the stalled request a retry: the client's QP failed
+    /// with `RetryExceeded`, none of the 16 requests completed and the
+    /// channel closed with `PeerDead`.
+    #[test]
+    fn reorder_only_plan_keeps_rendezvous_live() {
+        let plan = FaultPlan::new().with(FaultSpec {
+            at_ns: 19_000_000,
+            dur_ns: Some(19_000_000),
+            target: FaultTarget::Node(1),
+            kind: FaultKind::Reorder {
+                prob: 0.12,
+                delay_ns: 2_000_000,
+            },
+        });
+        let o = run_plan(9868, plan, 9000);
+        assert_eq!(o.accepted, 16);
+        assert_eq!(
+            (o.completed, o.closed),
+            (16, false),
+            "errored {}, close reason {:?}",
+            o.errored,
+            o.reason
+        );
     }
 }
 
