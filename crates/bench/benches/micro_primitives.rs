@@ -385,8 +385,8 @@ fn bench_mux_slots(c: &mut Criterion) {
         })
     });
     // Cold slot under a full pool: the miss decides an eviction — pop the
-    // LRU victim, insert the newcomer (the cache-cliff shape qpscale
-    // measures end to end).
+    // LRU victim, insert the newcomer (the cache-cliff shape that
+    // `tests/mux.rs` measures end to end).
     g.bench_function("miss_evict_insert_64_resident", |b| {
         let mut l: LruSlots<Key> = LruSlots::new();
         for p in 0..64u32 {

@@ -21,9 +21,6 @@ pub mod fig12_antijitter;
 pub mod fig7_latency;
 pub mod fig8_establishment;
 pub mod fig9_rnr;
-pub mod latbreak;
-pub mod msgrate;
-pub mod qpscale;
 pub mod tab_establishment;
 pub mod tab_loc;
 
@@ -45,9 +42,6 @@ pub const EXPERIMENTS: &[(&str, fn() -> Report)] = &[
     ("exp_dct", exp_dct::run),           // §IX future work: DCT vs RC mesh
     ("exp_lossy", exp_lossy::run),       // §IX future work: dropping PFC
     ("chaos_recovery", chaos_recovery::run), // §V-A keepalive dead-peer detection
-    ("msgrate", msgrate::run),           // sweep: CQ batching on/off vs conns
-    ("qpscale", qpscale::run),           // sweep: mux pool vs 1 QP/conn to 100 K
-    ("latbreak", latbreak::run),         // sweep: per-stage latency, size × depth
 ];
 
 #[cfg(test)]
@@ -56,9 +50,6 @@ mod tests {
     use std::fs;
     use std::path::Path;
 
-    /// Sweeps of this repo's own mechanisms: no paper row among them.
-    const SWEEPS: [&str; 3] = ["msgrate", "qpscale", "latbreak"];
-
     fn workspace_file(rel: &str) -> String {
         let path = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
@@ -66,12 +57,39 @@ mod tests {
         fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
     }
 
+    /// `results/` holds one `<name>.json` per registered experiment plus
+    /// the lint report, and nothing else: ci regenerates only what the
+    /// registry names, so a deleted experiment's file would linger there
+    /// unchecked. Trace artifacts (`*.trace.json`) are gitignored.
+    #[test]
+    fn results_hold_exactly_the_registered_experiments() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut found: Vec<String> = fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf-8")
+            })
+            .filter(|f| !f.ends_with(".trace.json"))
+            .collect();
+        found.sort();
+        let mut want: Vec<String> = EXPERIMENTS
+            .iter()
+            .map(|(name, _)| format!("{name}.json"))
+            .chain(["lint.json".to_string()])
+            .collect();
+        want.sort();
+        assert_eq!(found, want, "results/ against the registry");
+    }
+
     /// The summary sentences of EXPERIMENTS.md and README.md count the
     /// rows and HOLDS of the committed paper-experiment results.
     #[test]
     fn summary_prose_matches_committed_results() {
         let (mut rows, mut holds, mut exps) = (0, 0, 0);
-        for (name, _) in EXPERIMENTS.iter().filter(|(n, _)| !SWEEPS.contains(n)) {
+        for (name, _) in EXPERIMENTS {
             let json = workspace_file(&format!("results/{name}.json"));
             let held = json.matches("\"holds\": true").count();
             holds += held;

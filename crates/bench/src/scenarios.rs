@@ -71,7 +71,7 @@ pub fn connect_slot(client: &Rc<XrdmaContext>, peer: NodeId, svc: u16) -> ChSlot
 
 /// Keep one `size`-byte RPC in flight on `ch`: every response is counted
 /// in `done` and sends the next request.
-pub fn pump(ch: &Rc<XrdmaChannel>, size: u64, done: &Rc<Cell<u64>>) {
+fn pump(ch: &Rc<XrdmaChannel>, size: u64, done: &Rc<Cell<u64>>) {
     let c2 = ch.clone();
     let d2 = done.clone();
     ch.send_request_size(size, move |_, _| {

@@ -438,10 +438,11 @@ pub(crate) enum Arrival {
     /// The expected request, or the next fragment of the message under
     /// reassembly.
     InOrder,
-    /// A gap opened: send one SeqError NAK for this expected seq.
+    /// A gap opened, between requests or inside the expected message:
+    /// send one SeqError NAK for this expected seq.
     Nak(u64),
     /// Dropped unanswered: a gap inside a NAKed episode, or a fragment
-    /// out of phase with the reassembly.
+    /// behind the reassembly.
     Discard,
 }
 
@@ -476,8 +477,9 @@ struct RxMsg {
 /// READ and atomic responses to stream back.
 ///
 /// The gate accepts the request stream strictly in sequence. A request
-/// below the expected seq is a duplicate; one past it is a gap, and a gap
-/// is answered with one SeqError NAK per episode: the first NAKs, later
+/// below the expected seq is a duplicate; one past it is a gap, and so is
+/// a fragment of the expected message past its reassembly. A gap is
+/// answered with one SeqError NAK per episode: the first NAKs, later
 /// ones are discarded until the expected request arrives again and ends
 /// the episode. An RNR NAK opens an episode the same way. A message's
 /// reassembly outlives an episode: its replayed first fragment restarts
@@ -502,7 +504,8 @@ impl Responder {
     /// The sequence gate: sort one arriving request. A READ or atomic is
     /// accepted on arrival, a message when its last fragment lands
     /// ([`Responder::deliver`]); a fragment past a message's first is in
-    /// order only while it continues the reassembly.
+    /// order only while it continues the reassembly, a gap past it and a
+    /// duplicate behind it.
     pub(crate) fn gate(&mut self, seq: u64, req: Request) -> Arrival {
         let arrival = if seq < self.expected {
             Arrival::Duplicate
@@ -517,8 +520,13 @@ impl Responder {
             match req {
                 Request::Fragment { off: 0 } => self.episode = false,
                 Request::Fragment { off } => {
-                    if self.episode || self.cur.as_ref().is_none_or(|c| c.received != off) {
+                    let received = self.cur.as_ref().map_or(0, |c| c.received);
+                    if self.episode || off < received {
                         return Arrival::Discard;
+                    }
+                    if off > received {
+                        self.episode = true;
+                        return Arrival::Nak(self.expected);
                     }
                 }
                 Request::Execute => {
@@ -559,9 +567,11 @@ impl Responder {
         self.cur.as_ref()?.rqe.as_ref()
     }
 
-    /// Placement failed: the message is dropped.
+    /// Placement failed: the message is dropped, and the NAK that reports
+    /// it opens an episode, so its later fragments stay quiet.
     pub(crate) fn abort(&mut self) {
         self.cur = None;
+        self.episode = true;
     }
 
     /// `len` more bytes of the message under reassembly landed.
@@ -1250,12 +1260,15 @@ mod tests {
         assert_eq!(t.take(0).map(|e| e.wr.wr_id), Some(1));
     }
 
-    /// Drive `r` as the engine does with one arrival of a single-fragment
-    /// request: a Send or Write lands and is delivered, a READ or atomic
-    /// runs. Returns the gate's verdict.
+    /// Drive `r` as the engine does with one arrival: a single-fragment
+    /// Send or Write lands and is delivered, a READ or atomic runs; `T` and
+    /// `t` are the first and second fragment of a two-fragment Send. The
+    /// first opens (or restarts) the reassembly, the second completes it.
+    /// Returns the gate's verdict.
     fn arrive(r: &mut Responder, seq: u64, op: char) -> Arrival {
         let req = match op {
-            'S' | 'W' => Request::Fragment { off: 0 },
+            'S' | 'W' | 'T' => Request::Fragment { off: 0 },
+            't' => Request::Fragment { off: 4096 },
             _ => Request::Execute,
         };
         let arrival = r.gate(seq, req);
@@ -1265,6 +1278,16 @@ mod tests {
                 r.begin((op == 'S').then(|| RecvWr::new(seq, 0, 64, 0)));
                 r.land(8);
                 assert_eq!(r.deliver().map(|w| w.wr_id), (op == 'S').then_some(seq));
+            }
+            (Arrival::InOrder, 'T') => {
+                if !r.restart() {
+                    r.begin(Some(RecvWr::new(seq, 0, 8192, 0)));
+                }
+                r.land(4096);
+            }
+            (Arrival::InOrder, 't') => {
+                r.land(100);
+                assert_eq!(r.deliver().map(|w| w.wr_id), Some(seq));
             }
             (Arrival::InOrder, 'R') => r.read(seq, 8, None),
             // The atomic `seq` finds `seq + 100`, so an answer names its run.
@@ -1292,15 +1315,24 @@ mod tests {
 
     /// The gate sorts by the expected seq: below it a duplicate, at it in
     /// order, past it a gap NAKed for the expected seq. A continuation
-    /// fragment is in order only at the reassembly's offset.
+    /// fragment is in order only at the reassembly's offset: past it is a
+    /// gap, behind it a duplicate dropped unanswered.
     #[test]
     fn responder_gate_sorts_duplicates_order_and_gaps() {
         let mut r = Responder::default();
-        assert_eq!(r.gate(0, Request::Fragment { off: 0 }), Arrival::InOrder);
+        let frag = |off| Request::Fragment { off };
+        assert_eq!(r.gate(0, frag(4096)), Arrival::Nak(0), "first one lost");
+        assert_eq!(r.gate(0, frag(0)), Arrival::InOrder);
         r.begin(None);
         r.land(4096);
-        let frag = |off| Request::Fragment { off };
-        assert_eq!(r.gate(0, frag(8192)), Arrival::Discard, "out of phase");
+        assert_eq!(r.gate(0, frag(4096)), Arrival::InOrder);
+        r.land(4096);
+        assert_eq!(r.gate(0, frag(4096)), Arrival::Discard, "behind");
+        assert_eq!(r.gate(0, frag(12_288)), Arrival::Nak(0), "past");
+        assert_eq!(r.gate(0, frag(8192)), Arrival::Discard, "in the episode");
+        assert_eq!(r.gate(0, frag(0)), Arrival::InOrder, "the replay");
+        assert!(r.restart());
+        r.land(4096);
         assert_eq!(r.gate(0, frag(4096)), Arrival::InOrder);
         r.land(100);
         assert_eq!(r.deliver().map(|w| w.wr_id), None);
@@ -1310,6 +1342,10 @@ mod tests {
         assert_eq!(r.gate(2, Request::Execute), Arrival::Nak(1));
         assert_eq!(r.gate(1, Request::Execute), Arrival::InOrder);
         assert_eq!(r.acked(), 1, "a READ is accepted on arrival");
+        assert_eq!(r.gate(2, frag(0)), Arrival::InOrder);
+        r.begin(None);
+        r.abort();
+        assert_eq!(r.gate(2, frag(4096)), Arrival::Discard, "placement NAKed");
     }
 
     /// One SeqError NAK per episode, whatever arrives past the gap: a
@@ -1410,38 +1446,71 @@ mod tests {
 
     /// Small-scope checker: every arrival sequence of length ≤ 8 over
     /// seqs 0..4, for six assignments of Send, Write, READ and FetchAdd to
-    /// the seqs. Each seq is accepted (delivered or executed) at most once
-    /// and in order; a gap NAKs if and only if nothing was NAKed since the
-    /// last in-order arrival, and names the expected seq; a duplicate
-    /// atomic is answered with its first result.
+    /// the seqs, and of length ≤ 7 for two assignments with a two-fragment
+    /// Send, whose second fragment is a fifth symbol. Each seq is accepted
+    /// (delivered or executed) at most once and in order; a gap, between
+    /// requests or inside the two-fragment Send, NAKs if and only if
+    /// nothing was NAKed since the last in-order arrival, and names the
+    /// expected seq; a duplicate atomic is answered with its first result.
     #[test]
     fn responder_small_scope_checker() {
-        let programs = ["SWRA", "WRAS", "RASW", "ASWR", "RRRR", "AAAA"];
+        let programs = [
+            ("SWRA", 8),
+            ("WRAS", 8),
+            ("RASW", 8),
+            ("ASWR", 8),
+            ("RRRR", 8),
+            ("AAAA", 8),
+            ("TSRA", 7),
+            ("RATW", 7),
+        ];
         let mut runs = 0u64;
-        for ops in programs.map(|p| p.chars().collect::<Vec<char>>()) {
-            for len in 1..=8u32 {
-                for code in 0..4u64.pow(len) {
-                    let seqs: Vec<u64> = (0..len).map(|i| code / 4u64.pow(i) % 4).collect();
+        for (program, max_len) in programs {
+            let mut symbols: Vec<(u64, char)> = program
+                .chars()
+                .zip(0..)
+                .map(|(op, seq)| (seq, op))
+                .collect();
+            if let Some(seq) = program.find('T') {
+                symbols.push((seq as u64, 't'));
+            }
+            let n = symbols.len() as u64;
+            for len in 1..=max_len {
+                for code in 0..n.pow(len) {
+                    let arrivals: Vec<(u64, char)> = (0..len)
+                        .map(|i| symbols[(code / n.pow(i) % n) as usize])
+                        .collect();
                     let mut r = Responder::default();
                     let mut accepted = Vec::new();
-                    let mut naked = false;
-                    for &seq in &seqs {
+                    let (mut naked, mut open) = (false, false);
+                    for &(seq, op) in &arrivals {
                         let expected = accepted.len() as u64;
-                        let arrival = arrive(&mut r, seq, ops[seq as usize]);
+                        let arrival = arrive(&mut r, seq, op);
                         let want = if seq < expected {
                             Arrival::Duplicate
-                        } else if seq == expected {
-                            Arrival::InOrder
-                        } else if naked {
+                        } else if seq > expected || (op == 't' && !open) {
+                            if naked {
+                                Arrival::Discard
+                            } else {
+                                Arrival::Nak(expected)
+                            }
+                        } else if op == 't' && naked {
                             Arrival::Discard
                         } else {
-                            Arrival::Nak(expected)
+                            Arrival::InOrder
                         };
-                        assert_eq!(arrival, want, "{ops:?} arrivals {seqs:?} at {seq}");
+                        assert_eq!(
+                            arrival, want,
+                            "{program} arrivals {arrivals:?} at {seq}{op}"
+                        );
                         match arrival {
+                            Arrival::InOrder if op == 'T' => {
+                                open = true;
+                                naked = false;
+                            }
                             Arrival::InOrder => {
                                 accepted.push(seq);
-                                naked = false;
+                                (naked, open) = (false, false);
                             }
                             Arrival::Nak(_) => naked = true,
                             _ => {}
@@ -1449,18 +1518,18 @@ mod tests {
                     }
                     assert!(accepted.iter().copied().eq(0..accepted.len() as u64));
                     for (seq, v) in drain(&mut r) {
-                        let want = if ops[seq as usize] == 'A' {
+                        let want = if program.as_bytes()[seq as usize] == b'A' {
                             seq + 100
                         } else {
                             8
                         };
-                        assert!(seq < accepted.len() as u64 && v == want, "{seqs:?}");
+                        assert!(seq < accepted.len() as u64 && v == want, "{arrivals:?}");
                     }
                     runs += 1;
                 }
             }
         }
-        assert_eq!(runs, 6 * (4u64.pow(9) - 4) / 3);
+        assert_eq!(runs, 6 * (4u64.pow(9) - 4) / 3 + 2 * (5u64.pow(8) - 5) / 4);
     }
 
     #[test]

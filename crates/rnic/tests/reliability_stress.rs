@@ -534,3 +534,43 @@ fn replayed_first_fragment_keeps_its_receive_wr() {
         assert_eq!(p.cqa.poll_one().map(|c| c.status), Some(CqeStatus::Success));
     }
 }
+
+/// A lost middle fragment costs one NAK round trip, not a timeout: the
+/// 10 000 B Send's third fragment arrives past the reassembly at the
+/// expected seq, which opens a gap episode with one SeqError NAK, and the
+/// requester's go-back replays the Send well inside the 2 ms
+/// `retx_timeout`. A silent discard left the Send waiting for the timer.
+#[test]
+fn in_message_gap_costs_one_nak_round_trip() {
+    let p = pair(5, 2);
+    // The Send's second fragment lands in [5, 6 µs).
+    let plan = FaultPlan::new().with(FaultSpec {
+        at_ns: 5_000,
+        dur_ns: Some(1_000),
+        target: FaultTarget::Node(1),
+        kind: FaultKind::Corrupt { prob: 1.0 },
+    });
+    let _faults = FaultInjector::install(&p.world, plan, SimRng::new(5));
+    p.qb.post_recv(RecvWr::new(0, 0, 16_384, 0)).unwrap();
+    p.a.post_send(&p.qa, SendWr::send(1, Payload::Zero(10_000)))
+        .unwrap();
+    p.world.run_for(Dur::millis(1));
+    let (sa, sb) = (p.a.stats(), p.b.stats());
+    assert_eq!(sb.fault_rx_drops, 1, "one fragment lost");
+    assert_eq!(
+        p.cqa.poll_one().map(|c| c.status),
+        Some(CqeStatus::Success),
+        "completes within 1 ms; {} NAKs, {} retransmissions",
+        sb.seq_naks,
+        sa.retransmissions
+    );
+    assert_eq!(sb.seq_naks, 1, "one NAK for the episode");
+    assert_eq!(
+        p.cqb
+            .poll(usize::MAX)
+            .iter()
+            .map(|c| c.wr_id)
+            .collect::<Vec<_>>(),
+        [0]
+    );
+}

@@ -12,9 +12,9 @@
 //! open stage at `t` and opens the next at the same `t`, so the per-stage
 //! durations of one operation tile `[open, end]` exactly and their sum
 //! equals the end-to-end latency in integer nanoseconds — the invariant
-//! the `latbreak` bench asserts at every swept point. Per-hop fabric
-//! transit is recorded as overlapping `hop` children on their own track;
-//! they are *not* part of the telescoping sum.
+//! `tests/spans.rs` asserts across message size × queue depth. Per-hop
+//! fabric transit is recorded as overlapping `hop` children on their own
+//! track; they are *not* part of the telescoping sum.
 //!
 //! Overhead contract: with no hub installed, each `span_*!` site costs one
 //! read of the thread-local `hub::active()` flag and evaluates none of its

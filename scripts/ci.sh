@@ -23,8 +23,8 @@
 #            with a `paper: N s wall, peak RSS M MB (VmHWM)` line, so the
 #            log carries both costs, and fails when M exceeds
 #            PAPER_RSS_MAX_MB: a footprint regression in any experiment
-#            (the connection sweeps of qpscale and fig8 above all) shows
-#            without a benchmark run
+#            (the QP-scaling and incast worlds of exp_qp_scalability,
+#            fig10 and fig8 above all) shows without a benchmark run
 #   bench    checks the separate `benchmark/` workspace (nothing else
 #            compiles it): rustfmt in check mode and its own unit tests
 #            (the `compare` verdicts, BENCHMARK.json against its workload
@@ -36,7 +36,7 @@
 #            determinism break that slipped past the byte-compare tests)
 #   mutants  scripts/mutants.sh: every committed mutant in tests/mutants
 #            must make each test its manifest line names fail, and each
-#            such test must pass without it (~45 s on a 2-vCPU host: one
+#            such test must pass without it (~2 min on a 2-vCPU host: one
 #            debug build in a throwaway copy, then a rebuild per mutant)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,10 +46,10 @@ run() {
     "$@"
 }
 
-# `paper all`'s measured peak RSS plus 10 %: 564 MB (six runs read
-# 535-564) on a 2-vCPU KVM guest once receive queues stored runs and
-# consumed slots left the MR.
-PAPER_RSS_MAX_MB=620
+# `paper all`'s measured peak RSS plus 10 %: 186 MB (three runs read
+# 186 each) on a 2-vCPU KVM guest once the three self-check sweeps left
+# `paper` for tier-1 tests.
+PAPER_RSS_MAX_MB=205
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

@@ -5,6 +5,10 @@
 //! produce identical message-level outcomes — payload bytes, per-channel
 //! delivery order, final Seq-Ack state and RPC completion counts. Only
 //! cross-channel interleaving and cycle accounting may differ.
+//!
+//! And it must pay: one client fanning 64 B RPCs out to many servers
+//! through its one shared CQ runs faster batched than serial, and spends
+//! fewer client CPU cycles per message.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -16,6 +20,7 @@ use xrdma_core::{XrdmaChannel, XrdmaConfig, XrdmaContext};
 use xrdma_fabric::{Fabric, FabricConfig, NodeId};
 use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
 use xrdma_sim::{Dur, SimRng, World};
+use xrdma_tests::pump;
 
 const CLIENTS: u32 = 4;
 const EAGER_RPCS: usize = 8;
@@ -260,4 +265,90 @@ fn same_seed_reruns_are_byte_identical() {
         let (_, b) = run(&cfg, 7);
         assert_eq!(a.digest, b.digest, "rerun digest diverged");
     }
+}
+
+/// One leg of the message-rate comparison: completed RPCs per simulated
+/// second and client-thread busy nanoseconds per completed RPC.
+struct RateLeg {
+    rate: f64,
+    cycles_per_msg: f64,
+}
+
+/// A client on node 0 fans out one channel to each of `conns` servers,
+/// every completion landing in the client's one shared CQ; each channel
+/// keeps 8 RPCs in flight for `span` after setup.
+fn rate_leg(cfg: &XrdmaConfig, conns: u32, span: Dur) -> RateLeg {
+    let world = World::new();
+    let rng = SimRng::new(42);
+    let fabric = Fabric::new(world.clone(), FabricConfig::rack(conns + 1), &rng);
+    let cm = ConnManager::new(world.clone(), CmConfig::default(), rng.fork("cm"));
+    let mk = |node: u32| {
+        XrdmaContext::on_new_node(
+            &fabric,
+            &cm,
+            NodeId(node),
+            RnicConfig::default(),
+            cfg.clone(),
+            &rng,
+        )
+    };
+    let client = mk(0);
+    let mut servers = Vec::new();
+    let mut slots = Vec::new();
+    for i in 1..=conns {
+        let server = mk(i);
+        server.listen(9, |ch| {
+            ch.set_on_request(|ch, _msg, token| {
+                ch.respond_size(token, 64).expect("respond");
+            });
+        });
+        servers.push(server);
+        let slot: Rc<RefCell<Option<Rc<XrdmaChannel>>>> = Rc::default();
+        let s2 = slot.clone();
+        client.connect(NodeId(i), 9, move |r| {
+            *s2.borrow_mut() = Some(r.expect("connect"));
+        });
+        slots.push(slot);
+    }
+    world.run_for(Dur::millis(50));
+
+    let done = Rc::new(Cell::new(0u64));
+    for slot in &slots {
+        let ch = slot.borrow().clone().expect("connected");
+        for _ in 0..8 {
+            pump(&ch, 64, &done);
+        }
+    }
+    let busy0 = client.thread().total_busy();
+    let t0 = world.now();
+    world.run_for(span);
+    let n = done.get();
+    assert!(n > 0, "the leg completed RPCs");
+    let busy = client.thread().total_busy() - busy0;
+    RateLeg {
+        rate: n as f64 / world.now().since(t0).as_secs_f64(),
+        cycles_per_msg: busy.as_nanos() as f64 / n as f64,
+    }
+}
+
+/// At the widest fan-out, batching wins at least 1.3x message rate or
+/// cuts client cycles per message to 0.7x or less, and its cycles per
+/// message are below serial's: the doorbell and poll charges amortize.
+#[test]
+fn batching_raises_the_message_rate_at_the_widest_fan_out() {
+    let (conns, span) = (64, Dur::millis(40));
+    let on = rate_leg(&XrdmaConfig::default(), conns, span);
+    let off = rate_leg(&batch1_cfg(), conns, span);
+    let rate_gain = on.rate / off.rate;
+    let cycle_ratio = on.cycles_per_msg / off.cycles_per_msg;
+    assert!(
+        rate_gain >= 1.3 || cycle_ratio <= 0.7,
+        "{conns} conns: {rate_gain:.3}x rate, {cycle_ratio:.3}x cycles/msg"
+    );
+    assert!(
+        on.cycles_per_msg < off.cycles_per_msg,
+        "{conns} conns: {:.0} vs {:.0} ns/msg",
+        on.cycles_per_msg,
+        off.cycles_per_msg
+    );
 }

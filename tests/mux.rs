@@ -1,6 +1,9 @@
 //! Connection-multiplexing tests: logical channels over a bounded QP
-//! pool, LRU eviction with transparent re-establishment, and the
-//! differential contract against the unmuxed path (DESIGN.md §3.16).
+//! pool, LRU eviction with transparent re-establishment, the
+//! differential contract against the unmuxed path (DESIGN.md §3.16), and
+//! what the pool buys past the NIC's QP-context cache: message rate,
+//! cache misses, receive memory and restart time against one QP per
+//! connection.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -8,7 +11,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
-use xrdma_core::{ChannelMux, XrdmaConfig, XrdmaContext};
+use xrdma_core::{ChannelMux, XrdmaChannel, XrdmaConfig, XrdmaContext};
 use xrdma_fabric::{Fabric, FabricConfig, NodeId};
 use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
 use xrdma_sim::{Dur, SimRng, World};
@@ -34,14 +37,11 @@ fn net(nodes: u32, seed: u64) -> Net {
 }
 
 fn ctx(net: &Net, node: u32, cfg: XrdmaConfig) -> Rc<XrdmaContext> {
-    XrdmaContext::on_new_node(
-        &net.fabric,
-        &net.cm,
-        NodeId(node),
-        RnicConfig::default(),
-        cfg,
-        &net.rng,
-    )
+    ctx_with(net, node, RnicConfig::default(), cfg)
+}
+
+fn ctx_with(net: &Net, node: u32, rnic: RnicConfig, cfg: XrdmaConfig) -> Rc<XrdmaContext> {
+    XrdmaContext::on_new_node(&net.fabric, &net.cm, NodeId(node), rnic, cfg, &net.rng)
 }
 
 fn mux_cfg(pool: usize, lanes: u64) -> XrdmaConfig {
@@ -454,4 +454,258 @@ fn differential_mux_vs_unmuxed_digest() {
     // len) is seed-independent by construction, so assert on it matching
     // too — the *content* ordering contract is total.
     assert_eq!(mux_digest, mux_other);
+}
+
+// ---------------------------------------------------------------------------
+// Past the QP-context cliff: a 64-slot pool against one QP per connection,
+// with 4 096 connections over a 256-entry QP-context cache.
+// ---------------------------------------------------------------------------
+
+const SERVERS: u32 = 8;
+const LANES: u64 = 8;
+const POOL: usize = SERVERS as usize * LANES as usize;
+const CONNS: usize = 4096;
+
+/// A cold QP context costs a 3 µs fetch chain across PCIe, and the SRAM
+/// holds a sixteenth of the connections but the whole mux pool.
+fn cliff_rnic() -> RnicConfig {
+    RnicConfig {
+        qp_cache_entries: 256,
+        qp_cache_miss: Dur::nanos(3000),
+        ..Default::default()
+    }
+}
+
+/// A lean 80 ns host path, so the NIC's QP-context pipeline and not the
+/// host CPU limits the rate; keepalive idles out of the way.
+fn cliff_cfg() -> XrdmaConfig {
+    XrdmaConfig {
+        keepalive_intv: Dur::millis(10_000),
+        cpu_send: Dur::nanos(80),
+        cpu_recv: Dur::nanos(80),
+        ..Default::default()
+    }
+}
+
+/// One QP per connection, with a shallow window so its per-channel
+/// receive slots stay small.
+fn per_channel_cliff_cfg() -> XrdmaConfig {
+    XrdmaConfig {
+        inflight_depth: 4,
+        ..cliff_cfg()
+    }
+}
+
+/// The pool shares one SRQ that covers its aggregate window with slack.
+fn mux_cliff_cfg() -> XrdmaConfig {
+    XrdmaConfig {
+        mux_pool: POOL,
+        mux_lanes: LANES,
+        use_srq: true,
+        srq_size: 2 * POOL * 64,
+        ..cliff_cfg()
+    }
+}
+
+/// Connection `i`'s server, striped so that the peer and the lane hash
+/// (`lcid % LANES`) stay decorrelated and every pool slot carries traffic.
+fn peer_of(i: usize) -> NodeId {
+    NodeId(1 + (i as u32 / LANES as u32) % SERVERS)
+}
+
+/// The client (node 0) and its servers, each server answering 64 B RPCs
+/// on service 7 through a mux or on plain channels. The servers live as
+/// long as the returned handles.
+fn cliff_rig(seed: u64, muxed: bool) -> (Net, Rc<XrdmaContext>, Vec<Rc<XrdmaContext>>) {
+    let net = net(SERVERS + 1, seed);
+    let cfg = if muxed {
+        mux_cliff_cfg()
+    } else {
+        per_channel_cliff_cfg()
+    };
+    let mut servers = Vec::new();
+    for i in 1..=SERVERS {
+        let server = ctx_with(&net, i, cliff_rnic(), cfg.clone());
+        if muxed {
+            let m = ChannelMux::new(&server, 7);
+            m.serve(|_, _, reply| {
+                if let Some(r) = reply {
+                    r.reply_size(64).expect("reply");
+                }
+            });
+            std::mem::forget(m);
+        } else {
+            server.listen(7, |ch| {
+                ch.set_on_request(|ch, _msg, token| {
+                    ch.respond_size(token, 64).expect("respond");
+                });
+            });
+        }
+        servers.push(server);
+    }
+    let client = ctx_with(&net, 0, cliff_rnic(), cfg);
+    (net, client, servers)
+}
+
+/// Connect all `CONNS` plain channels; returns once every one is up.
+fn connect_all(net: &Net, client: &Rc<XrdmaContext>) -> Vec<Rc<XrdmaChannel>> {
+    let slots: Vec<Rc<RefCell<Option<Rc<XrdmaChannel>>>>> = (0..CONNS)
+        .map(|i| {
+            let slot: Rc<RefCell<Option<Rc<XrdmaChannel>>>> = Rc::default();
+            let s2 = slot.clone();
+            client.connect(peer_of(i), 7, move |r| {
+                *s2.borrow_mut() = Some(r.expect("connect"));
+            });
+            slot
+        })
+        .collect();
+    net.world.run_for(Dur::millis(100));
+    slots
+        .iter()
+        .map(|s| s.borrow().clone().expect("connected"))
+        .collect()
+}
+
+/// The steady state of one leg: completed RPCs per simulated second, the
+/// client NIC's QP-cache miss share, and client receive bytes per
+/// connection.
+struct CliffLeg {
+    rate: f64,
+    miss: f64,
+    bytes_per_conn: f64,
+}
+
+/// Let the pipelines fill for 5 ms, then measure 10 ms.
+fn measure_cliff(net: &Net, client: &Rc<XrdmaContext>, done: &Rc<Cell<u64>>) -> CliffLeg {
+    net.world.run_for(Dur::millis(5));
+    let (s0, n0, t0) = (client.rnic().stats(), done.get(), net.world.now());
+    net.world.run_for(Dur::millis(10));
+    let s1 = client.rnic().stats();
+    let hits = s1.qp_cache_hits - s0.qp_cache_hits;
+    let misses = s1.qp_cache_misses - s0.qp_cache_misses;
+    CliffLeg {
+        rate: (done.get() - n0) as f64 / net.world.now().since(t0).as_secs_f64(),
+        miss: misses as f64 / (hits + misses).max(1) as f64,
+        bytes_per_conn: client.stats().memcache_occupied as f64 / CONNS as f64,
+    }
+}
+
+/// Every connection keeps one 64 B RPC in flight through the mux pool.
+fn muxed_cliff_leg() -> CliffLeg {
+    let (net, client, _servers) = cliff_rig(7, true);
+    let mux = ChannelMux::new(&client, 7);
+    let logicals: Vec<_> = (0..CONNS).map(|i| mux.open(peer_of(i))).collect();
+    net.world.run_for(Dur::millis(10));
+    fn pump(lc: &Rc<xrdma_core::LogicalChannel>, done: &Rc<Cell<u64>>) {
+        let (l2, d2) = (lc.clone(), done.clone());
+        lc.send_request_size(64, move |_| {
+            d2.set(d2.get() + 1);
+            pump(&l2, &d2);
+        })
+        .expect("send accepted");
+    }
+    let done = Rc::new(Cell::new(0u64));
+    for lc in &logicals {
+        pump(lc, &done);
+    }
+    measure_cliff(&net, &client, &done)
+}
+
+/// Every connection keeps one 64 B RPC in flight on its own QP.
+fn per_channel_cliff_leg() -> CliffLeg {
+    let (net, client, _servers) = cliff_rig(7, false);
+    let channels = connect_all(&net, &client);
+    let done = Rc::new(Cell::new(0u64));
+    for ch in &channels {
+        xrdma_tests::pump(ch, 64, &done);
+    }
+    measure_cliff(&net, &client, &done)
+}
+
+/// After a full teardown the whole population asks for service at once;
+/// returns the virtual ms, in 1 ms steps, until one RPC on every
+/// connection has completed.
+fn restart_storm(muxed: bool) -> u64 {
+    let (net, client, _servers) = cliff_rig(11, muxed);
+    let live = Rc::new(Cell::new(0usize));
+    let _mux = if muxed {
+        // A warm epoch carries traffic, then the process restarts: its mux
+        // and pool QPs go, and the new incarnation bumps the epoch.
+        {
+            let mux = ChannelMux::new(&client, 7);
+            for i in 1..=SERVERS {
+                mux.open(NodeId(i))
+                    .send_request_size(64, |_| {})
+                    .expect("send accepted");
+            }
+            net.world.run_for(Dur::millis(20));
+        }
+        net.world.run_for(Dur::millis(20));
+        let mux = ChannelMux::with_epoch(&client, 7, 1);
+        for i in 0..CONNS {
+            let l2 = live.clone();
+            mux.open(peer_of(i))
+                .send_request_size(64, move |_| l2.set(l2.get() + 1))
+                .expect("send accepted");
+        }
+        Some(mux)
+    } else {
+        for ch in connect_all(&net, &client) {
+            ch.close();
+        }
+        net.world.run_for(Dur::millis(50));
+        for i in 0..CONNS {
+            let l2 = live.clone();
+            client.connect(peer_of(i), 7, move |r| {
+                let l3 = l2.clone();
+                r.expect("reconnect")
+                    .send_request_size(64, move |_, _| l3.set(l3.get() + 1))
+                    .expect("send accepted");
+            });
+        }
+        None
+    };
+    for ms in 1..=3000 {
+        net.world.run_for(Dur::millis(1));
+        if live.get() == CONNS {
+            return ms;
+        }
+    }
+    panic!("restart storm (muxed {muxed}) stalled at {}", live.get());
+}
+
+/// Past the QP-context cliff the pool stays cache-resident while one QP
+/// per connection thrashes: the mux gains at least 5x message rate, its
+/// miss share stays under 5 % while per-channel's passes 40 % (its
+/// asymptote is 50 %: one cold fetch and one warm touch per RPC), its
+/// receive bytes per connection are at most a quarter, and after a
+/// restart storm it reaches full service sooner.
+#[test]
+fn mux_outscales_one_qp_per_connection_past_the_qp_cache() {
+    let m = muxed_cliff_leg();
+    let p = per_channel_cliff_leg();
+    let gain = m.rate / p.rate;
+    assert!(
+        gain >= 5.0,
+        "{gain:.2}x ({:.0} vs {:.0} msg/s)",
+        m.rate,
+        p.rate
+    );
+    assert!(
+        m.miss < 0.05 && p.miss > 0.4,
+        "miss share {:.3} muxed vs {:.3} per-channel",
+        m.miss,
+        p.miss
+    );
+    assert!(
+        m.bytes_per_conn <= p.bytes_per_conn / 4.0,
+        "{:.0} vs {:.0} receive bytes per connection",
+        m.bytes_per_conn,
+        p.bytes_per_conn
+    );
+    let (muxed_ms, per_channel_ms) = (restart_storm(true), restart_storm(false));
+    assert!(
+        muxed_ms < per_channel_ms,
+        "full service after {muxed_ms} ms muxed vs {per_channel_ms} ms per-channel"
+    );
 }

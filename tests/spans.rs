@@ -1,8 +1,10 @@
 //! Causal-span integration tests (DESIGN.md §8): the span layer must be
 //! deterministic (same seed → byte-identical JSONL), forensically useful
 //! (a CQE stall retains the slow op's tree and blames the right stage),
-//! and structurally sound under adversity (parent/child integrity and
-//! telescoping stages survive packet loss and go-back-N retransmission).
+//! structurally sound under adversity (parent/child integrity and
+//! telescoping stages survive packet loss and go-back-N retransmission),
+//! and exact: the seven stage sums equal the end-to-end sum in integer
+//! nanoseconds across message size and queue depth.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -12,6 +14,7 @@ use xrdma_fabric::{Fabric, FabricConfig, NodeId};
 use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
 use xrdma_sim::{Dur, SimRng, World};
 use xrdma_telemetry::{HubConfig, HubGuard, SpanNode, TelemetryHub};
+use xrdma_tests::pump;
 
 /// One server, `n` clients, each pipelining `burst` RPCs of `req_bytes`;
 /// returns the hub guard (and keeps the whole stack alive with it) once
@@ -327,4 +330,75 @@ fn cqe_delay_fault_retains_slow_tree_blaming_cqe_stage() {
         blamed += 1;
     }
     assert!(blamed > 0, "at least one stalled request tree retained");
+}
+
+// ---------------------------------------------------------------------------
+// 4. Telescoping: across message size × queue depth, the seven stage sums
+//    of the latency breakdown add up to the e2e sum to the nanosecond.
+// ---------------------------------------------------------------------------
+
+/// One client echoes `size`-byte RPCs against one server with `depth` in
+/// flight for 25 ms; the hub is installed after setup, so the breakdown
+/// covers steady-state traffic only.
+fn breakdown_at(size: u64, depth: u32) -> Vec<xrdma_telemetry::StageStat> {
+    let world = World::new();
+    let rng = SimRng::new(42);
+    let fabric = Fabric::new(world.clone(), FabricConfig::pair(), &rng);
+    let cm = ConnManager::new(world.clone(), CmConfig::default(), rng.fork("cm"));
+    let mk = |node: u32| {
+        XrdmaContext::on_new_node(
+            &fabric,
+            &cm,
+            NodeId(node),
+            RnicConfig::default(),
+            XrdmaConfig::default(),
+            &rng,
+        )
+    };
+    let server = mk(1);
+    server.listen(9, move |ch| {
+        ch.set_on_request(move |ch, _msg, token| {
+            ch.respond_size(token, size).expect("respond");
+        });
+    });
+    let client = mk(0);
+    let slot: Rc<RefCell<Option<Rc<XrdmaChannel>>>> = Rc::default();
+    let s2 = slot.clone();
+    client.connect(NodeId(1), 9, move |r| {
+        *s2.borrow_mut() = Some(r.expect("connect"));
+    });
+    world.run_for(Dur::millis(20));
+    let ch = slot.borrow().clone().expect("channel");
+    let hub = TelemetryHub::install(
+        &world,
+        HubConfig {
+            capture_spans: false,
+            ..Default::default()
+        },
+    );
+    let done = Rc::new(Cell::new(0u64));
+    for _ in 0..depth {
+        pump(&ch, size, &done);
+    }
+    world.run_for(Dur::millis(25));
+    hub.latency_breakdown()
+}
+
+#[test]
+fn stage_sums_equal_e2e_across_size_and_depth() {
+    for depth in [1, 8] {
+        for size in [64, 1024, 16 * 1024, 128 * 1024] {
+            let bd = breakdown_at(size, depth);
+            let (e2e, stages) = bd.split_last().expect("breakdown rows");
+            assert_eq!(e2e.stage, "e2e");
+            assert_eq!(stages.len(), 7, "seven stages");
+            let sum: u128 = stages.iter().map(|s| s.sum_ns).sum();
+            assert!(e2e.count > 0, "{size} B depth {depth}: ops traced");
+            assert_eq!(
+                sum, e2e.sum_ns,
+                "{size} B depth {depth}: stage sums vs e2e over {} ops",
+                e2e.count
+            );
+        }
+    }
 }
