@@ -249,7 +249,9 @@ impl Pangu {
             let ctx =
                 XrdmaContext::on_new_node(fabric, cm, node, rnic_cfg.clone(), xcfg.clone(), rng);
             let writes = chunk_writes.clone();
-            let cctx = ctx.clone();
+            // The context owns both handlers, so they hold it weakly: a
+            // strong capture is a cycle that outlives the world.
+            let cctx = Rc::downgrade(&ctx);
             ctx.listen(SVC, move |ch| {
                 let writes = writes.clone();
                 let cctx = cctx.clone();
@@ -257,7 +259,9 @@ impl Pangu {
                     // Persist: media service time, then acknowledge.
                     writes.set(writes.get() + 1);
                     let _ = msg.len;
-                    cctx.thread().charge(chunk_service);
+                    if let Some(cctx) = cctx.upgrade() {
+                        cctx.thread().charge(chunk_service);
+                    }
                     ch2.respond_size(token, 32).ok();
                 });
             });

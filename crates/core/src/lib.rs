@@ -50,3 +50,6 @@ pub use error::XrdmaError;
 pub use mux::{ChannelMux, LogicalChannel, LruSlots, MuxReply};
 pub use proto::MuxDesc;
 pub use stats::{ChannelStats, ContextStats, MuxStats};
+
+#[cfg(test)]
+mod contract;

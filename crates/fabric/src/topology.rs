@@ -265,7 +265,7 @@ mod tests {
     #[test]
     fn flows_spread_over_leaves() {
         let t = topo();
-        let mut used = std::collections::HashSet::new();
+        let mut used = std::collections::BTreeSet::new();
         for flow in 0..256u64 {
             let p = t.path(NodeId(0), NodeId(9), flow);
             used.insert(p[1].idx);

@@ -1,17 +1,14 @@
 //! Two-pass workspace symbol table.
 //!
 //! Pass one (per file) collects the items the structural rules need:
-//! struct and enum definitions with their field/payload types, `type`
-//! aliases, and manual `impl Ord for T` blocks. Pass two — after every
+//! struct and enum definitions with their field/payload types, and
+//! manual `impl Ord for T` blocks. Pass two — after every
 //! scanned file has been absorbed — answers workspace-level questions:
 //!
 //! * **S3 `unordered-cross-shard-merge`** (the `impl Ord` half) — every
 //!   manual ordering of an event-entry type (a struct with a `Time`-typed
 //!   field) must break ties on a `seq` field, or same-instant events merge
 //!   in nondeterministic order.
-//! * **Alias resolution for D3** — a field typed through an alias of
-//!   `HashMap`/`HashSet` (e.g. `type QpMap = HashMap<…>`) is recognized as
-//!   a hash container wherever the alias is used.
 //! * **U2 `unvaried-knob`** — every leaf field of a `pub struct *Config`
 //!   needs a writer outside that struct's own `impl Default`. Writers are
 //!   collected from every scanned file, test code included, and from the
@@ -68,8 +65,6 @@ pub struct ImplOrd {
 #[derive(Default)]
 pub struct Symbols {
     pub types: BTreeMap<String, TypeInfo>,
-    /// `type Alias = …;` right-hand sides, as tokens.
-    pub aliases: BTreeMap<String, Vec<Token>>,
     pub impl_ords: Vec<ImplOrd>,
     /// U2: `(type, field)` pairs initialised in a struct literal of `type`
     /// outside `impl Default for type`.
@@ -130,29 +125,6 @@ impl Symbols {
                         fields,
                     });
                     i = j;
-                }
-                "type" => {
-                    // `type Alias = …;` (also collects associated types,
-                    // which are harmless in the alias map).
-                    if let (Some(name_tok), true) = (
-                        tokens.get(i + 1),
-                        tokens
-                            .get(i + 2)
-                            .map(|t| t.is_punct('=') || t.is_punct('<'))
-                            .unwrap_or(false),
-                    ) {
-                        let mut j = skip_generics(tokens, i + 2);
-                        if tokens.get(j).is_some_and(|t| t.is_punct('=')) {
-                            let start = j + 1;
-                            while j < tokens.len() && !tokens[j].is_punct(';') {
-                                j += 1;
-                            }
-                            self.aliases
-                                .entry(name_tok.text.clone())
-                                .or_insert_with(|| tokens[start..j].to_vec());
-                            i = j;
-                        }
-                    }
                 }
                 "impl" => {
                     // `impl [<…>] [path::]Ord for T … {`

@@ -1,8 +1,4 @@
-struct Cache {
-    m: HashMap<u32, u64>,
-}
-
-fn total(c: &Cache) -> u64 {
-    // xrdma-lint: allow(nondeterministic-iter) -- order-free sum over a lookup cache
-    c.m.values().sum()
+fn probe() {
+    // xrdma-lint: allow(ungated-fault-hook) -- a reviewed probe outside any world
+    xrdma_faults::note();
 }

@@ -1,4 +1,4 @@
-// xrdma-lint: allow(wall-clock) -- the Instant below was removed two PRs ago
+// xrdma-lint: allow(cross-shard-static) -- the Mutex below was removed two PRs ago
 fn now_ns(world: &World) -> u64 {
     world.now().as_nanos()
 }

@@ -778,6 +778,10 @@ mod tests {
         const ARENA: usize = 4 << 20;
         let mr = backed(ARENA as u64);
         let flat: Vec<u8> = (0..ARENA).map(|i| (i / 64 * 31 + i % 64) as u8).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a wall bound on a test's own work, outside any world"
+        )]
         let t = std::time::Instant::now();
         for (i, slot) in flat.chunks(64).enumerate() {
             mr.write(mr.addr + 64 * i as u64, slot).unwrap();

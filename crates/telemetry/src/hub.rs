@@ -13,8 +13,9 @@
 //!
 //! Emission goes through two free functions, [`active`] and [`emit_raw`],
 //! which `tele!` pairs so the payload is never even constructed when no hub
-//! is installed. Calling `emit_raw` directly from stack code is flagged by
-//! the `raw-telemetry-emit` lint rule: the macro is the only sanctioned
+//! is installed. Calling `emit_raw` directly from stack code fails clippy
+//! (rule T1 `raw-telemetry-emit`, a `disallowed-methods` entry in the
+//! workspace `clippy.toml`): the macro is the only sanctioned
 //! entry point, because its `active()` test is what keeps a run without a
 //! hub down to one thread-local flag read per site.
 
@@ -333,8 +334,8 @@ pub fn active() -> bool {
 }
 
 /// Deliver one event to the installed hub, if any. Do not call this from
-/// stack code — emit through `tele!` (enforced by the `raw-telemetry-emit`
-/// lint rule).
+/// stack code — emit through `tele!` (T1 `raw-telemetry-emit`, banned in
+/// `clippy.toml`).
 pub fn emit_raw(kind: EventKind) {
     let hub = CURRENT.with(|c| c.borrow().clone());
     if let Some(hub) = hub {
@@ -351,8 +352,8 @@ pub fn with_active<R>(f: impl FnOnce(&TelemetryHub) -> R) -> Option<R> {
 }
 
 /// Open a span tree for one operation and return its root token. Do not
-/// call from stack code — use `span_open!` (enforced by the
-/// `raw-telemetry-emit` lint rule, like `emit_raw`).
+/// call from stack code — use `span_open!` (T1 `raw-telemetry-emit`,
+/// banned in `clippy.toml` like `emit_raw`).
 pub fn span_open_raw(node: u32, qpn: u32, seq: u32, bytes: u64) -> crate::span::SpanToken {
     let hub = CURRENT.with(|c| c.borrow().clone());
     match hub {

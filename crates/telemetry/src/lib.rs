@@ -14,8 +14,10 @@
 //! tests one const-initialised thread-local `Cell<bool>`
 //! ([`hub::active`]) and does nothing else while no [`TelemetryHub`] is
 //! installed: the event payload and the span operands are only evaluated
-//! when a hub is live on the current thread. The `raw-telemetry-emit` lint
-//! rule keeps stack code honest by rejecting direct `emit_raw` calls.
+//! when a hub is live on the current thread. Rule T1 `raw-telemetry-emit`
+//! keeps stack code honest: the workspace `clippy.toml` bans direct
+//! `emit_raw` and `span_*_raw` calls, and only these macros' expansions
+//! allow them.
 
 pub mod event;
 pub mod export;
@@ -44,6 +46,10 @@ pub use span::{SpanNode, SpanToken, Stage, StageStat};
 macro_rules! tele {
     ($($ev:tt)+) => {{
         if $crate::hub::active() {
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the macro's `hub::active()` test guards this call"
+            )]
             $crate::hub::emit_raw($crate::event::EventKind::$($ev)+);
         }
     }};
@@ -56,7 +62,15 @@ macro_rules! tele {
 macro_rules! span_open {
     ($node:expr, $qpn:expr, $seq:expr, $bytes:expr) => {{
         if $crate::hub::active() {
-            $crate::hub::span_open_raw($node, $qpn, $seq, $bytes)
+            // Bound by a `let`: an attribute on a tail expression is
+            // unstable. The `_` keeps a diverging operand from flagging
+            // the binding as unused.
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the macro's `hub::active()` test guards this call"
+            )]
+            let _tok = $crate::hub::span_open_raw($node, $qpn, $seq, $bytes);
+            _tok
         } else {
             $crate::span::SpanToken::NONE
         }
@@ -70,6 +84,10 @@ macro_rules! span_open {
 macro_rules! span_mark {
     ($tok:expr, $stage:ident) => {{
         if $crate::hub::active() {
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the macro's `hub::active()` test guards this call"
+            )]
             $crate::hub::span_mark_raw($tok, $crate::span::Stage::$stage);
         }
     }};
@@ -81,6 +99,10 @@ macro_rules! span_mark {
 macro_rules! span_hop {
     ($tok:expr, $label:expr, $started_ns:expr) => {{
         if $crate::hub::active() {
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the macro's `hub::active()` test guards this call"
+            )]
             $crate::hub::span_hop_raw($tok, $label, $started_ns);
         }
     }};
@@ -92,6 +114,10 @@ macro_rules! span_hop {
 macro_rules! span_end {
     ($tok:expr, $end_ns:expr) => {{
         if $crate::hub::active() {
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the macro's `hub::active()` test guards this call"
+            )]
             $crate::hub::span_end_raw($tok, $end_ns);
         }
     }};

@@ -19,8 +19,8 @@
 //! Overhead contract: with no hub installed, each `span_*!` site costs one
 //! read of the thread-local `hub::active()` flag and evaluates none of its
 //! operands; the carried [`SpanToken`] is a plain `u64`. Raw `span_*_raw`
-//! calls outside the macros are rejected by the `raw-telemetry-emit` lint
-//! rule, exactly like `emit_raw`.
+//! calls outside the macros fail clippy (T1 `raw-telemetry-emit`, banned
+//! in `clippy.toml`), exactly like `emit_raw`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;

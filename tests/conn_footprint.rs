@@ -4,12 +4,14 @@
 //! structure that allocates for its worst case instead of its use shows
 //! up here as a budget overrun. The same holds for the two structures a
 //! multiplexed deployment scales by: idle logical channels and SRQ slots.
+//! And a world, once dropped, gives all of it back.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
+use xrdma_apps::pangu::{Pangu, PanguConfig};
 use xrdma_core::{ChannelMux, XrdmaChannel, XrdmaConfig, XrdmaContext, XrdmaMsg};
 use xrdma_fabric::{Fabric, FabricConfig, NodeId};
 use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
@@ -302,4 +304,53 @@ fn consumed_slots_leave_the_mr() {
             "stored memcache bytes (client, server) after the burst, real bodies: {real}"
         );
     }
+}
+
+/// Live heap bytes that building, running and dropping a world in `run`
+/// leaves behind. A reference cycle through a handler keeps its whole
+/// world allocated, and a process that runs many worlds grows by each.
+fn leaked_by(run: impl FnOnce()) -> isize {
+    let before = live_bytes();
+    run();
+    live_bytes() - before
+}
+
+/// Teardown frees every byte: the one-pair rig (the middleware alone) and
+/// a Pangu deployment, whose chunk servers' listen and request handlers
+/// hold their own context weakly.
+#[test]
+fn dropped_worlds_leave_no_live_heap() {
+    let pair = leaked_by(|| {
+        let r = rig();
+        connect(&r, WARM);
+        assert_eq!(r.channels.borrow().len(), 2 * WARM);
+    });
+    let pangu = leaked_by(|| {
+        let world = World::new();
+        let rng = SimRng::new(9);
+        let fabric = Fabric::new(world.clone(), FabricConfig::pod(4, 4, 2), &rng);
+        let cm = ConnManager::new(world.clone(), CmConfig::default(), rng.fork("cm"));
+        let pangu = Pangu::deploy(
+            &fabric,
+            &cm,
+            PanguConfig::default(),
+            RnicConfig::default(),
+            XrdmaConfig::default(),
+            &rng,
+        );
+        world.run_for(Dur::millis(200));
+        for b in &pangu.blocks {
+            for _ in 0..5 {
+                b.submit_write(64 * 1024, |ok| assert!(ok));
+            }
+        }
+        world.run_for(Dur::millis(50));
+        assert_eq!(pangu.total_completed(), 5 * pangu.blocks.len() as u64);
+    });
+    println!("live heap left after drop: one pair {pair} B, Pangu {pangu} B");
+    assert_eq!(
+        (pair, pangu),
+        (0, 0),
+        "live heap left after drop (pair, Pangu)"
+    );
 }
